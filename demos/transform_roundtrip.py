@@ -25,8 +25,8 @@ from ab_spectral.transform import (
     roundtrip_defect,
 )
 
-# A smooth bump on [0.5, 3] with analytic second derivative.  The kernel
-# series is usable up to zeta = r**2 E <= 2500, which caps E_max at 2500/9.
+# A smooth bump on [0.5, 3] with analytic second derivative.  The kernels
+# accept zeta = r**2 E up to ZETA_BOUND = 2500, which caps E_max at 2500/9.
 bump = GaussianBump(0.5, 3.0)
 r, w = gauss_legendre(0.5, 3.0, 64)
 psi = RadialFunction(r, w, bump(r), second_derivative=bump.derivative2)

@@ -10,7 +10,7 @@ continuous density on E >= 0 plus at most one bound-state atom).
 
 Modules
 -------
-special     radial eigenfunction families (series-evaluated entire functions)
+special     radial eigenfunction families (closed forms over Bessel functions)
 measures    spectral measures, bound states, quadrature discretization
 transform   1D forward/inverse transforms, Parseval and diagonalization
 bumps       analytic compactly supported test profiles

@@ -45,11 +45,13 @@ from .transform import RadialFunction, kernel_matrix, kernel_values
 
 
 def critical_channels(phi: float) -> tuple[int, ...]:
-    """Angular modes m with |m + phi| < 1: one for integer phi, else two."""
-    if phi == int(phi):
-        return (int(-phi),)
-    lo = -math.ceil(phi)  # the unique integer in (-phi - 1, -phi)
-    return (lo, lo + 1)
+    """Angular modes m with |kappa| < 1, kappa = channel_kappa(phi, m) as computed.
+
+    One mode for integer phi, else two; a flux within rounding of an integer
+    has one, because the other kappa rounds to +-1.
+    """
+    base = -math.floor(phi)  # only base - 1 and base can satisfy |m + phi| < 1
+    return tuple(m for m in (base - 1, base) if abs(channel_kappa(phi, m)) < 1.0)
 
 
 class ChannelIndex(NamedTuple):
@@ -443,7 +445,7 @@ def full_forward(
     """Channel-decompose a field and forward-transform every channel.
 
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
-    E_max applies to every channel (the radial series bound caps it at
+    E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
     2500 / b**2 for support right edge b).
     """
     r, wr = r_rule

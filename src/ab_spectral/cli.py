@@ -170,14 +170,23 @@ def _read_profile_csv(path: str) -> RadialFunction:
             if len(parts) != 3:
                 raise UsageError(f"{path}:{lineno}: expected 3 fields")
             try:
-                rows.append(tuple(float(p) for p in parts))
+                r_i, re_i, im_i = (float(p) for p in parts)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}") from exc
+            if rows and not r_i > rows[-1][0]:
+                raise UsageError(
+                    f"{path}:{lineno}: r={r_i!r} does not exceed the previous "
+                    f"r={rows[-1][0]!r}; the r grid must be strictly increasing"
+                )
+            rows.append((r_i, complex(re_i, im_i)))
     if len(rows) < 8:
         raise UsageError(f"{path}: need at least 8 samples")
     r = np.array([row[0] for row in rows])
-    values = np.array([complex(row[1], row[2]) for row in rows])
-    weights = np.gradient(r)
+    values = np.array([row[1] for row in rows])
+    half_steps = 0.5 * np.diff(r)
+    weights = np.zeros_like(r)
+    weights[:-1] += half_steps
+    weights[1:] += half_steps
     return RadialFunction(r, weights, values)
 
 

@@ -92,10 +92,6 @@ class MeasureQuadrature:
     e_weights: np.ndarray
     atoms: tuple[tuple[float, float], ...] = ()
 
-    @property
-    def total_continuum_weight(self) -> float:
-        return float(np.sum(self.e_weights))
-
 
 def _require_extension_family(kappa: float, what: str) -> None:
     if abs(kappa) >= 1.0:

@@ -126,7 +126,7 @@ class SuiteConfig:
 
     @property
     def e_cap(self) -> float:
-        """Largest usable E_max: the series bound divided by the support edge."""
+        """Largest usable E_max: the kernel bound ZETA_BOUND over the support edge squared."""
         return ZETA_BOUND / self.support[1] ** 2
 
     def extension_pairs(self):
@@ -290,8 +290,8 @@ def _check_theta_periodicity_coefficients(config: SuiteConfig, kappa, theta) -> 
 
     theta must be representable so that theta + pi rounds exactly (e.g. 0.25,
     0.5, 1.0); then the flipped kernel is bitwise the negated kernel.  theta
-    must also keep any bound state shallow enough for the kernel series
-    (|E_b| * b**2 within the series bound).
+    must also keep any bound state shallow enough for the kernels
+    (|E_b| * b**2 within ZETA_BOUND).
     """
     psi = _suite_bump(config)
     p1 = ExtensionParams(kappa, theta)

