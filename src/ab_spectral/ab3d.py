@@ -375,22 +375,10 @@ class Coefficients3D:
     grid: ModeGrid
     blocks: list[ChannelBlock]
 
-    def norm_sq(self) -> float:
+    def _norm_sq(self, m: int | None = None) -> float:
         total = 0.0
         for blk in self.blocks:
-            pw = self.grid.p_weights[blk.p_indices]
-            cont = np.sum(
-                blk.quad.e_weights[None, :] * np.abs(blk.continuum) ** 2, axis=1
-            )
-            total += float(np.sum(pw * cont))
-            for j, (_, weight) in enumerate(blk.quad.atoms):
-                total += float(np.sum(pw * weight * np.abs(blk.atom_values[:, j]) ** 2))
-        return total
-
-    def channel_norm_sq(self, m: int) -> float:
-        total = 0.0
-        for blk in self.blocks:
-            if blk.m != m:
+            if m is not None and blk.m != m:
                 continue
             pw = self.grid.p_weights[blk.p_indices]
             cont = np.sum(
@@ -400,6 +388,12 @@ class Coefficients3D:
             for j, (_, weight) in enumerate(blk.quad.atoms):
                 total += float(np.sum(pw * weight * np.abs(blk.atom_values[:, j]) ** 2))
         return total
+
+    def norm_sq(self) -> float:
+        return self._norm_sq()
+
+    def channel_norm_sq(self, m: int) -> float:
+        return self._norm_sq(m)
 
     def write_csv(self, fileobj: io.TextIOBase) -> None:
         for blk in self.blocks:

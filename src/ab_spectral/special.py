@@ -1,40 +1,32 @@
 """Radial eigenfunction families for the inverse-square potential.
 
-Everything here is built on two entire functions, evaluated in closed form
-through scipy's Bessel routines (AMOS, Amos 1986, ACM TOMS Algorithm 644, and
-Cephes for the integer orders of the kappa = 0 branch):
-
-    chi_kappa(zeta) = zeta**(-kappa/2) J_kappa(sqrt(zeta))         zeta > 0
-                    = |zeta|**(-kappa/2) I_kappa(sqrt(|zeta|))     zeta < 0
-                    = 2**(-kappa) / Gamma(kappa + 1)               zeta = 0
-    script_y(zeta)  = sum_{n>=1} (-zeta)**n c_n / ((n!)**2 4**n),  c_n = 1 + 1/2 + ... + 1/n
-
-from which the generalized eigenfunctions are assembled:
-
+    chi_kappa(zeta)        = zeta**(-kappa/2) J_kappa(sqrt(zeta))
     u(kappa, E | r)        = r**(1/2+kappa) chi_kappa(r**2 E)
     w(kappa, E)            = [u(kappa,E) cos(pi kappa) - u(-kappa,E)] / sin(pi kappa)
     u_theta(kappa,theta,E) = u cos(theta - pi*kappa/2) + w sin(theta - pi*kappa/2)
 
-At kappa = 0, w is the logarithmic solution
+For E != 0 each is sqrt(r) [a F(x) + b G(x)], x = r sqrt|E|, over one Bessel
+pair of order nu = |kappa|: (J_nu, Y_nu) for E > 0, (I_nu, K_nu) for E < 0,
+with a, b per energy by DLMF 10.4.7 and 10.27.2 for J_{-nu} and I_{-nu}.  w's
+coefficient of F holds (|E|**(nu/2) - |E|**(-nu/2)) / sin(pi nu), formed as
+2 sinh(nu ln|E| / 2) / sin(pi nu), so kappa -> 0 passes continuously into the
+log solutions sqrt(r) [Y_0 - ln(E)/pi J_0] and -sqrt(r) [ln|E|/pi I_0 + 2/pi K_0];
+E = 0 is the power-law limit, its difference formed the same way.  At a bound
+state a = 0 exactly: radial_kernel(..., bound_state=True) is the cancellation-free
+-(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_nu(x).
 
-    w(0, E | r) =  sqrt(r) [Y_0(x) - ln(E)/pi J_0(x)],                x = r sqrt(E),   E > 0
-    w(0, E | r) = -sqrt(r) [ln|E|/pi I_0(y) + 2/pi K_0(y)],           y = r sqrt(-E),  E < 0
+The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
+orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
+channel at flux 1/2, where jv(1/2, x) loses ulps).  radial_kernel, used by the
+transforms, returns values only; u_eigen, w_eigen and u_theta_eigen add d/dr
+from the pair at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
 
-Radial derivatives come from the exact identity d chi_kappa / d zeta =
--chi_{kappa+1}(zeta) / 2 and from J_1, Y_1, I_1, K_1, never from finite
-differences.  Half-odd-integer orders (every critical channel at flux
-phi = 1/2) go through the spherical Bessel functions, which are closed forms
-in sin, cos and exp and are accurate to a few ulp where jv(1/2, x) is not.
-
-Measured against mpmath at 30 digits on zeta in [-2500, 2500] (see
-tests/test_special.py), chi_kappa and its zeta-derivative are accurate to
-1.3e-14 of max(1, |chi|) for zeta >= 0 and to 3.6e-15 relative for zeta < 0;
-w(0, E | r) and its r-derivative to 1.3e-14 of max(1, |w|).
-
-Arguments are restricted to |zeta| <= ZETA_BOUND and larger ones raise
-SeriesDomainError.  The bound is a kept contract of the public API (energy
-cutoffs across the library are derived from it), not a precision limit of the
-kernels.
+Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
+1.3e-14 of max(1, |chi|) for 0 <= zeta <= 2500 and 3.8e-15 relative for
+zeta < 0; u, w, u_theta and d/dr for kappa down to 1e-7 and E of either sign
+or 0 to 6.7e-14 of max(1, |f|); bound-state kernel rows to 2.1e-14 relative.
+|zeta| = |r**2 E| > ZETA_BOUND raises SeriesDomainError, a kept contract of the
+public API (energy cutoffs derive from it), not a precision limit.
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ from .errors import DomainError, SeriesDomainError
 ZETA_BOUND = 2500.0
 
 _EULER_GAMMA = 0.5772156649015328606
-_KAPPA_ZERO_SWITCH = 1e-6
 
 
 class ValueWithDerivative(NamedTuple):
@@ -83,47 +74,138 @@ def _check_zeta(zeta: np.ndarray) -> None:
         )
 
 
-def _chi(kappa: float, zeta: np.ndarray) -> np.ndarray:
-    """chi_kappa(zeta) elementwise; zeta is a float array already checked."""
-    out = np.where(zeta == 0.0, 2.0 ** (-kappa) / gamma_fn(kappa + 1.0), np.nan)
-    pos, neg = zeta > 0.0, zeta < 0.0
-    x, y = np.sqrt(zeta[pos]), np.sqrt(-zeta[neg])
-    if (2.0 * kappa) % 2.0 != 1.0:
-        out[pos] = x ** -kappa * sc.jv(kappa, x)
-        out[neg] = y ** -kappa * sc.iv(kappa, y)
-        return out
-    # kappa = +-(n + 1/2):  J, I of order n + 1/2 are sqrt(2x/pi) j_n, i_n
-    # (DLMF 10.47.3, 10.47.7), and by DLMF 10.2.3 and 10.27.2
-    #   J_{-n-1/2} = (-1)**(n+1) sqrt(2x/pi) y_n,
-    #   I_{-n-1/2} = sqrt(2x/pi) [i_n + (2/pi) (-1)**n k_n].
-    n = int(abs(kappa))
-    scale = math.sqrt(2.0 / math.pi)
-    if kappa > 0.0:
-        out[pos] = scale * x ** (0.5 - kappa) * sc.spherical_jn(n, x)
-        out[neg] = scale * y ** (0.5 - kappa) * sc.spherical_in(n, y)
+def _cos_sin_pi(nu: float) -> tuple[float, float]:
+    """(cos(pi nu), sin(pi nu)), exact when 2 nu is an integer."""
+    if (2.0 * nu) % 1.0 == 0.0:
+        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(2.0 * nu) % 4]
+    return math.cos(math.pi * nu), math.sin(math.pi * nu)
+
+
+def _sinh_ratio(nu: float, m) -> np.ndarray:
+    """2 sinh(nu m) / sin(pi nu), continuous through nu = 0 (limit 2 m / pi)."""
+    m = np.asarray(m, dtype=float)
+    z = nu * m
+    sinhc = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0.0)
+    return (2.0 / math.pi) * m * sinhc / np.sinc(nu)
+
+
+def _log_gamma_odd(nu: float) -> float:
+    """[ln Gamma(1 - nu) - ln Gamma(1 + nu)] / (2 nu), Euler's gamma at nu = 0; up to
+    nu = 1/2 by DLMF 5.7.3, as gammaln(1 +- nu) loses a small nu to rounding."""
+    if nu > 0.5:
+        return (sc.gammaln(1.0 - nu) - sc.gammaln(1.0 + nu)) / (2.0 * nu)
+    k = np.arange(3.0, 59.0, 2.0)
+    return _EULER_GAMMA + float(np.sum(sc.zeta(k) * nu ** (k - 1.0) / k))
+
+
+# each kind: (order 0, order 1, spherical of order n for n + 1/2, any order)
+_J = (sc.j0, sc.j1, sc.spherical_jn, sc.jv)
+_Y = (sc.y0, sc.y1, sc.spherical_yn, sc.yv)
+_I = (sc.i0, sc.i1, sc.spherical_in, sc.iv)
+_K = (sc.k0, sc.k1, sc.spherical_kn, sc.kv)
+
+
+def _bessel(kind: tuple, order: float, x: np.ndarray) -> np.ndarray:
+    """J, Y, I or K of order >= 0 at x > 0 through the most accurate scipy routine."""
+    order0, order1, spherical, general = kind
+    if order < np.finfo(float).tiny:  # yv, kv fail at subnormal orders, equal to 0 here
+        order = 0.0
+    if order in (0.0, 1.0):
+        return (order0, order1)[int(order)](x)
+    if (2.0 * order) % 2.0 == 1.0:
+        # all four kinds of order n + 1/2 are sqrt(2x/pi) times the spherical
+        # function of order n (DLMF 10.47.3, 10.47.4, 10.47.7, 10.47.9)
+        return np.sqrt(2.0 * x / math.pi) * spherical(int(order), x)
+    return general(order, x)
+
+
+def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
+    """(value, d/dr) of cu u + cw w at E = 0.  With m = ln(r/2) + _log_gamma_odd(nu),
+    u(+-nu) = sqrt(r sinc(nu)) exp(+-nu m), and so w = sqrt(r sinc(nu)) times
+    2 sinh(nu m) / sin(pi nu) - sign(kappa) tan(pi nu / 2) exp(kappa m)."""
+    u = cu * r ** (0.5 + kappa) * (2.0 ** -kappa / gamma_fn(kappa + 1.0))
+    value, d_dr = u, (0.5 + kappa) * u / r
+    if cw != 0.0:
+        nu = abs(kappa)
+        c, s = _cos_sin_pi(nu)
+        m = np.log(0.5 * r) + _log_gamma_odd(nu)
+        grow = s / (1.0 + c) * np.exp(kappa * m)
+        f = _sinh_ratio(nu, m) - math.copysign(1.0, kappa) * grow
+        df = (2.0 / math.pi) * np.cosh(nu * m) / np.sinc(nu) - nu * grow  # nu df/dbeta
+        scale = cw * math.sqrt(np.sinc(nu)) * np.sqrt(r)
+        value = value + scale * f
+        d_dr = d_dr + scale * (0.5 * f + df) / r
+    return value, d_dr
+
+
+def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_state=False):
+    """(value, d/dr or None) of cu u + cw w; the pair coefficients (a, b) are
+    formed per energy and broadcast over r.  bound_state sets a = 0."""
+    # the Bessel routines underflow below |E| = 1e-200, where the E = 0 limit is exact
+    E = np.where(np.abs(E) < 1e-200, 0.0, np.asarray(E, dtype=float))
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise DomainError("radial coordinate must satisfy r > 0")
+    E_b, r_b = np.broadcast_arrays(E, r)
+    _check_zeta(r_b * r_b * E_b)
+    nu = abs(kappa)
+    c, s = _cos_sin_pi(nu)
+    neg = E < 0.0
+    M = np.where(E == 0.0, 1.0, np.abs(E))
+    p = M ** (0.5 * nu)
+    if kappa >= 0.0:
+        a, b = cu / p, 0.0
     else:
-        sign = -1.0 if n % 2 else 1.0
-        out[pos] = -sign * scale * x ** (0.5 - kappa) * sc.spherical_yn(n, x)
-        out[neg] = scale * y ** (0.5 - kappa) * (
-            sc.spherical_in(n, y) + (2.0 / math.pi) * sign * sc.spherical_kn(n, y)
-        )
-    return out
+        a = cu * np.where(neg, 1.0, c) * p
+        b = cu * np.where(neg, 2.0 / math.pi, -1.0) * s * p
+    if cw != 0.0:
+        t = s / (1.0 + c)  # tan(pi nu / 2)
+        R = _sinh_ratio(nu, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
+        if kappa >= 0.0:
+            a = a - cw * (c * R + np.where(neg, t, 0.0) * p)
+        else:
+            a = a + cw * (np.where(neg, t, s) * p - R)
+        b = b + cw * np.where(neg, -2.0 / math.pi, 1.0) * (1.0 if kappa >= 0.0 else c) * p
+    a, b = np.broadcast_to(0.0 if bound_state else a, E_b.shape), np.broadcast_to(b, E_b.shape)
+    second = kappa < 0.0 or cw != 0.0
+    value = np.empty(E_b.shape)
+    d_dr = np.empty(E_b.shape) if derivative else None
+    for mask, (F_kind, G_kind), sign in ((E_b > 0.0, (_J, _Y), -1.0), (E_b < 0.0, (_I, _K), 1.0)):
+        k, rm, am, bm = np.sqrt(np.abs(E_b[mask])), r_b[mask], a[mask], b[mask]
+        x, sq = rm * k, np.sqrt(rm)
+        F = _bessel(F_kind, nu, x)
+        G = _bessel(G_kind, nu, x) if second else 0.0
+        value[mask] = sq * (am * F + bm * G)
+        if derivative:
+            # DLMF 10.6.2, 10.29.2 in the forms free of cancellation as x -> 0:
+            # F' = (nu/x) F -+ F_{nu+1} and G' = -(nu/x) G +- G_{nu-1}
+            slope = am * _bessel(F_kind, nu + 1.0, x)
+            if second:  # G_{nu-1}: K is even in its order, Y by DLMF 10.4.7
+                mu, (cm, sm) = abs(nu - 1.0), _cos_sin_pi(nu - 1.0)
+                lower = _bessel(G_kind, mu, x)
+                if G_kind is _Y and nu < 1.0:
+                    lower = cm * lower - sm * _bessel(_J, mu, x)
+                slope = slope - bm * lower
+            d_dr[mask] = sq * (((0.5 + nu) * am * F + (0.5 - nu) * bm * G) / rm + sign * k * slope)
+    zero = E_b == 0.0
+    if zero.any():
+        value[zero], slope = _zero_energy(kappa, cu, cw, r_b[zero])
+        if derivative:
+            d_dr[zero] = slope
+    return value, d_dr
 
 
 def _chi_with_slope(kappa: float, zeta) -> tuple[np.ndarray, np.ndarray]:
-    """(chi_kappa(zeta), d chi_kappa / d zeta), elementwise.
-
-    The derivative is d chi_kappa / d zeta = -chi_{kappa+1}(zeta) / 2
-    (DLMF 10.6.6).
-    """
+    """(chi_kappa(zeta), d chi_kappa / d zeta), elementwise: chi_kappa(zeta) is
+    u(kappa, zeta | 1), and d chi_kappa / d zeta = -chi_{kappa+1} / 2 (DLMF 10.6.6)."""
     zeta = np.asarray(zeta, dtype=float)
-    _check_zeta(zeta)
-    return _chi(kappa, zeta), -0.5 * _chi(kappa + 1.0, zeta)
+    chi = _assemble(kappa, 1.0, 0.0, zeta, 1.0)[0]
+    return chi, -0.5 * _assemble(kappa + 1.0, 1.0, 0.0, zeta, 1.0)[0]
 
 
 def chi_kappa(kappa: float, zeta):
     """The entire function behind u: chi_kappa(zeta) = zeta**(-kappa/2) J_kappa(sqrt(zeta))."""
-    val, _ = _chi_with_slope(kappa, zeta)
+    val = _assemble(kappa, 1.0, 0.0, zeta, 1.0)[0]
     return float(val) if np.ndim(zeta) == 0 else val
 
 
@@ -143,54 +225,26 @@ def script_y(zeta):
     return float(out) if np.ndim(zeta) == 0 else out
 
 
-def _as_arrays(E, r):
-    E = np.asarray(E, dtype=float)
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise DomainError("radial coordinate must satisfy r > 0")
-    return np.broadcast_arrays(E, r)
+def radial_kernel(kappa: float, theta: float, E, r, bound_state: bool = False) -> np.ndarray:
+    """Transform kernel values, no derivatives: u(|kappa|, E | r) for |kappa| >= 1
+    (theta unused), else u_theta(kappa, theta, E | r).  bound_state=True asserts
+    that E is the bound-state energy and evaluates the cancellation-free K form."""
+    if abs(kappa) >= 1.0:
+        return _assemble(abs(kappa), 1.0, 0.0, E, r)[0]
+    delta = theta - theta_kappa(kappa)
+    return _assemble(kappa, math.cos(delta), math.sin(delta), E, r, bound_state=bound_state)[0]
 
 
-def u_eigen(kappa: float, E, r) -> ValueWithDerivative:
-    """u(kappa, E | r) = r**(1/2+kappa) chi_kappa(r**2 E) and d/dr."""
-    E_b, r_b = _as_arrays(E, r)
-    zeta = r_b * r_b * E_b
-    chi, dchi = _chi_with_slope(kappa, zeta)
-    rp = r_b ** (0.5 + kappa)
-    value = rp * chi
-    d_dr = (0.5 + kappa) * rp / r_b * chi + rp * dchi * 2.0 * r_b * E_b
+def _eigen(kappa: float, cu: float, cw: float, E, r) -> ValueWithDerivative:
+    value, d_dr = _assemble(kappa, cu, cw, E, r, derivative=True)
     if np.ndim(E) == 0 and np.ndim(r) == 0:
         return ValueWithDerivative(float(value), float(d_dr))
     return ValueWithDerivative(value, d_dr)
 
 
-def _w_eigen_zero(E, r) -> ValueWithDerivative:
-    """kappa = 0 logarithmic branch, in closed form through J/Y (E > 0), I/K (E < 0)."""
-    E_b, r_b = _as_arrays(E, r)
-    _check_zeta(r_b * r_b * E_b)
-    value, d_dr = np.full(E_b.shape, np.nan), np.full(E_b.shape, np.nan)
-    sq = np.sqrt(r_b)
-    pos, neg, zero = E_b > 0.0, E_b < 0.0, E_b == 0.0
-    # E > 0: w = sqrt(r) f(x), f = Y0 - (ln E / pi) J0, x = r sqrt(E)
-    k, s = np.sqrt(E_b[pos]), sq[pos]
-    x, lg = r_b[pos] * k, np.log(E_b[pos]) / math.pi
-    f = sc.y0(x) - lg * sc.j0(x)
-    df = lg * sc.j1(x) - sc.y1(x)
-    value[pos] = s * f
-    d_dr[pos] = 0.5 * f / s + s * k * df
-    # E < 0: w = -sqrt(r) g(y), g = (ln|E| / pi) I0 + (2 / pi) K0, y = r sqrt(-E)
-    k, s = np.sqrt(-E_b[neg]), sq[neg]
-    y, lg = r_b[neg] * k, np.log(-E_b[neg]) / math.pi
-    g = lg * sc.i0(y) + (2.0 / math.pi) * sc.k0(y)
-    dg = lg * sc.i1(y) - (2.0 / math.pi) * sc.k1(y)
-    value[neg] = -s * g
-    d_dr[neg] = -0.5 * g / s - s * k * dg
-    # E = 0: w = (2/pi)(ln(r/2) + gamma) sqrt(r)
-    s = sq[zero]
-    lg = np.log(r_b[zero] / 2.0) + _EULER_GAMMA
-    value[zero] = (2.0 / math.pi) * lg * s
-    d_dr[zero] = (2.0 / math.pi) * (1.0 + 0.5 * lg) / s
-    return ValueWithDerivative(value, d_dr)
+def u_eigen(kappa: float, E, r) -> ValueWithDerivative:
+    """u(kappa, E | r) = r**(1/2+kappa) chi_kappa(r**2 E) and d/dr."""
+    return _eigen(kappa, 1.0, 0.0, E, r)
 
 
 def w_eigen(kappa: float, E, r) -> ValueWithDerivative:
@@ -198,44 +252,18 @@ def w_eigen(kappa: float, E, r) -> ValueWithDerivative:
     extension family.  Only defined for |kappa| < 1."""
     if abs(kappa) >= 1.0:
         raise DomainError(f"w_eigen requires |kappa| < 1, got kappa={kappa}")
-    if abs(kappa) < _KAPPA_ZERO_SWITCH:
-        out = _w_eigen_zero(E, r)
-    else:
-        up = u_eigen(kappa, E, r)
-        um = u_eigen(-kappa, E, r)
-        c = math.cos(math.pi * kappa)
-        s = math.sin(math.pi * kappa)
-        out = ValueWithDerivative(
-            (np.asarray(up.value) * c - um.value) / s,
-            (np.asarray(up.d_dr) * c - um.d_dr) / s,
-        )
-    if np.ndim(E) == 0 and np.ndim(r) == 0:
-        return ValueWithDerivative(float(out.value), float(out.d_dr))
-    return out
+    return _eigen(kappa, 0.0, 1.0, E, r)
 
 
 def u_theta_eigen(kappa: float, theta: float, E, r) -> ValueWithDerivative:
     """Extension-family eigenfunction u_theta = u cos(d) + w sin(d), d = theta - pi*kappa/2.
 
-    Numerically stable for all |kappa| < 1 including kappa -> 0, unlike the
-    raw difference quotient defining w for small kappa.
+    Numerically stable for all |kappa| < 1 including kappa -> 0.
     """
     if abs(kappa) >= 1.0:
         raise DomainError(f"u_theta_eigen requires |kappa| < 1, got kappa={kappa}")
     delta = theta - theta_kappa(kappa)
-    c, s = math.cos(delta), math.sin(delta)
-    u = u_eigen(kappa, E, r)
-    if s == 0.0:
-        out = ValueWithDerivative(np.asarray(u.value) * c, np.asarray(u.d_dr) * c)
-    else:
-        w = w_eigen(kappa, E, r)
-        out = ValueWithDerivative(
-            np.asarray(u.value) * c + np.asarray(w.value) * s,
-            np.asarray(u.d_dr) * c + np.asarray(w.d_dr) * s,
-        )
-    if np.ndim(E) == 0 and np.ndim(r) == 0:
-        return ValueWithDerivative(float(out.value), float(out.d_dr))
-    return out
+    return _eigen(kappa, math.cos(delta), math.sin(delta), E, r)
 
 
 def wronskian(f: ValueWithDerivative, g: ValueWithDerivative):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .measures import ExtensionParams, MeasureQuadrature, gauss_legendre
-from .special import theta_kappa, u_eigen, u_theta_eigen, wronskian
+from .special import radial_kernel, u_theta_eigen, wronskian
 
 
 class Endpoint(enum.Enum):
@@ -113,14 +113,13 @@ class TransformCoefficients:
             fileobj.write(f"{float(e)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
-def kernel_values(params: ExtensionParams, E, r) -> np.ndarray:
+def kernel_values(params: ExtensionParams, E, r, bound_state: bool = False) -> np.ndarray:
     """Transform kernel: u(|kappa|, E|r) off the extension family,
     u_theta(kappa, theta, E|r) on it (theta taken modulo pi, with the parity
-    sign applied so that theta -> theta + pi flips the kernel exactly)."""
-    if abs(params.kappa) >= 1.0:
-        return np.asarray(u_eigen(abs(params.kappa), E, r).value)
-    value = u_theta_eigen(params.kappa, params.theta_mod_pi, E, r).value
-    return params.theta_sign * np.asarray(value)
+    sign applied so that theta -> theta + pi flips the kernel exactly);
+    bound_state as in special.radial_kernel."""
+    value = np.asarray(radial_kernel(params.kappa, params.theta_mod_pi, E, r, bound_state))
+    return params.theta_sign * value if params.needs_theta else value
 
 
 def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes):
@@ -130,8 +129,24 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes):
         K = kernel_values(params, quad.e_nodes[:, None], r)
     else:
         K = np.zeros((0, r.shape[1]))
-    atom_rows = [kernel_values(params, energy, r[0]) for energy, _ in quad.atoms]
+    atom_rows = [kernel_values(params, e, r[0], bound_state=True) for e, _ in quad.atoms]
     return K, atom_rows
+
+
+def _analysis(kernel, psi: RadialFunction, quad, include_atoms=True) -> TransformCoefficients:
+    K, atom_rows = kernel
+    weighted = psi.quad_weights * psi.values
+    atoms = [row @ weighted if include_atoms else 0.0 for row in atom_rows]
+    return TransformCoefficients(quad, K @ weighted, np.array(atoms, dtype=complex))
+
+
+def _synthesis(kernel, coeffs: TransformCoefficients, r_nodes, quad_weights) -> RadialFunction:
+    K, atom_rows = kernel
+    values = (coeffs.quad.e_weights * coeffs.continuum_values) @ K
+    for (_, weight), row, cval in zip(coeffs.quad.atoms, atom_rows, coeffs.atom_values):
+        values = values + weight * cval * row
+    weights = np.ones_like(r_nodes) if quad_weights is None else quad_weights
+    return RadialFunction(r_nodes, np.asarray(weights, dtype=float), values)
 
 
 def forward(
@@ -145,14 +160,7 @@ def forward(
     include_atoms=False zeroes the bound-state coefficients; the resulting
     Parseval deficit is the expected negative control.
     """
-    weighted = psi.quad_weights * psi.values
-    K, atom_rows = kernel_matrix(params, quad, psi.r_nodes)
-    continuum = K @ weighted
-    if include_atoms:
-        atom_vals = np.array([row @ weighted for row in atom_rows], dtype=complex)
-    else:
-        atom_vals = np.zeros(len(atom_rows), dtype=complex)
-    return TransformCoefficients(quad, continuum, atom_vals)
+    return _analysis(kernel_matrix(params, quad, psi.r_nodes), psi, quad, include_atoms)
 
 
 def inverse(
@@ -163,15 +171,7 @@ def inverse(
 ) -> RadialFunction:
     """Synthesis (the adjoint): psi(r) = int kernel(E|r) c(E) dV(E) + atoms."""
     r_nodes = np.asarray(r_nodes, dtype=float)
-    if quad_weights is None:
-        quad_weights = np.ones_like(r_nodes)
-    K, atom_rows = kernel_matrix(params, coeffs.quad, r_nodes)
-    values = (coeffs.quad.e_weights * coeffs.continuum_values) @ K
-    for (energy, weight), row, cval in zip(
-        coeffs.quad.atoms, atom_rows, coeffs.atom_values
-    ):
-        values = values + weight * cval * row
-    return RadialFunction(r_nodes, np.asarray(quad_weights, dtype=float), values)
+    return _synthesis(kernel_matrix(params, coeffs.quad, r_nodes), coeffs, r_nodes, quad_weights)
 
 
 def apply_l_q(kappa: float, psi: RadialFunction) -> RadialFunction:
@@ -216,8 +216,8 @@ def parseval_defect(psi: RadialFunction, coeffs: TransformCoefficients) -> float
 
 
 def roundtrip_defect(params: ExtensionParams, psi: RadialFunction, quad) -> float:
-    """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid."""
-    coeffs = forward(params, psi, quad)
-    back = inverse(params, coeffs, psi.r_nodes, psi.quad_weights)
+    """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid, one kernel both ways."""
+    kernel = kernel_matrix(params, quad, psi.r_nodes)
+    back = _synthesis(kernel, _analysis(kernel, psi, quad), psi.r_nodes, psi.quad_weights)
     diff = float(np.sum(psi.quad_weights * np.abs(back.values - psi.values) ** 2))
     return math.sqrt(diff / psi.norm_sq())

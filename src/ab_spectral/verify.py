@@ -35,7 +35,7 @@ from .measures import (
     has_bound_state,
     spectral_measure,
 )
-from .special import ZETA_BOUND, theta_kappa, u_eigen, u_theta_eigen, w_eigen, wronskian
+from .special import ZETA_BOUND, radial_kernel, theta_kappa, u_eigen, w_eigen, wronskian
 from .transform import (
     RadialFunction,
     apply_l_q,
@@ -167,9 +167,7 @@ def _ode_residual(kappa, theta, E, r, h) -> float:
     """Finite-difference residual of the radial equation; O(h^2) by design."""
 
     def u(x):
-        if abs(kappa) < 1.0:
-            return np.asarray(u_theta_eigen(kappa, theta, E, x).value)
-        return np.asarray(u_eigen(abs(kappa), E, x).value)
+        return radial_kernel(kappa, theta, E, x)
 
     d2 = (u(r + h) - 2.0 * u(r) + u(r - h)) / (h * h)
     q = (kappa * kappa - 0.25) / (r * r)

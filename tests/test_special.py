@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ab_spectral.errors import DomainError, SeriesDomainError
+from ab_spectral.measures import ExtensionParams, discretize, spectral_measure
 from ab_spectral.special import (
     ZETA_BOUND,
     _chi_with_slope,
@@ -21,6 +22,7 @@ from ab_spectral.special import (
     w_eigen,
     wronskian,
 )
+from ab_spectral.transform import kernel_matrix
 
 mpmath.mp.dps = 30
 
@@ -216,6 +218,60 @@ def w_zero_oracle(E: float, r: float) -> tuple[float, float]:
     return float(sq * f), float(f / (2 * sq) + sq * k * df)
 
 
+KERNEL_KAPPAS = SWEEP_KAPPAS + [1e-7, -1e-7, 1e-4, -1e-4]
+KERNEL_ENERGIES = [-1e3, -30.0, -1.0, -1e-3, 0.0, 1e-3, 1.0, 30.0, 1e3]
+KERNEL_R = np.geomspace(0.05, 50.0, 9)
+
+
+def u_oracle(kappa, E, r):
+    """(u(kappa, E | r), d/dr) from mpmath J/I (E != 0) or the power at E = 0."""
+    k, E, r = mpmath.mpf(kappa), mpmath.mpf(E), mpmath.mpf(r)
+    if E == 0:
+        value = r ** (k + 0.5) * 2**-k / mpmath.gamma(k + 1)
+        return value, (k + 0.5) * value / r
+    bessel, s = (mpmath.besselj if E > 0 else mpmath.besseli), mpmath.sqrt(abs(E))
+    f, df = bessel(k, r * s), bessel(k, r * s, derivative=1)
+    scale = abs(E) ** (-k / 2)
+    return scale * mpmath.sqrt(r) * f, scale * (f / (2 * mpmath.sqrt(r)) + mpmath.sqrt(r) * s * df)
+
+
+def w_oracle(kappa, E, r):
+    """(w, d/dr) from its definition at 80 digits, which absorbs the cancellation
+    of growing terms; kappa = 0 is taken at kappa = 1e-40."""
+    with mpmath.workdps(80):
+        k = mpmath.mpf(kappa) if kappa != 0.0 else mpmath.mpf("1e-40")
+        up, um = u_oracle(k, E, r), u_oracle(-k, E, r)
+        c, s = mpmath.cos(mpmath.pi * k), mpmath.sin(mpmath.pi * k)
+        return (up[0] * c - um[0]) / s, (up[1] * c - um[1]) / s
+
+
+def u_theta_oracle(kappa, theta, E, r):
+    """(u_theta, d/dr); u(|kappa|) for |kappa| >= 1, as the transform kernel."""
+    if abs(kappa) >= 1.0:
+        return u_oracle(abs(kappa), E, r)
+    delta = mpmath.mpf(theta) - mpmath.pi * mpmath.mpf(kappa) / 2
+    u, w = u_oracle(kappa, E, r), w_oracle(kappa, E, r)
+    return tuple(mpmath.cos(delta) * a + mpmath.sin(delta) * b for a, b in zip(u, w))
+
+
+def bound_state_oracle(kappa, theta, E, r):
+    """-(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_|kappa|(sqrt|E| r)."""
+    k, y = mpmath.mpf(kappa), mpmath.sqrt(-mpmath.mpf(E))
+    amplitude = -2 / mpmath.pi * mpmath.sin(mpmath.mpf(theta) - mpmath.pi * k / 2)
+    values = [amplitude * y**k * mpmath.sqrt(x) * mpmath.besselk(abs(k), y * x) for x in r]
+    return np.array(values, dtype=float)
+
+
+def _assert_close(got, oracle, positive=False):
+    """Value and d/dr within 2e-13 of max(1, |f|); a positive value (u at E < 0)
+    within 2e-14 relative."""
+    for values, expected in ((got.value, oracle[:, 0]), (got.d_dr, oracle[:, 1])):
+        scale = np.maximum(1.0, np.abs(expected))
+        assert np.all(np.abs(values - expected) <= 2e-13 * scale)
+    if positive:
+        assert np.all(np.abs(got.value - oracle[:, 0]) <= 2e-14 * oracle[:, 0])
+
+
 class TestBesselKernelSweep:
     """30-digit mpmath sweep of the closed-form kernels over the whole supported
     range, zeta in [-ZETA_BOUND, ZETA_BOUND] with zeta = 0 exactly.
@@ -226,7 +282,7 @@ class TestBesselKernelSweep:
 
     - chi_kappa, zeta >= 0: 1.3e-14 of max(1, |chi|) (value, kappa = -0.7);
       2.3e-14 relative on |zeta| <= 100 (value, kappa = 0.9).
-    - chi_kappa, zeta < 0: 3.6e-15 relative (slope, kappa = 0.3).
+    - chi_kappa, zeta < 0: 3.8e-15 relative (slope, kappa = 0.3).
     - w(0, E | r): 6.7e-15 of max(1, |w|) for the value and 1.3e-14 of
       max(1, |dw/dr|) for the derivative, over both signs of E.
     """
@@ -256,3 +312,64 @@ class TestBesselKernelSweep:
             for values, expected in ((got.value, oracle[:, 0]), (got.d_dr, oracle[:, 1])):
                 error = np.abs(values - expected)
                 assert np.all(error <= 5e-14 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("kappa", KERNEL_KAPPAS)
+    def test_eigenfunctions_and_slopes(self, kappa):
+        """u, w, u_theta and d/dr at E < 0, E = 0 and E > 0 against the defining
+        Bessel forms.  Worst errors measured with scipy 1.17.1: 6.7e-14 of
+        max(1, |f|) (d/dr of u, kappa = -0.7, E = 1000), and 3.8e-15 relative
+        for the value of u at E < 0."""
+        for E in KERNEL_ENERGIES:
+            r = KERNEL_R[KERNEL_R**2 * abs(E) <= ZETA_BOUND]
+            u = np.array([u_oracle(kappa, E, x) for x in r], dtype=float)
+            _assert_close(u_eigen(kappa, E, r), u, positive=E < 0)
+            if abs(kappa) >= 1.0:
+                continue
+            w = np.array([w_oracle(kappa, E, x) for x in r], dtype=float)
+            _assert_close(w_eigen(kappa, E, r), w)
+            for theta in (1.0, 2.5):
+                delta = theta - theta_kappa(kappa)
+                expected = math.cos(delta) * u + math.sin(delta) * w
+                _assert_close(u_theta_eigen(kappa, theta, E, r), expected)
+
+    @pytest.mark.parametrize(
+        "kappa,theta", [(0.3, 1.0), (1e-7, 1.2), (-0.7, 2.0), (-0.5, 1.0), (0.0, 2.0), (2.5, 0.0)]
+    )
+    def test_kernel_matrix_rows(self, kappa, theta):
+        """Continuum rows of kernel_matrix are u_theta (u(|kappa|) for
+        |kappa| >= 1), atom rows the bound eigenfunction, both with the
+        parity sign of theta + pi."""
+        params = ExtensionParams(kappa, theta + math.pi)
+        sign = -1.0 if abs(kappa) < 1.0 else 1.0
+        quad = discretize(spectral_measure(params), 100.0)
+        r = KERNEL_R[(KERNEL_R >= 0.1) & (KERNEL_R <= 2.0)]
+        K, atom_rows = kernel_matrix(params, quad, r)
+        for i in range(0, len(quad.e_nodes), 29):
+            E = quad.e_nodes[i]
+            expected = sign * np.array([u_theta_oracle(kappa, theta, E, x)[0] for x in r])
+            assert np.all(np.abs(K[i] - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
+        for row, (E, _) in zip(atom_rows, quad.atoms):
+            expected = sign * bound_state_oracle(kappa, theta, E, r)
+            assert np.all(np.abs(row - expected) <= 1e-13 * np.abs(expected))
+
+    @pytest.mark.parametrize("kappa", [0.3, -0.7, 0.0, 0.5, -0.5])
+    def test_bound_state_rows_approaching_threshold(self, kappa):
+        """theta -> |pi kappa / 2|+ drives the bound state deep.  Over the whole
+        range r sqrt|E_b| <= 50 the atom row matches the K form of
+        bound_state_oracle to 1e-13 relative (2.1e-14 measured), while the
+        two-term form u cos + w sin, which cancels growing I terms, misses it."""
+        tk = abs(theta_kappa(kappa))
+        for gap in (0.8, 0.4, 0.2, 0.1):
+            params = ExtensionParams(kappa, tk + gap)
+            quad = discretize(spectral_measure(params), 0.0)  # the atom alone
+            (energy, _), = quad.atoms
+            r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
+            _, (row,) = kernel_matrix(params, quad, r)
+            expected = bound_state_oracle(kappa, tk + gap, energy, r)
+            assert np.all(np.abs(row - expected) <= 1e-13 * np.abs(expected))
+        delta = tk + gap - theta_kappa(kappa)
+        two_term = (
+            u_eigen(kappa, energy, r).value * math.cos(delta)
+            + w_eigen(kappa, energy, r).value * math.sin(delta)
+        )
+        assert not np.all(np.abs(two_term - expected) <= 1e-13 * np.abs(expected))
