@@ -37,6 +37,7 @@ from .errors import ConfigurationError, DomainError
 from .measures import (
     ExtensionParams,
     MeasureQuadrature,
+    bound_state_energy,
     channel_measure,
     discretize,
     gauss_legendre,
@@ -585,11 +586,11 @@ def eigenfunction_3d(
     m = channel.m
     kappa = channel_kappa(spec.phi, m)
     if abs(kappa) < 1.0:
-        theta = spec.theta_for(m, channel.p)
-        params = ExtensionParams(kappa, theta)
+        params = ExtensionParams(kappa, spec.theta_for(m, channel.p))
+        bound = float(E) == bound_state_energy(params)  # then the decaying K form
     else:
-        params = ExtensionParams(kappa)
-    radial = complex(kernel_values(params, float(E), r))
+        params, bound = ExtensionParams(kappa), False
+    radial = complex(kernel_values(params, float(E), r, bound_state=bound))
     angular = ((x1 + 1j * x2) / r) ** m
     return (
         np.exp(1j * channel.p * x3) * angular * radial / (2.0 * math.pi * math.sqrt(r))
@@ -604,7 +605,7 @@ def bound_state_table(spec: ThetaSpec) -> list[tuple[int, float, float, float, f
     identical tables.  Piecewise theta tables contribute one row per distinct
     theta class that produces a bound state.
     """
-    from .measures import atom_weight, bound_state_energy, has_bound_state
+    from .measures import atom_weight, has_bound_state
 
     rows = []
     for m in critical_channels(spec.phi):

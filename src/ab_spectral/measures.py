@@ -11,6 +11,7 @@ the class theta + pi*Z, with eigenfunctions flipping sign between classes.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -199,9 +200,17 @@ def spectral_measure(params: ExtensionParams) -> SpectralMeasure:
     return SpectralMeasure(density=lambda E: ac_density(params, E), atoms=atoms)
 
 
-def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [a, b]."""
+@functools.lru_cache(maxsize=32)
+def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-n rule on [-1, 1], computed once per n and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to [a, b], as fresh arrays."""
+    x, w = _leggauss(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
 

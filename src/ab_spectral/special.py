@@ -12,8 +12,8 @@ coefficient of F holds (|E|**(nu/2) - |E|**(-nu/2)) / sin(pi nu), formed as
 2 sinh(nu ln|E| / 2) / sin(pi nu), so kappa -> 0 passes continuously into the
 log solutions sqrt(r) [Y_0 - ln(E)/pi J_0] and -sqrt(r) [ln|E|/pi I_0 + 2/pi K_0];
 E = 0 is the power-law limit, its difference formed the same way.  At a bound
-state a = 0 exactly: radial_kernel(..., bound_state=True) is the cancellation-free
--(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_nu(x).
+state a = 0 exactly (radial_kernel(..., bound_state=True); u_theta_eigen at E_b):
+the cancellation-free -(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_nu(x).
 
 The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
 orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
@@ -140,7 +140,7 @@ def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
 
 def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_state=False):
     """(value, d/dr or None) of cu u + cw w; the pair coefficients (a, b) are
-    formed per energy and broadcast over r.  bound_state sets a = 0."""
+    formed per energy and broadcast over r.  bound_state (a flag or E mask) sets a = 0."""
     # the Bessel routines underflow below |E| = 1e-200, where the E = 0 limit is exact
     E = np.where(np.abs(E) < 1e-200, 0.0, np.asarray(E, dtype=float))
     r = np.asarray(r, dtype=float)
@@ -166,7 +166,7 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
         else:
             a = a + cw * (np.where(neg, t, s) * p - R)
         b = b + cw * np.where(neg, -2.0 / math.pi, 1.0) * (1.0 if kappa >= 0.0 else c) * p
-    a, b = np.broadcast_to(0.0 if bound_state else a, E_b.shape), np.broadcast_to(b, E_b.shape)
+    a, b = np.broadcast_to(np.where(bound_state, 0.0, a), E_b.shape), np.broadcast_to(b, E_b.shape)
     second = kappa < 0.0 or cw != 0.0
     value = np.empty(E_b.shape)
     d_dr = np.empty(E_b.shape) if derivative else None
@@ -235,8 +235,8 @@ def radial_kernel(kappa: float, theta: float, E, r, bound_state: bool = False) -
     return _assemble(kappa, math.cos(delta), math.sin(delta), E, r, bound_state=bound_state)[0]
 
 
-def _eigen(kappa: float, cu: float, cw: float, E, r) -> ValueWithDerivative:
-    value, d_dr = _assemble(kappa, cu, cw, E, r, derivative=True)
+def _eigen(kappa: float, cu: float, cw: float, E, r, bound_state=False) -> ValueWithDerivative:
+    value, d_dr = _assemble(kappa, cu, cw, E, r, derivative=True, bound_state=bound_state)
     if np.ndim(E) == 0 and np.ndim(r) == 0:
         return ValueWithDerivative(float(value), float(d_dr))
     return ValueWithDerivative(value, d_dr)
@@ -258,12 +258,15 @@ def w_eigen(kappa: float, E, r) -> ValueWithDerivative:
 def u_theta_eigen(kappa: float, theta: float, E, r) -> ValueWithDerivative:
     """Extension-family eigenfunction u_theta = u cos(d) + w sin(d), d = theta - pi*kappa/2.
 
-    Numerically stable for all |kappa| < 1 including kappa -> 0.
+    Stable for all |kappa| < 1, kappa -> 0 included; the decaying K form at exactly E_b.
     """
     if abs(kappa) >= 1.0:
         raise DomainError(f"u_theta_eigen requires |kappa| < 1, got kappa={kappa}")
+    from .measures import ExtensionParams, bound_state_energy  # measures imports special
+    E_b = bound_state_energy(ExtensionParams(kappa, theta))
+    bound = E_b is not None and np.asarray(E, dtype=float) == E_b
     delta = theta - theta_kappa(kappa)
-    return _eigen(kappa, math.cos(delta), math.sin(delta), E, r)
+    return _eigen(kappa, math.cos(delta), math.sin(delta), E, r, bound)
 
 
 def wronskian(f: ValueWithDerivative, g: ValueWithDerivative):

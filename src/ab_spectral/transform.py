@@ -14,9 +14,10 @@ its adjoint.
 from __future__ import annotations
 
 import enum
+import functools
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -122,31 +123,35 @@ def kernel_values(params: ExtensionParams, E, r, bound_state: bool = False) -> n
     return params.theta_sign * value if params.needs_theta else value
 
 
+@dataclass(frozen=True)
+class _KernelKey:
+    bits: tuple[bytes, ...]  # everything the kernel reads, hashed and compared
+    inputs: tuple = field(compare=False)  # (params, quad, r) to build from
+
+
 def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes):
-    """(K, atom_rows): K[i, j] = kernel(E_i | r_j), one extra row per atom."""
-    r = np.asarray(r_nodes, dtype=float)[None, :]
-    if len(quad.e_nodes):
-        K = kernel_values(params, quad.e_nodes[:, None], r)
-    else:
-        K = np.zeros((0, r.shape[1]))
-    atom_rows = [kernel_values(params, e, r[0], bound_state=True) for e, _ in quad.atoms]
+    """(K, atom_rows): K[i, j] = kernel(E_i | r_j), one extra row per atom.
+
+    The 8 most recent (one 3D forward's blocks) are kept and returned read-only,
+    keyed bit for bit by what the kernel reads: |kappa| or (kappa, theta_mod_pi,
+    theta_sign), the E nodes, the atom energies and the r nodes."""
+    r = np.asarray(r_nodes, dtype=float)
+    branch = (abs(params.kappa),)
+    if params.needs_theta:
+        branch = (params.kappa, params.theta_mod_pi, params.theta_sign)
+    read = (branch, quad.e_nodes, [e for e, _ in quad.atoms], r)
+    bits = tuple(np.asarray(v, dtype=float).tobytes() for v in read)
+    return _build_kernel(_KernelKey(bits, (params, quad, r)))
+
+
+@functools.lru_cache(maxsize=8)
+def _build_kernel(key: _KernelKey):
+    params, quad, r = key.inputs
+    K = kernel_values(params, quad.e_nodes[:, None], r[None, :])  # (0, len(r)) without nodes
+    atom_rows = tuple(kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms)
+    for matrix in (K,) + atom_rows:
+        matrix.setflags(write=False)
     return K, atom_rows
-
-
-def _analysis(kernel, psi: RadialFunction, quad, include_atoms=True) -> TransformCoefficients:
-    K, atom_rows = kernel
-    weighted = psi.quad_weights * psi.values
-    atoms = [row @ weighted if include_atoms else 0.0 for row in atom_rows]
-    return TransformCoefficients(quad, K @ weighted, np.array(atoms, dtype=complex))
-
-
-def _synthesis(kernel, coeffs: TransformCoefficients, r_nodes, quad_weights) -> RadialFunction:
-    K, atom_rows = kernel
-    values = (coeffs.quad.e_weights * coeffs.continuum_values) @ K
-    for (_, weight), row, cval in zip(coeffs.quad.atoms, atom_rows, coeffs.atom_values):
-        values = values + weight * cval * row
-    weights = np.ones_like(r_nodes) if quad_weights is None else quad_weights
-    return RadialFunction(r_nodes, np.asarray(weights, dtype=float), values)
 
 
 def forward(
@@ -160,7 +165,10 @@ def forward(
     include_atoms=False zeroes the bound-state coefficients; the resulting
     Parseval deficit is the expected negative control.
     """
-    return _analysis(kernel_matrix(params, quad, psi.r_nodes), psi, quad, include_atoms)
+    K, atom_rows = kernel_matrix(params, quad, psi.r_nodes)
+    weighted = psi.quad_weights * psi.values
+    atoms = [row @ weighted if include_atoms else 0.0 for row in atom_rows]
+    return TransformCoefficients(quad, K @ weighted, np.array(atoms, dtype=complex))
 
 
 def inverse(
@@ -171,7 +179,12 @@ def inverse(
 ) -> RadialFunction:
     """Synthesis (the adjoint): psi(r) = int kernel(E|r) c(E) dV(E) + atoms."""
     r_nodes = np.asarray(r_nodes, dtype=float)
-    return _synthesis(kernel_matrix(params, coeffs.quad, r_nodes), coeffs, r_nodes, quad_weights)
+    K, atom_rows = kernel_matrix(params, coeffs.quad, r_nodes)
+    values = (coeffs.quad.e_weights * coeffs.continuum_values) @ K
+    for (_, weight), row, cval in zip(coeffs.quad.atoms, atom_rows, coeffs.atom_values):
+        values = values + weight * cval * row
+    weights = np.ones_like(r_nodes) if quad_weights is None else quad_weights
+    return RadialFunction(r_nodes, np.asarray(weights, dtype=float), values)
 
 
 def apply_l_q(kappa: float, psi: RadialFunction) -> RadialFunction:
@@ -216,8 +229,7 @@ def parseval_defect(psi: RadialFunction, coeffs: TransformCoefficients) -> float
 
 
 def roundtrip_defect(params: ExtensionParams, psi: RadialFunction, quad) -> float:
-    """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid, one kernel both ways."""
-    kernel = kernel_matrix(params, quad, psi.r_nodes)
-    back = _synthesis(kernel, _analysis(kernel, psi, quad), psi.r_nodes, psi.quad_weights)
+    """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid."""
+    back = inverse(params, forward(params, psi, quad), psi.r_nodes, psi.quad_weights)
     diff = float(np.sum(psi.quad_weights * np.abs(back.values - psi.values) ** 2))
     return math.sqrt(diff / psi.norm_sq())

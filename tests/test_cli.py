@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sc
 
 from ab_spectral.cli import (
     EXIT_OK,
@@ -14,6 +15,7 @@ from ab_spectral.cli import (
     main,
     parse_range,
 )
+from ab_spectral.measures import ExtensionParams, bound_state_energy
 from ab_spectral.special import theta_kappa, u_theta_eigen
 
 
@@ -86,6 +88,28 @@ class TestEigenfunctionCommand:
             ]
         )
         assert code == EXIT_USAGE
+
+    def test_bound_state_energy_decays(self, tmp_path):
+        """At its own E_b (kappa = 0.3, theta = 0.7) the profile is the
+        decaying K form out to r = 3, not the growing I terms' residue."""
+        energy = bound_state_energy(ExtensionParams(0.3, 0.7))
+        out = tmp_path / "bound.csv"
+        code = main(
+            [
+                "eigenfunction",
+                "--kappa", "0.3",
+                "--theta", "0.7",
+                "--energy", repr(energy),
+                "--r", "1.5:3.0:4",
+                "--output", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        rows = [[float(f) for f in ln.split(",")] for ln in out.read_text().split("\n")[1:] if ln]
+        k = math.sqrt(-energy)
+        amplitude = -2.0 / math.pi * math.sin(0.7 - theta_kappa(0.3)) * k**0.3
+        for r, u, _ in rows:
+            assert u == pytest.approx(amplitude * math.sqrt(r) * sc.kv(0.3, k * r), rel=1e-12)
 
     def test_axis_rejected(self, tmp_path):
         code = main(

@@ -220,3 +220,24 @@ class TestCsv:
         x, w = gauss_legendre(1.0, 3.0, 24)
         assert np.sum(w) == pytest.approx(2.0, rel=1e-14)
         assert np.sum(w * x**3) == pytest.approx((3.0**4 - 1.0) / 4.0, rel=1e-13)
+
+
+class TestGaussLegendreCache:
+    """The [-1, 1] rule is computed once per order; each call maps it afresh."""
+
+    @pytest.mark.parametrize("a,b,n", [(1.0, 3.0, 24), (0.0, 1e-7, 32), (-8.0, 8.0, 64)])
+    def test_equals_mapped_leggauss(self, a, b, n):
+        for _ in range(2):  # a miss, then a hit
+            x, w = gauss_legendre(a, b, n)
+            t, v = np.polynomial.legendre.leggauss(n)
+            assert x.tobytes() == (0.5 * (a + b) + 0.5 * (b - a) * t).tobytes()
+            assert w.tobytes() == (0.5 * (b - a) * v).tobytes()
+
+    def test_results_are_fresh_and_writable(self):
+        x, w = gauss_legendre(-1.0, 1.0, 16)
+        expected = (x.copy(), w.copy())
+        x[:] = 7.0
+        w *= 3.0
+        x2, w2 = gauss_legendre(-1.0, 1.0, 16)
+        assert np.array_equal(x2, expected[0]) and np.array_equal(w2, expected[1])
+        assert x2.flags.writeable and w2.flags.writeable

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ab_spectral.ab3d import ChannelIndex, ThetaSpec, eigenfunction_3d
 from ab_spectral.errors import DomainError, SeriesDomainError
-from ab_spectral.measures import ExtensionParams, discretize, spectral_measure
+from ab_spectral.measures import (
+    ExtensionParams,
+    bound_state_energy,
+    discretize,
+    spectral_measure,
+)
 from ab_spectral.special import (
     ZETA_BOUND,
     _chi_with_slope,
@@ -373,3 +379,72 @@ class TestBesselKernelSweep:
             + w_eigen(kappa, energy, r).value * math.sin(delta)
         )
         assert not np.all(np.abs(two_term - expected) <= 1e-13 * np.abs(expected))
+
+
+def bound_state_slope_oracle(kappa, theta, E, r):
+    """d/dr of bound_state_oracle, with K_nu' = -(K_{nu-1} + K_{nu+1}) / 2."""
+    k, y = mpmath.mpf(kappa), mpmath.sqrt(-mpmath.mpf(E))
+    nu = abs(k)
+    amplitude = -2 / mpmath.pi * mpmath.sin(mpmath.mpf(theta) - mpmath.pi * k / 2)
+    slopes = []
+    for x in r:
+        x = mpmath.mpf(x)
+        K = mpmath.besselk(nu, y * x)
+        dK = -(mpmath.besselk(nu - 1, y * x) + mpmath.besselk(nu + 1, y * x)) / 2
+        slopes.append(amplitude * y**k * (K / (2 * mpmath.sqrt(x)) + mpmath.sqrt(x) * y * dK))
+    return np.array(slopes, dtype=float)
+
+
+class TestBoundStateEigenfunction:
+    """The public eigenfunctions at the extension's own bound-state energy are
+    the decaying K form, like the kernel_matrix atom rows; summing the growing
+    I terms there left an error far above the decaying value."""
+
+    @pytest.mark.parametrize(
+        "kappa,theta", [(0.3, 0.7), (0.3, 0.7 + math.pi), (-0.7, 1.2), (0.0, 0.5), (0.5, 1.0)]
+    )
+    def test_u_theta_at_bound_state(self, kappa, theta):
+        energy = bound_state_energy(ExtensionParams(kappa, theta))
+        r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
+        got = u_theta_eigen(kappa, theta, energy, r)
+        value = bound_state_oracle(kappa, theta, energy, r)
+        slope = bound_state_slope_oracle(kappa, theta, energy, r)
+        assert np.all(np.abs(got.value - value) <= 1e-13 * np.abs(value))
+        assert np.all(np.abs(got.d_dr - slope) <= 1e-13 * np.abs(slope))
+
+    def test_scalar_far_out(self):
+        """kappa = 0.3, theta = 0.7 (E_b = -106.97) at r = 1.5 and 3, where the
+        two-term sum gave -2.0716e-8 and -4.126e-4."""
+        energy = bound_state_energy(ExtensionParams(0.3, 0.7))
+        for r in (1.5, 3.0):
+            got = u_theta_eigen(0.3, 0.7, energy, r)
+            (value,) = bound_state_oracle(0.3, 0.7, energy, [r])
+            (slope,) = bound_state_slope_oracle(0.3, 0.7, energy, [r])
+            assert isinstance(got.value, float)
+            assert got.value == pytest.approx(value, rel=1e-13)
+            assert got.d_dr == pytest.approx(slope, rel=1e-13)
+
+    def test_mask_is_elementwise(self):
+        """Only the entries at E_b take the K form: every entry of one array call
+        equals the scalar call at its energy, one ulp off E_b included."""
+        kappa, theta = 0.3, 0.7
+        energy = bound_state_energy(ExtensionParams(kappa, theta))
+        E = np.array([energy, -1.0, 2.0, np.nextafter(energy, 0.0)])
+        got = u_theta_eigen(kappa, theta, E, 3.0)
+        for i, e in enumerate(E):
+            scalar = u_theta_eigen(kappa, theta, float(e), 3.0)
+            assert (got.value[i], got.d_dr[i]) == (scalar.value, scalar.d_dr)
+        assert got.value[0] == pytest.approx(bound_state_oracle(kappa, theta, energy, [3.0])[0])
+        assert abs(got.value[3]) > 1e6 * abs(got.value[0])  # the growing I term is kept
+
+    @pytest.mark.parametrize("theta", [0.7, 0.7 + math.pi])
+    def test_eigenfunction_3d_at_bound_state(self, theta):
+        """phi = 0.3, channel m = 0 (kappa = 0.3) at its own E_b, off the support."""
+        spec = ThetaSpec.constant(0.3, theta)
+        energy = bound_state_energy(ExtensionParams(0.3, theta))
+        x1, x2, x3, p = 1.8, 2.4, 0.4, 1.5
+        r = math.hypot(x1, x2)  # 3.0
+        (radial,) = bound_state_oracle(0.3, theta, energy, [r])
+        expected = np.exp(1j * p * x3) * radial / (2 * math.pi * math.sqrt(r))  # m = 0
+        got = eigenfunction_3d(spec, ChannelIndex(0, p), energy, (x1, x2, x3))
+        assert abs(got - expected) <= 1e-13 * abs(expected)

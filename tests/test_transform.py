@@ -2,15 +2,18 @@
 
 import io
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
 from ab_spectral.bumps import GaussianBump
-from ab_spectral.errors import ContractError, DomainError
+from ab_spectral.errors import ContractError, DomainError, SeriesDomainError
 from ab_spectral.measures import (
     ExtensionParams,
+    MeasureQuadrature,
     discretize,
     spectral_measure,
 )
@@ -24,6 +27,7 @@ from ab_spectral.transform import (
     classify,
     forward,
     inverse,
+    kernel_matrix,
     kernel_values,
     parseval_defect,
     roundtrip_defect,
@@ -95,6 +99,120 @@ class TestKernel:
         a = kernel_values(ExtensionParams(1.5, 0.0), 2.0, r)
         b = kernel_values(ExtensionParams(-1.5, 2.0), 2.0, r)
         assert np.array_equal(a, b)
+
+
+def fresh_kernel(params, quad, r):
+    """A kernel matrix built directly from kernel_values, bypassing the cache."""
+    K = kernel_values(params, quad.e_nodes[:, None], r[None, :])
+    return K, [kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms]
+
+
+def assert_bitwise(got, expected):
+    (K, rows), (K_ref, rows_ref) = got, expected
+    assert K.tobytes() == K_ref.tobytes() and K.shape == K_ref.shape
+    assert len(rows) == len(rows_ref)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, rows_ref))
+
+
+class TestKernelCache:
+    """kernel_matrix keeps the most recent matrices, keyed bit for bit by what
+    the kernel reads; every answer must equal a fresh build."""
+
+    R = np.linspace(0.5, 3.0, 12)
+    PARAMS = ExtensionParams(0.3, 1.0)  # has a bound state
+
+    def quad(self, params=PARAMS, E_max=50.0):
+        return discretize(spectral_measure(params), E_max)
+
+    def test_hit_equals_fresh_build(self):
+        quad = self.quad()
+        first = kernel_matrix(self.PARAMS, quad, self.R)
+        again = kernel_matrix(self.PARAMS, quad, self.R.copy())
+        assert again[0] is first[0]  # served from the cache
+        assert_bitwise(again, fresh_kernel(self.PARAMS, quad, self.R))
+
+    def test_weights_are_not_part_of_the_key(self):
+        quad = self.quad()
+        reweighted = MeasureQuadrature(quad.e_nodes.copy(), 2.0 * quad.e_weights, quad.atoms)
+        assert kernel_matrix(self.PARAMS, reweighted, self.R)[0] is kernel_matrix(
+            self.PARAMS, quad, self.R
+        )[0]
+
+    def test_results_are_read_only(self):
+        K, rows = kernel_matrix(self.PARAMS, self.quad(), self.R)
+        assert len(rows) == 1
+        for matrix in (K,) + tuple(rows):
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0] = 1.0
+
+    def test_theta_plus_pi_negates(self):
+        quad = self.quad()
+        flipped = ExtensionParams(0.3, 1.0 + math.pi)
+        assert flipped.theta_mod_pi == self.PARAMS.theta_mod_pi
+        K, rows = kernel_matrix(self.PARAMS, quad, self.R)
+        K_flip, rows_flip = kernel_matrix(flipped, quad, self.R)
+        assert np.array_equal(K_flip, -K)
+        assert np.array_equal(rows_flip[0], -rows[0])
+
+    def test_r_grid_one_ulp_apart_misses(self):
+        quad = self.quad()
+        shifted = self.R.copy()
+        shifted[5] = np.nextafter(shifted[5], np.inf)
+        expected = fresh_kernel(self.PARAMS, quad, shifted)
+        assert not np.array_equal(expected[0], fresh_kernel(self.PARAMS, quad, self.R)[0])
+        kernel_matrix(self.PARAMS, quad, self.R)
+        assert_bitwise(kernel_matrix(self.PARAMS, quad, shifted), expected)
+
+    def test_atom_energy_is_part_of_the_key(self):
+        quad = self.quad()
+        ((energy, weight),) = quad.atoms
+        moved = MeasureQuadrature(quad.e_nodes, quad.e_weights, ((0.5 * energy, weight),))
+        kernel_matrix(self.PARAMS, quad, self.R)
+        expected = fresh_kernel(self.PARAMS, moved, self.R)
+        assert_bitwise(kernel_matrix(self.PARAMS, moved, self.R), expected)
+
+    def test_errors_are_not_cached(self):
+        quad = self.quad(E_max=2.0 * ZETA_BOUND / 9.0)  # past the bound at r = 3
+        for _ in range(2):
+            with pytest.raises(SeriesDomainError):
+                kernel_matrix(self.PARAMS, quad, self.R)
+
+    def test_concurrent_builds_past_capacity(self):
+        """4 threads, 24 distinct keys (3x the 8 kept), each thread in its own
+        order; every answer must equal its fresh build."""
+        cases = []
+        for kappa in (0.3, -0.7, 0.0, 1.5, 2.5, -3.0):
+            for E_max in (10.0, 20.0, 30.0, 40.0):
+                params = ExtensionParams(kappa, 1.0)
+                quad = self.quad(params, E_max)
+                cases.append((params, quad, fresh_kernel(params, quad, self.R)))
+        failures = []
+
+        def work(order):
+            try:
+                for i in order:
+                    params, quad, expected = cases[i]
+                    assert_bitwise(kernel_matrix(params, quad, self.R), expected)
+            except Exception as exc:  # reported below, from the main thread
+                failures.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rng = np.random.default_rng(7)
+            threads = [
+                threading.Thread(target=work, args=(rng.permutation(4 * len(cases)) % len(cases),))
+                for _ in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures, failures
 
 
 class TestForwardOracle:
