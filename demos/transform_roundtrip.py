@@ -41,13 +41,10 @@ for kappa, theta in ((1.5, 0.0), (0.3, 0.0), (0.3, math.pi / 2), (0.0, 1.0)):
     pv = parseval_defect(psi, coeffs)
     rt = roundtrip_defect(params, psi, quad)
 
+    # one spectral grid: the atom is the last node of quad.nodes, weighted
+    # by its mass, so the diagonalization sum needs no separate atom term
     image = forward(params, apply_l_q(kappa, psi), quad)
-    num = np.sum(
-        quad.e_weights
-        * np.abs(image.continuum_values - quad.e_nodes * coeffs.continuum_values) ** 2
-    )
-    for j, (energy, weight) in enumerate(quad.atoms):
-        num += weight * abs(image.atom_values[j] - energy * coeffs.atom_values[j]) ** 2
+    num = np.sum(quad.weights * np.abs(image.values - quad.nodes * coeffs.values) ** 2)
     diag = math.sqrt(float(num) / psi.norm_sq())
 
     atoms = f"{len(quad.atoms)} atom" if quad.atoms else "no atom"

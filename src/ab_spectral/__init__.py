@@ -34,7 +34,6 @@ from .measures import (
 from .special import (
     ZETA_BOUND,
     chi_kappa,
-    script_y,
     theta_kappa,
     u_eigen,
     u_theta_eigen,
@@ -69,7 +68,6 @@ __all__ = [
     "spectral_measure",
     "ZETA_BOUND",
     "chi_kappa",
-    "script_y",
     "theta_kappa",
     "u_eigen",
     "u_theta_eigen",

@@ -17,8 +17,10 @@ eigenfunction transform per channel.  Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
-which fixes every normalization used here.  The diagonalized Hamiltonian acts
-by multiplication with p^2 + E (p^2 + E_b on bound-state atoms), and the
+which fixes every normalization used here.  Each channel's coefficients live
+on the spectral grid of its measure (the E nodes, then the bound-state atom,
+see MeasureQuadrature.nodes).  The diagonalized Hamiltonian acts by
+multiplication with p^2 + E over that grid (p^2 + E_b on the atom), and the
 rotation-translation symmetry G: (rotate by alpha, shift x3 by beta) acts on
 coefficients as the phase e^{-i m alpha - i p beta}.
 """
@@ -26,6 +28,7 @@ coefficients as the phase e^{-i m alpha - i p beta}.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import io
 import math
 from dataclasses import dataclass
@@ -313,8 +316,9 @@ def _field_tensor(field, r_nodes, grid: ReductionGrid) -> np.ndarray:
 def _angular_modes(tensor: np.ndarray, modes: Sequence[int]) -> dict[int, np.ndarray]:
     """(1/n_phi) sum_j Phi(.., angle_j, ..) e^{-i m angle_j} for each m, via FFT."""
     n_phi = tensor.shape[1]
-    fft = np.fft.fft(tensor, axis=1) / n_phi
-    return {m: fft[:, m % n_phi, :] for m in modes}
+    # keep only the requested columns, so the full transform is freed at once
+    picked = np.fft.fft(tensor, axis=1)[:, [m % n_phi for m in modes], :] / n_phi
+    return {m: picked[:, i, :] for i, m in enumerate(modes)}
 
 
 def _axial_transform(block: np.ndarray, grid: ReductionGrid, p_nodes) -> np.ndarray:
@@ -355,8 +359,10 @@ def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
 class ChannelBlock:
     """Coefficients of one angular mode over a set of p nodes sharing one theta.
 
-    continuum has shape (len(p_indices), n_E); atom_values has one column per
-    atom of the shared measure.  theta is None off the critical set.
+    values has shape (len(p_indices), len(quad.nodes)): one row per p node over
+    the spectral grid of the shared measure.  continuum and atom_values are
+    its E-node and atom columns, and assigning either writes into values.
+    theta is None off the critical set.
     """
 
     m: int
@@ -364,8 +370,30 @@ class ChannelBlock:
     theta: float | None
     p_indices: np.ndarray
     quad: MeasureQuadrature
-    continuum: np.ndarray
-    atom_values: np.ndarray
+    values: np.ndarray
+
+    @property
+    def continuum(self) -> np.ndarray:
+        return self.values[:, : len(self.quad.e_nodes)]
+
+    @continuum.setter
+    def continuum(self, part: np.ndarray) -> None:
+        self.values = np.hstack((part, self.atom_values))
+
+    @property
+    def atom_values(self) -> np.ndarray:
+        return self.values[:, len(self.quad.e_nodes) :]
+
+    @atom_values.setter
+    def atom_values(self, part: np.ndarray) -> None:
+        self.values = np.hstack((self.continuum, part))
+
+    def norm_sq(self, p_weights: np.ndarray, values: np.ndarray | None = None) -> float:
+        """sum over the block's p nodes and grid nodes of p weight * w |values|**2
+        (the block's own values by default)."""
+        values = self.values if values is None else values
+        per_p = np.sum(self.quad.weights[None, :] * np.abs(values) ** 2, axis=1)
+        return float(np.sum(p_weights[self.p_indices] * per_p))
 
 
 @dataclass
@@ -377,18 +405,11 @@ class Coefficients3D:
     blocks: list[ChannelBlock]
 
     def _norm_sq(self, m: int | None = None) -> float:
-        total = 0.0
-        for blk in self.blocks:
-            if m is not None and blk.m != m:
-                continue
-            pw = self.grid.p_weights[blk.p_indices]
-            cont = np.sum(
-                blk.quad.e_weights[None, :] * np.abs(blk.continuum) ** 2, axis=1
-            )
-            total += float(np.sum(pw * cont))
-            for j, (_, weight) in enumerate(blk.quad.atoms):
-                total += float(np.sum(pw * weight * np.abs(blk.atom_values[:, j]) ** 2))
-        return total
+        return sum(
+            blk.norm_sq(self.grid.p_weights)
+            for blk in self.blocks
+            if m is None or blk.m == m
+        )
 
     def norm_sq(self) -> float:
         return self._norm_sq()
@@ -446,8 +467,7 @@ def full_forward(
     r, wr = r_rule
     r = np.asarray(r, dtype=float)
     wr = np.asarray(wr, dtype=float)
-    tensor = _field_tensor(field, r, reduction)
-    modes = _angular_modes(tensor, list(grid.modes))
+    modes = _angular_modes(_field_tensor(field, r, reduction), list(grid.modes))
 
     blocks: list[ChannelBlock] = []
     for m in grid.modes:
@@ -460,60 +480,29 @@ def full_forward(
             measure = channel_measure(spec.phi, spec, m, float(grid.p_nodes[p_idx[0]]))
             quad = discretize(measure, E_max, node_budget)
             weighted = reduced[p_idx] * wr[None, :]  # (n_group, n_r)
-            K, atom_rows = kernel_matrix(params, quad, r)
-            continuum = weighted @ K.T
-            atoms = np.zeros((len(p_idx), len(atom_rows)), dtype=complex)
-            for j, row in enumerate(atom_rows):
-                atoms[:, j] = weighted @ row
-            blocks.append(
-                ChannelBlock(m, kappa, theta, p_idx, quad, continuum, atoms)
-            )
+            values = weighted @ kernel_matrix(params, quad, r).T
+            blocks.append(ChannelBlock(m, kappa, theta, p_idx, quad, values))
     return Coefficients3D(spec.phi, grid, blocks)
 
 
 def apply_H(spec: ThetaSpec, coeffs: Coefficients3D) -> Coefficients3D:
-    """Diagonalized Hamiltonian: multiply by p**2 + E (p**2 + E_b on atoms)."""
+    """Diagonalized Hamiltonian: multiply by p**2 + E over each block's grid."""
     blocks = []
     for blk in coeffs.blocks:
         p = coeffs.grid.p_nodes[blk.p_indices]
-        factor = p[:, None] ** 2 + blk.quad.e_nodes[None, :]
-        atoms = blk.atom_values.copy()
-        for j, (energy, _) in enumerate(blk.quad.atoms):
-            atoms[:, j] = (p**2 + energy) * atoms[:, j]
-        blocks.append(
-            ChannelBlock(
-                blk.m,
-                blk.kappa,
-                blk.theta,
-                blk.p_indices,
-                blk.quad,
-                factor * blk.continuum,
-                atoms,
-            )
-        )
+        factor = p[:, None] ** 2 + blk.quad.nodes[None, :]
+        blocks.append(dataclasses.replace(blk, values=factor * blk.values))
     return Coefficients3D(coeffs.phi, coeffs.grid, blocks)
 
 
 def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
     """Measure-weighted L2 distance between two coefficient sets on one grid."""
-    total = 0.0
-    for blk_a, blk_b in zip(a.blocks, b.blocks):
-        pw = a.grid.p_weights[blk_a.p_indices]
-        diff = np.sum(
-            blk_a.quad.e_weights[None, :]
-            * np.abs(blk_a.continuum - blk_b.continuum) ** 2,
-            axis=1,
+    return math.sqrt(
+        sum(
+            blk_a.norm_sq(a.grid.p_weights, blk_a.values - blk_b.values)
+            for blk_a, blk_b in zip(a.blocks, b.blocks)
         )
-        total += float(np.sum(pw * diff))
-        for j, (_, weight) in enumerate(blk_a.quad.atoms):
-            total += float(
-                np.sum(
-                    pw
-                    * weight
-                    * np.abs(blk_a.atom_values[:, j] - blk_b.atom_values[:, j]) ** 2
-                )
-            )
-    return math.sqrt(total)
+    )
 
 
 def symmetry_phase(coeffs: Coefficients3D, alpha: float, beta: float) -> Coefficients3D:
@@ -522,17 +511,7 @@ def symmetry_phase(coeffs: Coefficients3D, alpha: float, beta: float) -> Coeffic
     for blk in coeffs.blocks:
         p = coeffs.grid.p_nodes[blk.p_indices]
         phase = np.exp(-1j * (blk.m * alpha + p * beta))[:, None]
-        blocks.append(
-            ChannelBlock(
-                blk.m,
-                blk.kappa,
-                blk.theta,
-                blk.p_indices,
-                blk.quad,
-                phase * blk.continuum,
-                phase * blk.atom_values,
-            )
-        )
+        blocks.append(dataclasses.replace(blk, values=phase * blk.values))
     return Coefficients3D(coeffs.phi, coeffs.grid, blocks)
 
 
@@ -560,15 +539,13 @@ def symmetry_defect(
         spec, moved, grid, r_rule, reduction, E_max, node_budget
     )
     predicted = symmetry_phase(base, alpha, beta)
-    worst = 0.0
-    for blk_t, blk_p in zip(transformed.blocks, predicted.blocks):
-        if blk_t.continuum.size:
-            worst = max(worst, float(np.max(np.abs(blk_t.continuum - blk_p.continuum))))
-        if blk_t.atom_values.size:
-            worst = max(
-                worst, float(np.max(np.abs(blk_t.atom_values - blk_p.atom_values)))
-            )
-    return worst
+    return max(
+        (
+            float(np.max(np.abs(blk_t.values - blk_p.values), initial=0.0))
+            for blk_t, blk_p in zip(transformed.blocks, predicted.blocks)
+        ),
+        default=0.0,
+    )
 
 
 def eigenfunction_3d(

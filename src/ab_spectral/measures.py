@@ -5,6 +5,13 @@ absolutely continuous measure (1/2) E**|kappa| dE on E >= 0.  For |kappa| < 1
 each extension angle theta produces a density on E >= 0 plus, on the interior
 branch of theta mod pi, a single negative-energy atom (the bound state).
 
+discretize turns a measure into one spectral grid, a MeasureQuadrature: the
+Gauss nodes of the density on [0, E_max], then the atom as one more node
+whose weight is its mass.  Every sum over the spectrum is a sum over that
+grid.  Close to either end of the bound-state branch E_b leaves the double
+range; bound_state_energy then raises DomainError rather than returning an
+infinite or zero energy.
+
 theta is canonicalized modulo pi at construction; the physics depends only on
 the class theta + pi*Z, with eigenfunctions flipping sign between classes.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +29,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .special import theta_kappa
+
+# ln of the largest and of the smallest normal double: the range of |E_b|
+_LOG_HUGE = math.log(sys.float_info.max)
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 def reduce_theta(theta: float) -> tuple[float, int]:
@@ -86,12 +98,29 @@ class SpectralMeasure:
 
 @dataclass(frozen=True)
 class MeasureQuadrature:
-    """Discretization of a SpectralMeasure: nodes, density-weighted quadrature
-    weights on [0, E_max], and the atom list carried alongside."""
+    """Discretization of a SpectralMeasure: the spectral grid.
+
+    e_nodes and e_weights are the density-weighted quadrature rule on
+    [0, E_max] and atoms the (energy, weight) point masses; nodes and weights
+    join them into one grid, the E nodes first, then the atom energies."""
 
     e_nodes: np.ndarray
     e_weights: np.ndarray
     atoms: tuple[tuple[float, float], ...] = ()
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return self._join(self.e_nodes, 0)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return self._join(self.e_weights, 1)
+
+    def _join(self, continuum: np.ndarray, column: int) -> np.ndarray:
+        atoms = np.reshape(np.asarray(self.atoms, dtype=float), (-1, 2))
+        joined = np.concatenate((np.asarray(continuum, dtype=float), atoms[:, column]))
+        joined.setflags(write=False)
+        return joined
 
 
 def _require_extension_family(kappa: float, what: str) -> None:
@@ -116,7 +145,9 @@ def bound_state_energy(params: ExtensionParams) -> float | None:
     E = -(sin(t+tk)/sin(t-tk))**(1/kappa) for kappa != 0 and -exp(pi*cot t)
     for kappa = 0.  The kappa != 0 branch is evaluated through log1p of the
     exact ratio increment 2 cos(t) sin(tk) / sin(t-tk), which passes smoothly
-    into the kappa = 0 limit.
+    into the kappa = 0 limit.  Near the ends of the branch |E| leaves the
+    range of normal doubles (above ~1.8e308 near |tk|, below ~2.2e-308 near
+    pi - |tk|); that raises DomainError.
     """
     _require_extension_family(params.kappa, "bound_state_energy")
     if not has_bound_state(params):
@@ -126,10 +157,16 @@ def bound_state_energy(params: ExtensionParams) -> float | None:
     # |kappa| below ~1e-8 underflows the kappa != 0 expressions; use the
     # analytic kappa -> 0 limit (error O(kappa), far below any tolerance here)
     if abs(kappa) < 1e-8:
-        return -math.exp(math.pi * math.cos(t) / math.sin(t))
-    tk = theta_kappa(kappa)
-    increment = 2.0 * math.cos(t) * math.sin(tk) / math.sin(t - tk)
-    return -math.exp(math.log1p(increment) / kappa)
+        exponent = math.pi * math.cos(t) / math.sin(t)
+    else:
+        tk = theta_kappa(kappa)
+        exponent = math.log1p(2.0 * math.cos(t) * math.sin(tk) / math.sin(t - tk)) / kappa
+    if not _LOG_TINY <= exponent <= _LOG_HUGE:
+        raise DomainError(
+            f"bound-state energy -exp({exponent:.6g}) of kappa={kappa}, theta={params.theta} "
+            "leaves the double range: theta is too close to an end of the bound-state branch"
+        )
+    return -math.exp(exponent)
 
 
 def atom_weight(params: ExtensionParams) -> float | None:
@@ -141,14 +178,18 @@ def atom_weight(params: ExtensionParams) -> float | None:
     t = params.theta_mod_pi
     kappa = params.kappa
     if abs(kappa) < 1e-8:
-        return math.pi**2 * abs(energy) / (2.0 * math.sin(t) ** 2)
-    tk = theta_kappa(kappa)
-    return (
-        math.pi
-        * math.sin(math.pi * kappa)
-        * abs(energy)
-        / (2.0 * kappa * math.sin(t + tk) * math.sin(t - tk))
-    )
+        weight = math.pi**2 * abs(energy) / (2.0 * math.sin(t) ** 2)
+    else:
+        tk = theta_kappa(kappa)
+        weight = (
+            math.pi
+            * math.sin(math.pi * kappa)
+            * abs(energy)
+            / (2.0 * kappa * math.sin(t + tk) * math.sin(t - tk))
+        )
+    if not math.isfinite(weight):
+        raise DomainError(f"atom weight of kappa={kappa}, theta={params.theta} overflows")
+    return weight
 
 
 def ac_density(params: ExtensionParams, E) -> float | np.ndarray:

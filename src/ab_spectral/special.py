@@ -209,26 +209,11 @@ def chi_kappa(kappa: float, zeta):
     return float(val) if np.ndim(zeta) == 0 else val
 
 
-def script_y(zeta):
-    """Entire function carrying the logarithmic branch of the kappa=0 family.
-
-    From pi Y_0(x) = 2 (ln(x/2) + gamma) J_0(x) - 2 script_y(x**2) and the
-    matching identity for K_0 at negative argument.
-    """
-    z = np.asarray(zeta, dtype=float)
-    _check_zeta(z)
-    out = np.where(z == 0.0, 0.0, np.nan)
-    pos, neg = z > 0.0, z < 0.0
-    x, y = np.sqrt(z[pos]), np.sqrt(-z[neg])
-    out[pos] = (np.log(x / 2.0) + _EULER_GAMMA) * sc.j0(x) - 0.5 * math.pi * sc.y0(x)
-    out[neg] = (np.log(y / 2.0) + _EULER_GAMMA) * sc.i0(y) + sc.k0(y)
-    return float(out) if np.ndim(zeta) == 0 else out
-
-
-def radial_kernel(kappa: float, theta: float, E, r, bound_state: bool = False) -> np.ndarray:
+def radial_kernel(kappa: float, theta: float, E, r, bound_state=False) -> np.ndarray:
     """Transform kernel values, no derivatives: u(|kappa|, E | r) for |kappa| >= 1
-    (theta unused), else u_theta(kappa, theta, E | r).  bound_state=True asserts
-    that E is the bound-state energy and evaluates the cancellation-free K form."""
+    (theta unused), else u_theta(kappa, theta, E | r).  bound_state=True (or a
+    mask broadcasting against E) asserts that E is the bound-state energy there
+    and evaluates the cancellation-free K form."""
     if abs(kappa) >= 1.0:
         return _assemble(abs(kappa), 1.0, 0.0, E, r)[0]
     delta = theta - theta_kappa(kappa)

@@ -3,12 +3,13 @@
 forward/inverse realize the unitary map between compactly supported radial
 functions and L2 of the spectral measure: analysis integrates the function
 against the real kernel u(E|r) (or u_theta(E|r) on the extension family),
-synthesis sums kernel * coefficient against the discretized measure,
-including the bound-state atom.
+synthesis sums kernel * coefficient against the discretized measure.
 
-Coefficients live exactly on MeasureQuadrature nodes; no interpolation in E
-happens anywhere, so the discrete forward/inverse pair is a plain matrix and
-its adjoint.
+The measure is one grid, MeasureQuadrature.nodes with weights w: the E
+nodes, then the bound-state atom, whose kernel row is the bound eigenfunction.
+With K[i, j] = kernel(node_i | r_j) over that grid, forward is K (w_r psi),
+inverse is (w c) K and ||c||**2 = sum w |c|**2.  No interpolation in E
+happens anywhere, so the discrete pair is a plain matrix and its adjoint.
 """
 
 from __future__ import annotations
@@ -83,25 +84,27 @@ class RadialFunction:
 
 @dataclass
 class TransformCoefficients:
-    """Continuum coefficient samples on the measure grid plus one per atom."""
+    """Coefficients on the spectral grid quad.nodes: one per E node, then one
+    per atom.  continuum_values and atom_values are views of the two parts."""
 
     quad: MeasureQuadrature
-    continuum_values: np.ndarray
-    atom_values: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        self.continuum_values = np.asarray(self.continuum_values, dtype=complex)
-        self.atom_values = np.asarray(self.atom_values, dtype=complex)
-        if len(self.continuum_values) != len(self.quad.e_nodes):
-            raise DomainError("continuum values do not match the quadrature grid")
-        if len(self.atom_values) != len(self.quad.atoms):
-            raise DomainError("atom values do not match the atom list")
+        self.values = np.asarray(self.values, dtype=complex)
+        if self.values.shape != self.quad.nodes.shape:
+            raise DomainError("coefficient values do not match the spectral grid")
+
+    @property
+    def continuum_values(self) -> np.ndarray:
+        return self.values[: len(self.quad.e_nodes)]
+
+    @property
+    def atom_values(self) -> np.ndarray:
+        return self.values[len(self.quad.e_nodes) :]
 
     def norm_sq(self) -> float:
-        total = float(np.sum(self.quad.e_weights * np.abs(self.continuum_values) ** 2))
-        for (energy, weight), value in zip(self.quad.atoms, self.atom_values):
-            total += weight * abs(value) ** 2
-        return total
+        return float(np.sum(self.quad.weights * np.abs(self.values) ** 2))
 
     def write_csv(self, fileobj: io.TextIOBase) -> None:
         for (energy, weight), value in zip(self.quad.atoms, self.atom_values):
@@ -114,11 +117,11 @@ class TransformCoefficients:
             fileobj.write(f"{float(e)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
-def kernel_values(params: ExtensionParams, E, r, bound_state: bool = False) -> np.ndarray:
+def kernel_values(params: ExtensionParams, E, r, bound_state=False) -> np.ndarray:
     """Transform kernel: u(|kappa|, E|r) off the extension family,
     u_theta(kappa, theta, E|r) on it (theta taken modulo pi, with the parity
     sign applied so that theta -> theta + pi flips the kernel exactly);
-    bound_state as in special.radial_kernel."""
+    bound_state (a flag or a mask over E) as in special.radial_kernel."""
     value = np.asarray(radial_kernel(params.kappa, params.theta_mod_pi, E, r, bound_state))
     return params.theta_sign * value if params.needs_theta else value
 
@@ -129,8 +132,9 @@ class _KernelKey:
     inputs: tuple = field(compare=False)  # (params, quad, r) to build from
 
 
-def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes):
-    """(K, atom_rows): K[i, j] = kernel(E_i | r_j), one extra row per atom.
+def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> np.ndarray:
+    """K[i, j] = kernel(node_i | r_j) over the spectral grid quad.nodes; the
+    atom rows are the bound eigenfunction (bound_state=True).
 
     The 8 most recent (one 3D forward's blocks) are kept and returned read-only,
     keyed bit for bit by what the kernel reads: |kappa| or (kappa, theta_mod_pi,
@@ -139,19 +143,18 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes):
     branch = (abs(params.kappa),)
     if params.needs_theta:
         branch = (params.kappa, params.theta_mod_pi, params.theta_sign)
-    read = (branch, quad.e_nodes, [e for e, _ in quad.atoms], r)
+    read = (branch, quad.e_nodes, quad.nodes[len(quad.e_nodes) :], r)
     bits = tuple(np.asarray(v, dtype=float).tobytes() for v in read)
     return _build_kernel(_KernelKey(bits, (params, quad, r)))
 
 
 @functools.lru_cache(maxsize=8)
-def _build_kernel(key: _KernelKey):
+def _build_kernel(key: _KernelKey) -> np.ndarray:
     params, quad, r = key.inputs
-    K = kernel_values(params, quad.e_nodes[:, None], r[None, :])  # (0, len(r)) without nodes
-    atom_rows = tuple(kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms)
-    for matrix in (K,) + atom_rows:
-        matrix.setflags(write=False)
-    return K, atom_rows
+    atom_rows = np.arange(len(quad.nodes)) >= len(quad.e_nodes)
+    K = kernel_values(params, quad.nodes[:, None], r[None, :], bound_state=atom_rows[:, None])
+    K.setflags(write=False)
+    return K
 
 
 def forward(
@@ -165,10 +168,10 @@ def forward(
     include_atoms=False zeroes the bound-state coefficients; the resulting
     Parseval deficit is the expected negative control.
     """
-    K, atom_rows = kernel_matrix(params, quad, psi.r_nodes)
-    weighted = psi.quad_weights * psi.values
-    atoms = [row @ weighted if include_atoms else 0.0 for row in atom_rows]
-    return TransformCoefficients(quad, K @ weighted, np.array(atoms, dtype=complex))
+    values = kernel_matrix(params, quad, psi.r_nodes) @ (psi.quad_weights * psi.values)
+    if not include_atoms:
+        values[len(quad.e_nodes) :] = 0.0
+    return TransformCoefficients(quad, values)
 
 
 def inverse(
@@ -177,12 +180,9 @@ def inverse(
     r_nodes,
     quad_weights=None,
 ) -> RadialFunction:
-    """Synthesis (the adjoint): psi(r) = int kernel(E|r) c(E) dV(E) + atoms."""
+    """Synthesis (the adjoint): psi(r) = int kernel(E|r) c(E) dV(E), atom included."""
     r_nodes = np.asarray(r_nodes, dtype=float)
-    K, atom_rows = kernel_matrix(params, coeffs.quad, r_nodes)
-    values = (coeffs.quad.e_weights * coeffs.continuum_values) @ K
-    for (_, weight), row, cval in zip(coeffs.quad.atoms, atom_rows, coeffs.atom_values):
-        values = values + weight * cval * row
+    values = (coeffs.quad.weights * coeffs.values) @ kernel_matrix(params, coeffs.quad, r_nodes)
     weights = np.ones_like(r_nodes) if quad_weights is None else quad_weights
     return RadialFunction(r_nodes, np.asarray(weights, dtype=float), values)
 

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -245,15 +244,7 @@ def _unitarity_defects(
     rt = roundtrip_defect(params, psi, quad)
 
     image = forward(params, apply_l_q(kappa, psi), quad, include_atoms)
-    num = float(
-        np.sum(
-            quad.e_weights
-            * np.abs(image.continuum_values - quad.e_nodes * coeffs.continuum_values)
-            ** 2
-        )
-    )
-    for j, (energy, weight) in enumerate(quad.atoms):
-        num += weight * abs(image.atom_values[j] - energy * coeffs.atom_values[j]) ** 2
+    num = float(np.sum(quad.weights * np.abs(image.values - quad.nodes * coeffs.values) ** 2))
     diag = math.sqrt(num / psi.norm_sq())
     return pv, rt, diag, chosen.value, chosen.converged
 
@@ -295,12 +286,7 @@ def _check_theta_periodicity_coefficients(config: SuiteConfig, kappa, theta) -> 
     p1 = ExtensionParams(kappa, theta)
     p2 = ExtensionParams(kappa, theta + math.pi)
     quad = discretize(spectral_measure(p1), config.e_cap / 4.0, config.node_budget)
-    c1 = forward(p1, psi, quad)
-    c2 = forward(p2, psi, quad)
-    worst = float(np.max(np.abs(c1.continuum_values + c2.continuum_values)))
-    if len(quad.atoms):
-        worst = max(worst, float(np.max(np.abs(c1.atom_values + c2.atom_values))))
-    return worst
+    return float(np.max(np.abs(forward(p1, psi, quad).values + forward(p2, psi, quad).values)))
 
 
 def _check_measure_continuity(config: SuiteConfig, theta: float) -> float:
@@ -314,10 +300,7 @@ def _check_measure_continuity(config: SuiteConfig, theta: float) -> float:
     def integral(kappa: float) -> float:
         params = ExtensionParams(kappa, theta)
         quad = discretize(spectral_measure(params), 40.0, config.node_budget)
-        total = float(np.sum(quad.e_weights * profile(quad.e_nodes)))
-        for energy, weight in quad.atoms:
-            total += weight * float(profile(energy))
-        return total
+        return float(np.sum(quad.weights * profile(quad.nodes)))
 
     reference = integral(0.0)
     distances = [abs(integral(k) - reference) for k in (1e-2, 5e-3, 2.5e-3)]
@@ -556,13 +539,7 @@ def run_suite(config: SuiteConfig | None = None) -> list[CheckResult]:
             )
         return CheckResult.from_measurement(check_id, params, measured, tolerance)
 
-    jobs = _build_jobs(config)
-    workers = max(1, int(os.environ.get("AB_SPECTRAL_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results.extend(pool.map(lambda j: run_job(*j), jobs))
-    else:
-        results.extend(run_job(*j) for j in jobs)
+    results.extend(run_job(*j) for j in _build_jobs(config))
 
     # Unitarity checks share one expensive defect evaluation per extension.
     for kappa, theta in config.extension_pairs():

@@ -218,6 +218,44 @@ class TestFullForward:
         )
         assert defect < 1e-8
 
+    def test_deep_atoms_on_both_critical_channels(self):
+        """theta = 0.9 puts E_b = -75.47 on both critical channels of phi = 1/2;
+        Parseval and apply_H hold at the 3D acceptance tolerances."""
+        spec = ThetaSpec.constant(PHI, 0.9)
+        grid = ModeGrid.build(3, 8.0, 64)
+        reduction = ReductionGrid.build(CHI.support)
+        r_rule = gauss_legendre(PSI.a, PSI.b, 64)
+        e_max = 2500.0 / PSI.b**2
+        field = make_field(m=0)
+        energies = [row[2] for row in bound_state_table(spec)]
+        assert energies == pytest.approx([-75.47, -75.47], abs=5e-3)
+        base = full_forward(spec, field, grid, r_rule, reduction, e_max)
+        image = full_forward(spec, field.hamiltonian_image(PHI), grid, r_rule, reduction, e_max)
+        nsq = field_norm_sq(field, r_rule, reduction)
+        assert abs(nsq - base.norm_sq()) / nsq <= 1e-5
+        assert coefficient_distance(image, apply_H(spec, base)) / math.sqrt(nsq) <= 1e-4
+
+    def test_norm_sums_the_e_nodes_and_the_atoms(self):
+        spec, grid, reduction, r_rule = small_setup(theta=math.pi / 2)
+        coeffs = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
+        parts = 0.0
+        for blk in coeffs.blocks:
+            pw = grid.p_weights[blk.p_indices]
+            parts += np.sum(pw * np.sum(blk.quad.e_weights * np.abs(blk.continuum) ** 2, axis=1))
+            for j, (_, weight) in enumerate(blk.quad.atoms):
+                parts += np.sum(pw * weight * np.abs(blk.atom_values[:, j]) ** 2)
+        assert coeffs.norm_sq() == pytest.approx(float(parts), rel=1e-14)
+
+    def test_block_parts_are_assignable(self):
+        # continuum and atom_values are the two column ranges of values
+        spec, grid, reduction, r_rule = small_setup(theta=math.pi / 2)
+        coeffs = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
+        blk = next(b for b in coeffs.blocks if b.m == 0)
+        continuum, atoms = blk.continuum.copy(), blk.atom_values.copy()
+        blk.continuum = 2.0 * continuum
+        blk.atom_values = 3.0 * atoms
+        assert np.array_equal(blk.values, np.hstack((2.0 * continuum, 3.0 * atoms)))
+
     def test_hamiltonian_image_needs_derivatives(self):
         field = SeparableField(PSI, CHI, 0, (PSI.a, PSI.b), CHI.support)
         with pytest.raises(ConfigurationError):

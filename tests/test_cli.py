@@ -143,6 +143,17 @@ class TestMeasureCommand:
         assert atom_energy == pytest.approx(-1.0, abs=1e-12)
         assert lines[1] == "E,density"
 
+    @pytest.mark.parametrize("theta", [0.001, math.pi - 0.001])
+    def test_bound_state_past_double_range_exits_2(self, tmp_path, capsys, theta):
+        # at kappa = 0, E_b = -exp(pi cot theta) overflows near theta = 0
+        # and underflows to -0.0 near pi
+        out = tmp_path / "measure.csv"
+        argv = ["measure", "--kappa", "0", "--theta", repr(theta), "--energies", "0:5:4",
+                "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "double range" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBoundStatesCommand:
     def test_zero_flux_quarter_pi(self, tmp_path):

@@ -92,6 +92,43 @@ class TestBoundStates:
         else:
             assert atom_weight(params) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa=st.sampled_from([0.0, 1e-8, -1e-8, 1e-4, -1e-4]),
+        gap=st.floats(1e-12, 1e-3),
+        upper=st.booleans(),
+    )
+    def test_energy_past_double_range_is_a_domain_error(self, kappa, gap, upper):
+        """Within 1e-3 of either end of the branch, small |kappa| drives |E_b|
+        out of the double range: past ~1e308 near |theta_kappa|, to -0.0 near
+        pi - |theta_kappa|.  Both are DomainError, for the measure too."""
+        tk = abs(theta_kappa(kappa))
+        params = ExtensionParams(kappa, math.pi - tk - gap if upper else tk + gap)
+        assert has_bound_state(params)
+        with pytest.raises(DomainError):
+            bound_state_energy(params)
+        with pytest.raises(DomainError):
+            spectral_measure(params)
+
+    def test_weight_overflow_is_a_domain_error(self):
+        # pi cot(theta) = 709 keeps E_b = -exp(709) finite, but its mass
+        # pi**2 |E_b| / (2 sin(theta)**2) overflows
+        params = ExtensionParams(0.0, math.atan(math.pi / 709.0))
+        assert math.isfinite(bound_state_energy(params))
+        with pytest.raises(DomainError):
+            atom_weight(params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.floats(-0.99, 0.99), theta=st.floats(0.0, math.pi))
+    def test_every_energy_is_finite_and_negative(self, kappa, theta):
+        params = ExtensionParams(kappa, theta)
+        try:
+            energy, weight = bound_state_energy(params), atom_weight(params)
+        except DomainError:
+            return
+        if energy is not None:
+            assert -math.inf < energy < 0.0 and 0.0 < weight < math.inf
+
     def test_kappa_zero_limit_of_formulas(self):
         for theta in (0.9, math.pi / 2, 2.2):
             small = ExtensionParams(1e-4, theta)
@@ -168,6 +205,18 @@ class TestDiscretize:
         energy, weight = quad.atoms[0]
         assert energy == pytest.approx(-1.0, abs=1e-12)
         assert weight > 0
+
+    def test_atom_is_the_last_grid_node(self):
+        quad = discretize(spectral_measure(ExtensionParams(0.3, math.pi / 2)), 5.0)
+        ((energy, weight),) = quad.atoms
+        assert np.array_equal(quad.nodes, np.append(quad.e_nodes, energy))
+        assert np.array_equal(quad.weights, np.append(quad.e_weights, weight))
+        assert not quad.nodes.flags.writeable and not quad.weights.flags.writeable
+
+    def test_grid_without_atoms_is_the_e_rule(self):
+        quad = discretize(spectral_measure(ExtensionParams(1.5)), 5.0)
+        assert np.array_equal(quad.nodes, quad.e_nodes)
+        assert np.array_equal(quad.weights, quad.e_weights)
 
     def test_zero_e_max_gives_empty_grid(self):
         quad = discretize(spectral_measure(ExtensionParams(1.5)), 0.0)

@@ -21,7 +21,6 @@ from ab_spectral.special import (
     _chi_with_slope,
     chi_kappa,
     gamma_fn,
-    script_y,
     theta_kappa,
     u_eigen,
     u_theta_eigen,
@@ -37,14 +36,6 @@ def chi_oracle(kappa: float, zeta: float) -> float:
     """High-precision reference: zeta**(-kappa/2) * J_kappa(sqrt(zeta))."""
     z = mpmath.mpf(zeta)
     return float(mpmath.besselj(kappa, mpmath.sqrt(z)) / z ** (mpmath.mpf(kappa) / 2))
-
-
-def script_y_oracle(zeta: float) -> float:
-    """From pi*Y_0(z) = 2(gamma + ln(z/2)) J_0(z) - 2*Y(z**2) at z = sqrt(zeta)."""
-    z = mpmath.sqrt(mpmath.mpf(zeta))
-    j0 = mpmath.besselj(0, z)
-    y0 = mpmath.bessely(0, z)
-    return float((mpmath.euler + mpmath.log(z / 2)) * j0 - mpmath.pi * y0 / 2)
 
 
 class TestChiKappa:
@@ -89,17 +80,6 @@ class TestChiKappa:
         vec = chi_kappa(0.7, zeta)
         for i, z in enumerate(zeta):
             assert vec[i] == chi_kappa(0.7, float(z))
-
-
-class TestScriptY:
-    @pytest.mark.parametrize("zeta", [0.04, 1.0, 30.0, 400.0, 2000.0])
-    def test_against_bessel_y_oracle(self, zeta):
-        expected = script_y_oracle(zeta)
-        assert abs(script_y(zeta) - expected) < 1e-12 * max(1.0, abs(expected))
-
-    def test_leading_term(self):
-        # Y(zeta) = -zeta/4 + O(zeta**2)
-        assert script_y(1e-8) == pytest.approx(-0.25e-8, rel=1e-6)
 
 
 class TestEigenfunctions:
@@ -349,12 +329,13 @@ class TestBesselKernelSweep:
         sign = -1.0 if abs(kappa) < 1.0 else 1.0
         quad = discretize(spectral_measure(params), 100.0)
         r = KERNEL_R[(KERNEL_R >= 0.1) & (KERNEL_R <= 2.0)]
-        K, atom_rows = kernel_matrix(params, quad, r)
-        for i in range(0, len(quad.e_nodes), 29):
+        K = kernel_matrix(params, quad, r)
+        n = len(quad.e_nodes)
+        for i in range(0, n, 29):
             E = quad.e_nodes[i]
             expected = sign * np.array([u_theta_oracle(kappa, theta, E, x)[0] for x in r])
             assert np.all(np.abs(K[i] - expected) <= 1e-13 * np.maximum(1.0, np.abs(expected)))
-        for row, (E, _) in zip(atom_rows, quad.atoms):
+        for row, (E, _) in zip(K[n:], quad.atoms):
             expected = sign * bound_state_oracle(kappa, theta, E, r)
             assert np.all(np.abs(row - expected) <= 1e-13 * np.abs(expected))
 
@@ -370,7 +351,7 @@ class TestBesselKernelSweep:
             quad = discretize(spectral_measure(params), 0.0)  # the atom alone
             (energy, _), = quad.atoms
             r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
-            _, (row,) = kernel_matrix(params, quad, r)
+            (row,) = kernel_matrix(params, quad, r)
             expected = bound_state_oracle(kappa, tk + gap, energy, r)
             assert np.all(np.abs(row - expected) <= 1e-13 * np.abs(expected))
         delta = tk + gap - theta_kappa(kappa)

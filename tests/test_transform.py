@@ -102,16 +102,15 @@ class TestKernel:
 
 
 def fresh_kernel(params, quad, r):
-    """A kernel matrix built directly from kernel_values, bypassing the cache."""
+    """A kernel matrix built directly from kernel_values, bypassing the cache:
+    the E-node rows in one call, then each atom row on its own."""
     K = kernel_values(params, quad.e_nodes[:, None], r[None, :])
-    return K, [kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms]
+    rows = [kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms]
+    return np.vstack([K] + rows)
 
 
 def assert_bitwise(got, expected):
-    (K, rows), (K_ref, rows_ref) = got, expected
-    assert K.tobytes() == K_ref.tobytes() and K.shape == K_ref.shape
-    assert len(rows) == len(rows_ref)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, rows_ref))
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 class TestKernelCache:
@@ -128,39 +127,38 @@ class TestKernelCache:
         quad = self.quad()
         first = kernel_matrix(self.PARAMS, quad, self.R)
         again = kernel_matrix(self.PARAMS, quad, self.R.copy())
-        assert again[0] is first[0]  # served from the cache
+        assert again is first  # served from the cache
         assert_bitwise(again, fresh_kernel(self.PARAMS, quad, self.R))
 
     def test_weights_are_not_part_of_the_key(self):
         quad = self.quad()
         reweighted = MeasureQuadrature(quad.e_nodes.copy(), 2.0 * quad.e_weights, quad.atoms)
-        assert kernel_matrix(self.PARAMS, reweighted, self.R)[0] is kernel_matrix(
+        assert kernel_matrix(self.PARAMS, reweighted, self.R) is kernel_matrix(
             self.PARAMS, quad, self.R
-        )[0]
+        )
 
     def test_results_are_read_only(self):
-        K, rows = kernel_matrix(self.PARAMS, self.quad(), self.R)
-        assert len(rows) == 1
-        for matrix in (K,) + tuple(rows):
-            assert not matrix.flags.writeable
+        quad = self.quad()
+        K = kernel_matrix(self.PARAMS, quad, self.R)
+        assert K.shape == (len(quad.e_nodes) + 1, len(self.R))  # one atom row
+        assert not K.flags.writeable
+        for row in (0, -1):
             with pytest.raises(ValueError):
-                matrix[0] = 1.0
+                K[row] = 1.0
 
     def test_theta_plus_pi_negates(self):
         quad = self.quad()
         flipped = ExtensionParams(0.3, 1.0 + math.pi)
         assert flipped.theta_mod_pi == self.PARAMS.theta_mod_pi
-        K, rows = kernel_matrix(self.PARAMS, quad, self.R)
-        K_flip, rows_flip = kernel_matrix(flipped, quad, self.R)
-        assert np.array_equal(K_flip, -K)
-        assert np.array_equal(rows_flip[0], -rows[0])
+        K = kernel_matrix(self.PARAMS, quad, self.R)
+        assert np.array_equal(kernel_matrix(flipped, quad, self.R), -K)
 
     def test_r_grid_one_ulp_apart_misses(self):
         quad = self.quad()
         shifted = self.R.copy()
         shifted[5] = np.nextafter(shifted[5], np.inf)
         expected = fresh_kernel(self.PARAMS, quad, shifted)
-        assert not np.array_equal(expected[0], fresh_kernel(self.PARAMS, quad, self.R)[0])
+        assert not np.array_equal(expected, fresh_kernel(self.PARAMS, quad, self.R))
         kernel_matrix(self.PARAMS, quad, self.R)
         assert_bitwise(kernel_matrix(self.PARAMS, quad, shifted), expected)
 
@@ -282,6 +280,35 @@ class TestUnitarity:
         energy, _ = quad.atoms[0]
         assert d.atom_values[0] == pytest.approx(energy * c.atom_values[0], rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "kappa,theta,E_b",
+        [(0.3, 0.7, -106.97), (0.0, 0.9, -12.10), (-0.7, 1.2, -17.58)],
+    )
+    def test_deep_atoms(self, kappa, theta, E_b):
+        """Bound states far below E = -1 keep Parseval, roundtrip and the
+        diagonalization over the whole grid, atom node included."""
+        params = ExtensionParams(kappa, theta)
+        psi = make_psi()
+        quad = discretize(spectral_measure(params), E_MAX, node_budget=32)
+        ((energy, _),) = quad.atoms
+        assert energy == pytest.approx(E_b, abs=5e-3)
+        c = forward(params, psi, quad)
+        d = forward(params, apply_l_q(kappa, psi), quad)
+        diag = np.sum(quad.weights * np.abs(d.values - quad.nodes * c.values) ** 2)
+        assert parseval_defect(psi, c) < 1e-6
+        assert roundtrip_defect(params, psi, quad) < 1e-6
+        assert math.sqrt(float(diag) / psi.norm_sq()) < 1e-6
+        assert d.atom_values[0] == pytest.approx(energy * c.atom_values[0], rel=1e-8)
+
+    def test_norm_sums_the_e_nodes_and_the_atom(self):
+        params = ExtensionParams(0.3, math.pi / 2)
+        quad = discretize(spectral_measure(params), E_MAX, node_budget=32)
+        c = forward(params, make_psi(), quad)
+        ((_, weight),) = quad.atoms
+        parts = np.sum(quad.e_weights * np.abs(c.continuum_values) ** 2)
+        parts += weight * abs(c.atom_values[0]) ** 2
+        assert c.norm_sq() == pytest.approx(float(parts), rel=1e-14)
+
     def test_dropping_the_atom_breaks_parseval(self):
         # negative control: the atom carries a visible share of the norm
         params = ExtensionParams(0.3, math.pi / 2)
@@ -297,18 +324,14 @@ class TestInverse:
     def test_zero_coefficients_give_zero_function(self):
         params = ExtensionParams(0.3, 1.0)
         quad = discretize(spectral_measure(params), 10.0)
-        coeffs = TransformCoefficients(
-            quad, np.zeros(len(quad.e_nodes)), np.zeros(len(quad.atoms))
-        )
+        coeffs = TransformCoefficients(quad, np.zeros(len(quad.nodes)))
         r = np.linspace(0.5, 3.0, 16)
         assert np.all(inverse(params, coeffs, r).values == 0.0)
 
     def test_pure_atom_synthesizes_bound_eigenfunction(self):
         params = ExtensionParams(0.3, math.pi / 2)
         quad = discretize(spectral_measure(params), 10.0)
-        coeffs = TransformCoefficients(
-            quad, np.zeros(len(quad.e_nodes)), np.array([1.0])
-        )
+        coeffs = TransformCoefficients(quad, np.eye(len(quad.nodes))[-1])  # the atom alone
         r = np.linspace(0.5, 3.0, 16)
         back = inverse(params, coeffs, r).values
         energy, weight = quad.atoms[0]
@@ -318,7 +341,7 @@ class TestInverse:
     def test_coefficient_grid_mismatch_rejected(self):
         quad = discretize(spectral_measure(ExtensionParams(1.5)), 10.0)
         with pytest.raises(DomainError):
-            TransformCoefficients(quad, np.zeros(3), np.zeros(0))
+            TransformCoefficients(quad, np.zeros(3))
 
     def test_coefficient_csv_lists_atom_first(self):
         params = ExtensionParams(0.3, math.pi / 2)

@@ -105,12 +105,6 @@ class TestSuiteMechanics:
         keys = [(r.check_id, json.dumps(r.params, sort_keys=True)) for r in results]
         assert keys == sorted(keys)
 
-    def test_thread_count_does_not_change_results(self, stubbed, monkeypatch):
-        serial = run_suite(stubbed)
-        monkeypatch.setenv("AB_SPECTRAL_THREADS", "4")
-        threaded = run_suite(stubbed)
-        assert serial == threaded
-
 
 class TestReport:
     def test_deterministic_and_atomic(self, tmp_path):
