@@ -40,10 +40,12 @@ from .errors import ConfigurationError, DomainError
 from .measures import (
     ExtensionParams,
     MeasureQuadrature,
+    atom_weight,
     bound_state_energy,
-    channel_measure,
     discretize,
     gauss_legendre,
+    has_bound_state,
+    spectral_measure,
 )
 from .transform import RadialFunction, kernel_matrix, kernel_values
 
@@ -477,8 +479,7 @@ def full_forward(
         kappa = channel_kappa(spec.phi, m)
         for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
             params = ExtensionParams(kappa, theta if theta is not None else 0.0)
-            measure = channel_measure(spec.phi, spec, m, float(grid.p_nodes[p_idx[0]]))
-            quad = discretize(measure, E_max, node_budget)
+            quad = discretize(spectral_measure(params), E_max, node_budget)
             weighted = reduced[p_idx] * wr[None, :]  # (n_group, n_r)
             values = weighted @ kernel_matrix(params, quad, r).T
             blocks.append(ChannelBlock(m, kappa, theta, p_idx, quad, values))
@@ -582,8 +583,6 @@ def bound_state_table(spec: ThetaSpec) -> list[tuple[int, float, float, float, f
     identical tables.  Piecewise theta tables contribute one row per distinct
     theta class that produces a bound state.
     """
-    from .measures import atom_weight, has_bound_state
-
     rows = []
     for m in critical_channels(spec.phi):
         entry = spec.entries[m]

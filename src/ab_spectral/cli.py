@@ -359,15 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI config overriding suite grids")
     p.add_argument("--report", default="report.json")
     p.add_argument(
-        "--negative-controls",
-        action="store_true",
-        default=True,
-        help="include expected-failure controls (default on)",
-    )
-    p.add_argument(
         "--no-negative-controls",
         dest="negative_controls",
         action="store_false",
+        help="leave out the expected-failure controls",
     )
     p.add_argument(
         "--no-atoms",

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .special import theta_kappa
 
 # ln of the largest and of the smallest normal double: the range of |E_b|
@@ -287,17 +287,3 @@ def discretize(
     e_weights = np.concatenate(weights[::-1])
     return MeasureQuadrature(e_nodes, e_weights, measure.atoms)
 
-
-def channel_measure(phi: float, theta_spec, m: int, p: float) -> SpectralMeasure:
-    """Measure of channel (m, p): the fixed Hankel measure off the critical
-    set |m+phi| < 1, the theta-dependent measure on it."""
-    kappa = m + phi
-    if abs(kappa) >= 1.0:
-        return spectral_measure(ExtensionParams(kappa=kappa))
-    try:
-        theta = theta_spec.theta_for(m, p)
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"channel m={m} has |m+phi|={abs(kappa):.3g} < 1 but no theta entry"
-        ) from exc
-    return spectral_measure(ExtensionParams(kappa=kappa, theta=theta))

@@ -75,6 +75,22 @@ class CheckResult:
         }
 
 
+class Job(NamedTuple):
+    """Checks measured by one computation.
+
+    checks holds (check_id, params, tolerance) per check; measure returns one
+    (measured, extra params) pair per check, in the same order.
+    """
+
+    checks: list
+    measure: Callable[[], list]
+
+
+def _job(check_id: str, params: dict, tolerance: float, thunk: Callable[[], float]):
+    """A job of one check whose thunk returns its measured defect."""
+    return Job([(check_id, params, tolerance)], lambda: [(thunk(), {})])
+
+
 class DoublingResult(NamedTuple):
     """Chosen cutoff and whether successive defects actually stabilized."""
 
@@ -223,14 +239,15 @@ def _suite_bump(config: SuiteConfig) -> RadialFunction:
     return RadialFunction(r, w, bump(r), second_derivative=bump.derivative2)
 
 
-def _unitarity_defects(
-    config: SuiteConfig, kappa: float, theta: float, include_atoms=True
-):
-    """(parseval, roundtrip, diagonalization, E_max, converged) for one extension."""
+def _unitarity_defects(config: SuiteConfig, kappa: float, theta: float):
+    """Parseval, roundtrip and diagonalization defects of one extension, each
+    with the E_max the doubling rule chose (and the control flag when the
+    dropped atom makes Parseval fail by design)."""
     psi = _suite_bump(config)
     params = ExtensionParams(kappa, theta)
     measure = spectral_measure(params)
     cap = config.e_cap
+    include_atoms = config.include_atoms
 
     def defect_at(e_max: float) -> float:
         quad = discretize(measure, e_max, config.node_budget)
@@ -246,7 +263,10 @@ def _unitarity_defects(
     image = forward(params, apply_l_q(kappa, psi), quad, include_atoms)
     num = float(np.sum(quad.weights * np.abs(image.values - quad.nodes * coeffs.values) ** 2))
     diag = math.sqrt(num / psi.norm_sq())
-    return pv, rt, diag, chosen.value, chosen.converged
+    extra = {"E_max": chosen.value, "doubling_converged": chosen.converged}
+    if not include_atoms and abs(kappa) < 1.0 and has_bound_state(params):
+        extra["control"] = True
+    return [(pv, extra), (rt, extra), (diag, extra)]
 
 
 def _check_sine_transform(config: SuiteConfig) -> float:
@@ -326,75 +346,79 @@ def _3d_setup(config: SuiteConfig, phi: float):
     return spec, fld, grid, red, r_rule
 
 
-def _check_3d(config: SuiteConfig, phi: float, which: str) -> float:
+def _3d_defects(config: SuiteConfig, phi: float):
+    """Selectivity, Parseval, apply_H and symmetry defects of one field, all
+    from one forward transform of it."""
     spec, fld, grid, red, r_rule = _3d_setup(config, phi)
     e_max = config.e_cap
     base = ab3d.full_forward(spec, fld, grid, r_rule, red, e_max)
-    if which == "selectivity":
-        active = base.channel_norm_sq(fld.m)
-        cross = max(base.channel_norm_sq(m) for m in grid.modes if m != fld.m)
-        return cross / active
-    if which == "parseval":
-        nsq = ab3d.field_norm_sq(fld, r_rule, red)
-        return abs(nsq - base.norm_sq()) / nsq
-    if which == "apply_h":
-        nsq = ab3d.field_norm_sq(fld, r_rule, red)
-        image = ab3d.full_forward(
-            spec, fld.hamiltonian_image(phi), grid, r_rule, red, e_max
+    nsq = ab3d.field_norm_sq(fld, r_rule, red)
+    active = base.channel_norm_sq(fld.m)
+    cross = max(base.channel_norm_sq(m) for m in grid.modes if m != fld.m)
+    parseval = abs(nsq - base.norm_sq()) / nsq
+    apply_h = ab3d.coefficient_distance(
+        ab3d.full_forward(spec, fld.hamiltonian_image(phi), grid, r_rule, red, e_max),
+        ab3d.apply_H(spec, base),
+    ) / math.sqrt(nsq)
+    symmetry = max(
+        ab3d.symmetry_defect(
+            spec, fld, alpha, beta, grid, r_rule, red, e_max, base=base
         )
-        return ab3d.coefficient_distance(
-            image, ab3d.apply_H(spec, base)
-        ) / math.sqrt(nsq)
-    if which == "symmetry":
-        return max(
-            ab3d.symmetry_defect(
-                spec, fld, alpha, beta, grid, r_rule, red, e_max, base=base
-            )
-            for alpha, beta in ((0.7, 0.0), (0.0, 1.3), (0.7, 1.3))
-        )
-    raise ConfigurationError(f"unknown 3d check {which!r}")
+        for alpha, beta in ((0.7, 0.0), (0.0, 1.3), (0.7, 1.3))
+    )
+    return [(cross / active, {}), (parseval, {}), (apply_h, {}), (symmetry, {})]
+
+
+def _negative_control_job(config: SuiteConfig) -> Job:
+    """Drop the bound-state atom and demand the Parseval deficit it predicts."""
+    kappa, theta = 0.3, math.pi / 2
+
+    def measure():
+        psi = _suite_bump(config)
+        params = ExtensionParams(kappa, theta)
+        quad = discretize(spectral_measure(params), config.e_cap, config.node_budget)
+        with_atom = forward(params, psi, quad, include_atoms=True)
+        without = forward(params, psi, quad, include_atoms=False)
+        deficit = parseval_defect(psi, without)
+        energy, weight = quad.atoms[0]
+        oracle = weight * abs(with_atom.atom_values[0]) ** 2 / psi.norm_sq()
+        return [
+            (deficit, {"deficit": deficit, "required_minimum": 1e-3}),
+            (abs(deficit - oracle) / oracle, {}),
+        ]
+
+    params = {"kappa": kappa, "theta": theta}
+    return Job(
+        [
+            ("negative_control_atom_dropped", {**params, "control": True}, 1e-6),
+            ("negative_control_deficit_matches_atom", params, 1e-6),
+        ],
+        measure,
+    )
 
 
 def _negative_control_results(config: SuiteConfig) -> list[CheckResult]:
-    """Drop the bound-state atom and demand the Parseval deficit it predicts."""
-    kappa, theta = 0.3, math.pi / 2
-    psi = _suite_bump(config)
-    params = ExtensionParams(kappa, theta)
-    quad = discretize(spectral_measure(params), config.e_cap, config.node_budget)
-    with_atom = forward(params, psi, quad, include_atoms=True)
-    without = forward(params, psi, quad, include_atoms=False)
-    deficit = parseval_defect(psi, without)
-    energy, weight = quad.atoms[0]
-    oracle = weight * abs(with_atom.atom_values[0]) ** 2 / psi.norm_sq()
-    base_params = {"kappa": kappa, "theta": theta, "control": True}
-    control = CheckResult(
-        check_id="negative_control_atom_dropped",
-        params={**base_params, "deficit": deficit, "required_minimum": 1e-3},
-        measured=deficit,
-        tolerance=1e-6,
-        passed=False,
-    )
-    magnitude = CheckResult.from_measurement(
-        "negative_control_deficit_matches_atom",
-        {"kappa": kappa, "theta": theta},
-        abs(deficit - oracle) / oracle,
-        1e-6,
-    )
-    return [control, magnitude]
+    """The negative-control checks alone, run as in the suite."""
+    return _run_job(_negative_control_job(config))
 
 
 # --------------------------------------------------------------------------
 # Suite assembly
 
 
-def _build_jobs(config: SuiteConfig):
-    """(check_id, params, tolerance, thunk) for every enabled check."""
+def _build_jobs(config: SuiteConfig) -> list[Job]:
+    """Every enabled check, grouped into jobs.
+
+    A job measures several checks when they share one computation: the
+    unitarity triple of one extension, the four 3D checks of one phi, the
+    negative controls.  If that computation raises, each of its checks fails.
+    """
     jobs = []
 
     for kappa in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9):
         for r in (0.1, 1.0, 10.0):
             jobs.append(
-                (
+                _job(
                     "wronskian",
                     {"kappa": kappa, "r": r},
                     1e-9,
@@ -404,7 +428,7 @@ def _build_jobs(config: SuiteConfig):
 
     for sign in (1.0, -1.0):
         jobs.append(
-            (
+            _job(
                 "bessel_half_order",
                 {"kappa": 0.5 * sign},
                 1e-10,
@@ -428,7 +452,7 @@ def _build_jobs(config: SuiteConfig):
     ]
     for kappa, theta, E in ode_tuples:
         jobs.append(
-            (
+            _job(
                 "ode_residual_ratio",
                 {"kappa": kappa, "theta": theta, "E": E},
                 0.4,
@@ -443,7 +467,7 @@ def _build_jobs(config: SuiteConfig):
         ("kappa_zero_limit", 1e-6),
     ):
         jobs.append(
-            (
+            _job(
                 "bound_state_reference",
                 {"kind": kind},
                 tol,
@@ -454,7 +478,7 @@ def _build_jobs(config: SuiteConfig):
     for kappa in (0.2, 0.5, 0.8):
         for E in (0.1, 1.0, 10.0):
             jobs.append(
-                (
+                _job(
                     "measure_collapse",
                     {"kappa": kappa, "E": E},
                     1e-12,
@@ -462,18 +486,14 @@ def _build_jobs(config: SuiteConfig):
                 )
             )
 
-    # The unitarity checks (Parseval/roundtrip/diagonalization) share one
-    # expensive kernel evaluation per extension and are scheduled directly in
-    # run_suite rather than as independent jobs here.
-
     jobs.append(
-        ("sine_transform", {"kappa": 0.5}, 1e-8, lambda: _check_sine_transform(config))
+        _job("sine_transform", {"kappa": 0.5}, 1e-8, lambda: _check_sine_transform(config))
     )
 
     for kappa in (0.0, 0.3, -0.7):
         for theta in (0.5, 1.0):
             jobs.append(
-                (
+                _job(
                     "theta_periodicity_measure",
                     {"kappa": kappa, "theta": theta},
                     1e-12,
@@ -483,7 +503,7 @@ def _build_jobs(config: SuiteConfig):
                 )
             )
         jobs.append(
-            (
+            _job(
                 "theta_periodicity_coefficients",
                 {"kappa": kappa, "theta": 1.0},
                 0.0,
@@ -495,7 +515,7 @@ def _build_jobs(config: SuiteConfig):
 
     for theta in (0.0, 1.0, math.pi / 2):
         jobs.append(
-            (
+            _job(
                 "measure_continuity_kappa_to_zero",
                 {"theta": theta},
                 1.0,
@@ -504,83 +524,74 @@ def _build_jobs(config: SuiteConfig):
         )
 
     for phi in config.phis:
-        for which, tol in (
-            ("selectivity", 1e-10),
-            ("parseval", 1e-5),
-            ("apply_h", 1e-4),
-            ("symmetry", 1e-6),
-        ):
-            jobs.append(
-                (
-                    f"threed_{which}",
-                    {"phi": phi},
-                    tol,
-                    lambda phi=phi, which=which: _check_3d(config, phi, which),
-                )
+        jobs.append(
+            Job(
+                [
+                    (f"threed_{which}", {"phi": phi}, tol)
+                    for which, tol in (
+                        ("selectivity", 1e-10),
+                        ("parseval", 1e-5),
+                        ("apply_h", 1e-4),
+                        ("symmetry", 1e-6),
+                    )
+                ],
+                lambda phi=phi: _3d_defects(config, phi),
             )
+        )
+
+    for kappa, theta in config.extension_pairs():
+        params = {"kappa": kappa, "theta": theta, "atoms": config.include_atoms}
+        jobs.append(
+            Job(
+                [
+                    (f"unitarity_{which}", params, tol)
+                    for which, tol in (
+                        ("parseval", 1e-6),
+                        ("roundtrip", 1e-6),
+                        ("diagonalization", 1e-5),
+                    )
+                ],
+                lambda kappa=kappa, theta=theta: _unitarity_defects(
+                    config, kappa, theta
+                ),
+            )
+        )
+
+    if config.negative_controls:
+        jobs.append(_negative_control_job(config))
 
     return jobs
 
 
+def _run_job(job: Job) -> list[CheckResult]:
+    """Measure a job's checks; if the measurement raises, each check records
+    the error with measured = inf."""
+    try:
+        outcomes = job.measure()
+    except Exception as exc:  # noqa: BLE001 - recorded, never raised
+        return [
+            CheckResult(check_id, params, math.inf, tolerance, False, repr(exc))
+            for check_id, params, tolerance in job.checks
+        ]
+    return [
+        CheckResult.from_measurement(check_id, {**params, **extra}, measured, tolerance)
+        for (check_id, params, tolerance), (measured, extra) in zip(
+            job.checks, outcomes, strict=True
+        )
+    ]
+
+
 def run_suite(config: SuiteConfig | None = None) -> list[CheckResult]:
-    """Run every check; failures never abort, errors are recorded in place."""
+    """Run every job; failures never abort, errors are recorded in place.
+
+    A job may measure several checks from one computation (the four 3D
+    checks of one phi share its forward transform); an error in it fails
+    each of its checks.
+    """
     config = config or SuiteConfig()
     if not config.kappas:
         return []
-
-    results: list[CheckResult] = []
-
-    def run_job(check_id, params, tolerance, thunk):
-        try:
-            measured = thunk()
-        except Exception as exc:  # noqa: BLE001 - recorded, never raised
-            return CheckResult(
-                check_id, params, math.inf, tolerance, False, error=repr(exc)
-            )
-        return CheckResult.from_measurement(check_id, params, measured, tolerance)
-
-    results.extend(run_job(*j) for j in _build_jobs(config))
-
-    # Unitarity checks share one expensive defect evaluation per extension.
-    for kappa, theta in config.extension_pairs():
-        params = {"kappa": kappa, "theta": theta, "atoms": config.include_atoms}
-        try:
-            pv, rt, diag, e_max, converged = _unitarity_defects(
-                config, kappa, theta, config.include_atoms
-            )
-        except Exception as exc:  # noqa: BLE001
-            for which, tol in (
-                ("parseval", 1e-6),
-                ("roundtrip", 1e-6),
-                ("diagonalization", 1e-5),
-            ):
-                results.append(
-                    CheckResult(
-                        f"unitarity_{which}", params, math.inf, tol, False, repr(exc)
-                    )
-                )
-            continue
-        extra = {**params, "E_max": e_max, "doubling_converged": converged}
-        dropped_atom = (
-            not config.include_atoms
-            and abs(kappa) < 1.0
-            and has_bound_state(ExtensionParams(kappa, theta))
-        )
-        if dropped_atom:
-            extra = {**extra, "control": True}
-        results.append(
-            CheckResult.from_measurement("unitarity_parseval", extra, pv, 1e-6)
-        )
-        results.append(
-            CheckResult.from_measurement("unitarity_roundtrip", extra, rt, 1e-6)
-        )
-        results.append(
-            CheckResult.from_measurement("unitarity_diagonalization", extra, diag, 1e-5)
-        )
-
-    if config.negative_controls:
-        results.extend(_negative_control_results(config))
-
+    results = [result for job in _build_jobs(config) for result in _run_job(job)]
     results.sort(key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
     return results
 

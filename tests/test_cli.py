@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import json
 import math
 
 import numpy as np
@@ -269,6 +270,25 @@ class TestTransformCommand:
 
     def test_3d_requires_config(self):
         assert main(["transform", "--mode", "3d"]) == EXIT_USAGE
+
+
+class TestVerifyCommand:
+    CONTROLS = {"negative_control_atom_dropped", "negative_control_deficit_matches_atom"}
+
+    def _control_ids(self, tmp_path, *flags):
+        config = tmp_path / "suite.ini"
+        config.write_text(
+            "[run]\nphi = 0.5\nkappas = 1.5\nphis = 0.5\n\n[theta]\n-1 = 1.0\n0 = 1.0\n"
+        )
+        report = tmp_path / "report.json"
+        argv = ["verify", "--config", str(config), "--report", str(report), *flags]
+        assert main(argv) == EXIT_OK
+        return {r["check_id"] for r in json.loads(report.read_text())} & self.CONTROLS
+
+    def test_negative_controls_default_on(self, tmp_path, capsys):
+        assert self._control_ids(tmp_path) == self.CONTROLS
+        assert self._control_ids(tmp_path, "--no-negative-controls") == set()
+        assert main(["verify", "--negative-controls"]) == EXIT_USAGE  # no such flag
 
 
 class TestArgparseBehavior:

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ab_spectral.errors import ConfigurationError, DomainError
+from ab_spectral.errors import DomainError
 from ab_spectral.measures import (
     ExtensionParams,
     ac_density,
     atom_weight,
     bound_state_energy,
-    channel_measure,
     discretize,
     gauss_legendre,
     has_bound_state,
@@ -232,27 +231,6 @@ class TestDiscretize:
         b = discretize(m, 100.0)
         assert np.array_equal(a.e_nodes, b.e_nodes)
         assert np.array_equal(a.e_weights, b.e_weights)
-
-
-class TestChannelMeasure:
-    class _Spec:
-        def theta_for(self, m, p):
-            if m != 0:
-                raise KeyError(m)
-            return math.pi / 2
-
-    def test_critical_channel_uses_theta(self):
-        measure = channel_measure(0.5, self._Spec(), 0, 0.0)
-        assert len(measure.atoms) == 1  # theta = pi/2 always binds
-
-    def test_off_critical_ignores_theta(self):
-        measure = channel_measure(0.5, self._Spec(), 2, 0.0)  # kappa = 2.5
-        assert measure.atoms == ()
-        assert measure.density(4.0) == pytest.approx(0.5 * 4.0**2.5)
-
-    def test_missing_entry_is_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            channel_measure(0.5, self._Spec(), -1, 0.0)  # kappa = -0.5, no entry
 
 
 class TestCsv:

@@ -76,19 +76,14 @@ class TestSuiteMechanics:
 
     @pytest.fixture
     def stubbed(self, monkeypatch):
-        """Replace the job list and the expensive unitarity path with stubs."""
+        """Replace the job list with one passing and one raising stub job."""
         monkeypatch.setattr(
             verify,
             "_build_jobs",
             lambda config: [
-                ("ok_check", {"x": 1}, 1.0, lambda: 0.5),
-                ("boom_check", {"x": 2}, 1.0, lambda: 1 / 0),
+                verify.Job([("ok_check", {"x": 1}, 1.0)], lambda: [(0.5, {})]),
+                verify.Job([("boom_check", {"x": 2}, 1.0)], lambda: [(1 / 0, {})]),
             ],
-        )
-        monkeypatch.setattr(
-            verify,
-            "_unitarity_defects",
-            lambda config, kappa, theta, atoms=True: (0.0, 0.0, 0.0, 1.0, True),
         )
         return SuiteConfig(kappas=(1.5,), negative_controls=False)
 
@@ -104,6 +99,60 @@ class TestSuiteMechanics:
         results = run_suite(stubbed)
         keys = [(r.check_id, json.dumps(r.params, sort_keys=True)) for r in results]
         assert keys == sorted(keys)
+
+    def test_raising_control_job_fails_both_controls(self):
+        # |r**2 E_b| = 100**2 at the bound state exceeds the kernel bound
+        config = SuiteConfig(
+            kappas=(1.5,), thetas=(1.0,), phis=(), support=(0.5, 100.0)
+        )
+        controls = [
+            r for r in run_suite(config) if r.check_id.startswith("negative_control_")
+        ]
+        assert sorted(r.check_id for r in controls) == [
+            "negative_control_atom_dropped",
+            "negative_control_deficit_matches_atom",
+        ]
+        assert all(r.measured == math.inf and not r.passed for r in controls)
+        assert all("SeriesDomainError" in r.error for r in controls)
+
+
+class TestThreeDimensionalJob:
+    CHECKS = [
+        "threed_apply_h",
+        "threed_parseval",
+        "threed_selectivity",
+        "threed_symmetry",
+    ]
+    CONFIG = SuiteConfig(kappas=(1.5,), negative_controls=False)
+
+    @staticmethod
+    def _threed(results):
+        return [r for r in results if r.check_id.startswith("threed_")]
+
+    def test_one_phi_runs_five_forwards(self, monkeypatch):
+        calls = []
+        original = verify.ab3d.full_forward
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify.ab3d, "full_forward", counted)
+        results = self._threed(run_suite(self.CONFIG))
+        # the field, its H-image and the three moved fields
+        assert len(calls) == 5
+        assert sorted(r.check_id for r in results) == self.CHECKS
+        assert all(r.passed for r in results)
+
+    def test_raising_job_fails_all_four_checks(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise ConfigurationError("boom")
+
+        monkeypatch.setattr(verify.ab3d, "full_forward", boom)
+        results = self._threed(run_suite(self.CONFIG))
+        assert sorted(r.check_id for r in results) == self.CHECKS
+        assert all(r.measured == math.inf and not r.passed for r in results)
+        assert all(r.error == "ConfigurationError('boom')" for r in results)
 
 
 class TestReport:
