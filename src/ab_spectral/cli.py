@@ -89,6 +89,19 @@ def _parse_theta_entry(text: str):
     return float(text)
 
 
+def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
+    """A comma-separated [run] list of numbers; an empty one has no entries."""
+    if not text.strip():
+        return ()
+    values = []
+    for entry in text.split(","):
+        try:
+            values.append(float(entry))
+        except ValueError:
+            raise UsageError(f"bad [run] {key} entry {entry.strip()!r}: not a number") from None
+    return tuple(values)
+
+
 def load_config(path: str) -> dict:
     """Read the INI config into {'phi': float, 'spec': ThetaSpec, 'run': dict}."""
     parser = configparser.ConfigParser()
@@ -277,12 +290,9 @@ def cmd_verify(args) -> int:
     kwargs = {}
     if args.config:
         run = load_config(args.config)["run"]
-        if "kappas" in run:
-            kwargs["kappas"] = tuple(float(t) for t in run["kappas"].split(","))
-        if "thetas" in run:
-            kwargs["thetas"] = tuple(float(t) for t in run["thetas"].split(","))
-        if "phis" in run:
-            kwargs["phis"] = tuple(float(t) for t in run["phis"].split(","))
+        for key in ("kappas", "thetas", "phis"):
+            if key in run:
+                kwargs[key] = _parse_float_list(key, run[key])
     kwargs["negative_controls"] = args.negative_controls
     if args.no_atoms:
         kwargs["include_atoms"] = False

@@ -17,9 +17,10 @@ the cancellation-free -(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_n
 
 The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
 orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
-channel at flux 1/2, where jv(1/2, x) loses ulps).  radial_kernel, used by the
-transforms, returns values only; u_eigen, w_eigen and u_theta_eigen add d/dr
-from the pair at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
+channel at flux 1/2, where jv(1/2, x) loses ulps).  radial_kernel returns
+values only, as does _pair_kernel over a pair given to it (the transforms keep
+one pair per order); u_eigen, w_eigen and u_theta_eigen add d/dr from the pair
+at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
 
 Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
 1.3e-14 of max(1, |chi|) for 0 <= zeta <= 2500 and 3.8e-15 relative for
@@ -138,16 +139,18 @@ def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
     return value, d_dr
 
 
-def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_state=False):
-    """(value, d/dr or None) of cu u + cw w; the pair coefficients (a, b) are
-    formed per energy and broadcast over r.  bound_state (a flag or E mask) sets a = 0."""
-    # the Bessel routines underflow below |E| = 1e-200, where the E = 0 limit is exact
-    E = np.where(np.abs(E) < 1e-200, 0.0, np.asarray(E, dtype=float))
-    r = np.asarray(r, dtype=float)
+def _checked_grid(E, r) -> tuple[np.ndarray, np.ndarray]:
+    """E and r broadcast together, once r > 0 and |r**2 E| <= ZETA_BOUND hold."""
     if np.any(r <= 0.0):
         raise DomainError("radial coordinate must satisfy r > 0")
     E_b, r_b = np.broadcast_arrays(E, r)
     _check_zeta(r_b * r_b * E_b)
+    return E_b, r_b
+
+
+def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
+    """(a, b) with cu u + cw w = sqrt(r) [a F + b G] at each energy E != 0, over
+    the pair (F, G) of order |kappa|."""
     nu = abs(kappa)
     c, s = _cos_sin_pi(nu)
     neg = E < 0.0
@@ -166,6 +169,18 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
         else:
             a = a + cw * (np.where(neg, t, s) * p - R)
         b = b + cw * np.where(neg, -2.0 / math.pi, 1.0) * (1.0 if kappa >= 0.0 else c) * p
+    return a, b
+
+
+def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_state=False):
+    """(value, d/dr or None) of cu u + cw w; the pair coefficients (a, b) are
+    formed per energy and broadcast over r.  bound_state (a flag or E mask) sets a = 0."""
+    # the Bessel routines underflow below |E| = 1e-200, where the E = 0 limit is exact
+    E = np.where(np.abs(E) < 1e-200, 0.0, np.asarray(E, dtype=float))
+    r = np.asarray(r, dtype=float)
+    E_b, r_b = _checked_grid(E, r)
+    nu = abs(kappa)
+    a, b = _pair_coefficients(kappa, cu, cw, E)
     a, b = np.broadcast_to(np.where(bound_state, 0.0, a), E_b.shape), np.broadcast_to(b, E_b.shape)
     second = kappa < 0.0 or cw != 0.0
     value = np.empty(E_b.shape)
@@ -209,15 +224,42 @@ def chi_kappa(kappa: float, zeta):
     return float(val) if np.ndim(zeta) == 0 else val
 
 
+def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, float]:
+    """(order, cu, cw) with the transform kernel cu u + cw w of that order."""
+    if abs(kappa) >= 1.0:
+        return abs(kappa), 1.0, 0.0
+    delta = theta - theta_kappa(kappa)
+    return kappa, math.cos(delta), math.sin(delta)
+
+
 def radial_kernel(kappa: float, theta: float, E, r, bound_state=False) -> np.ndarray:
     """Transform kernel values, no derivatives: u(|kappa|, E | r) for |kappa| >= 1
     (theta unused), else u_theta(kappa, theta, E | r).  bound_state=True (or a
     mask broadcasting against E) asserts that E is the bound-state energy there
     and evaluates the cancellation-free K form."""
+    order, cu, cw = _kernel_terms(kappa, theta)
     if abs(kappa) >= 1.0:
-        return _assemble(abs(kappa), 1.0, 0.0, E, r)[0]
-    delta = theta - theta_kappa(kappa)
-    return _assemble(kappa, math.cos(delta), math.sin(delta), E, r, bound_state=bound_state)[0]
+        bound_state = False  # no bound state off the extension family
+    return _assemble(order, cu, cw, E, r, bound_state=bound_state)[0]
+
+
+def _jy_pair(nu: float, E, r) -> tuple[np.ndarray, np.ndarray | None]:
+    """(J_nu, Y_nu) at x = r sqrt(E), E > 0; Y_nu only for nu < 1, since the
+    kernel of an order |kappa| >= 1 is u alone."""
+    x = r * np.sqrt(E)
+    return _bessel(_J, nu, x), (_bessel(_Y, nu, x) if nu < 1.0 else None)
+
+
+def _pair_kernel(kappa: float, theta: float, E, r, pair) -> np.ndarray:
+    """radial_kernel(kappa, theta, E, r) at energies E > 1e-200, formed as
+    sqrt(r) [a F + b G] over pair(|order|, E, r) = _jy_pair's (F, G).  Nothing
+    but (a, b) depends on theta or on the sign of kappa, so a cached pair
+    serves every extension of one order, bit for bit radial_kernel's values."""
+    order, cu, cw = _kernel_terms(kappa, theta)
+    _checked_grid(E, r)  # before the pair: errors reach no cache
+    a, b = _pair_coefficients(order, cu, cw, E)
+    F, G = pair(abs(order), E, r)
+    return np.sqrt(r) * (a * F + b * (G if order < 0.0 or cw != 0.0 else 0.0))
 
 
 def _eigen(kappa: float, cu: float, cw: float, E, r, bound_state=False) -> ValueWithDerivative:

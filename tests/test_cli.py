@@ -291,6 +291,36 @@ class TestVerifyCommand:
         assert main(["verify", "--negative-controls"]) == EXIT_USAGE  # no such flag
 
 
+    def _run(self, tmp_path, run_lines):
+        config = tmp_path / "suite.ini"
+        config.write_text(f"[run]\nphi = 0.5\n{run_lines}\n\n[theta]\n-1 = 1.0\n0 = 1.0\n")
+        report = tmp_path / "report.json"
+        code = main(["verify", "--config", str(config), "--report", str(report)])
+        return code, report
+
+    @pytest.mark.parametrize(
+        "run_lines, key, entry",
+        [
+            ("kappas = 1.5,x", "kappas", "x"),
+            ("kappas = 1.5\nthetas = 1.0,,2.0", "thetas", ""),
+            ("kappas = 1.5\nphis = 0.5;0.3", "phis", "0.5;0.3"),
+        ],
+    )
+    def test_malformed_list_entry_is_a_usage_error(self, tmp_path, capsys, run_lines, key, entry):
+        code, report = self._run(tmp_path, run_lines)
+        assert code == EXIT_USAGE
+        assert not report.exists()
+        err = capsys.readouterr().err
+        assert key in err and repr(entry) in err
+
+    def test_empty_phis_asks_for_no_3d_checks(self, tmp_path, capsys):
+        code, report = self._run(tmp_path, "kappas = 1.5\nphis =")
+        assert code == EXIT_OK
+        ids = {r["check_id"] for r in json.loads(report.read_text())}
+        assert "unitarity_parseval" in ids
+        assert not {i for i in ids if i.startswith("threed_")}
+
+
 class TestArgparseBehavior:
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

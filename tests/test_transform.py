@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ab_spectral import special, transform
 from ab_spectral.bumps import GaussianBump
 from ab_spectral.errors import ContractError, DomainError, SeriesDomainError
 from ab_spectral.measures import (
@@ -211,6 +212,115 @@ class TestKernelCache:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert not failures, failures
+
+
+class TestBesselPairCache:
+    """Below the kernel cache, kernel_matrix keeps the Bessel pair (J_nu, Y_nu)
+    at r sqrt(E), keyed by (nu, E nodes, r nodes): every theta and both signs
+    of kappa of one order share one pair, and each kernel stays bit for bit
+    a fresh build."""
+
+    # r grids (and shifts of them) no other test uses, so each pair starts uncached
+    R_COUNT = np.linspace(0.55, 2.95, 10)
+    R_BITS = np.linspace(0.45, 2.85, 9)
+
+    @pytest.fixture
+    def jy_calls(self, monkeypatch):
+        """(nu, shape) of every J or Y evaluation at one point or more; the atom
+        rows evaluate I and K only."""
+        calls = []
+        original = special._bessel
+
+        def counted(kind, order, x):
+            if kind in (special._J, special._Y) and np.size(x):
+                calls.append((order, np.shape(x)))
+            return original(kind, order, x)
+
+        monkeypatch.setattr(special, "_bessel", counted)
+        return calls
+
+    @staticmethod
+    def quad(params, E_max=50.0):
+        return discretize(spectral_measure(params), E_max)
+
+    def test_one_pair_build_per_order(self, jy_calls):
+        r = self.R_COUNT
+        shape = (len(self.quad(ExtensionParams(0.3, 1.0)).e_nodes), len(r))
+        for kappa, theta, built in (
+            (0.3, 0.0, [(0.3, shape)] * 2),  # J and Y
+            (0.3, 1.0, []),
+            (0.3, math.pi / 2, []),
+            (0.3, 1.0 + math.pi, []),
+            (-0.7, 1.0, [(0.7, shape)] * 2),
+            (0.7, 1.0, []),
+            (1.5, 0.0, [(1.5, shape)]),  # J only: u alone for |kappa| >= 1
+            (-1.5, 0.0, []),
+        ):
+            jy_calls.clear()
+            params = ExtensionParams(kappa, theta)
+            kernel_matrix(params, self.quad(params), r)
+            assert jy_calls == built, (kappa, theta)
+
+    def test_every_kernel_is_a_fresh_build(self):
+        r = self.R_BITS
+        cases = [
+            (0.3, 0.0), (0.3, 1.0), (0.3, math.pi / 2), (0.3, 1.0 + math.pi),
+            (0.3, theta_kappa(0.3)),  # delta = 0 exactly: no w term, Y unused
+            (0.3, 0.7),  # the deep atom, E_b about -107
+            (-0.7, 1.0), (0.7, 1.0), (1e-7, 1.0), (-1e-4, 1.0), (-1e-4, 2.5),
+            (0.0, 0.0), (1.5, 0.0), (-2.5, 0.0), (3.0, 0.0),
+        ]
+        for E_max in (ZETA_BOUND / 9.0, ZETA_BOUND / 36.0):
+            for kappa, theta in cases:
+                params = ExtensionParams(kappa, theta)
+                quad = self.quad(params, E_max)
+                expected = fresh_kernel(params, quad, r)
+                assert_bitwise(kernel_matrix(params, quad, r), expected)
+        assert ExtensionParams(0.3, theta_kappa(0.3)).theta_mod_pi == theta_kappa(0.3)
+
+    def test_pairs_are_read_only(self):
+        E = self.quad(ExtensionParams(0.3, 1.0)).e_nodes[:, None]
+        r = self.R_BITS[None, :]
+        F, G = transform._bessel_pair(0.3, E, r)
+        for part in (F, G):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+        F, G = transform._bessel_pair(1.5, E, r)
+        assert not F.flags.writeable and G is None
+
+    def test_pair_key_holds_r_and_the_e_nodes(self):
+        params = ExtensionParams(-0.7, 1.0)
+        r = self.R_BITS + 0.02
+        moved_r = r.copy()
+        moved_r[3] = np.nextafter(moved_r[3], np.inf)
+        for quad, nodes in (
+            (self.quad(params, 40.0), r),
+            (self.quad(params, 40.0), moved_r),  # same nu and E, r one ulp apart
+            (self.quad(params, 41.0), r),  # same nu and r, other E nodes
+        ):
+            assert_bitwise(kernel_matrix(params, quad, nodes), fresh_kernel(params, quad, nodes))
+
+    def test_errors_reach_no_cache(self, jy_calls):
+        params = ExtensionParams(0.3, 1.0)
+        quad = self.quad(params, 2.0 * ZETA_BOUND / 9.0)  # past the bound at r = 3
+        for _ in range(2):
+            with pytest.raises(SeriesDomainError):
+                kernel_matrix(params, quad, self.R_COUNT + 0.05)
+        assert jy_calls == []  # the bound is checked before any pair is built
+        with pytest.raises(DomainError):
+            kernel_matrix(params, self.quad(params), np.linspace(0.0, 3.0, 12))
+
+    @pytest.mark.parametrize("node", [0.0, 1e-300, -2.0])
+    @pytest.mark.parametrize("kappa, theta", [(0.3, 1.0), (-0.7, 0.0), (1.5, 0.0)])
+    def test_hand_built_grids_off_the_pair(self, node, kappa, theta):
+        """An E node at the E = 0 limit or below 0 has no (J, Y) pair; the
+        matrix is then kernel_values over the grid, as before."""
+        params = ExtensionParams(kappa, theta)
+        r = self.R_BITS
+        quad = MeasureQuadrature(np.array([node, 1.0, 4.0]), np.ones(3))
+        expected = kernel_values(params, quad.e_nodes[:, None], r[None, :])
+        assert_bitwise(kernel_matrix(params, quad, r), expected)
 
 
 class TestForwardOracle:
