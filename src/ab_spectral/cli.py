@@ -23,9 +23,7 @@ import argparse
 import configparser
 import io
 import math
-import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from .measures import (
 )
 from .special import ZETA_BOUND, u_eigen, u_theta_eigen
 from .transform import RadialFunction, forward, parseval_defect, roundtrip_defect
-from .verify import SuiteConfig, run_suite, suite_exit_status, write_report
+from .verify import SuiteConfig, _atomic_write, run_suite, suite_exit_status, write_report
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -49,19 +47,6 @@ EXIT_USAGE = 2
 
 class UsageError(Exception):
     """Invalid flags, config, or input files; maps to exit code 2."""
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def parse_range(text: str) -> np.ndarray:
@@ -100,6 +85,21 @@ def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
         except ValueError:
             raise UsageError(f"bad [run] {key} entry {entry.strip()!r}: not a number") from None
     return tuple(values)
+
+
+def _run_value(run: dict, key: str, default, above=-math.inf, below=math.inf):
+    """[run] key read as the type of its default (the default when absent); a
+    value that does not parse or lies outside the open range (above, below) is
+    a UsageError naming the key."""
+    value = run.get(key, default)
+    try:
+        value = type(default)(value)
+    except ValueError:
+        kind = "an integer" if isinstance(default, int) else "a number"
+        raise UsageError(f"bad [run] {key} {value!r}: not {kind}") from None
+    if not (math.isfinite(value) and above < value < below):
+        raise UsageError(f"bad [run] {key} {value!r}: must be finite, in ({above!r}, {below!r})")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -251,9 +251,10 @@ def _cmd_transform_3d(args) -> int:
     config = load_config(args.config)
     spec = config["spec"]
     run = config["run"]
-    a = float(run.get("support_a", 0.5))
-    b = float(run.get("support_b", 3.0))
-    m0 = int(run.get("field_m", 0))
+    a = _run_value(run, "support_a", 0.5, above=0.0)
+    b = _run_value(run, "support_b", 3.0, above=a)
+    m_max = _run_value(run, "m_max", 3, above=-1)
+    m0 = _run_value(run, "field_m", 0, above=-m_max - 1, below=m_max + 1)
     psi = GaussianBump(a, b)
     chi = GaussianProfile(center=0.0, width=0.7)
     fld = ab3d.SeparableField(
@@ -261,12 +262,12 @@ def _cmd_transform_3d(args) -> int:
         psi_d2=psi.derivative2, chi_d2=chi.derivative2,
     )
     grid = ab3d.ModeGrid.build(
-        int(run.get("m_max", 3)),
-        float(run.get("p_max", 8.0)),
-        int(run.get("n_p", 64)),
+        m_max,
+        _run_value(run, "p_max", 8.0, above=0.0),
+        _run_value(run, "n_p", 64, above=0),
     )
     red = ab3d.ReductionGrid.build(chi.support)
-    r_rule = gauss_legendre(a, b, int(run.get("r_nodes", 64)))
+    r_rule = gauss_legendre(a, b, _run_value(run, "r_nodes", 64, above=0))
     coeffs = ab3d.full_forward(
         spec, fld, grid, r_rule, red, ZETA_BOUND / (b * b), args.node_budget
     )

@@ -267,7 +267,9 @@ def discretize(
 
     Panels are graded geometrically toward 0 ([0, E_max] * 4**-j) so that the
     E**(+-kappa) and log E endpoint behaviors are absorbed without
-    measure-specific rules.  node_budget is the Gauss order per panel.
+    measure-specific rules.  node_budget is the Gauss order per panel.  All
+    panels are mapped from the reference rule in one broadcast, one row per
+    panel from E = 0 upward, and the density is evaluated once over all nodes.
     """
     if E_max < 0.0:
         raise DomainError("E_max must be >= 0")
@@ -276,14 +278,11 @@ def discretize(
     if E_max == 0.0:
         empty = np.zeros(0)
         return MeasureQuadrature(empty, empty, measure.atoms)
-    edges = [E_max * 4.0 ** (-j) for j in range(GRADING_LEVELS + 1)]
-    edges.append(0.0)
-    nodes, weights = [], []
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(lo, hi, node_budget)
-        nodes.append(x)
-        weights.append(w * measure.density(x))
-    e_nodes = np.concatenate(nodes[::-1])
-    e_weights = np.concatenate(weights[::-1])
+    hi = E_max * 4.0 ** -np.arange(GRADING_LEVELS, -1.0, -1.0)
+    lo = np.concatenate(([0.0], hi[:-1]))
+    mid, half = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)[:, None]
+    x, w = _leggauss(node_budget)
+    e_nodes = (mid + half * x).ravel()
+    e_weights = (half * w).ravel() * measure.density(e_nodes)
     return MeasureQuadrature(e_nodes, e_weights, measure.atoms)
 

@@ -186,6 +186,8 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
     value = np.empty(E_b.shape)
     d_dr = np.empty(E_b.shape) if derivative else None
     for mask, (F_kind, G_kind), sign in ((E_b > 0.0, (_J, _Y), -1.0), (E_b < 0.0, (_I, _K), 1.0)):
+        if not mask.any():  # no point of this energy sign: no Bessel call
+            continue
         k, rm, am, bm = np.sqrt(np.abs(E_b[mask])), r_b[mask], a[mask], b[mask]
         x, sq = rm * k, np.sqrt(rm)
         F = _bessel(F_kind, nu, x)

@@ -12,11 +12,12 @@ The report is a deterministic JSON array sorted by (check_id, params).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,7 +35,7 @@ from .measures import (
     has_bound_state,
     spectral_measure,
 )
-from .special import ZETA_BOUND, radial_kernel, theta_kappa, u_eigen, w_eigen, wronskian
+from .special import ZETA_BOUND, chi_kappa, radial_kernel, theta_kappa, u_eigen, w_eigen, wronskian
 from .transform import (
     RadialFunction,
     apply_l_q,
@@ -165,13 +166,12 @@ def _check_wronskian(kappa: float, r: float) -> float:
     return abs(float(wronskian(u, w)) - 2.0 / math.pi)
 
 
-def _check_bessel_half_order(sign: float) -> float:
-    from .special import chi_kappa
-
+def _check_bessel_half_order(kappa: float) -> float:
+    """chi_kappa at kappa = +-1/2 against its sine and cosine closed forms."""
     zeta = np.linspace(0.1, 100.0, 1000)
-    values = chi_kappa(0.5 * sign, zeta)
+    values = chi_kappa(kappa, zeta)
     root = np.sqrt(zeta)
-    if sign > 0:
+    if kappa > 0:
         exact = math.sqrt(2.0 / math.pi) * np.sin(root) / root
     else:
         exact = math.sqrt(2.0 / math.pi) * np.cos(root)
@@ -269,10 +269,10 @@ def _unitarity_defects(config: SuiteConfig, kappa: float, theta: float):
     return [(pv, extra), (rt, extra), (diag, extra)]
 
 
-def _check_sine_transform(config: SuiteConfig) -> float:
+def _check_sine_transform(config: SuiteConfig, kappa: float) -> float:
     """kappa = 1/2 at the reference angle: the kernel is the sine kernel."""
     psi = _suite_bump(config)
-    params = ExtensionParams(0.5, theta_kappa(0.5))
+    params = ExtensionParams(kappa, theta_kappa(kappa))
     quad = discretize(spectral_measure(params), config.e_cap, config.node_budget)
     coeffs = forward(params, psi, quad)
     root = np.sqrt(quad.e_nodes)
@@ -409,153 +409,86 @@ def _negative_control_results(config: SuiteConfig) -> list[CheckResult]:
 def _build_jobs(config: SuiteConfig) -> list[Job]:
     """Every enabled check, grouped into jobs.
 
-    A job measures several checks when they share one computation: the
-    unitarity triple of one extension, the four 3D checks of one phi, the
-    negative controls.  If that computation raises, each of its checks fails.
+    Each check measured on its own is one row (check_id, tolerance, check,
+    params) whose params are both its report params and its check's keyword
+    arguments.  A job measures several checks when they share one
+    computation: the four 3D checks of one phi, the unitarity triple of one
+    extension, the negative controls.  If that computation raises, each of
+    its checks fails.
     """
-    jobs = []
-
-    for kappa in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9):
-        for r in (0.1, 1.0, 10.0):
-            jobs.append(
-                _job(
-                    "wronskian",
-                    {"kappa": kappa, "r": r},
-                    1e-9,
-                    lambda kappa=kappa, r=r: _check_wronskian(kappa, r),
-                )
-            )
-
-    for sign in (1.0, -1.0):
-        jobs.append(
-            _job(
-                "bessel_half_order",
-                {"kappa": 0.5 * sign},
-                1e-10,
-                lambda sign=sign: _check_bessel_half_order(sign),
-            )
-        )
-
-    ode_tuples = [
-        (0.0, 0.0, 1.0),
-        (0.0, 1.0, -1.0),
-        (0.0, math.pi / 2, 10.0),
-        (0.3, 0.0, 1.0),
-        (0.3, 1.0, 10.0),
-        (0.3, math.pi / 2, -1.0),
-        (-0.7, 0.0, 10.0),
-        (-0.7, 1.0, 1.0),
-        (-0.7, math.pi / 2, -1.0),
-        (0.5, 0.7, 5.0),
-        (1.5, 0.0, 1.0),
-        (3.0, 0.0, 5.0),
+    periodic = _check_theta_periodicity_measure
+    sine = functools.partial(_check_sine_transform, config)
+    flip = functools.partial(_check_theta_periodicity_coefficients, config)
+    continuity = functools.partial(_check_measure_continuity, config)
+    rows = [
+        ("wronskian", 1e-9, _check_wronskian, dict(kappa=kappa, r=r))
+        for kappa in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9)
+        for r in (0.1, 1.0, 10.0)
     ]
-    for kappa, theta, E in ode_tuples:
-        jobs.append(
-            _job(
-                "ode_residual_ratio",
-                {"kappa": kappa, "theta": theta, "E": E},
-                0.4,
-                lambda kappa=kappa, theta=theta, E=E: _check_ode_ratio(kappa, theta, E),
-            )
+    rows += [
+        ("bessel_half_order", 1e-10, _check_bessel_half_order, dict(kappa=kappa))
+        for kappa in (0.5, -0.5)
+    ]
+    rows += [
+        ("ode_residual_ratio", 0.4, _check_ode_ratio, dict(kappa=kappa, theta=theta, E=E))
+        for kappa, theta, E in (
+            (0.0, 0.0, 1.0),
+            (0.0, 1.0, -1.0),
+            (0.0, math.pi / 2, 10.0),
+            (0.3, 0.0, 1.0),
+            (0.3, 1.0, 10.0),
+            (0.3, math.pi / 2, -1.0),
+            (-0.7, 0.0, 10.0),
+            (-0.7, 1.0, 1.0),
+            (-0.7, math.pi / 2, -1.0),
+            (0.5, 0.7, 5.0),
+            (1.5, 0.0, 1.0),
+            (3.0, 0.0, 5.0),
         )
-
-    for kind, tol in (
-        ("half_pi_energy", 1e-12),
-        ("quarter_pi_energy", 1e-12),
-        ("half_pi_weight", 1e-12),
-        ("kappa_zero_limit", 1e-6),
-    ):
-        jobs.append(
-            _job(
-                "bound_state_reference",
-                {"kind": kind},
-                tol,
-                lambda kind=kind: _check_bound_state_reference(kind),
-            )
+    ]
+    rows += [
+        ("bound_state_reference", tol, _check_bound_state_reference, dict(kind=kind))
+        for kind, tol in (
+            ("half_pi_energy", 1e-12),
+            ("quarter_pi_energy", 1e-12),
+            ("half_pi_weight", 1e-12),
+            ("kappa_zero_limit", 1e-6),
         )
+    ]
+    rows += [
+        ("measure_collapse", 1e-12, _check_measure_collapse, dict(kappa=kappa, E=E))
+        for kappa in (0.2, 0.5, 0.8)
+        for E in (0.1, 1.0, 10.0)
+    ]
+    rows.append(("sine_transform", 1e-8, sine, dict(kappa=0.5)))
+    rows += [
+        ("theta_periodicity_measure", 1e-12, periodic, dict(kappa=kappa, theta=theta))
+        for kappa in (0.0, 0.3, -0.7)
+        for theta in (0.5, 1.0)
+    ]
+    rows += [
+        ("theta_periodicity_coefficients", 0.0, flip, dict(kappa=kappa, theta=1.0))
+        for kappa in (0.0, 0.3, -0.7)
+    ]
+    rows += [
+        ("measure_continuity_kappa_to_zero", 1.0, continuity, dict(theta=theta))
+        for theta in (0.0, 1.0, math.pi / 2)
+    ]
+    jobs = [
+        _job(check_id, params, tol, functools.partial(check, **params))
+        for check_id, tol, check, params in rows
+    ]
 
-    for kappa in (0.2, 0.5, 0.8):
-        for E in (0.1, 1.0, 10.0):
-            jobs.append(
-                _job(
-                    "measure_collapse",
-                    {"kappa": kappa, "E": E},
-                    1e-12,
-                    lambda kappa=kappa, E=E: _check_measure_collapse(kappa, E),
-                )
-            )
-
-    jobs.append(
-        _job("sine_transform", {"kappa": 0.5}, 1e-8, lambda: _check_sine_transform(config))
-    )
-
-    for kappa in (0.0, 0.3, -0.7):
-        for theta in (0.5, 1.0):
-            jobs.append(
-                _job(
-                    "theta_periodicity_measure",
-                    {"kappa": kappa, "theta": theta},
-                    1e-12,
-                    lambda kappa=kappa, theta=theta: _check_theta_periodicity_measure(
-                        kappa, theta
-                    ),
-                )
-            )
-        jobs.append(
-            _job(
-                "theta_periodicity_coefficients",
-                {"kappa": kappa, "theta": 1.0},
-                0.0,
-                lambda kappa=kappa: _check_theta_periodicity_coefficients(
-                    config, kappa, 1.0
-                ),
-            )
-        )
-
-    for theta in (0.0, 1.0, math.pi / 2):
-        jobs.append(
-            _job(
-                "measure_continuity_kappa_to_zero",
-                {"theta": theta},
-                1.0,
-                lambda theta=theta: _check_measure_continuity(config, theta),
-            )
-        )
-
+    threed = (("selectivity", 1e-10), ("parseval", 1e-5), ("apply_h", 1e-4), ("symmetry", 1e-6))
     for phi in config.phis:
-        jobs.append(
-            Job(
-                [
-                    (f"threed_{which}", {"phi": phi}, tol)
-                    for which, tol in (
-                        ("selectivity", 1e-10),
-                        ("parseval", 1e-5),
-                        ("apply_h", 1e-4),
-                        ("symmetry", 1e-6),
-                    )
-                ],
-                lambda phi=phi: _3d_defects(config, phi),
-            )
-        )
+        checks = [(f"threed_{which}", {"phi": phi}, tol) for which, tol in threed]
+        jobs.append(Job(checks, functools.partial(_3d_defects, config, phi)))
 
+    unitarity = (("parseval", 1e-6), ("roundtrip", 1e-6), ("diagonalization", 1e-5))
     for kappa, theta in config.extension_pairs():
         params = {"kappa": kappa, "theta": theta, "atoms": config.include_atoms}
-        jobs.append(
-            Job(
-                [
-                    (f"unitarity_{which}", params, tol)
-                    for which, tol in (
-                        ("parseval", 1e-6),
-                        ("roundtrip", 1e-6),
-                        ("diagonalization", 1e-5),
-                    )
-                ],
-                lambda kappa=kappa, theta=theta: _unitarity_defects(
-                    config, kappa, theta
-                ),
-            )
-        )
+        checks = [(f"unitarity_{which}", params, tol) for which, tol in unitarity]
+        jobs.append(Job(checks, functools.partial(_unitarity_defects, config, kappa, theta)))
 
     if config.negative_controls:
         jobs.append(_negative_control_job(config))
@@ -601,18 +534,21 @@ def suite_exit_status(results: list[CheckResult]) -> int:
     return 0 if all(r.passed or r.is_control for r in results) else 1
 
 
-def write_report(results: list[CheckResult], path: str) -> None:
-    """Deterministic JSON array, written atomically (temp file + rename)."""
-    payload = json.dumps(
-        [r.to_json_dict() for r in results], indent=2, sort_keys=True
-    )
+def _atomic_write(path: str, text: str) -> None:
+    """Write text to path with '\\n' line endings through a temp file and a rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload + "\n")
+        with os.fdopen(fd, "w", newline="\n") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_report(results: list[CheckResult], path: str) -> None:
+    """Deterministic JSON array, written atomically (temp file + rename)."""
+    payload = json.dumps([r.to_json_dict() for r in results], indent=2, sort_keys=True)
+    _atomic_write(path, payload + "\n")

@@ -271,6 +271,44 @@ class TestTransformCommand:
     def test_3d_requires_config(self):
         assert main(["transform", "--mode", "3d"]) == EXIT_USAGE
 
+    @staticmethod
+    def _transform_3d(tmp_path, run_lines):
+        config = tmp_path / "field.ini"
+        config.write_text(f"[run]\nphi = 0.5\n{run_lines}\n\n[theta]\n-1 = 1.0\n0 = 1.0\n")
+        out = tmp_path / "field.csv"
+        code = main(["transform", "--mode", "3d", "--config", str(config), "--output", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize(
+        "run_lines, key",
+        [
+            ("m_max = x", "m_max"),
+            ("m_max = -1", "m_max"),
+            ("n_p = 0", "n_p"),
+            ("r_nodes = 2.5", "r_nodes"),
+            ("field_m = 1.5", "field_m"),
+            ("field_m = 4", "field_m"),  # outside the default m_max = 3: no channel holds it
+            ("m_max = 1\nfield_m = -2", "field_m"),
+            ("p_max = nan", "p_max"),
+            ("p_max = 0", "p_max"),
+            ("support_a = 0", "support_a"),
+            ("support_a = 3.0\nsupport_b = 1.0", "support_b"),
+            ("support_a = 3.0", "support_b"),  # the default support_b = 3.0 is not above it
+        ],
+    )
+    def test_3d_bad_run_value_is_a_usage_error(self, tmp_path, capsys, run_lines, key):
+        code, out = self._transform_3d(tmp_path, run_lines)
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert f"bad [run] {key} " in capsys.readouterr().err
+
+    def test_3d_run_values_override_the_grid(self, tmp_path, capsys):
+        run_lines = "support_a = 0.6\nsupport_b = 2.5\nfield_m = 1\nm_max = 1\np_max = 4\nn_p = 8"
+        code, out = self._transform_3d(tmp_path, run_lines + "\nr_nodes = 16")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines() if line[:1].isdigit()]
+        assert rows and {row[0] for row in rows} == {"1"}
+
 
 class TestVerifyCommand:
     CONTROLS = {"negative_control_atom_dropped", "negative_control_deficit_matches_atom"}

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ab_spectral.errors import DomainError
 from ab_spectral.measures import (
+    GRADING_LEVELS,
     ExtensionParams,
     ac_density,
     atom_weight,
@@ -231,6 +232,38 @@ class TestDiscretize:
         b = discretize(m, 100.0)
         assert np.array_equal(a.e_nodes, b.e_nodes)
         assert np.array_equal(a.e_weights, b.e_weights)
+
+    @staticmethod
+    def panel_by_panel(measure, e_max, node_budget):
+        """The graded rule one panel at a time: gauss_legendre on [lo, hi]
+        times the density there, panels joined from E = 0 upward."""
+        edges = [e_max * 4.0 ** -j for j in range(GRADING_LEVELS + 1)] + [0.0]
+        nodes, weights = [], []
+        for lo, hi in zip(edges[:0:-1], edges[-2::-1]):
+            x, w = gauss_legendre(lo, hi, node_budget)
+            nodes.append(x)
+            weights.append(w * measure.density(x))
+        return np.concatenate(nodes), np.concatenate(weights)
+
+    @pytest.mark.parametrize(
+        "kappa", [0.0, 1e-9, -1e-9, 1e-4, 0.3, -0.7, 0.5, -0.5, 1.5, 3.0]
+    )
+    # off the atom branch at every kappa (0), on it at every |kappa| < 1 (pi/2),
+    # on or off by kappa (0.2, 1.0, 2.9), and a theta in the next class mod pi
+    @pytest.mark.parametrize("theta", [0.0, 0.2, 1.0, math.pi / 2, 2.9, 1.0 + math.pi])
+    def test_bit_for_bit_the_panel_by_panel_rule(self, kappa, theta):
+        measure = spectral_measure(ExtensionParams(kappa, theta))
+        for e_max in (2500 / 9, 2500 / 36, 40.0, 1e-3):
+            for node_budget in (16, 32):
+                quad = discretize(measure, e_max, node_budget)
+                nodes, weights = self.panel_by_panel(measure, e_max, node_budget)
+                assert quad.e_nodes.tobytes() == nodes.tobytes()
+                assert quad.e_weights.tobytes() == weights.tobytes()
+                assert quad.atoms == measure.atoms
+        for node_budget in (16, 32):
+            quad = discretize(measure, 0.0, node_budget)
+            assert quad.e_nodes.size == quad.e_weights.size == 0
+            assert quad.atoms == measure.atoms
 
 
 class TestCsv:

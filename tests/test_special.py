@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ab_spectral import special
 from ab_spectral.ab3d import ChannelIndex, ThetaSpec, eigenfunction_3d
 from ab_spectral.errors import DomainError, SeriesDomainError
 from ab_spectral.measures import (
@@ -429,3 +430,29 @@ class TestBoundStateEigenfunction:
         expected = np.exp(1j * p * x3) * radial / (2 * math.pi * math.sqrt(r))  # m = 0
         got = eigenfunction_3d(spec, ChannelIndex(0, p), energy, (x1, x2, x3))
         assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+class TestEnergySignBranches:
+    """A call whose energies all have one sign evaluates only that sign's
+    Bessel pair: no J/Y on negative energies, no I/K on positive ones."""
+
+    @pytest.fixture
+    def bessel_sizes(self, monkeypatch):
+        sizes = []
+        original = special._bessel
+
+        def counted(kind, order, x):
+            sizes.append(np.size(x))
+            return original(kind, order, x)
+
+        monkeypatch.setattr(special, "_bessel", counted)
+        return sizes
+
+    def test_no_bessel_call_on_an_empty_branch(self, bessel_sizes):
+        r = np.linspace(0.5, 3.0, 8)
+        E = np.array([[2.0], [5.0]])
+        special.radial_kernel(0.3, 1.0, E, r)
+        special.radial_kernel(0.3, math.pi / 2, -1.0, r, bound_state=True)
+        u_theta_eigen(-0.7, 1.0, 2.0, r)
+        u_theta_eigen(0.3, math.pi / 2, -1.0, r)
+        assert bessel_sizes and 0 not in bessel_sizes

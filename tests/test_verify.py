@@ -1,5 +1,6 @@
 """Tests of the property-check suite machinery and a trimmed real run."""
 
+import collections
 import json
 import math
 import os
@@ -114,6 +115,38 @@ class TestSuiteMechanics:
         ]
         assert all(r.measured == math.inf and not r.passed for r in controls)
         assert all("SeriesDomainError" in r.error for r in controls)
+
+
+class TestJobTable:
+    """The default suite's checks, read from the job list without running it."""
+
+    EXPECTED = {
+        "wronskian": 21,
+        "bessel_half_order": 2,
+        "ode_residual_ratio": 12,
+        "bound_state_reference": 4,
+        "measure_collapse": 9,
+        "sine_transform": 1,
+        "theta_periodicity_measure": 6,
+        "theta_periodicity_coefficients": 3,
+        "measure_continuity_kappa_to_zero": 3,
+        "threed_selectivity": 1,
+        "threed_parseval": 1,
+        "threed_apply_h": 1,
+        "threed_symmetry": 1,
+        "unitarity_parseval": 11,
+        "unitarity_roundtrip": 11,
+        "unitarity_diagonalization": 11,
+        "negative_control_atom_dropped": 1,
+        "negative_control_deficit_matches_atom": 1,
+    }
+
+    def test_default_suite_declares_100_checks(self):
+        checks = [check for job in verify._build_jobs(SuiteConfig()) for check in job.checks]
+        assert len(checks) == 100
+        assert collections.Counter(check_id for check_id, _, _ in checks) == self.EXPECTED
+        keys = {(check_id, json.dumps(params, sort_keys=True)) for check_id, params, _ in checks}
+        assert len(keys) == 100
 
 
 class TestThreeDimensionalJob:
