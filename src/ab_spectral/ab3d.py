@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -113,7 +112,8 @@ class ThetaSpec:
     """Extension angles for the critical channels of flux parameter phi.
 
     entries maps each critical m (and only those) to either a constant theta
-    or a :class:`PiecewiseTheta` table in p.
+    or a :class:`PiecewiseTheta` table in p; a constant is stored as the
+    one-piece table PiecewiseTheta((), (theta,)).
     """
 
     phi: float
@@ -127,6 +127,11 @@ class ThetaSpec:
                 f"theta entries must cover exactly the critical channels "
                 f"{sorted(expected)} of phi={self.phi}; got {sorted(got)}"
             )
+        tables = {
+            m: e if isinstance(e, PiecewiseTheta) else PiecewiseTheta((), (float(e),))
+            for m, e in self.entries.items()
+        }
+        object.__setattr__(self, "entries", tables)
 
     @classmethod
     def constant(cls, phi: float, theta: float) -> "ThetaSpec":
@@ -134,22 +139,14 @@ class ThetaSpec:
         return cls(phi, {m: theta for m in critical_channels(phi)})
 
     def theta_for(self, m: int, p: float) -> float:
-        entry = self.entries[m]  # KeyError on non-critical m, by design
-        if isinstance(entry, PiecewiseTheta):
-            return entry.theta_at(p)
-        return float(entry)
+        return self.entries[m].theta_at(p)  # KeyError on non-critical m, by design
 
     def shifted(self, delta: float) -> "ThetaSpec":
         """All angles shifted by delta (used by the theta + pi equivalence tests)."""
-        new = {}
-        for m, entry in self.entries.items():
-            if isinstance(entry, PiecewiseTheta):
-                new[m] = PiecewiseTheta(
-                    entry.breaks, tuple(v + delta for v in entry.values)
-                )
-            else:
-                new[m] = entry + delta
-        return ThetaSpec(self.phi, new)
+        return ThetaSpec(self.phi, {
+            m: PiecewiseTheta(e.breaks, tuple(v + delta for v in e.values))
+            for m, e in self.entries.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -374,12 +371,9 @@ class ChannelBlock:
     values has shape (len(p_indices), len(quad.nodes)): one row per p node over
     the spectral grid of the shared measure.  continuum and atom_values are
     its E-node and atom columns, and assigning either writes into values.
-    theta is None off the critical set.
     """
 
     m: int
-    kappa: float
-    theta: float | None
     p_indices: np.ndarray
     quad: MeasureQuadrature
     values: np.ndarray
@@ -429,30 +423,10 @@ class Coefficients3D:
     def channel_norm_sq(self, m: int) -> float:
         return self._norm_sq(m)
 
-    def write_csv(self, fileobj: io.TextIOBase) -> None:
-        for blk in self.blocks:
-            for i, pi in enumerate(blk.p_indices):
-                p = self.grid.p_nodes[pi]
-                for j, (energy, weight) in enumerate(blk.quad.atoms):
-                    v = blk.atom_values[i, j]
-                    fileobj.write(
-                        f"# atom m={blk.m} p={float(p)!r} {float(energy)!r} "
-                        f"{float(weight)!r} {float(v.real)!r} {float(v.imag)!r}\n"
-                    )
-        fileobj.write("m,p,E,re,im\n")
-        for blk in self.blocks:
-            for i, pi in enumerate(blk.p_indices):
-                p = self.grid.p_nodes[pi]
-                for e, v in zip(blk.quad.e_nodes, blk.continuum[i]):
-                    fileobj.write(
-                        f"{blk.m},{float(p)!r},{float(e)!r},"
-                        f"{float(v.real)!r},{float(v.imag)!r}\n"
-                    )
-
 
 def _theta_groups(spec: ThetaSpec, m: int, p_nodes) -> list[tuple[float | None, np.ndarray]]:
     """Group p-node indices by the theta value in force (None off-critical)."""
-    if m not in set(critical_channels(spec.phi)):
+    if m not in spec.entries:
         return [(None, np.arange(len(p_nodes)))]
     thetas = [spec.theta_for(m, float(p)) for p in p_nodes]
     groups: dict[float, list[int]] = {}
@@ -492,7 +466,7 @@ def full_forward(
             quad = discretize(spectral_measure(params), E_max, node_budget)
             weighted = reduced[p_idx] * wr[None, :]  # (n_group, n_r)
             values = weighted @ kernel_matrix(params, quad, r).T
-            blocks.append(ChannelBlock(m, kappa, theta, p_idx, quad, values))
+            blocks.append(ChannelBlock(m, p_idx, quad, values))
     return Coefficients3D(spec.phi, grid, blocks)
 
 
@@ -595,12 +569,8 @@ def bound_state_table(spec: ThetaSpec) -> list[tuple[int, float, float, float, f
     """
     rows = []
     for m in critical_channels(spec.phi):
-        entry = spec.entries[m]
-        thetas = (
-            entry.values if isinstance(entry, PiecewiseTheta) else (float(entry),)
-        )
         seen = set()
-        for theta in thetas:
+        for theta in spec.entries[m].values:
             params = ExtensionParams(channel_kappa(spec.phi, m), theta)
             canonical = params.theta_mod_pi
             if canonical in seen:
@@ -618,8 +588,3 @@ def bound_state_table(spec: ThetaSpec) -> list[tuple[int, float, float, float, f
                 )
     return rows
 
-
-def write_bound_state_csv(rows, fileobj: io.TextIOBase) -> None:
-    fileobj.write("m,kappa,E_b,weight,theta\n")
-    for m, kappa, energy, weight, theta in rows:
-        fileobj.write(f"{m},{kappa!r},{energy!r},{weight!r},{theta!r}\n")

@@ -11,8 +11,8 @@ verify          run the property suite -> JSON report
 Grids use the range syntax ``start:stop:count``.  Configuration files are
 flat INI text: a ``[run]`` section (phi, grids, paths) and a ``[theta]``
 section mapping each critical channel m to either a constant angle or a
-piecewise table ``b1,b2:v1,v2,v3`` (breakpoints : values).  All output files
-are written atomically with '\\n' line endings.
+piecewise table ``b1,b2:v1,v2,v3`` (breakpoints : values).  Every output CSV
+is written by _write_csv, atomically with '\\n' line endings.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import sys
 
@@ -59,6 +58,8 @@ def parse_range(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad range {text!r}: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise UsageError(f"range ends must be finite, got {text!r}")
     if count < 1:
         raise UsageError("range count must be >= 1")
     return np.linspace(start, stop, count)
@@ -121,6 +122,19 @@ def load_config(path: str) -> dict:
     return {"phi": phi, "spec": spec, "run": dict(parser["run"])}
 
 
+def _cell(x) -> str:
+    return str(x) if isinstance(x, (str, int)) else repr(float(x))
+
+
+def _write_csv(path: str, header: str, rows, atoms=()) -> None:
+    """The one output CSV format: a '# atom' line per atom tuple, the header,
+    then one line per row.  A str or int cell is written as it is, any other
+    number as repr(float(x))."""
+    lines = [" ".join(["# atom", *map(_cell, atom)]) for atom in atoms]
+    lines += [header, *(",".join(map(_cell, row)) for row in rows)]
+    _atomic_write(path, "".join(line + "\n" for line in lines))
+
+
 # --------------------------------------------------------------------------
 # Commands
 
@@ -136,11 +150,7 @@ def cmd_eigenfunction(args) -> int:
         result = u_theta_eigen(kappa, args.theta, args.energy, r)
     else:
         result = u_eigen(abs(kappa), args.energy, r)
-    out = io.StringIO()
-    out.write("r,u,du_dr\n")
-    for ri, v, d in zip(r, np.atleast_1d(result.value), np.atleast_1d(result.d_dr)):
-        out.write(f"{float(ri)!r},{float(v)!r},{float(d)!r}\n")
-    _atomic_write(args.output, out.getvalue())
+    _write_csv(args.output, "r,u,du_dr", zip(r, result.value, result.d_dr))
     return EXIT_OK
 
 
@@ -150,18 +160,14 @@ def cmd_measure(args) -> int:
     params = ExtensionParams(args.kappa, args.theta or 0.0)
     measure = spectral_measure(params)
     energies = parse_range(args.energies)
-    out = io.StringIO()
-    measure.write_csv(out, energies)
-    _atomic_write(args.output, out.getvalue())
+    _write_csv(args.output, "E,density", zip(energies, measure.density(energies)), measure.atoms)
     return EXIT_OK
 
 
 def cmd_bound_states(args) -> int:
     config = load_config(args.config)
     rows = ab3d.bound_state_table(config["spec"])
-    out = io.StringIO()
-    ab3d.write_bound_state_csv(rows, out)
-    _atomic_write(args.output, out.getvalue())
+    _write_csv(args.output, "m,kappa,E_b,weight,theta", rows)
     return EXIT_OK
 
 
@@ -238,9 +244,9 @@ def cmd_transform(args) -> int:
     coeffs = forward(params, psi, quad)
     pv = parseval_defect(psi, coeffs)
     rt = roundtrip_defect(params, psi, quad)
-    out = io.StringIO()
-    coeffs.write_csv(out)
-    _atomic_write(args.output, out.getvalue())
+    c = coeffs.continuum_values
+    atoms = [(e, w, v.real, v.imag) for (e, w), v in zip(quad.atoms, coeffs.atom_values)]
+    _write_csv(args.output, "E,re,im", zip(quad.e_nodes, c.real, c.imag), atoms)
     print(f"parseval_defect={pv:.6e} roundtrip_defect={rt:.6e}")
     return EXIT_OK
 
@@ -272,16 +278,19 @@ def _cmd_transform_3d(args) -> int:
         spec, fld, grid, r_rule, red, ZETA_BOUND / (b * b), args.node_budget
     )
     total = coeffs.norm_sq()
-    # Inactive channels are omitted from the dump entirely.
-    active = [
-        blk
-        for blk in coeffs.blocks
-        if coeffs.channel_norm_sq(blk.m) > 1e-20 * total
-    ]
-    pruned = ab3d.Coefficients3D(coeffs.phi, coeffs.grid, active)
-    out = io.StringIO()
-    pruned.write_csv(out)
-    _atomic_write(args.output, out.getvalue())
+    atoms, rows = [], []
+    for blk in coeffs.blocks:
+        if not coeffs.channel_norm_sq(blk.m) > 1e-20 * total:
+            continue  # inactive channels are omitted from the dump entirely
+        for p, atom_values, continuum in zip(
+            grid.p_nodes[blk.p_indices], blk.atom_values, blk.continuum
+        ):
+            atoms += [
+                (f"m={blk.m}", f"p={float(p)!r}", e, w, v.real, v.imag)
+                for (e, w), v in zip(blk.quad.atoms, atom_values)
+            ]
+            rows += [(blk.m, p, e, v.real, v.imag) for e, v in zip(blk.quad.e_nodes, continuum)]
+    _write_csv(args.output, "m,p,E,re,im", rows, atoms)
     nsq = ab3d.field_norm_sq(fld, r_rule, red)
     print(f"parseval_defect={abs(nsq - total) / nsq:.6e}")
     return EXIT_OK

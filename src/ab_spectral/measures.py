@@ -19,11 +19,10 @@ the class theta + pi*Z, with eigenfunctions flipping sign between classes.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -85,15 +84,6 @@ class SpectralMeasure:
 
     density: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[float, float], ...] = ()  # (energy, weight), energy < 0
-
-    def write_csv(self, fileobj: io.TextIOBase, E_values: Sequence[float]) -> None:
-        for energy, weight in self.atoms:
-            fileobj.write(f"# atom {energy!r} {weight!r}\n")
-        fileobj.write("E,density\n")
-        E_values = np.asarray(E_values, dtype=float)
-        dens = self.density(E_values)
-        for e, d in zip(E_values, np.broadcast_to(dens, E_values.shape)):
-            fileobj.write(f"{float(e)!r},{float(d)!r}\n")
 
 
 @dataclass(frozen=True)
@@ -202,6 +192,8 @@ def ac_density(params: ExtensionParams, E) -> float | np.ndarray:
     kappa = params.kappa
     scalar = np.ndim(E) == 0
     E = np.atleast_1d(np.asarray(E, dtype=float))
+    if np.isnan(E).any():
+        raise DomainError("ac_density: energy is NaN")
     out = np.zeros_like(E)
     pos = E > 0.0
     zero = E == 0.0
@@ -271,8 +263,8 @@ def discretize(
     panels are mapped from the reference rule in one broadcast, one row per
     panel from E = 0 upward, and the density is evaluated once over all nodes.
     """
-    if E_max < 0.0:
-        raise DomainError("E_max must be >= 0")
+    if not 0.0 <= E_max < math.inf:
+        raise DomainError(f"E_max must be finite and >= 0, got {E_max!r}")
     if node_budget < 16:
         raise DomainError("node_budget must be at least 16")
     if E_max == 0.0:

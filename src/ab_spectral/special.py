@@ -27,7 +27,8 @@ Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
 zeta < 0; u, w, u_theta and d/dr for kappa down to 1e-7 and E of either sign
 or 0 to 6.7e-14 of max(1, |f|); bound-state kernel rows to 2.1e-14 relative.
 |zeta| = |r**2 E| > ZETA_BOUND raises SeriesDomainError, a kept contract of the
-public API (energy cutoffs derive from it), not a precision limit.
+public API (energy cutoffs derive from it), not a precision limit; so does an
+infinite E.  A non-finite kappa or r, or a NaN E, raises DomainError.
 """
 
 from __future__ import annotations
@@ -139,10 +140,13 @@ def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
     return value, d_dr
 
 
-def _checked_grid(E, r) -> tuple[np.ndarray, np.ndarray]:
-    """E and r broadcast together, once r > 0 and |r**2 E| <= ZETA_BOUND hold."""
-    if np.any(r <= 0.0):
-        raise DomainError("radial coordinate must satisfy r > 0")
+def _checked_grid(kappa: float, E, r) -> tuple[np.ndarray, np.ndarray]:
+    """E and r broadcast together, once kappa is finite, E is not NaN, r is
+    finite and > 0, and |r**2 E| <= ZETA_BOUND (so E is finite) hold."""
+    if not math.isfinite(kappa) or np.isnan(E).any():
+        raise DomainError(f"the order must be finite and the energy not NaN (kappa={kappa})")
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise DomainError("radial coordinate must be finite and satisfy r > 0")
     E_b, r_b = np.broadcast_arrays(E, r)
     _check_zeta(r_b * r_b * E_b)
     return E_b, r_b
@@ -178,7 +182,7 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
     # the Bessel routines underflow below |E| = 1e-200, where the E = 0 limit is exact
     E = np.where(np.abs(E) < 1e-200, 0.0, np.asarray(E, dtype=float))
     r = np.asarray(r, dtype=float)
-    E_b, r_b = _checked_grid(E, r)
+    E_b, r_b = _checked_grid(kappa, E, r)
     nu = abs(kappa)
     a, b = _pair_coefficients(kappa, cu, cw, E)
     a, b = np.broadcast_to(np.where(bound_state, 0.0, a), E_b.shape), np.broadcast_to(b, E_b.shape)
@@ -258,7 +262,7 @@ def _pair_kernel(kappa: float, theta: float, E, r, pair) -> np.ndarray:
     but (a, b) depends on theta or on the sign of kappa, so a cached pair
     serves every extension of one order, bit for bit radial_kernel's values."""
     order, cu, cw = _kernel_terms(kappa, theta)
-    _checked_grid(E, r)  # before the pair: errors reach no cache
+    _checked_grid(order, E, r)  # before the pair: errors reach no cache
     a, b = _pair_coefficients(order, cu, cw, E)
     F, G = pair(abs(order), E, r)
     return np.sqrt(r) * (a * F + b * (G if order < 0.0 or cw != 0.0 else 0.0))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -69,6 +68,8 @@ class RadialFunction:
         self.r_nodes = np.asarray(self.r_nodes, dtype=float)
         self.quad_weights = np.asarray(self.quad_weights, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
+        if not (np.isfinite(self.r_nodes).all() and np.isfinite(self.values).all()):
+            raise DomainError("radial nodes and values must be finite")
         if self.r_nodes[0] <= 0.0:
             raise DomainError("radial support must lie strictly inside (0, inf)")
         if not (len(self.r_nodes) == len(self.quad_weights) == len(self.values)):
@@ -83,11 +84,6 @@ class RadialFunction:
 
     def norm_sq(self) -> float:
         return float(np.sum(self.quad_weights * np.abs(self.values) ** 2))
-
-    def write_csv(self, fileobj: io.TextIOBase) -> None:
-        fileobj.write("r,re,im\n")
-        for r, v in zip(self.r_nodes, self.values):
-            fileobj.write(f"{float(r)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
 @dataclass
@@ -113,16 +109,6 @@ class TransformCoefficients:
 
     def norm_sq(self) -> float:
         return float(np.sum(self.quad.weights * np.abs(self.values) ** 2))
-
-    def write_csv(self, fileobj: io.TextIOBase) -> None:
-        for (energy, weight), value in zip(self.quad.atoms, self.atom_values):
-            fileobj.write(
-                f"# atom {float(energy)!r} {float(weight)!r} "
-                f"{float(value.real)!r} {float(value.imag)!r}\n"
-            )
-        fileobj.write("E,re,im\n")
-        for e, v in zip(self.quad.e_nodes, self.continuum_values):
-            fileobj.write(f"{float(e)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
 def kernel_values(params: ExtensionParams, E, r, bound_state=False) -> np.ndarray:

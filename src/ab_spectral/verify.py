@@ -120,19 +120,23 @@ def doubling_rule(
     return DoublingResult(value, False)
 
 
+# Resolutions of the suite: r nodes on the support, Gauss order per E panel,
+# and the 3D mode grid (|m| <= _M_MAX, _N_P p nodes on [-_P_MAX, _P_MAX]).
+_R_NODES = 64
+_NODE_BUDGET = 32
+_M_MAX = 3
+_N_P = 64
+_P_MAX = 8.0
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Parameter grids and resolutions for the property suite."""
+    """Parameter grids for the property suite."""
 
     kappas: tuple = (0.0, 0.3, -0.7, 1.5, 3.0)
     thetas: tuple = (0.0, 1.0, math.pi / 2)
     phis: tuple = (0.5,)
     support: tuple = (0.5, 3.0)
-    r_nodes: int = 64
-    node_budget: int = 32
-    m_max: int = 3
-    n_p: int = 64
-    p_max: float = 8.0
     include_atoms: bool = True
     negative_controls: bool = True
 
@@ -235,7 +239,7 @@ def _check_measure_collapse(kappa: float, E: float) -> float:
 
 def _suite_bump(config: SuiteConfig) -> RadialFunction:
     bump = GaussianBump(*config.support)
-    r, w = gauss_legendre(config.support[0], config.support[1], config.r_nodes)
+    r, w = gauss_legendre(config.support[0], config.support[1], _R_NODES)
     return RadialFunction(r, w, bump(r), second_derivative=bump.derivative2)
 
 
@@ -250,12 +254,12 @@ def _unitarity_defects(config: SuiteConfig, kappa: float, theta: float):
     include_atoms = config.include_atoms
 
     def defect_at(e_max: float) -> float:
-        quad = discretize(measure, e_max, config.node_budget)
+        quad = discretize(measure, e_max, _NODE_BUDGET)
         pv = parseval_defect(psi, forward(params, psi, quad, include_atoms))
         return max(pv, roundtrip_defect(params, psi, quad))
 
     chosen = doubling_rule(defect_at, cap / 4.0, cap, 1e-6)
-    quad = discretize(measure, chosen.value, config.node_budget)
+    quad = discretize(measure, chosen.value, _NODE_BUDGET)
     coeffs = forward(params, psi, quad, include_atoms)
     pv = parseval_defect(psi, coeffs)
     rt = roundtrip_defect(params, psi, quad)
@@ -273,7 +277,7 @@ def _check_sine_transform(config: SuiteConfig, kappa: float) -> float:
     """kappa = 1/2 at the reference angle: the kernel is the sine kernel."""
     psi = _suite_bump(config)
     params = ExtensionParams(kappa, theta_kappa(kappa))
-    quad = discretize(spectral_measure(params), config.e_cap, config.node_budget)
+    quad = discretize(spectral_measure(params), config.e_cap, _NODE_BUDGET)
     coeffs = forward(params, psi, quad)
     root = np.sqrt(quad.e_nodes)
     exact = np.array(
@@ -305,11 +309,11 @@ def _check_theta_periodicity_coefficients(config: SuiteConfig, kappa, theta) -> 
     psi = _suite_bump(config)
     p1 = ExtensionParams(kappa, theta)
     p2 = ExtensionParams(kappa, theta + math.pi)
-    quad = discretize(spectral_measure(p1), config.e_cap / 4.0, config.node_budget)
+    quad = discretize(spectral_measure(p1), config.e_cap / 4.0, _NODE_BUDGET)
     return float(np.max(np.abs(forward(p1, psi, quad).values + forward(p2, psi, quad).values)))
 
 
-def _check_measure_continuity(config: SuiteConfig, theta: float) -> float:
+def _check_measure_continuity(theta: float) -> float:
     """Integrals against a fixed bump converge monotonically as kappa -> 0.
 
     measured = max ratio of successive distances to the kappa = 0 value;
@@ -319,7 +323,7 @@ def _check_measure_continuity(config: SuiteConfig, theta: float) -> float:
 
     def integral(kappa: float) -> float:
         params = ExtensionParams(kappa, theta)
-        quad = discretize(spectral_measure(params), 40.0, config.node_budget)
+        quad = discretize(spectral_measure(params), 40.0, _NODE_BUDGET)
         return float(np.sum(quad.weights * profile(quad.nodes)))
 
     reference = integral(0.0)
@@ -340,9 +344,9 @@ def _3d_setup(config: SuiteConfig, phi: float):
         chi_d2=chi.derivative2,
     )
     spec = ab3d.ThetaSpec.constant(phi, 1.0)
-    grid = ab3d.ModeGrid.build(config.m_max, config.p_max, config.n_p)
+    grid = ab3d.ModeGrid.build(_M_MAX, _P_MAX, _N_P)
     red = ab3d.ReductionGrid.build(chi.support)
-    r_rule = gauss_legendre(config.support[0], config.support[1], config.r_nodes)
+    r_rule = gauss_legendre(config.support[0], config.support[1], _R_NODES)
     return spec, fld, grid, red, r_rule
 
 
@@ -376,7 +380,7 @@ def _negative_control_job(config: SuiteConfig) -> Job:
     def measure():
         psi = _suite_bump(config)
         params = ExtensionParams(kappa, theta)
-        quad = discretize(spectral_measure(params), config.e_cap, config.node_budget)
+        quad = discretize(spectral_measure(params), config.e_cap, _NODE_BUDGET)
         with_atom = forward(params, psi, quad, include_atoms=True)
         without = forward(params, psi, quad, include_atoms=False)
         deficit = parseval_defect(psi, without)
@@ -419,7 +423,6 @@ def _build_jobs(config: SuiteConfig) -> list[Job]:
     periodic = _check_theta_periodicity_measure
     sine = functools.partial(_check_sine_transform, config)
     flip = functools.partial(_check_theta_periodicity_coefficients, config)
-    continuity = functools.partial(_check_measure_continuity, config)
     rows = [
         ("wronskian", 1e-9, _check_wronskian, dict(kappa=kappa, r=r))
         for kappa in (0.0, 0.25, -0.25, 0.5, -0.5, 0.9, -0.9)
@@ -471,7 +474,7 @@ def _build_jobs(config: SuiteConfig) -> list[Job]:
         for kappa in (0.0, 0.3, -0.7)
     ]
     rows += [
-        ("measure_continuity_kappa_to_zero", 1.0, continuity, dict(theta=theta))
+        ("measure_continuity_kappa_to_zero", 1.0, _check_measure_continuity, dict(theta=theta))
         for theta in (0.0, 1.0, math.pi / 2)
     ]
     jobs = [

@@ -1,6 +1,5 @@
 """Tests of the three-dimensional channel decomposition and assembly."""
 
-import io
 import math
 
 import numpy as np
@@ -26,7 +25,6 @@ from ab_spectral.ab3d import (
     full_forward,
     radial_reduce,
     symmetry_defect,
-    write_bound_state_csv,
 )
 from ab_spectral.bumps import GaussianBump, GaussianProfile
 from ab_spectral.errors import ConfigurationError, DomainError
@@ -281,16 +279,6 @@ class TestFullForward:
         with pytest.raises(ConfigurationError):
             field.hamiltonian_image(PHI)
 
-    def test_csv_header(self):
-        spec, grid, reduction, r_rule = small_setup(theta=math.pi / 2)
-        coeffs = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
-        out = io.StringIO()
-        coeffs.write_csv(out)
-        lines = out.getvalue().split("\n")
-        atom_lines = [ln for ln in lines if ln.startswith("# atom ")]
-        assert len(atom_lines) == 2 * 16  # two critical modes x 16 p nodes
-        assert "m,p,E,re,im" in lines
-
 
 class TestEigenfunction3D:
     def test_on_axis_rejected(self):
@@ -359,15 +347,6 @@ class TestBoundStateTable:
         spec = ThetaSpec(0.5, {-1: pw, 0: 1.0})
         rows = bound_state_table(spec)
         assert len([row for row in rows if row[0] == -1]) == 1
-
-    def test_csv_format(self):
-        out = io.StringIO()
-        write_bound_state_csv(
-            bound_state_table(ThetaSpec.constant(0.5, math.pi / 2)), out
-        )
-        lines = out.getvalue().split("\n")
-        assert lines[0] == "m,kappa,E_b,weight,theta"
-        assert len(lines) == 4  # header + 2 rows + trailing newline
 
 
 class TestApplyH:

@@ -12,6 +12,7 @@ from ab_spectral.cli import (
     EXIT_USAGE,
     UsageError,
     _read_profile_csv,
+    _write_csv,
     load_config,
     main,
     parse_range,
@@ -29,6 +30,24 @@ class TestParseRange:
     def test_malformed_ranges(self, bad):
         with pytest.raises(UsageError):
             parse_range(bad)
+
+    @pytest.mark.parametrize("bad", ["0:nan:3", "nan:1:3", "inf:1:3", "0:-inf:2"])
+    def test_non_finite_ends(self, bad):
+        with pytest.raises(UsageError, match="finite"):
+            parse_range(bad)
+
+
+class TestWriteCsv:
+    def test_cell_rules(self, tmp_path):
+        # an int or str cell as it is; any other number as repr(float(x)),
+        # never numpy's repr (np.float64(0.1), not 0.1)
+        value = np.complex128(1.5 - 0.25j)
+        out = tmp_path / "out.csv"
+        rows = [(7, np.float64(0.1), value.real, value.imag), ("x", 2.0, np.float64(1e-300), -0.0)]
+        _write_csv(str(out), "a,b,c,d", rows, atoms=[("m=1", 3, np.float64(-21.5))])
+        assert out.read_bytes() == (
+            b"# atom m=1 3 -21.5\na,b,c,d\n7,0.1,1.5,-0.25\nx,2.0,1e-300,-0.0\n"
+        )
 
 
 class TestConfig:
@@ -124,6 +143,17 @@ class TestEigenfunctionCommand:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--energy", "nan"), ("--kappa", "nan"), ("--r", "0.5:nan:5")]
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, flag, value):
+        args = {"--kappa": "0.3", "--theta": "1.0", "--energy": "2.0", "--r": "0.5:2.0:5"}
+        out = tmp_path / "x.csv"
+        argv = ["eigenfunction", *(a for k, v in {**args, flag: value}.items() for a in (k, v))]
+        assert main([*argv, "--output", str(out)]) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMeasureCommand:
     def test_density_with_atom_comment(self, tmp_path):
@@ -143,6 +173,22 @@ class TestMeasureCommand:
         atom_energy = float(lines[0].split()[2])
         assert atom_energy == pytest.approx(-1.0, abs=1e-12)
         assert lines[1] == "E,density"
+
+    def test_measure_csv_shape(self, tmp_path):
+        out = tmp_path / "measure.csv"
+        argv = ["measure", "--kappa", "0.3", "--theta", repr(math.pi / 2),
+                "--energies", "0.5:1.0:2", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = out.read_text().split("\n")
+        assert lines[0].startswith("# atom ") and len(lines[0].split()) == 4
+        assert lines[1:] == ["E,density", lines[2], lines[3], ""]
+        assert [float(ln.split(",")[0]) for ln in lines[2:4]] == [0.5, 1.0]
+
+    def test_non_finite_energy_range_exits_2(self, tmp_path):
+        out = tmp_path / "measure.csv"
+        argv = ["measure", "--kappa", "1.5", "--energies", "0:nan:3", "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert not out.exists()
 
     @pytest.mark.parametrize("theta", [0.001, math.pi - 0.001])
     def test_bound_state_past_double_range_exits_2(self, tmp_path, capsys, theta):
@@ -179,6 +225,16 @@ class TestBoundStatesCommand:
         out = tmp_path / "bound.csv"
         assert main(["bound-states", "--config", str(cfg), "--output", str(out)]) == 0
         assert out.read_text().strip() == "m,kappa,E_b,weight,theta"
+
+    def test_csv_format(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[run]\nphi = 0.5\n\n[theta]\n-1 = {math.pi / 2!r}\n0 = {math.pi / 2!r}\n")
+        out = tmp_path / "bound.csv"
+        assert main(["bound-states", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+        lines = out.read_text().split("\n")
+        assert lines[0] == "m,kappa,E_b,weight,theta"
+        assert len(lines) == 4  # header + 2 rows + trailing newline
+        assert [ln.split(",")[:2] for ln in lines[1:3]] == [["-1", "-0.5"], ["0", "0.5"]]
 
 
 class TestTransformCommand:
@@ -255,6 +311,29 @@ class TestTransformCommand:
         with pytest.raises(UsageError, match="strictly increasing"):
             _read_profile_csv(str(profile))
 
+    def test_coefficient_csv_lists_atom_first(self, tmp_path):
+        out = tmp_path / "coeffs.csv"
+        argv = ["transform", "--kappa", "0.3", "--theta", repr(math.pi / 2),
+                "--family", "gauss:0.5:3", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        lines = out.read_text().split("\n")
+        atom = lines[0].split()
+        assert atom[:2] == ["#", "atom"] and len(atom) == 6  # E_b, weight, re, im
+        assert float(atom[2]) == pytest.approx(-1.0, abs=1e-12)
+        assert lines[1] == "E,re,im"
+        assert not any(ln.startswith("#") for ln in lines[1:])
+
+    def test_nan_profile_sample_exits_2(self, tmp_path, capsys):
+        profile = tmp_path / "psi.csv"
+        rows = ["r,re,im"] + [f"{0.5 + 0.1 * i!r},{'nan' if i == 4 else '1.0'},0.0" for i in range(12)]
+        profile.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "coeffs.csv"
+        argv = ["transform", "--kappa", "1.5", "--input", str(profile), "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "parseval_defect" not in captured.out and "finite" in captured.err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path):
         code = main(
             ["transform", "--kappa", "1.5", "--input", str(tmp_path / "nope.csv")]
@@ -301,6 +380,29 @@ class TestTransformCommand:
         assert code == EXIT_USAGE
         assert not out.exists()
         assert f"bad [run] {key} " in capsys.readouterr().err
+
+    def test_3d_csv_header(self, tmp_path, capsys):
+        # at theta = pi/2 each critical mode has one atom per p node; the
+        # channel the field does not occupy is left out of the dump
+        atom_lines = []
+        for m in (-1, 0):
+            run_lines = f"m_max = 1\nn_p = 16\nfield_m = {m}"
+            config = tmp_path / "field.ini"
+            config.write_text(
+                f"[run]\nphi = 0.5\n{run_lines}\n\n[theta]\n"
+                f"-1 = {math.pi / 2!r}\n0 = {math.pi / 2!r}\n"
+            )
+            out = tmp_path / f"field{m}.csv"
+            argv = ["transform", "--mode", "3d", "--config", str(config), "--output", str(out)]
+            assert main(argv) == EXIT_OK
+            lines = out.read_text().split("\n")
+            atoms = [ln for ln in lines if ln.startswith("# atom ")]
+            assert lines[len(atoms)] == "m,p,E,re,im"
+            assert all(ln.split()[2] == f"m={m}" and ln.split()[3][:2] == "p=" for ln in atoms)
+            assert len({ln.split()[3] for ln in atoms}) == 16  # one per p node
+            assert {ln.split(",")[0] for ln in lines[len(atoms) + 1 : -1]} == {str(m)}
+            atom_lines += atoms
+        assert len(atom_lines) == 2 * 16  # two critical modes x 16 p nodes
 
     def test_3d_run_values_override_the_grid(self, tmp_path, capsys):
         run_lines = "support_a = 0.6\nsupport_b = 2.5\nfield_m = 1\nm_max = 1\np_max = 4\nn_p = 8"

@@ -1,6 +1,5 @@
 """Tests of spectral measures, bound states, and their discretization."""
 
-import io
 import math
 
 import numpy as np
@@ -180,6 +179,20 @@ class TestAcDensity:
         assert ac_density(ExtensionParams(kappa, theta), E) >= 0.0
 
 
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.5])
+    def test_ac_density_nan_energy(self, kappa):
+        params = ExtensionParams(kappa, 1.0)
+        for E in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                ac_density(params, E)
+
+    @pytest.mark.parametrize("e_max", [math.nan, math.inf])
+    def test_discretize_non_finite_cutoff(self, e_max):
+        with pytest.raises(DomainError):
+            discretize(spectral_measure(ExtensionParams(0.3, 1.0)), e_max)
+
+
 class TestDiscretize:
     def test_weights_integrate_power_density(self):
         # integral of (1/2) E**kappa over [0, E_max] has a closed form
@@ -267,15 +280,6 @@ class TestDiscretize:
 
 
 class TestCsv:
-    def test_measure_csv_shape(self):
-        measure = spectral_measure(ExtensionParams(0.3, math.pi / 2))
-        out = io.StringIO()
-        measure.write_csv(out, [0.5, 1.0])
-        lines = out.getvalue().split("\n")
-        assert lines[0].startswith("# atom ")
-        assert lines[1] == "E,density"
-        assert len([ln for ln in lines if ln and not ln.startswith("#")]) == 3
-
     def test_gauss_legendre_rule(self):
         x, w = gauss_legendre(1.0, 3.0, 24)
         assert np.sum(w) == pytest.approx(2.0, rel=1e-14)

@@ -456,3 +456,36 @@ class TestEnergySignBranches:
         u_theta_eigen(-0.7, 1.0, 2.0, r)
         u_theta_eigen(0.3, math.pi / 2, -1.0, r)
         assert bessel_sizes and 0 not in bessel_sizes
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite order, energy or radius is a typed error, never a value."""
+
+    @pytest.mark.parametrize("zeta", [math.nan, [math.nan, 1.0], [1.0, math.nan]])
+    def test_chi_kappa_nan_argument(self, zeta):
+        for _ in range(2):  # before, a NaN left uninitialized memory in the result
+            with pytest.raises(DomainError):
+                chi_kappa(0.3, zeta)
+
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order(self, kappa):
+        with pytest.raises(DomainError):
+            u_eigen(kappa, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            w_eigen(kappa, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            special.radial_kernel(kappa, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, [0.5, math.nan]])
+    def test_non_finite_radius(self, r):
+        with pytest.raises(DomainError):
+            u_eigen(0.5, 1.0, r)
+        with pytest.raises(DomainError):
+            u_theta_eigen(0.3, 1.0, 0.0, r)
+
+    @pytest.mark.parametrize("E", [math.inf, -math.inf])
+    def test_infinite_energy_meets_the_zeta_bound(self, E):
+        with pytest.raises(SeriesDomainError):
+            u_eigen(0.5, E, 1.0)
+        with pytest.raises(SeriesDomainError):
+            chi_kappa(0.3, E)

@@ -1,6 +1,5 @@
 """Tests of the forward/inverse eigenfunction transforms."""
 
-import io
 import math
 import sys
 import threading
@@ -75,16 +74,17 @@ class TestRadialFunction:
         with pytest.raises(DomainError):
             RadialFunction(r, np.ones(4), np.ones(4))
 
+    @pytest.mark.parametrize("where", ["r_nodes", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_samples(self, where, bad):
+        arrays = {"r_nodes": np.linspace(0.5, 1.0, 16), "values": np.ones(16)}
+        arrays[where][5] = bad
+        with pytest.raises(DomainError):
+            RadialFunction(arrays["r_nodes"], np.ones(16), arrays["values"])
+
     def test_norm_of_unit_constant(self):
         psi = RadialFunction.from_callable(lambda r: np.ones_like(r), 1.0, 3.0, 32)
         assert psi.norm_sq() == pytest.approx(2.0, rel=1e-14)
-
-    def test_csv_header(self):
-        out = io.StringIO()
-        make_psi(8).write_csv(out)
-        lines = out.getvalue().split("\n")
-        assert lines[0] == "r,re,im"
-        assert len(lines) == 10  # header + 8 rows + trailing newline
 
 
 class TestKernel:
@@ -452,16 +452,6 @@ class TestInverse:
         quad = discretize(spectral_measure(ExtensionParams(1.5)), 10.0)
         with pytest.raises(DomainError):
             TransformCoefficients(quad, np.zeros(3))
-
-    def test_coefficient_csv_lists_atom_first(self):
-        params = ExtensionParams(0.3, math.pi / 2)
-        quad = discretize(spectral_measure(params), 10.0)
-        coeffs = forward(params, make_psi(), quad)
-        out = io.StringIO()
-        coeffs.write_csv(out)
-        lines = out.getvalue().split("\n")
-        assert lines[0].startswith("# atom ")
-        assert lines[1] == "E,re,im"
 
 
 class TestOperator:
