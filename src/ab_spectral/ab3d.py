@@ -13,7 +13,9 @@ The reduction of a field Phi to channel (m, p) is
                          Phi(r cos phi, r sin phi, x3) e^{-i p x3 - i m phi}
 
 and the full forward map composes this reduction with the one-dimensional
-eigenfunction transform per channel.  Norms satisfy
+eigenfunction transform per channel: an angular DFT over the kept modes only,
+one x3 matmul for every r node and mode, one real kernel product per block.
+Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -308,9 +310,9 @@ def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
     """reduce(Phi(r_i, angle_j, x3_k)) one r node i at a time, joined along r.
 
     The whole (n_r, n_phi, n_x3) sample tensor (12.6 MB at 64 x 128 x 96) is
-    never held: each node's 196 KB block is freed before the next is sampled.
-    Blocks of 8 nodes (1.6 MB) were slower than the whole tensor: glibc gave
-    the freed heap top back after each block and faulted it in again."""
+    never held: each node's 196 KB block is reduced and freed before the next
+    is sampled.  Blocks of 8 nodes (1.6 MB) were slower than the whole tensor:
+    glibc gave the freed heap top back after each block and faulted it in again."""
     r = np.asarray(r_nodes, dtype=float)[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
@@ -320,22 +322,20 @@ def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
     )
 
 
-def _angular_modes(
-    field, r_nodes, grid: ReductionGrid, modes: Sequence[int]
-) -> dict[int, np.ndarray]:
-    """(1/n_phi) sum_j Phi(r, angle_j, x3) e^{-i m angle_j} for each m, via FFT."""
-    columns = [m % grid.n_phi for m in modes]
-    picked = _by_r_node(field, r_nodes, grid, lambda t: np.fft.fft(t, axis=1)[:, columns, :])
-    picked = picked / grid.n_phi
-    return {m: picked[:, i, :] for i, m in enumerate(modes)}
+def _reduce(field, r_nodes, grid: ReductionGrid, modes: Sequence[int], p_nodes) -> np.ndarray:
+    """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
+    for every r node, mode m and p node: shape (n_r, n_modes, n_p).
 
-
-def _axial_transform(block: np.ndarray, grid: ReductionGrid, p_nodes) -> np.ndarray:
-    """int dx3 e^{-i p x3} block(r, x3) for each p: shape (n_p, n_r)."""
-    phases = np.exp(
-        -1j * np.asarray(p_nodes, dtype=float)[:, None] * grid.x3_nodes[None, :]
-    )
-    return (phases * grid.x3_weights[None, :]) @ block.T
+    The angular sum is a DFT over the kept modes only, one matmul per r node.
+    Its phases are read from the angle grid at index m j mod n_phi, so a mode
+    aliases exactly as in an FFT of length n_phi.  The axial phases are built
+    once and applied to every node and mode in one matmul."""
+    steps = np.outer(modes, np.arange(grid.n_phi)) % grid.n_phi
+    dft = np.exp(-1j * grid.angles[steps]) / grid.n_phi  # (n_modes, n_phi)
+    angular = _by_r_node(field, r_nodes, grid, lambda t: dft @ t)  # (n_r, n_modes, n_x3)
+    axial = np.exp(-1j * np.outer(p_nodes, grid.x3_nodes)) * grid.x3_weights
+    n_r, n_modes, n_x3 = angular.shape
+    return (angular.reshape(-1, n_x3) @ axial.T).reshape(n_r, n_modes, len(axial))
 
 
 def radial_reduce(
@@ -343,8 +343,7 @@ def radial_reduce(
 ) -> RadialFunction:
     """Channel reduction of a field at a single (m, p), sampled at r_nodes."""
     r = np.asarray(r_nodes, dtype=float)
-    mode = _angular_modes(field, r, grid, [channel.m])[channel.m]
-    values = np.sqrt(r) * _axial_transform(mode, grid, [channel.p])[0]
+    values = np.sqrt(r) * _reduce(field, r, grid, [channel.m], [channel.p])[:, 0, 0]
     if quad_weights is None:
         quad_weights = np.ones_like(r)
     return RadialFunction(r, np.asarray(quad_weights, dtype=float), values)
@@ -425,14 +424,13 @@ class Coefficients3D:
 
 
 def _theta_groups(spec: ThetaSpec, m: int, p_nodes) -> list[tuple[float | None, np.ndarray]]:
-    """Group p-node indices by the theta value in force (None off-critical)."""
+    """p-node indices grouped by the theta in force, by increasing theta (None off-critical)."""
     if m not in spec.entries:
         return [(None, np.arange(len(p_nodes)))]
-    thetas = [spec.theta_for(m, float(p)) for p in p_nodes]
-    groups: dict[float, list[int]] = {}
-    for i, t in enumerate(thetas):
-        groups.setdefault(t, []).append(i)
-    return [(t, np.asarray(idx)) for t, idx in sorted(groups.items())]
+    entry = spec.entries[m]
+    pieces = np.searchsorted(entry.breaks, p_nodes, side="left")  # as theta_at
+    thetas, group = np.unique(np.asarray(entry.values)[pieces], return_inverse=True)
+    return [(float(t), np.flatnonzero(group == k)) for k, t in enumerate(thetas)]
 
 
 def full_forward(
@@ -448,24 +446,22 @@ def full_forward(
 
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
     E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
-    2500 / b**2 for support right edge b).
+    2500 / b**2 for support right edge b).  Each (mode, theta group) block is
+    one real product: kernel (n_nodes, n_r) times the group's sqrt(r) w_r
+    weighted reduction as interleaved re/im floats (n_r, 2 n_group).
     """
-    r, wr = r_rule
-    r = np.asarray(r, dtype=float)
-    wr = np.asarray(wr, dtype=float)
-    modes = _angular_modes(field, r, reduction, list(grid.modes))
+    r, wr = (np.asarray(a, dtype=float) for a in r_rule)
+    weighted = _reduce(field, r, reduction, grid.modes, grid.p_nodes)
+    weighted *= (np.sqrt(r) * wr)[:, None, None]  # (n_r, n_modes, n_p)
 
     blocks: list[ChannelBlock] = []
-    for m in grid.modes:
-        reduced = np.sqrt(r)[None, :] * _axial_transform(
-            modes[m], reduction, grid.p_nodes
-        )  # (n_p, n_r)
+    for i, m in enumerate(grid.modes):
         kappa = channel_kappa(spec.phi, m)
         for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
             params = ExtensionParams(kappa, theta if theta is not None else 0.0)
             quad = discretize(spectral_measure(params), E_max, node_budget)
-            weighted = reduced[p_idx] * wr[None, :]  # (n_group, n_r)
-            values = weighted @ kernel_matrix(params, quad, r).T
+            columns = np.ascontiguousarray(weighted[:, i, p_idx]).view(float)  # re, im
+            values = (kernel_matrix(params, quad, r) @ columns).view(complex).T
             blocks.append(ChannelBlock(m, p_idx, quad, values))
     return Coefficients3D(spec.phi, grid, blocks)
 

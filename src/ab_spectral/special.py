@@ -28,7 +28,8 @@ zeta < 0; u, w, u_theta and d/dr for kappa down to 1e-7 and E of either sign
 or 0 to 6.7e-14 of max(1, |f|); bound-state kernel rows to 2.1e-14 relative.
 |zeta| = |r**2 E| > ZETA_BOUND raises SeriesDomainError, a kept contract of the
 public API (energy cutoffs derive from it), not a precision limit; so does an
-infinite E.  A non-finite kappa or r, or a NaN E, raises DomainError.
+infinite E.  A non-finite kappa, r or theta (when |kappa| < 1), or a NaN E,
+raises DomainError.
 """
 
 from __future__ import annotations
@@ -234,6 +235,8 @@ def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, float]:
     """(order, cu, cw) with the transform kernel cu u + cw w of that order."""
     if abs(kappa) >= 1.0:
         return abs(kappa), 1.0, 0.0
+    if not math.isfinite(theta):
+        raise DomainError(f"the extension angle must be finite (theta={theta})")
     delta = theta - theta_kappa(kappa)
     return kappa, math.cos(delta), math.sin(delta)
 

@@ -14,6 +14,8 @@ from ab_spectral.ab3d import (
     SeparableField,
     ThetaSpec,
     TransformedField,
+    _reduce,
+    _theta_groups,
     apply_H,
     bound_state_table,
     channel_kappa,
@@ -165,24 +167,103 @@ class TestReduction:
         assert field_norm_sq(field, r_rule, grid) == pytest.approx(expected, rel=1e-10)
 
 
+    def test_kept_modes_match_the_fft_with_its_aliasing(self):
+        """The angular DFT over the kept modes gives the columns of a length
+        n_phi FFT, modes with |m| >= n_phi / 2 included: e^{-i m a_j} is
+        periodic in m mod n_phi, so aliases come out bit for bit equal."""
+        field = TransformedField(make_field(m=3), 0.7, 0.2)
+        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=16)
+        r = np.linspace(0.6, 2.9, 9)
+        modes = list(range(-20, 21))
+        p = np.array([-1.1, 0.0, 0.4, 2.5])
+        tensor = whole_tensor(field, r, grid)
+        spectrum = np.fft.fft(tensor, axis=1)[:, [m % grid.n_phi for m in modes], :] / grid.n_phi
+        phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
+        expected = np.einsum("imk,pk->imp", spectrum, phases)
+        got = _reduce(field, r, grid, modes, p)
+        assert got.shape == (len(r), len(modes), len(p))
+        peak = np.max(np.abs(expected))
+        assert peak > 0.1
+        assert np.max(np.abs(got - expected)) <= 1e-14 * peak
+        for alias in (-13, 19):  # both alias m = 3
+            assert np.array_equal(got[:, modes.index(alias)], got[:, modes.index(3)])
+        assert np.max(np.abs(got[:, modes.index(4)])) <= 1e-14 * peak
+        hit = radial_reduce(field, ChannelIndex(19, 0.4), r, grid).values
+        expected_hit = np.sqrt(r) * expected[:, modes.index(19), 2]
+        assert np.max(np.abs(hit - expected_hit)) <= 1e-14 * peak
+
     def test_node_by_node_equals_the_whole_tensor(self):
-        """The reduction samples one r node at a time; mode columns and norm
-        must be bit for bit those of the whole (n_r, n_phi, n_x3) tensor."""
+        """The reduction samples one r node at a time; its channel values and
+        the norm must be bit for bit the same DFT and axial matmul applied to
+        the whole (n_r, n_phi, n_x3) tensor."""
         field = TransformedField(make_field(m=1), 0.7, 0.2)
         grid = ReductionGrid.build((-2.0, 2.5), n_x3=48, n_phi=32)
         r, wr = gauss_legendre(PSI.a, PSI.b, 20)
-        tensor = np.asarray(
-            field(r[:, None, None], grid.angles[None, :, None], grid.x3_nodes[None, None, :]),
-            dtype=complex,
-        )
+        tensor = whole_tensor(field, r, grid)
+
+        def reduce_whole(modes, p):
+            steps = np.outer(modes, np.arange(grid.n_phi)) % grid.n_phi
+            dft = np.exp(-1j * grid.angles[steps]) / grid.n_phi
+            angular = dft @ tensor  # (n_r, n_modes, n_x3) in one broadcast matmul
+            axial = np.exp(-1j * np.outer(p, grid.x3_nodes)) * grid.x3_weights
+            flat = angular.reshape(-1, len(grid.x3_nodes)) @ axial.T
+            return flat.reshape(len(r), len(modes), len(p))
+
+        modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
+        assert _reduce(field, r, grid, modes, p).tobytes() == reduce_whole(modes, p).tobytes()
         for m in (-2, 1):
-            mode = np.fft.fft(tensor, axis=1)[:, m % grid.n_phi, :] / grid.n_phi
-            phases = np.exp(-1j * np.array([0.4])[:, None] * grid.x3_nodes[None, :])
-            values = np.sqrt(r) * ((phases * grid.x3_weights[None, :]) @ mode.T)[0]
+            values = np.sqrt(r) * reduce_whole([m], [0.4])[:, 0, 0]
             got = radial_reduce(field, ChannelIndex(m, 0.4), r, grid).values
             assert got.tobytes() == values.tobytes()
         per_r = np.einsum("ijk,k->i", np.abs(tensor) ** 2, grid.x3_weights) * (2 * math.pi / 32)
         assert field_norm_sq(field, (r, wr), grid) == float(np.sum(wr * r * per_r))
+
+
+def whole_tensor(field, r, grid):
+    """Phi(r_i, angle_j, x3_k) sampled at once, shape (n_r, n_phi, n_x3)."""
+    return np.asarray(
+        field(r[:, None, None], grid.angles[None, :, None], grid.x3_nodes[None, None, :]),
+        dtype=complex,
+    )
+
+
+class TestThetaGroups:
+    @staticmethod
+    def dict_grouping(spec, m, p_nodes):
+        """The p nodes grouped by a dict over theta_for, sorted by theta."""
+        groups = {}
+        for i, p in enumerate(p_nodes):
+            groups.setdefault(spec.theta_for(m, float(p)), []).append(i)
+        return [(t, np.asarray(idx)) for t, idx in sorted(groups.items())]
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_same_groups_as_a_dict_over_theta_for(self, seed):
+        rng = np.random.default_rng(seed)
+        p_nodes = ModeGrid.build(0, 8.0, 64).p_nodes
+        n_breaks = int(rng.integers(0, 7))
+        # breaks on p nodes (a node there takes the piece below) and between them;
+        # values from a pool of 3, so pieces that share one theta are common
+        candidates = np.concatenate((p_nodes[::3], rng.uniform(-9.0, 9.0, 12)))
+        breaks = np.sort(rng.choice(candidates, n_breaks, replace=False))
+        values = rng.choice([0.2, 1.0, 1.3], n_breaks + 1)
+        table = PiecewiseTheta(tuple(map(float, breaks)), tuple(map(float, values)))
+        spec = ThetaSpec(PHI, {-1: 0.7, 0: table})
+        for m in (-1, 0):
+            got = _theta_groups(spec, m, p_nodes)
+            want = self.dict_grouping(spec, m, p_nodes)
+            assert [t for t, _ in got] == [t for t, _ in want]
+            for (_, idx), (_, ref) in zip(got, want):
+                assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+
+    def test_pieces_sharing_a_theta_merge(self):
+        p_nodes = np.array([-2.0, -1.0, 0.5, 1.0, 3.0])
+        table = PiecewiseTheta((-1.0, 1.0), (1.3, 0.2, 1.3))
+        spec = ThetaSpec(PHI, {-1: 0.7, 0: table})
+        groups = _theta_groups(spec, 0, p_nodes)
+        assert [t for t, _ in groups] == [0.2, 1.3]
+        assert [idx.tolist() for _, idx in groups] == [[2, 3], [0, 1, 4]]
+        [(theta, idx)] = _theta_groups(spec, 2, p_nodes)  # off-critical: one group
+        assert theta is None and idx.tolist() == [0, 1, 2, 3, 4]
 
 
 def small_setup(theta=1.0):

@@ -476,6 +476,17 @@ class TestNonFiniteInputs:
         with pytest.raises(DomainError):
             special.radial_kernel(kappa, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_extension_angle(self, theta):
+        # before, a NaN theta gave a NaN kernel and an infinite one a bare
+        # ValueError from math.cos
+        with pytest.raises(DomainError):
+            special.radial_kernel(0.3, theta, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            special._pair_kernel(-0.7, theta, np.ones(2), np.ones(2), special._jy_pair)
+        # off the extension family theta is not read
+        assert math.isfinite(special.radial_kernel(1.5, theta, 1.0, 1.0))
+
     @pytest.mark.parametrize("r", [math.nan, math.inf, [0.5, math.nan]])
     def test_non_finite_radius(self, r):
         with pytest.raises(DomainError):
