@@ -447,8 +447,10 @@ def full_forward(
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
     E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
     2500 / b**2 for support right edge b).  Each (mode, theta group) block is
-    one real product: kernel (n_nodes, n_r) times the group's sqrt(r) w_r
-    weighted reduction as interleaved re/im floats (n_r, 2 n_group).
+    the factored kernel (transform.Kernel) applied to the group's sqrt(r) w_r
+    weighted reduction (n_r, n_group): a (F u) + b (G u) with u = sqrt(r) times
+    it, two real products over the cached Bessel pair of the mode's order with
+    the columns as interleaved re/im floats, then the atom rows.
     """
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)
     weighted = _reduce(field, r, reduction, grid.modes, grid.p_nodes)
@@ -460,8 +462,7 @@ def full_forward(
         for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
             params = ExtensionParams(kappa, theta if theta is not None else 0.0)
             quad = discretize(spectral_measure(params), E_max, node_budget)
-            columns = np.ascontiguousarray(weighted[:, i, p_idx]).view(float)  # re, im
-            values = (kernel_matrix(params, quad, r) @ columns).view(complex).T
+            values = (kernel_matrix(params, quad, r) @ weighted[:, i, p_idx]).T
             blocks.append(ChannelBlock(m, p_idx, quad, values))
     return Coefficients3D(spec.phi, grid, blocks)
 

@@ -18,9 +18,10 @@ the cancellation-free -(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_n
 The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
 orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
 channel at flux 1/2, where jv(1/2, x) loses ulps).  radial_kernel returns
-values only, as does _pair_kernel over a pair given to it (the transforms keep
-one pair per order); u_eigen, w_eigen and u_theta_eigen add d/dr from the pair
-at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
+values only; the transforms take the pair from _jy_pair (one per order) and
+the coefficients from _pair_coefficients.  u_eigen, w_eigen and u_theta_eigen
+add d/dr from the pair at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
+Where a = 0 (a bound state) F and F_{nu+1} are not evaluated.
 
 Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
 1.3e-14 of max(1, |chi|) for 0 <= zeta <= 2500 and 3.8e-15 relative for
@@ -122,6 +123,16 @@ def _bessel(kind: tuple, order: float, x: np.ndarray) -> np.ndarray:
     return general(order, x)
 
 
+def _bessel_where(kind: tuple, order: float, x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """_bessel(kind, order, x) where live, 0 elsewhere; no call if nothing is live."""
+    if live.all():
+        return _bessel(kind, order, x)
+    out = np.zeros_like(x)
+    if live.any():
+        out[live] = _bessel(kind, order, x[live])
+    return out
+
+
 def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
     """(value, d/dr) of cu u + cw w at E = 0.  With m = ln(r/2) + _log_gamma_odd(nu),
     u(+-nu) = sqrt(r sinc(nu)) exp(+-nu m), and so w = sqrt(r sinc(nu)) times
@@ -186,7 +197,8 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
     E_b, r_b = _checked_grid(kappa, E, r)
     nu = abs(kappa)
     a, b = _pair_coefficients(kappa, cu, cw, E)
-    a, b = np.broadcast_to(np.where(bound_state, 0.0, a), E_b.shape), np.broadcast_to(b, E_b.shape)
+    bound = np.broadcast_to(bound_state, E_b.shape)
+    a, b = np.where(bound, 0.0, a), np.broadcast_to(b, E_b.shape)
     second = kappa < 0.0 or cw != 0.0
     value = np.empty(E_b.shape)
     d_dr = np.empty(E_b.shape) if derivative else None
@@ -194,14 +206,14 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
         if not mask.any():  # no point of this energy sign: no Bessel call
             continue
         k, rm, am, bm = np.sqrt(np.abs(E_b[mask])), r_b[mask], a[mask], b[mask]
-        x, sq = rm * k, np.sqrt(rm)
-        F = _bessel(F_kind, nu, x)
+        x, sq, live = rm * k, np.sqrt(rm), ~bound[mask]
+        F = _bessel_where(F_kind, nu, x, live)
         G = _bessel(G_kind, nu, x) if second else 0.0
         value[mask] = sq * (am * F + bm * G)
         if derivative:
             # DLMF 10.6.2, 10.29.2 in the forms free of cancellation as x -> 0:
             # F' = (nu/x) F -+ F_{nu+1} and G' = -(nu/x) G +- G_{nu-1}
-            slope = am * _bessel(F_kind, nu + 1.0, x)
+            slope = am * _bessel_where(F_kind, nu + 1.0, x, live)
             if second:  # G_{nu-1}: K is even in its order, Y by DLMF 10.4.7
                 mu, (cm, sm) = abs(nu - 1.0), _cos_sin_pi(nu - 1.0)
                 lower = _bessel(G_kind, mu, x)
@@ -253,22 +265,15 @@ def radial_kernel(kappa: float, theta: float, E, r, bound_state=False) -> np.nda
 
 
 def _jy_pair(nu: float, E, r) -> tuple[np.ndarray, np.ndarray | None]:
-    """(J_nu, Y_nu) at x = r sqrt(E), E > 0; Y_nu only for nu < 1, since the
-    kernel of an order |kappa| >= 1 is u alone."""
+    """(J_nu, Y_nu) at x = r sqrt(E) on the grid of E and r, checked first as
+    radial_kernel checks it; Y_nu only for nu < 1, since the kernel of an order
+    |kappa| >= 1 is u alone.  A node at the E = 0 limit (E <= 1e-200) or below
+    it has no such pair and raises DomainError."""
+    _checked_grid(nu, E, r)
+    if not np.all(E > 1e-200):
+        raise DomainError("the Bessel pair (J, Y) needs energies E > 1e-200")
     x = r * np.sqrt(E)
     return _bessel(_J, nu, x), (_bessel(_Y, nu, x) if nu < 1.0 else None)
-
-
-def _pair_kernel(kappa: float, theta: float, E, r, pair) -> np.ndarray:
-    """radial_kernel(kappa, theta, E, r) at energies E > 1e-200, formed as
-    sqrt(r) [a F + b G] over pair(|order|, E, r) = _jy_pair's (F, G).  Nothing
-    but (a, b) depends on theta or on the sign of kappa, so a cached pair
-    serves every extension of one order, bit for bit radial_kernel's values."""
-    order, cu, cw = _kernel_terms(kappa, theta)
-    _checked_grid(order, E, r)  # before the pair: errors reach no cache
-    a, b = _pair_coefficients(order, cu, cw, E)
-    F, G = pair(abs(order), E, r)
-    return np.sqrt(r) * (a * F + b * (G if order < 0.0 or cw != 0.0 else 0.0))
 
 
 def _eigen(kappa: float, cu: float, cw: float, E, r, bound_state=False) -> ValueWithDerivative:

@@ -9,14 +9,17 @@ The measure is one grid, MeasureQuadrature.nodes with weights w: the E
 nodes, then the bound-state atom, whose kernel row is the bound eigenfunction.
 With K[i, j] = kernel(node_i | r_j) over that grid, forward is K (w_r psi),
 inverse is (w c) K and ||c||**2 = sum w |c|**2.  No interpolation in E
-happens anywhere, so the discrete pair is a plain matrix and its adjoint.
+happens anywhere, so the discrete pair is a matrix and its adjoint.
 
-K is kept at two cache levels.  Each extension's matrix (the 8 most recent)
-saves repeated forward/inverse calls; below it, each order's Bessel pair
-(J_nu, Y_nu) over the E and r nodes (the 16 most recent) saves the Bessel
-evaluation of every other theta and of the other sign of kappa, which differ
-only in per-energy coefficients.  At 416 E nodes x 64 r nodes an array takes
-213 KB: at most about 1.7 MB of matrices and 6.8 MB of pairs.
+K is never formed.  On the E nodes it is sqrt(r) (a F + b G) over the Bessel
+pair (F, G) = (J_nu, Y_nu) of order nu = |kappa| at x = r sqrt(E), and only
+the per-energy coefficients (a, b) depend on theta and on the sign of kappa.
+kernel_matrix returns it in that factored form (Kernel), applied as
+a (F u) + b (G u) with u = sqrt(r) v, and as ((a c) F + (b c) G) sqrt(r), plus
+the atom rows.  Two caches: the pairs (the 32 most recent; 213 KB per array at
+416 E nodes x 64 r nodes, so at most 13.6 MB), and per extension the
+coefficients and atom rows (the 128 most recent, about 7.5 KB each, under 1 MB).
+Both are sized to the working sets measured in their docstrings.
 """
 
 from __future__ import annotations
@@ -117,11 +120,68 @@ def kernel_values(params: ExtensionParams, E, r, bound_state=False) -> np.ndarra
     sign applied so that theta -> theta + pi flips the kernel exactly);
     bound_state (a flag or a mask over E) as in special.radial_kernel."""
     value = np.asarray(radial_kernel(params.kappa, params.theta_mod_pi, E, r, bound_state))
-    return _signed(params, value)
-
-
-def _signed(params: ExtensionParams, value: np.ndarray) -> np.ndarray:
     return params.theta_sign * value if params.needs_theta else value
+
+
+@dataclass(frozen=True)
+class Kernel:
+    """K[i, j] = kernel(node_i | r_j) over a spectral grid, in factored form:
+    sqrt(r_j) (a_i F_ij + b_i G_ij) on the E nodes, over the Bessel pair (F, G)
+    of the channel's order, then one row per atom, the bound eigenfunction.
+    a and b carry the parity sign of theta; b is None where G is not read.
+    Only the products K @ v and c @ K are offered, so no dense K is formed."""
+
+    sqrt_r: np.ndarray
+    a: np.ndarray
+    b: np.ndarray | None
+    F: np.ndarray
+    G: np.ndarray | None
+    atoms: np.ndarray
+
+    __array_ufunc__ = None  # ndarray @ Kernel defers to __rmatmul__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.a) + len(self.atoms), len(self.sqrt_r)
+
+    def __matmul__(self, v) -> np.ndarray:
+        """K @ v for v of shape (n_r,) or (n_r, k): a (F u) + b (G u), u = sqrt(r) v,
+        in real arithmetic (a complex v as interleaved re/im columns)."""
+        v = np.asarray(v)
+        cols = _interleaved(v.reshape(len(self.sqrt_r), -1))
+        u = self.sqrt_r[:, None] * cols
+        n = len(self.a)
+        out = np.empty((self.shape[0], cols.shape[1]))
+        np.matmul(self.F, u, out=out[:n])
+        out[:n] *= self.a[:, None]
+        if self.b is not None:
+            Gu = self.G @ u
+            Gu *= self.b[:, None]
+            out[:n] += Gu
+        np.matmul(self.atoms, cols, out=out[n:])
+        if np.iscomplexobj(v):
+            out = out.view(complex)
+        return out.reshape(out.shape[:1] + v.shape[1:])
+
+    def __rmatmul__(self, c) -> np.ndarray:
+        """c @ K for c of shape (n_nodes,) or (k, n_nodes): ((a c) F + (b c) G) sqrt(r),
+        in real arithmetic as K @ v."""
+        c = np.asarray(c)
+        rows = c.reshape(-1, self.shape[0])
+        n = len(self.a)
+        out = self.F.T @ _interleaved((self.a * rows[:, :n]).T)
+        if self.b is not None:
+            out += self.G.T @ _interleaved((self.b * rows[:, :n]).T)
+        if np.iscomplexobj(c):
+            out = out.view(complex)
+        out = out.T * self.sqrt_r + rows[:, n:] @ self.atoms
+        return out.reshape(c.shape[:-1] + out.shape[1:])
+
+
+def _interleaved(v: np.ndarray) -> np.ndarray:
+    """A 2-D v as real columns, a complex v as interleaved re/im floats, so a
+    real matrix times it is never cast to complex."""
+    return np.ascontiguousarray(v).view(float) if np.iscomplexobj(v) else v
 
 
 @dataclass(frozen=True)
@@ -134,56 +194,62 @@ def _bits(*values) -> tuple[bytes, ...]:
     return tuple(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
-def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> np.ndarray:
-    """K[i, j] = kernel(node_i | r_j) over the spectral grid quad.nodes; the
-    atom rows are the bound eigenfunction (bound_state=True).
+def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> Kernel:
+    """The kernel over the spectral grid quad.nodes and r_nodes as a Kernel:
+    the continuum rows over the Bessel pair of order |kappa|, the atom rows
+    the bound eigenfunction (bound_state=True).
 
     Two cache levels, both keyed bit for bit by what they read and both
-    returning read-only arrays.  The 8 most recent matrices (one 3D forward's
-    blocks) are keyed by |kappa| or (kappa, theta_mod_pi, theta_sign), the E
-    nodes, the atom energies and the r nodes.  Below them the 16 most recent
-    Bessel pairs (J_nu, Y_nu) at r sqrt(E), keyed by (nu, E nodes, r nodes),
-    so a missed matrix costs no Bessel call over the E nodes when another
-    theta or the other sign of kappa of its order came before; only its atom
-    rows are evaluated.  Both levels fill lazily and are safe to share between
-    threads; errors are never stored."""
+    holding read-only arrays.  The pair cache holds (J_nu, Y_nu) at r sqrt(E),
+    keyed by (nu, E nodes, r nodes); the per-extension cache holds a, b and
+    the atom rows, keyed by |kappa| or (kappa, theta_mod_pi, theta_sign), the
+    E nodes, the atom energies and the r nodes.  The grid is checked when its
+    pair is built, so a hit does no work over the grid; errors are never
+    stored, and both levels are safe to share between threads."""
     r = np.asarray(r_nodes, dtype=float)
+    F, G = _bessel_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
     branch = (abs(params.kappa),)
     if params.needs_theta:
         branch = (params.kappa, params.theta_mod_pi, params.theta_sign)
     read = (branch, quad.e_nodes, quad.nodes[len(quad.e_nodes) :], r)
-    return _build_kernel(_CacheKey(_bits(*read), (params, quad, r)))
+    sqrt_r, a, b, atoms = _build_kernel(_CacheKey(_bits(*read), (params, quad, r)))
+    return Kernel(sqrt_r, a, b, F, None if b is None else G, atoms)
 
 
-@functools.lru_cache(maxsize=8)
-def _build_kernel(key: _CacheKey) -> np.ndarray:
+@functools.lru_cache(maxsize=128)
+def _build_kernel(key: _CacheKey) -> tuple:
+    """(sqrt(r), a, b or None, atom rows) of one extension, about 7.5 KB at 416 E nodes x
+    64 r nodes.  Working sets measured in extensions: 11 (the radial_sweep
+    benchmark), 6 (expansion_3d), 18 (its trimmed verify suite), 42 (the
+    default suite) and 32 (a full_forward at M_max = 30): 128 kept, under 1 MB."""
     params, quad, r = key.inputs
-    n = len(quad.e_nodes)
-    E = quad.nodes[:, None]
-    if np.all(quad.e_nodes > 1e-200):
-        K = _signed(params, special._pair_kernel(
-            params.kappa, params.theta_mod_pi, E[:n], r[None, :], _bessel_pair
-        ))
-        if len(E) > n:
-            K = np.vstack((K, kernel_values(params, E[n:], r[None, :], bound_state=True)))
-    else:  # the E = 0 limit or E < 0 nodes: no (J, Y) pair, one direct evaluation
-        K = kernel_values(params, E, r[None, :], bound_state=np.arange(len(E))[:, None] >= n)
-    K.setflags(write=False)
-    return K
+    order, cu, cw = special._kernel_terms(params.kappa, params.theta_mod_pi)
+    a, b = special._pair_coefficients(order, cu, cw, quad.e_nodes)
+    sign = params.theta_sign if params.needs_theta else 1
+    b = None if np.ndim(b) == 0 else sign * b  # b = 0 exactly: G is not read
+    atoms = kernel_values(params, quad.nodes[len(quad.e_nodes) :, None], r[None, :], True)
+    return _read_only((np.sqrt(r), sign * a, b, atoms))
 
 
 def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
-    """special._jy_pair(nu, E, r), the 16 most recent kept read-only."""
+    """special._jy_pair(nu, E, r), the 32 most recent kept read-only."""
     return _cached_pair(_CacheKey(_bits(nu, E, r), (nu, E, r)))
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=32)
 def _cached_pair(key: _CacheKey) -> tuple:
-    pair = special._jy_pair(*key.inputs)
-    for part in pair:
+    """The one store of large arrays, 213 KB each at 416 x 64.  Working sets
+    measured in pairs: 5 (radial_sweep), 4 (expansion_3d), 13 (the trimmed
+    suite), 20 (the default suite) and 31 (a full_forward at M_max = 30):
+    32 kept, at most 13.6 MB."""
+    return _read_only(special._jy_pair(*key.inputs))
+
+
+def _read_only(parts: tuple) -> tuple:
+    for part in parts:
         if part is not None:
             part.setflags(write=False)
-    return pair
+    return parts
 
 
 def forward(

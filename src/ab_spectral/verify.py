@@ -182,22 +182,20 @@ def _check_bessel_half_order(kappa: float) -> float:
     return float(np.max(np.abs(values - exact) / np.abs(exact)))
 
 
-def _ode_residual(kappa, theta, E, r, h) -> float:
+def _ode_residual(kappa, E, r, h, u_minus, u_0, u_plus) -> float:
     """Finite-difference residual of the radial equation; O(h^2) by design."""
-
-    def u(x):
-        return radial_kernel(kappa, theta, E, x)
-
-    d2 = (u(r + h) - 2.0 * u(r) + u(r - h)) / (h * h)
+    d2 = (u_plus - 2.0 * u_0 + u_minus) / (h * h)
     q = (kappa * kappa - 0.25) / (r * r)
-    return float(np.max(np.abs(-d2 + q * u(r) - E * u(r))))
+    return float(np.max(np.abs(-d2 + q * u_0 - E * u_0)))
 
 
 def _check_ode_ratio(kappa, theta, E) -> float:
     r = np.linspace(0.6, 2.0, 16)
     h = 1e-2
-    ratio = _ode_residual(kappa, theta, E, r, h) / _ode_residual(
-        kappa, theta, E, r, h / 2.0
+    # the five stencil rows r - h, r - h/2, r, r + h/2, r + h in one kernel call
+    u = radial_kernel(kappa, theta, E, r + np.array([-h, -h / 2.0, 0.0, h / 2.0, h])[:, None])
+    ratio = _ode_residual(kappa, E, r, h, u[0], u[2], u[4]) / _ode_residual(
+        kappa, E, r, h / 2.0, u[1], u[2], u[3]
     )
     return abs(ratio - 4.0)
 

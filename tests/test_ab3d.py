@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ab_spectral import transform
 from ab_spectral.ab3d import (
     ChannelIndex,
     Coefficients3D,
@@ -31,7 +32,7 @@ from ab_spectral.ab3d import (
 from ab_spectral.bumps import GaussianBump, GaussianProfile
 from ab_spectral.errors import ConfigurationError, DomainError
 from ab_spectral.measures import gauss_legendre
-from ab_spectral.special import theta_kappa, u_eigen
+from ab_spectral.special import ZETA_BOUND, theta_kappa, u_eigen
 
 
 class TestChannels:
@@ -296,6 +297,24 @@ class TestFullForward:
         assert coeffs.norm_sq() == pytest.approx(
             field_norm_sq(field, r_rule, reduction), rel=1e-5
         )
+
+    def test_warm_forward_at_m_max_30_misses_no_cache(self):
+        """The acceptance field at M_max = 30 (node_budget 32): one forward
+        needs 31 Bessel pairs and 32 extensions' coefficients; a second
+        forward finds every one of them in the caches."""
+        grid = ModeGrid.build(30, 8.0, 64)
+        r_rule = gauss_legendre(PSI.a, PSI.b, 64)
+        args = (ThetaSpec.constant(PHI, 1.0), make_field(m=0), grid, r_rule,
+                ReductionGrid.build(CHI.support), ZETA_BOUND / PSI.b**2, 32)
+
+        def misses():
+            caches = (transform._build_kernel, transform._cached_pair)
+            return [cache.cache_info().misses for cache in caches]
+
+        full_forward(*args)
+        before = misses()
+        full_forward(*args)
+        assert misses() == before
 
     def test_diagonalization(self):
         # apply_H on coefficients matches transforming H Phi directly

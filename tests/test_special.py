@@ -330,7 +330,7 @@ class TestBesselKernelSweep:
         sign = -1.0 if abs(kappa) < 1.0 else 1.0
         quad = discretize(spectral_measure(params), 100.0)
         r = KERNEL_R[(KERNEL_R >= 0.1) & (KERNEL_R <= 2.0)]
-        K = kernel_matrix(params, quad, r)
+        K = np.eye(len(quad.nodes)) @ kernel_matrix(params, quad, r)  # every row, as c @ K
         n = len(quad.e_nodes)
         for i in range(0, n, 29):
             E = quad.e_nodes[i]
@@ -352,7 +352,7 @@ class TestBesselKernelSweep:
             quad = discretize(spectral_measure(params), 0.0)  # the atom alone
             (energy, _), = quad.atoms
             r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
-            (row,) = kernel_matrix(params, quad, r)
+            (row,) = np.eye(1) @ kernel_matrix(params, quad, r)
             expected = bound_state_oracle(kappa, tk + gap, energy, r)
             assert np.all(np.abs(row - expected) <= 1e-13 * np.abs(expected))
         delta = tk + gap - theta_kappa(kappa)
@@ -419,6 +419,40 @@ class TestBoundStateEigenfunction:
         assert got.value[0] == pytest.approx(bound_state_oracle(kappa, theta, energy, [3.0])[0])
         assert abs(got.value[3]) > 1e6 * abs(got.value[0])  # the growing I term is kept
 
+    @pytest.mark.parametrize("kappa, theta", [(0.3, 0.7), (-0.7, 1.2), (0.0, 0.5), (0.5, 1.0)])
+    def test_bound_state_skips_the_growing_term(self, kappa, theta, monkeypatch):
+        """Where a = 0 no I_nu or I_{nu+1} is evaluated: an atom row and u_theta
+        at E_b call K alone, and every value and slope is bit for bit the one
+        that evaluating I everywhere (and multiplying it by 0) gives."""
+        energy = bound_state_energy(ExtensionParams(kappa, theta))
+        r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
+        E, mask = np.array([[energy], [-1.0], [2.0]]), np.array([[True], [False], [False]])
+
+        def evaluate():
+            row = special.radial_kernel(kappa, theta, energy, r, bound_state=True)
+            mixed = special.radial_kernel(kappa, theta, E, r[None, :], bound_state=mask)
+            return (row, mixed, *u_theta_eigen(kappa, theta, energy, r))
+
+        original, kinds = special._bessel, []
+
+        def counted(kind, order, x):
+            kinds.append(kind)
+            return original(kind, order, x)
+
+        monkeypatch.setattr(special, "_bessel", counted)
+        special.radial_kernel(kappa, theta, energy, r, bound_state=True)
+        assert kinds == [special._K]
+        kinds.clear()
+        u_theta_eigen(kappa, theta, energy, r)
+        assert set(kinds) == {special._K}
+        got = evaluate()
+        # as before: the growing term evaluated everywhere, then multiplied by 0
+        monkeypatch.setattr(
+            special, "_bessel_where", lambda kind, order, x, live: original(kind, order, x)
+        )
+        for new, before in zip(got, evaluate()):
+            assert new.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("theta", [0.7, 0.7 + math.pi])
     def test_eigenfunction_3d_at_bound_state(self, theta):
         """phi = 0.3, channel m = 0 (kappa = 0.3) at its own E_b, off the support."""
@@ -482,8 +516,6 @@ class TestNonFiniteInputs:
         # ValueError from math.cos
         with pytest.raises(DomainError):
             special.radial_kernel(0.3, theta, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            special._pair_kernel(-0.7, theta, np.ones(2), np.ones(2), special._jy_pair)
         # off the extension family theta is not read
         assert math.isfinite(special.radial_kernel(1.5, theta, 1.0, 1.0))
 

@@ -1,5 +1,6 @@
 """Tests of the forward/inverse eigenfunction transforms."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -103,20 +104,43 @@ class TestKernel:
 
 
 def fresh_kernel(params, quad, r):
-    """A kernel matrix built directly from kernel_values, bypassing the cache:
-    the E-node rows in one call, then each atom row on its own."""
+    """A dense kernel matrix built directly from kernel_values, bypassing the
+    caches: the E-node rows in one call, then each atom row on its own."""
     K = kernel_values(params, quad.e_nodes[:, None], r[None, :])
     rows = [kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms]
     return np.vstack([K] + rows)
 
 
-def assert_bitwise(got, expected):
-    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+def assert_products_match(K, dense):
+    """K @ v (complex), K @ V (real, 2-D) and c @ K (complex) of the factored
+    kernel against the same products of the dense matrix, each within 2e-14
+    of the product's peak.  The factored sums are as large as a F and b G,
+    which exceed the kernel where they cancel: at kappa = 0 with a w term,
+    |a| reaches about 6 at the lowest E nodes against a kernel peak of 0.8,
+    and c @ K there was measured 1.3e-14 of its peak off (theta = 1.9)."""
+    assert K.shape == dense.shape
+    rng = np.random.default_rng(11)
+    n, m = dense.shape
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    V = rng.standard_normal((m, 3))
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for got, expected in ((K @ v, dense @ v), (K @ V, dense @ V), (c @ K, c @ dense)):
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected), initial=0.0) <= 2e-14 * np.max(np.abs(expected))
+
+
+def cache_counts():
+    """(hits, misses) of the per-extension cache, then of the pair cache."""
+    return tuple(
+        (info.hits, info.misses)
+        for info in (transform._build_kernel.cache_info(), transform._cached_pair.cache_info())
+    )
 
 
 class TestKernelCache:
-    """kernel_matrix keeps the most recent matrices, keyed bit for bit by what
-    the kernel reads; every answer must equal a fresh build."""
+    """kernel_matrix keeps each extension's coefficients and atom rows, keyed
+    bit for bit by what the kernel reads; every answer must give the products
+    of a fresh dense build."""
 
     R = np.linspace(0.5, 3.0, 12)
     PARAMS = ExtensionParams(0.3, 1.0)  # has a bound state
@@ -127,32 +151,42 @@ class TestKernelCache:
     def test_hit_equals_fresh_build(self):
         quad = self.quad()
         first = kernel_matrix(self.PARAMS, quad, self.R)
+        (_, kernel_misses), (_, pair_misses) = cache_counts()
         again = kernel_matrix(self.PARAMS, quad, self.R.copy())
-        assert again is first  # served from the cache
-        assert_bitwise(again, fresh_kernel(self.PARAMS, quad, self.R))
+        assert again.a is first.a and again.F is first.F  # served from both caches
+        assert [misses for _, misses in cache_counts()] == [kernel_misses, pair_misses]
+        assert_products_match(again, fresh_kernel(self.PARAMS, quad, self.R))
 
     def test_weights_are_not_part_of_the_key(self):
         quad = self.quad()
         reweighted = MeasureQuadrature(quad.e_nodes.copy(), 2.0 * quad.e_weights, quad.atoms)
-        assert kernel_matrix(self.PARAMS, reweighted, self.R) is kernel_matrix(
+        assert kernel_matrix(self.PARAMS, reweighted, self.R).a is kernel_matrix(
             self.PARAMS, quad, self.R
-        )
+        ).a
 
     def test_results_are_read_only(self):
         quad = self.quad()
         K = kernel_matrix(self.PARAMS, quad, self.R)
         assert K.shape == (len(quad.e_nodes) + 1, len(self.R))  # one atom row
-        assert not K.flags.writeable
-        for row in (0, -1):
+        for part in (K.sqrt_r, K.a, K.b, K.F, K.G, K.atoms):
+            assert not part.flags.writeable
             with pytest.raises(ValueError):
-                K[row] = 1.0
+                part[0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            K.a = K.b
 
     def test_theta_plus_pi_negates(self):
         quad = self.quad()
         flipped = ExtensionParams(0.3, 1.0 + math.pi)
         assert flipped.theta_mod_pi == self.PARAMS.theta_mod_pi
-        K = kernel_matrix(self.PARAMS, quad, self.R)
-        assert np.array_equal(kernel_matrix(flipped, quad, self.R), -K)
+        K, K_flipped = (kernel_matrix(p, quad, self.R) for p in (self.PARAMS, flipped))
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(len(self.R)) + 1j * rng.standard_normal(len(self.R))
+        V = rng.standard_normal((len(self.R), 3))
+        c = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
+        assert np.array_equal(K_flipped @ v, -(K @ v))
+        assert np.array_equal(K_flipped @ V, -(K @ V))
+        assert np.array_equal(c @ K_flipped, -(c @ K))
 
     def test_r_grid_one_ulp_apart_misses(self):
         quad = self.quad()
@@ -161,38 +195,56 @@ class TestKernelCache:
         expected = fresh_kernel(self.PARAMS, quad, shifted)
         assert not np.array_equal(expected, fresh_kernel(self.PARAMS, quad, self.R))
         kernel_matrix(self.PARAMS, quad, self.R)
-        assert_bitwise(kernel_matrix(self.PARAMS, quad, shifted), expected)
+        (_, kernel_misses), (_, pair_misses) = cache_counts()
+        K = kernel_matrix(self.PARAMS, quad, shifted)
+        assert [misses for _, misses in cache_counts()] == [kernel_misses + 1, pair_misses + 1]
+        assert_products_match(K, expected)
 
     def test_atom_energy_is_part_of_the_key(self):
         quad = self.quad()
         ((energy, weight),) = quad.atoms
         moved = MeasureQuadrature(quad.e_nodes, quad.e_weights, ((0.5 * energy, weight),))
         kernel_matrix(self.PARAMS, quad, self.R)
-        expected = fresh_kernel(self.PARAMS, moved, self.R)
-        assert_bitwise(kernel_matrix(self.PARAMS, moved, self.R), expected)
+        (_, kernel_misses), (pair_hits, _) = cache_counts()
+        K = kernel_matrix(self.PARAMS, moved, self.R)
+        assert cache_counts()[0][1] == kernel_misses + 1  # new atom row, same pair
+        assert cache_counts()[1][0] == pair_hits + 1
+        assert_products_match(K, fresh_kernel(self.PARAMS, moved, self.R))
 
     def test_errors_are_not_cached(self):
         quad = self.quad(E_max=2.0 * ZETA_BOUND / 9.0)  # past the bound at r = 3
+        (kernel_hits, kernel_misses), (pair_hits, pair_misses) = cache_counts()
         for _ in range(2):
             with pytest.raises(SeriesDomainError):
                 kernel_matrix(self.PARAMS, quad, self.R)
+        # both calls miss the pair cache; no coefficients are built for a bad grid
+        assert cache_counts() == (
+            (kernel_hits, kernel_misses), (pair_hits, pair_misses + 2)
+        )
 
     def test_concurrent_builds_past_capacity(self):
-        """4 threads, 24 distinct keys (3x the 8 kept), each thread in its own
-        order; every answer must equal its fresh build."""
+        """4 threads, 168 distinct extensions over 48 distinct pairs (past the
+        128 and 32 kept), each thread in its own order; every answer must give
+        its fresh build's products."""
         cases = []
-        for kappa in (0.3, -0.7, 0.0, 1.5, 2.5, -3.0):
-            for E_max in (10.0, 20.0, 30.0, 40.0):
-                params = ExtensionParams(kappa, 1.0)
-                quad = self.quad(params, E_max)
-                cases.append((params, quad, fresh_kernel(params, quad, self.R)))
+        for kappa, thetas in (
+            (0.3, (0.2, 1.0, 1.6, 2.2, 2.8, 4.0)),
+            (-0.7, (0.0, 0.5, 1.0, 2.0, 2.5, 3.0)),
+            (0.0, (0.0, 0.9, 1.2, 1.9, 2.4, 3.1)),
+            (1.5, (0.0,)), (2.5, (0.0,)), (-3.0, (0.0,)),
+        ):
+            for E_max in (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0):
+                for theta in thetas:
+                    params = ExtensionParams(kappa, theta)
+                    quad = self.quad(params, E_max)
+                    cases.append((params, quad, fresh_kernel(params, quad, self.R)))
         failures = []
 
         def work(order):
             try:
                 for i in order:
                     params, quad, expected = cases[i]
-                    assert_bitwise(kernel_matrix(params, quad, self.R), expected)
+                    assert_products_match(kernel_matrix(params, quad, self.R), expected)
             except Exception as exc:  # reported below, from the main thread
                 failures.append(exc)
 
@@ -201,7 +253,7 @@ class TestKernelCache:
         try:
             rng = np.random.default_rng(7)
             threads = [
-                threading.Thread(target=work, args=(rng.permutation(4 * len(cases)) % len(cases),))
+                threading.Thread(target=work, args=(rng.permutation(2 * len(cases)) % len(cases),))
                 for _ in range(4)
             ]
             for t in threads:
@@ -215,10 +267,9 @@ class TestKernelCache:
 
 
 class TestBesselPairCache:
-    """Below the kernel cache, kernel_matrix keeps the Bessel pair (J_nu, Y_nu)
-    at r sqrt(E), keyed by (nu, E nodes, r nodes): every theta and both signs
-    of kappa of one order share one pair, and each kernel stays bit for bit
-    a fresh build."""
+    """kernel_matrix keeps the Bessel pair (J_nu, Y_nu) at r sqrt(E), keyed by
+    (nu, E nodes, r nodes): every theta and both signs of kappa of one order
+    share one pair, and each kernel gives the products of a fresh build."""
 
     # r grids (and shifts of them) no other test uses, so each pair starts uncached
     R_COUNT = np.linspace(0.55, 2.95, 10)
@@ -227,7 +278,7 @@ class TestBesselPairCache:
     @pytest.fixture
     def jy_calls(self, monkeypatch):
         """(nu, shape) of every J or Y evaluation at one point or more; the atom
-        rows evaluate I and K only."""
+        rows evaluate K only."""
         calls = []
         original = special._bessel
 
@@ -275,8 +326,10 @@ class TestBesselPairCache:
                 params = ExtensionParams(kappa, theta)
                 quad = self.quad(params, E_max)
                 expected = fresh_kernel(params, quad, r)
-                assert_bitwise(kernel_matrix(params, quad, r), expected)
+                assert_products_match(kernel_matrix(params, quad, r), expected)
         assert ExtensionParams(0.3, theta_kappa(0.3)).theta_mod_pi == theta_kappa(0.3)
+        reference = ExtensionParams(0.3, theta_kappa(0.3))
+        assert kernel_matrix(reference, self.quad(reference), r).G is None
 
     def test_pairs_are_read_only(self):
         E = self.quad(ExtensionParams(0.3, 1.0)).e_nodes[:, None]
@@ -299,7 +352,10 @@ class TestBesselPairCache:
             (self.quad(params, 40.0), moved_r),  # same nu and E, r one ulp apart
             (self.quad(params, 41.0), r),  # same nu and r, other E nodes
         ):
-            assert_bitwise(kernel_matrix(params, quad, nodes), fresh_kernel(params, quad, nodes))
+            pair_misses = cache_counts()[1][1]
+            K = kernel_matrix(params, quad, nodes)
+            assert cache_counts()[1][1] == pair_misses + 1
+            assert_products_match(K, fresh_kernel(params, quad, nodes))
 
     def test_errors_reach_no_cache(self, jy_calls):
         params = ExtensionParams(0.3, 1.0)
@@ -314,13 +370,16 @@ class TestBesselPairCache:
     @pytest.mark.parametrize("node", [0.0, 1e-300, -2.0])
     @pytest.mark.parametrize("kappa, theta", [(0.3, 1.0), (-0.7, 0.0), (1.5, 0.0)])
     def test_hand_built_grids_off_the_pair(self, node, kappa, theta):
-        """An E node at the E = 0 limit or below 0 has no (J, Y) pair; the
-        matrix is then kernel_values over the grid, as before."""
+        """An E node at the E = 0 limit or below 0 has no (J, Y) pair, and
+        discretize never makes one: kernel_matrix raises DomainError, and
+        caches nothing."""
         params = ExtensionParams(kappa, theta)
-        r = self.R_BITS
         quad = MeasureQuadrature(np.array([node, 1.0, 4.0]), np.ones(3))
-        expected = kernel_values(params, quad.e_nodes[:, None], r[None, :])
-        assert_bitwise(kernel_matrix(params, quad, r), expected)
+        counts = cache_counts()
+        with pytest.raises(DomainError):
+            kernel_matrix(params, quad, self.R_BITS)
+        (hits, misses), pair = counts
+        assert cache_counts() == ((hits, misses), (pair[0], pair[1] + 1))
 
 
 class TestForwardOracle:

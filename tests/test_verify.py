@@ -8,6 +8,7 @@ import os
 import pytest
 
 import ab_spectral.verify as verify
+from ab_spectral import transform
 from ab_spectral.errors import ConfigurationError
 from ab_spectral.verify import (
     CheckResult,
@@ -203,6 +204,20 @@ class TestReport:
         assert payload[1]["passed"] is False
         assert payload[1]["error"] == "boom"
         assert payload[0]["measured"] == 0.1
+
+
+def test_second_default_suite_misses_no_cache():
+    """The default suite needs 20 Bessel pairs and 42 extensions' coefficients; a
+    second run in one process finds every one of them in the caches."""
+
+    def misses():
+        caches = (transform._build_kernel, transform._cached_pair)
+        return [cache.cache_info().misses for cache in caches]
+
+    run_suite()
+    before = misses()
+    run_suite()
+    assert misses() == before
 
 
 @pytest.fixture(scope="module")
