@@ -19,8 +19,8 @@ The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
 orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
 channel at flux 1/2, where jv(1/2, x) loses ulps).  radial_kernel returns
 values only; the transforms take the pair from _jy_pair (one per order) and
-the coefficients from _pair_coefficients.  u_eigen, w_eigen and u_theta_eigen
-add d/dr from the pair at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
+(a, b) from _kernel_coefficients.  u_eigen, w_eigen and u_theta_eigen add d/dr
+from the pair at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
 Where a = 0 (a bound state) F and F_{nu+1} are not evaluated.
 
 Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
@@ -166,7 +166,8 @@ def _checked_grid(kappa: float, E, r) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
     """(a, b) with cu u + cw w = sqrt(r) [a F + b G] at each energy E != 0, over
-    the pair (F, G) of order |kappa|."""
+    the pair (F, G) of order |kappa|; b is None where G is not read (kappa >= 0
+    with no w term)."""
     nu = abs(kappa)
     c, s = _cos_sin_pi(nu)
     neg = E < 0.0
@@ -185,7 +186,7 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
         else:
             a = a + cw * (np.where(neg, t, s) * p - R)
         b = b + cw * np.where(neg, -2.0 / math.pi, 1.0) * (1.0 if kappa >= 0.0 else c) * p
-    return a, b
+    return a, (b if kappa < 0.0 or cw != 0.0 else None)
 
 
 def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_state=False):
@@ -197,9 +198,9 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
     E_b, r_b = _checked_grid(kappa, E, r)
     nu = abs(kappa)
     a, b = _pair_coefficients(kappa, cu, cw, E)
+    second = b is not None
     bound = np.broadcast_to(bound_state, E_b.shape)
-    a, b = np.where(bound, 0.0, a), np.broadcast_to(b, E_b.shape)
-    second = kappa < 0.0 or cw != 0.0
+    a, b = np.where(bound, 0.0, a), np.broadcast_to(b if second else 0.0, E_b.shape)
     value = np.empty(E_b.shape)
     d_dr = np.empty(E_b.shape) if derivative else None
     for mask, (F_kind, G_kind), sign in ((E_b > 0.0, (_J, _Y), -1.0), (E_b < 0.0, (_I, _K), 1.0)):
@@ -251,6 +252,13 @@ def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, float]:
         raise DomainError(f"the extension angle must be finite (theta={theta})")
     delta = theta - theta_kappa(kappa)
     return kappa, math.cos(delta), math.sin(delta)
+
+
+def _kernel_coefficients(kappa: float, theta: float, E) -> tuple[np.ndarray, np.ndarray | None]:
+    """(a, b) with radial_kernel(kappa, theta, E, r) = sqrt(r) [a F + b G] over
+    (F, G) = _jy_pair(|kappa|, E, r) at energies E > 1e-200; b is None where the
+    kernel reads no G (always for |kappa| >= 1)."""
+    return _pair_coefficients(*_kernel_terms(kappa, theta), E)
 
 
 def radial_kernel(kappa: float, theta: float, E, r, bound_state=False) -> np.ndarray:

@@ -223,10 +223,9 @@ def _build_kernel(key: _CacheKey) -> tuple:
     benchmark), 6 (expansion_3d), 18 (its trimmed verify suite), 42 (the
     default suite) and 32 (a full_forward at M_max = 30): 128 kept, under 1 MB."""
     params, quad, r = key.inputs
-    order, cu, cw = special._kernel_terms(params.kappa, params.theta_mod_pi)
-    a, b = special._pair_coefficients(order, cu, cw, quad.e_nodes)
+    a, b = special._kernel_coefficients(params.kappa, params.theta_mod_pi, quad.e_nodes)
     sign = params.theta_sign if params.needs_theta else 1
-    b = None if np.ndim(b) == 0 else sign * b  # b = 0 exactly: G is not read
+    b = None if b is None else sign * b
     atoms = kernel_values(params, quad.nodes[len(quad.e_nodes) :, None], r[None, :], True)
     return _read_only((np.sqrt(r), sign * a, b, atoms))
 

@@ -113,20 +113,25 @@ def fresh_kernel(params, quad, r):
 
 def assert_products_match(K, dense):
     """K @ v (complex), K @ V (real, 2-D) and c @ K (complex) of the factored
-    kernel against the same products of the dense matrix, each within 2e-14
-    of the product's peak.  The factored sums are as large as a F and b G,
-    which exceed the kernel where they cancel: at kappa = 0 with a w term,
-    |a| reaches about 6 at the lowest E nodes against a kernel peak of 0.8,
-    and c @ K there was measured 1.3e-14 of its peak off (theta = 1.9)."""
+    kernel against the same products of the dense matrix, each within 1e-14 of
+    the peak of its parts' magnitudes: the a F rows, the b G rows and the atom
+    rows applied on their own, |.| summed.  Where nothing cancels that is about
+    the product's own peak; where a F and b G cancel (kappa = 0 with a w term,
+    |a| about 6 at the lowest E nodes against a kernel peak of 0.8) a product
+    rounds on the scale of its parts, not of their sum."""
     assert K.shape == dense.shape
+    terms = [(K.a, K.F)] + ([(K.b, K.G)] if K.b is not None else [])
+    parts = [np.vstack([K.sqrt_r * x[:, None] * P, np.zeros_like(K.atoms)]) for x, P in terms]
+    parts.append(np.vstack([np.zeros((len(K.a), dense.shape[1])), K.atoms]))
     rng = np.random.default_rng(11)
-    n, m = dense.shape
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    V = rng.standard_normal((m, 3))
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for got, expected in ((K @ v, dense @ v), (K @ V, dense @ V), (c @ K, c @ dense)):
+    v = rng.standard_normal(dense.shape[1]) + 1j * rng.standard_normal(dense.shape[1])
+    V = rng.standard_normal((dense.shape[1], 3))
+    c = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
+    for product in (lambda M: M @ v, lambda M: M @ V, lambda M: c @ M):
+        got, expected = product(K), product(dense)
         assert got.shape == expected.shape
-        assert np.max(np.abs(got - expected), initial=0.0) <= 2e-14 * np.max(np.abs(expected))
+        scale = sum(np.abs(product(part)) for part in parts)
+        assert np.max(np.abs(got - expected), initial=0.0) <= 1e-14 * np.max(scale, initial=0.0)
 
 
 def cache_counts():
