@@ -13,9 +13,12 @@ The reduction of a field Phi to channel (m, p) is
                          Phi(r cos phi, r sin phi, x3) e^{-i p x3 - i m phi}
 
 and the full forward map composes this reduction with the one-dimensional
-eigenfunction transform per channel: an angular DFT over the kept modes only,
-one x3 matmul for every r node and mode, one real kernel product per block.
-Norms satisfy
+eigenfunction transform per channel: the field sampled a few r nodes per call
+(SAMPLE_BLOCK_BYTES), an angular DFT over the kept modes only, one x3 matmul
+for every r node and mode, one real kernel product per block.  The blocks'
+modes, theta pieces, extensions and spectral grids form the forward's channel
+plan, built once per (phi, theta tables, M_max, p nodes, E_max, node_budget)
+and cached.  Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -48,7 +52,14 @@ from .measures import (
     has_bound_state,
     spectral_measure,
 )
-from .transform import RadialFunction, kernel_matrix, kernel_values
+from .transform import (
+    RadialFunction,
+    _bits,
+    _CacheKey,
+    _read_only,
+    kernel_matrix,
+    kernel_values,
+)
 
 
 def critical_channels(phi: float) -> tuple[int, ...]:
@@ -306,19 +317,31 @@ class TransformedField:
 # Reduction
 
 
-def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
-    """reduce(Phi(r_i, angle_j, x3_k)) one r node i at a time, joined along r.
+#: Bytes of complex field samples taken per call of the field: as many whole
+#: r nodes as fit, at least one; 3 at the default 128 x 96 reduction grid.
+SAMPLE_BLOCK_BYTES = 600_000
 
-    The whole (n_r, n_phi, n_x3) sample tensor (12.6 MB at 64 x 128 x 96) is
-    never held: each node's 196 KB block is reduced and freed before the next
-    is sampled.  Blocks of 8 nodes (1.6 MB) were slower than the whole tensor:
-    glibc gave the freed heap top back after each block and faulted it in again."""
+
+def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
+    """reduce(Phi(r_i, angle_j, x3_k)) over blocks of consecutive r nodes, joined along r.
+
+    Each call of the field samples as many r nodes as fit in SAMPLE_BLOCK_BYTES,
+    and reduce maps the (k, n_phi, n_x3) block to k per-node results in one
+    stacked operation, so every node's values have the same bits at any block
+    size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never held.  The size
+    is in bytes because the page faults depend on bytes: at 1 to 3 nodes (up to
+    590 KB) a forward took at most about 380 minor faults, but at 4 (786 KB)
+    and 8 nodes (1.6 MB) the forward of a two-term field (H Phi) took
+    6,000-6,300 and ran 25-32 ms against 18 ms at 3 nodes, as glibc gave the
+    freed heap top back after each block's three temporaries and faulted it
+    in again for the next."""
     r = np.asarray(r_nodes, dtype=float)[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
-    blocks = range(max(len(r), 1))  # an empty grid is one empty block
+    step = max(1, SAMPLE_BLOCK_BYTES // (16 * grid.n_phi * x3.size))
+    starts = range(0, max(len(r), 1), step)  # an empty grid is one empty block
     return np.concatenate(
-        [reduce(np.asarray(field(r[i : i + 1], a, x3), dtype=complex)) for i in blocks]
+        [reduce(np.asarray(field(r[i : i + step], a, x3), dtype=complex)) for i in starts]
     )
 
 
@@ -326,7 +349,8 @@ def _reduce(field, r_nodes, grid: ReductionGrid, modes: Sequence[int], p_nodes) 
     """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
     for every r node, mode m and p node: shape (n_r, n_modes, n_p).
 
-    The angular sum is a DFT over the kept modes only, one matmul per r node.
+    The angular sum is a DFT over the kept modes only, one stacked matmul per
+    block of r nodes.
     Its phases are read from the angle grid at index m j mod n_phi, so a mode
     aliases exactly as in an FFT of length n_phi.  The axial phases are built
     once and applied to every node and mode in one matmul."""
@@ -370,6 +394,8 @@ class ChannelBlock:
     values has shape (len(p_indices), len(quad.nodes)): one row per p node over
     the spectral grid of the shared measure.  continuum and atom_values are
     its E-node and atom columns, and assigning either writes into values.
+    p_indices and quad come from the forward's cached channel plan: read-only,
+    and shared by every forward of the same signature.
     """
 
     m: int
@@ -433,6 +459,48 @@ def _theta_groups(spec: ThetaSpec, m: int, p_nodes) -> list[tuple[float | None, 
     return [(float(t), np.flatnonzero(group == k)) for k, t in enumerate(thetas)]
 
 
+class _Channel(NamedTuple):
+    """One block of a forward: the mode's index in grid.modes, the mode, the
+    p nodes of one theta, their extension and its spectral grid."""
+
+    mode: int
+    m: int
+    p_indices: np.ndarray
+    params: ExtensionParams
+    quad: MeasureQuadrature
+
+
+def _channel_plan(
+    spec: ThetaSpec, grid: ModeGrid, E_max: float, node_budget: int
+) -> tuple[_Channel, ...]:
+    """The blocks of full_forward, keyed bit for bit by what they read: phi,
+    each critical table's (breaks, values), M_max, the p nodes, E_max and
+    node_budget.  Nothing in a plan depends on the field or on r."""
+    tables = [spec.entries[m] for m in sorted(spec.entries)]
+    pieces = [part for table in tables for part in (table.breaks, table.values)]
+    read = (spec.phi, *pieces, grid.M_max, grid.p_nodes, E_max, node_budget)
+    return _cached_plan(_CacheKey(_bits(*read), (spec, grid, E_max, node_budget)))
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_plan(key: _CacheKey) -> tuple[_Channel, ...]:
+    """One plan per forward signature, its quadrature arrays and p indices
+    read-only; errors are never stored.  Working sets measured in plans: 1 for
+    each of expansion_3d, its trimmed verify suite, the default verify suite and
+    transform --mode 3d.  A plan holds about 110 KB at M_max = 3 (8 blocks) and
+    860 KB at M_max = 30 (62 blocks): 4 kept."""
+    spec, grid, E_max, node_budget = key.inputs
+    plan = []
+    for i, m in enumerate(grid.modes):
+        kappa = channel_kappa(spec.phi, m)
+        for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
+            params = ExtensionParams(kappa, theta if theta is not None else 0.0)
+            quad = discretize(spectral_measure(params), E_max, node_budget)
+            _read_only((quad.e_nodes, quad.e_weights, p_idx))
+            plan.append(_Channel(i, m, p_idx, params, quad))
+    return tuple(plan)
+
+
 def full_forward(
     spec: ThetaSpec,
     field,
@@ -446,24 +514,29 @@ def full_forward(
 
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
     E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
-    2500 / b**2 for support right edge b).  Each (mode, theta group) block is
-    the factored kernel (transform.Kernel) applied to the group's sqrt(r) w_r
-    weighted reduction (n_r, n_group): a (F u) + b (G u) with u = sqrt(r) times
-    it, two real products over the cached Bessel pair of the mode's order with
-    the columns as interleaved re/im floats, then the atom rows.
+    2500 / b**2 for support right edge b).  The blocks, one per (mode, theta
+    group), come from the cached channel plan, so a repeated signature builds
+    no spectral grid; blocks of two forwards with one signature share their
+    quad and p_indices objects.  The field is sampled SAMPLE_BLOCK_BYTES at a
+    time and reduced to a (n_r, n_modes, n_p) array, weighted by sqrt(r) w_r.
+    Each block is the factored kernel (transform.Kernel) applied to its group's
+    columns (n_r, n_group): a (F u) + b (G u) with u = sqrt(r) times them, two
+    real products over the cached Bessel pair of the mode's order with the
+    columns as interleaved re/im floats, then the atom rows.
     """
+    plan = _channel_plan(spec, grid, E_max, node_budget)
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)
     weighted = _reduce(field, r, reduction, grid.modes, grid.p_nodes)
     weighted *= (np.sqrt(r) * wr)[:, None, None]  # (n_r, n_modes, n_p)
-
-    blocks: list[ChannelBlock] = []
-    for i, m in enumerate(grid.modes):
-        kappa = channel_kappa(spec.phi, m)
-        for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
-            params = ExtensionParams(kappa, theta if theta is not None else 0.0)
-            quad = discretize(spectral_measure(params), E_max, node_budget)
-            values = (kernel_matrix(params, quad, r) @ weighted[:, i, p_idx]).T
-            blocks.append(ChannelBlock(m, p_idx, quad, values))
+    blocks = [
+        ChannelBlock(
+            ch.m,
+            ch.p_indices,
+            ch.quad,
+            (kernel_matrix(ch.params, ch.quad, r) @ weighted[:, ch.mode, ch.p_indices]).T,
+        )
+        for ch in plan
+    ]
     return Coefficients3D(spec.phi, grid, blocks)
 
 
@@ -477,8 +550,40 @@ def apply_H(spec: ThetaSpec, coeffs: Coefficients3D) -> Coefficients3D:
     return Coefficients3D(coeffs.phi, coeffs.grid, blocks)
 
 
+def _same_array(x: np.ndarray, y: np.ndarray) -> bool:
+    return x is y or np.array_equal(x, y)
+
+
 def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
-    """Measure-weighted L2 distance between two coefficient sets on one grid."""
+    """Measure-weighted L2 distance between two coefficient sets on one grid.
+
+    ConfigurationError unless phi, M_max, the p nodes and every block's mode,
+    p indices and spectral grid (nodes and weights) agree; blocks that share
+    their plan's objects, as forwards of one signature do, pass by identity.
+    """
+    same = (
+        a.phi == b.phi
+        and a.grid.M_max == b.grid.M_max
+        and _same_array(a.grid.p_nodes, b.grid.p_nodes)
+        and len(a.blocks) == len(b.blocks)
+        and all(
+            blk_a.m == blk_b.m
+            and _same_array(blk_a.p_indices, blk_b.p_indices)
+            and (
+                blk_a.quad is blk_b.quad
+                or (
+                    _same_array(blk_a.quad.nodes, blk_b.quad.nodes)
+                    and _same_array(blk_a.quad.weights, blk_b.quad.weights)
+                )
+            )
+            for blk_a, blk_b in zip(a.blocks, b.blocks)
+        )
+    )
+    if not same:
+        raise ConfigurationError(
+            "coefficient_distance needs two coefficient sets on one spectral grid: "
+            "the same phi, M_max, p nodes and per-block mode, p indices and measure"
+        )
     return math.sqrt(
         sum(
             blk_a.norm_sq(a.grid.p_weights, blk_a.values - blk_b.values)

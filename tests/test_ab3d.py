@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ab_spectral import transform
+from ab_spectral import ab3d, transform
 from ab_spectral.ab3d import (
     ChannelIndex,
     Coefficients3D,
@@ -15,6 +15,7 @@ from ab_spectral.ab3d import (
     SeparableField,
     ThetaSpec,
     TransformedField,
+    _channel_plan,
     _reduce,
     _theta_groups,
     apply_H,
@@ -28,6 +29,7 @@ from ab_spectral.ab3d import (
     full_forward,
     radial_reduce,
     symmetry_defect,
+    symmetry_phase,
 )
 from ab_spectral.bumps import GaussianBump, GaussianProfile
 from ab_spectral.errors import ConfigurationError, DomainError
@@ -194,30 +196,74 @@ class TestReduction:
         assert np.max(np.abs(hit - expected_hit)) <= 1e-14 * peak
 
     def test_node_by_node_equals_the_whole_tensor(self):
-        """The reduction samples one r node at a time; its channel values and
-        the norm must be bit for bit the same DFT and axial matmul applied to
-        the whole (n_r, n_phi, n_x3) tensor."""
+        """The reduction samples a block of r nodes at a time (3 at this grid,
+        so 20 nodes end in a block of 2); at 20, 1 and 0 nodes its channel
+        values and the norm must be bit for bit the same DFT and axial matmul
+        applied to the whole (n_r, n_phi, n_x3) tensor."""
         field = TransformedField(make_field(m=1), 0.7, 0.2)
-        grid = ReductionGrid.build((-2.0, 2.5), n_x3=48, n_phi=32)
-        r, wr = gauss_legendre(PSI.a, PSI.b, 20)
-        tensor = whole_tensor(field, r, grid)
+        grid = ReductionGrid.build((-2.0, 2.5))
+        modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
 
-        def reduce_whole(modes, p):
+        def reduce_whole(tensor, modes, p):
             steps = np.outer(modes, np.arange(grid.n_phi)) % grid.n_phi
             dft = np.exp(-1j * grid.angles[steps]) / grid.n_phi
             angular = dft @ tensor  # (n_r, n_modes, n_x3) in one broadcast matmul
             axial = np.exp(-1j * np.outer(p, grid.x3_nodes)) * grid.x3_weights
             flat = angular.reshape(-1, len(grid.x3_nodes)) @ axial.T
-            return flat.reshape(len(r), len(modes), len(p))
+            return flat.reshape(len(tensor), len(modes), len(p))
 
-        modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
-        assert _reduce(field, r, grid, modes, p).tobytes() == reduce_whole(modes, p).tobytes()
-        for m in (-2, 1):
-            values = np.sqrt(r) * reduce_whole([m], [0.4])[:, 0, 0]
-            got = radial_reduce(field, ChannelIndex(m, 0.4), r, grid).values
-            assert got.tobytes() == values.tobytes()
-        per_r = np.einsum("ijk,k->i", np.abs(tensor) ** 2, grid.x3_weights) * (2 * math.pi / 32)
-        assert field_norm_sq(field, (r, wr), grid) == float(np.sum(wr * r * per_r))
+        for n_r in (20, 1, 0):
+            r, wr = (a[:n_r] for a in gauss_legendre(PSI.a, PSI.b, 20))
+            tensor = whole_tensor(field, r, grid)
+            got = _reduce(field, r, grid, modes, p)
+            assert got.shape == (n_r, 3, 2)
+            assert got.tobytes() == reduce_whole(tensor, modes, p).tobytes()
+            for m in (-2, 1) if n_r >= 8 else ():  # a RadialFunction needs 8 nodes
+                values = np.sqrt(r) * reduce_whole(tensor, [m], [0.4])[:, 0, 0]
+                got = radial_reduce(field, ChannelIndex(m, 0.4), r, grid).values
+                assert got.tobytes() == values.tobytes()
+            per_r = np.einsum("ijk,k->i", np.abs(tensor) ** 2, grid.x3_weights)
+            per_r = per_r * (2 * math.pi / grid.n_phi)
+            assert field_norm_sq(field, (r, wr), grid) == float(np.sum(wr * r * per_r))
+
+    @pytest.mark.parametrize(
+        "n_phi,n_x3,n_r,calls",
+        [
+            (128, 96, 20, 7),  # 3 nodes (590 KB) per block, then a block of 2
+            (128, 96, 3, 1),
+            (128, 96, 1, 1),
+            (32, 48, 20, 1),  # 24 nodes fit in a block
+            (128, 400, 5, 5),  # a node is 800 KB: one per block
+        ],
+    )
+    def test_the_field_is_called_once_per_block(self, n_phi, n_x3, n_r, calls):
+        spec, grid, _, _ = small_setup()
+        reduction = ReductionGrid.build(CHI.support, n_x3=n_x3, n_phi=n_phi)
+        r_rule = gauss_legendre(PSI.a, PSI.b, n_r)
+        field = CountingField(make_field(m=0))
+        full_forward(spec, field, grid, r_rule, reduction, 10.0)
+        assert field.calls == calls
+        field.calls = 0
+        field_norm_sq(field, r_rule, reduction)
+        assert field.calls == calls
+
+    def test_an_empty_r_grid_is_one_empty_block(self):
+        field = CountingField(make_field(m=0))
+        reduction = ReductionGrid.build(CHI.support)
+        assert field_norm_sq(field, (np.zeros(0), np.zeros(0)), reduction) == 0.0
+        assert field.calls == 1
+
+
+class CountingField:
+    """A field that counts the calls made to it."""
+
+    def __init__(self, field):
+        self.field = field
+        self.calls = 0
+
+    def __call__(self, r, angle, x3):
+        self.calls += 1
+        return self.field(r, angle, x3)
 
 
 def whole_tensor(field, r, grid):
@@ -300,15 +346,15 @@ class TestFullForward:
 
     def test_warm_forward_at_m_max_30_misses_no_cache(self):
         """The acceptance field at M_max = 30 (node_budget 32): one forward
-        needs 31 Bessel pairs and 32 extensions' coefficients; a second
-        forward finds every one of them in the caches."""
+        needs 31 Bessel pairs, 32 extensions' coefficients and one channel
+        plan; a second forward finds every one of them in the caches."""
         grid = ModeGrid.build(30, 8.0, 64)
         r_rule = gauss_legendre(PSI.a, PSI.b, 64)
         args = (ThetaSpec.constant(PHI, 1.0), make_field(m=0), grid, r_rule,
                 ReductionGrid.build(CHI.support), ZETA_BOUND / PSI.b**2, 32)
 
         def misses():
-            caches = (transform._build_kernel, transform._cached_pair)
+            caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
             return [cache.cache_info().misses for cache in caches]
 
         full_forward(*args)
@@ -378,6 +424,129 @@ class TestFullForward:
         field = SeparableField(PSI, CHI, 0, (PSI.a, PSI.b), CHI.support)
         with pytest.raises(ConfigurationError):
             field.hamiltonian_image(PHI)
+
+
+def piecewise_setup(theta_above=1.3):
+    """small_setup with theta piecewise in p on m = 0, so that mode has two blocks."""
+    _, grid, reduction, r_rule = small_setup()
+    spec = ThetaSpec(PHI, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, theta_above))})
+    return spec, grid, reduction, r_rule
+
+
+class TestChannelPlan:
+    @staticmethod
+    def misses():
+        return ab3d._cached_plan.cache_info().misses
+
+    def test_a_warm_forward_builds_no_spectral_grid(self, monkeypatch):
+        spec, grid, reduction, r_rule = piecewise_setup()
+        built, original = [], ab3d.discretize
+
+        def discretize(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ab3d, "discretize", discretize)
+        ab3d._cached_plan.cache_clear()
+        cold = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
+        assert len(built) == len(cold.blocks) == 4  # m = -1, two pieces of m = 0, m = 1
+        warm = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
+        assert len(built) == 4
+        for blk_c, blk_w in zip(cold.blocks, warm.blocks):
+            assert blk_c.quad is blk_w.quad and blk_c.p_indices is blk_w.p_indices
+
+    def test_each_input_it_reads_is_in_the_key(self):
+        spec, grid, _, _ = piecewise_setup()
+        base = (spec, grid, 10.0, 16)
+        variants = {
+            "one piece's theta": (piecewise_setup(1.4)[0], grid, 10.0, 16),
+            "E_max": (spec, grid, 10.0 * (1 + 2**-52), 16),
+            "node_budget": (spec, grid, 10.0, 17),
+            "p grid": (spec, ModeGrid.build(1, 5.0 * (1 + 2**-52), 16), 10.0, 16),
+            "phi": (ThetaSpec(0.25, spec.entries), grid, 10.0, 16),
+        }
+        _channel_plan(*base)
+        for name, args in variants.items():
+            before = self.misses()
+            plan = _channel_plan(*args)
+            assert self.misses() == before + 1, name
+            assert _channel_plan(*args) is plan, name
+            assert self.misses() == before + 1, name
+
+    def test_warm_blocks_are_the_cold_bytes(self):
+        spec, grid, reduction, r_rule = piecewise_setup()
+        args = (spec, make_field(m=0), grid, r_rule, reduction, 10.0)
+        full_forward(*args)
+        warm = full_forward(*args)
+        ab3d._cached_plan.cache_clear()
+        cold = full_forward(*args)
+        assert len(warm.blocks) == len(cold.blocks)
+        for blk_w, blk_c in zip(warm.blocks, cold.blocks):
+            assert blk_w.m == blk_c.m
+            assert blk_w.p_indices.tobytes() == blk_c.p_indices.tobytes()
+            assert blk_w.quad.nodes.tobytes() == blk_c.quad.nodes.tobytes()
+            assert blk_w.quad.weights.tobytes() == blk_c.quad.weights.tobytes()
+            assert blk_w.values.tobytes() == blk_c.values.tobytes()
+
+    def test_plan_arrays_are_read_only(self):
+        spec, grid, _, _ = piecewise_setup()
+        plan = _channel_plan(spec, grid, 10.0, 16)
+        assert [(ch.m, ch.params.theta) for ch in plan] == [
+            (-1, 1.0), (0, 1.0), (0, 1.3), (1, 0.0)
+        ]
+        for ch in plan:
+            quad = ch.quad
+            for part in (ch.p_indices, quad.e_nodes, quad.e_weights, quad.nodes, quad.weights):
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[:1] = 0
+
+    def test_errors_are_not_stored(self):
+        spec, grid, _, _ = piecewise_setup()
+        before = ab3d._cached_plan.cache_info()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                _channel_plan(spec, grid, math.inf, 16)
+        after = ab3d._cached_plan.cache_info()
+        assert after.misses == before.misses + 2
+        assert after.currsize == before.currsize
+
+
+class TestCoefficientDistance:
+    def forward(self, theta=1.0, M_max=1, E_max=10.0):
+        spec, _, reduction, r_rule = small_setup(theta)
+        grid = ModeGrid.build(M_max, 5.0, 16)
+        return full_forward(spec, make_field(m=0), grid, r_rule, reduction, E_max)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"theta": 2.0},  # another atom in both critical channels
+            {"E_max": 2500.0 / 36},  # other E nodes
+            {"M_max": 2},  # more blocks
+        ],
+    )
+    def test_different_spectral_grids_are_rejected(self, other):
+        with pytest.raises(ConfigurationError):
+            coefficient_distance(self.forward(), self.forward(**other))
+
+    def test_different_measures_on_the_same_nodes_are_rejected(self):
+        # theta = 0.1 and 0.2 have no atom at phi = 1/2: the nodes agree, the weights do not
+        a, b = self.forward(theta=0.1), self.forward(theta=0.2)
+        assert [blk.quad.nodes.tobytes() for blk in a.blocks] == [
+            blk.quad.nodes.tobytes() for blk in b.blocks
+        ]
+        with pytest.raises(ConfigurationError):
+            coefficient_distance(a, b)
+
+    def test_one_grid_gives_the_distance(self):
+        a = self.forward()
+        b = symmetry_phase(a, 0.0, 0.0)
+        assert all(x.quad is y.quad for x, y in zip(a.blocks, b.blocks))
+        assert coefficient_distance(a, b) == 0.0
+        ab3d._cached_plan.cache_clear()  # equal grids in distinct objects pass too
+        c = self.forward()
+        assert coefficient_distance(a, c) == 0.0
 
 
 class TestEigenfunction3D:

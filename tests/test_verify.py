@@ -8,7 +8,7 @@ import os
 import pytest
 
 import ab_spectral.verify as verify
-from ab_spectral import transform
+from ab_spectral import ab3d, transform
 from ab_spectral.errors import ConfigurationError
 from ab_spectral.verify import (
     CheckResult,
@@ -207,11 +207,12 @@ class TestReport:
 
 
 def test_second_default_suite_misses_no_cache():
-    """The default suite needs 20 Bessel pairs and 42 extensions' coefficients; a
-    second run in one process finds every one of them in the caches."""
+    """The default suite needs 20 Bessel pairs, 42 extensions' coefficients and
+    one channel plan; a second run in one process finds every one of them in
+    the caches."""
 
     def misses():
-        caches = (transform._build_kernel, transform._cached_pair)
+        caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
         return [cache.cache_info().misses for cache in caches]
 
     run_suite()
