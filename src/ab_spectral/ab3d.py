@@ -14,11 +14,13 @@ The reduction of a field Phi to channel (m, p) is
 
 and the full forward map composes this reduction with the one-dimensional
 eigenfunction transform per channel: the field sampled a few r nodes per call
-(SAMPLE_BLOCK_BYTES), an angular DFT over the kept modes only, one x3 matmul
-for every r node and mode, one real kernel product per block.  The blocks'
-modes, theta pieces, extensions and spectral grids form the forward's channel
-plan, built once per (phi, theta tables, M_max, p nodes, E_max, node_budget)
-and cached.  Norms satisfy
+(SAMPLE_BLOCK_BYTES); the angular DFT folded over +-m into one real matrix of
+cos and sin rows, applied to the samples read as interleaved re/im floats;
+one x3 matmul for every r node and row; each mode then C - i sgn(m) S; one
+real kernel product per block.  The blocks' modes, theta pieces, extensions
+and spectral grids, and the DFT rows and axial phases, form the forward's
+channel plan, built once per (phi, theta tables, M_max, p nodes, reduction
+grid, E_max, node_budget) and cached.  Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -269,15 +271,32 @@ class SeparableField:
 
 @dataclass(frozen=True)
 class FieldSum:
-    """Pointwise sum of fields sharing the same supports."""
+    """Pointwise sum of SeparableFields of one mode m and the same supports.
+
+    A call sums the real (r, x3) profiles psi_k(r) chi_k(x3), divides by
+    sqrt(r) once and multiplies by e^{i m a} once, so a call over a block of
+    nodes makes one block-sized array, as a one-term field does.
+    """
 
     terms: tuple
 
+    def __post_init__(self):
+        first = self.terms[0] if self.terms else None
+        if first is None or not all(
+            isinstance(t, SeparableField)
+            and (t.m, t.r_support, t.x3_support) == (first.m, first.r_support, first.x3_support)
+            for t in self.terms
+        ):
+            raise ConfigurationError(
+                "FieldSum needs SeparableField terms of one mode m and the same supports"
+            )
+
     def __call__(self, r, angle, x3):
-        total = self.terms[0](r, angle, x3)
+        r = np.asarray(r, dtype=float)
+        profile = self.terms[0].psi(r) * np.asarray(self.terms[0].chi(x3))
         for t in self.terms[1:]:
-            total = total + t(r, angle, x3)
-        return total
+            profile = profile + t.psi(r) * np.asarray(t.chi(x3))
+        return profile / np.sqrt(r) * np.exp(1j * self.terms[0].m * np.asarray(angle))
 
     @property
     def r_support(self):
@@ -326,46 +345,101 @@ def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
     """reduce(Phi(r_i, angle_j, x3_k)) over blocks of consecutive r nodes, joined along r.
 
     Each call of the field samples as many r nodes as fit in SAMPLE_BLOCK_BYTES,
-    and reduce maps the (k, n_phi, n_x3) block to k per-node results in one
-    stacked operation, so every node's values have the same bits at any block
-    size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never held.  The size
-    is in bytes because the page faults depend on bytes: at 1 to 3 nodes (up to
-    590 KB) a forward took at most about 380 minor faults, but at 4 (786 KB)
-    and 8 nodes (1.6 MB) the forward of a two-term field (H Phi) took
-    6,000-6,300 and ran 25-32 ms against 18 ms at 3 nodes, as glibc gave the
-    freed heap top back after each block's three temporaries and faulted it
-    in again for the next."""
+    and reduce maps the C-contiguous (k, n_phi, n_x3) block to k per-node
+    results in one stacked operation, so every node's values have the same bits
+    at any block size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never
+    held.  The size is in bytes because the page faults depend on bytes: at 1 to
+    3 nodes (up to 590 KB) a forward took at most about 380 minor faults, but at
+    4 (786 KB) and 8 nodes (1.6 MB) the forward of H Phi, when its field call
+    still held three block-sized temporaries, took 6,000-6,300 and ran 25-32 ms
+    against 18 ms at 3 nodes, as glibc gave the freed heap top back after each
+    block and faulted it in again for the next."""
     r = np.asarray(r_nodes, dtype=float)[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
     step = max(1, SAMPLE_BLOCK_BYTES // (16 * grid.n_phi * x3.size))
     starts = range(0, max(len(r), 1), step)  # an empty grid is one empty block
     return np.concatenate(
-        [reduce(np.asarray(field(r[i : i + step], a, x3), dtype=complex)) for i in starts]
+        [
+            reduce(np.ascontiguousarray(field(r[i : i + step], a, x3), dtype=complex))
+            for i in starts
+        ]
     )
 
 
-def _reduce(field, r_nodes, grid: ReductionGrid, modes: Sequence[int], p_nodes) -> np.ndarray:
+class _Reduction(NamedTuple):
+    """The grid-only matrices that reduce field samples to (mode, p node) values.
+
+    rows is the folded angular DFT: cos(k a_j) / n_phi for each order k = |q|
+    of the modes' residues q, then sin(k a_j) / n_phi for each k > 0.
+    cos_rows[i] is mode i's cos row; sines holds (mode index, sin row,
+    -i sgn q) for each mode with q != 0.  axial is e^{-i p x3} w3, (n_p, n_x3).
+    """
+
+    rows: np.ndarray
+    cos_rows: np.ndarray
+    sines: tuple[tuple[int, int, complex], ...]
+    axial: np.ndarray
+
+
+def _reduction(grid: ReductionGrid, modes: Sequence[int], p_nodes) -> _Reduction:
+    """The _Reduction of grid to modes and p_nodes.
+
+    e^{-i m a} = cos(|m| a) - i sgn(m) sin(|m| a) for the residue of m in
+    [-n_phi/2, n_phi/2), so the DFT over the modes is one real matrix of
+    distinct cos and sin rows, and aliases of a mode share its rows exactly as
+    in a length-n_phi FFT.  The phases are read at index k j mod n_phi of the
+    angle grid."""
+    n = grid.n_phi
+    residues = [(m + n // 2) % n - n // 2 for m in modes]
+    orders = sorted({abs(q) for q in residues})
+    sin_orders = [k for k in orders if k > 0]  # none at M_max = 0
+    angles = grid.angles[np.outer(orders + sin_orders, np.arange(n)) % n]
+    rows = np.concatenate((np.cos(angles[: len(orders)]), np.sin(angles[len(orders) :]))) / n
+    cos_rows = np.array([orders.index(abs(q)) for q in residues])
+    sines = tuple(
+        (i, len(orders) + sin_orders.index(abs(q)), -1j if q > 0 else 1j)
+        for i, q in enumerate(residues)
+        if q != 0
+    )
+    axial = np.exp(-1j * np.outer(p_nodes, grid.x3_nodes)) * grid.x3_weights
+    return _Reduction(rows, cos_rows, sines, axial)
+
+
+def _reduce(
+    field,
+    r_nodes,
+    grid: ReductionGrid,
+    modes: Sequence[int],
+    p_nodes,
+    maps: _Reduction | None = None,
+) -> np.ndarray:
     """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
     for every r node, mode m and p node: shape (n_r, n_modes, n_p).
 
-    The angular sum is a DFT over the kept modes only, one stacked matmul per
-    block of r nodes.
-    Its phases are read from the angle grid at index m j mod n_phi, so a mode
-    aliases exactly as in an FFT of length n_phi.  The axial phases are built
-    once and applied to every node and mode in one matmul."""
-    steps = np.outer(modes, np.arange(grid.n_phi)) % grid.n_phi
-    dft = np.exp(-1j * grid.angles[steps]) / grid.n_phi  # (n_modes, n_phi)
-    angular = _by_r_node(field, r_nodes, grid, lambda t: dft @ t)  # (n_r, n_modes, n_x3)
-    axial = np.exp(-1j * np.outer(p_nodes, grid.x3_nodes)) * grid.x3_weights
-    n_r, n_modes, n_x3 = angular.shape
-    return (angular.reshape(-1, n_x3) @ axial.T).reshape(n_r, n_modes, len(axial))
+    maps is _reduction(grid, modes, p_nodes), built here unless given
+    (full_forward passes its channel plan's).  Each block of samples, read as
+    interleaved re/im floats, goes through the real folded DFT rows in one
+    stacked matmul, giving the complex cos and sin sums C and S per order.
+    One x3 matmul applies the axial phases to every node and row, and each
+    mode is then C - i sgn(q) S of its residue q, one mode slice at a time."""
+    maps = _reduction(grid, modes, p_nodes) if maps is None else maps
+    folded = _by_r_node(
+        field, r_nodes, grid, lambda t: (maps.rows @ t.view(float)).view(complex)
+    )
+    n_r, n_rows, n_x3 = folded.shape
+    summed = (folded.reshape(-1, n_x3) @ maps.axial.T).reshape(n_r, n_rows, len(maps.axial))
+    out = summed[:, maps.cos_rows]
+    for i, s, phase in maps.sines:
+        out[:, i] += phase * summed[:, s]
+    return out
 
 
 def radial_reduce(
     field, channel: ChannelIndex, r_nodes, grid: ReductionGrid, quad_weights=None
 ) -> RadialFunction:
-    """Channel reduction of a field at a single (m, p), sampled at r_nodes."""
+    """Channel reduction of a field at a single (m, p), sampled at r_nodes
+    (two folded DFT rows, one for m = 0)."""
     r = np.asarray(r_nodes, dtype=float)
     values = np.sqrt(r) * _reduce(field, r, grid, [channel.m], [channel.p])[:, 0, 0]
     if quad_weights is None:
@@ -374,11 +448,16 @@ def radial_reduce(
 
 
 def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
-    """||Phi||^2 over R^3 by tensor quadrature (r dr x dangle x dx3)."""
+    """||Phi||^2 over R^3 by tensor quadrature (r dr x dangle x dx3).
+
+    Per block, the squares of the samples read as interleaved re/im floats go
+    through the x3 weights (each repeated for re and im) in one matmul, and
+    the angles are summed."""
     r, wr = r_rule
     dphi = 2.0 * math.pi / grid.n_phi
+    w3 = np.repeat(np.asarray(grid.x3_weights, dtype=float), 2)
     per_r = _by_r_node(
-        field, r, grid, lambda t: np.einsum("ijk,k->i", np.abs(t) ** 2, grid.x3_weights)
+        field, r, grid, lambda t: np.sum(np.square(t.view(float)) @ w3, axis=1)
     ) * dphi
     return float(np.sum(wr * np.asarray(r) * per_r))
 
@@ -470,35 +549,56 @@ class _Channel(NamedTuple):
     quad: MeasureQuadrature
 
 
+class _Plan(NamedTuple):
+    """A forward's blocks and the matrices of its reduction, all read-only."""
+
+    channels: tuple[_Channel, ...]
+    reduction: _Reduction
+
+
 def _channel_plan(
-    spec: ThetaSpec, grid: ModeGrid, E_max: float, node_budget: int
-) -> tuple[_Channel, ...]:
-    """The blocks of full_forward, keyed bit for bit by what they read: phi,
-    each critical table's (breaks, values), M_max, the p nodes, E_max and
-    node_budget.  Nothing in a plan depends on the field or on r."""
+    spec: ThetaSpec,
+    grid: ModeGrid,
+    reduction: ReductionGrid,
+    E_max: float,
+    node_budget: int,
+) -> _Plan:
+    """The blocks and reduction matrices of full_forward, keyed bit for bit by
+    what they read: phi, each critical table's (breaks, values), M_max, the p
+    nodes, n_phi, the x3 nodes and weights, E_max and node_budget.  Nothing in
+    a plan depends on the field or on r."""
     tables = [spec.entries[m] for m in sorted(spec.entries)]
     pieces = [part for table in tables for part in (table.breaks, table.values)]
-    read = (spec.phi, *pieces, grid.M_max, grid.p_nodes, E_max, node_budget)
-    return _cached_plan(_CacheKey(_bits(*read), (spec, grid, E_max, node_budget)))
+    read = (
+        spec.phi, *pieces, grid.M_max, grid.p_nodes,
+        reduction.n_phi, reduction.x3_nodes, reduction.x3_weights, E_max, node_budget,
+    )
+    inputs = (spec, grid, reduction, E_max, node_budget)
+    return _cached_plan(_CacheKey(_bits(*read), inputs))
 
 
 @functools.lru_cache(maxsize=4)
-def _cached_plan(key: _CacheKey) -> tuple[_Channel, ...]:
-    """One plan per forward signature, its quadrature arrays and p indices
-    read-only; errors are never stored.  Working sets measured in plans: 1 for
-    each of expansion_3d, its trimmed verify suite, the default verify suite and
-    transform --mode 3d.  A plan holds about 110 KB at M_max = 3 (8 blocks) and
-    860 KB at M_max = 30 (62 blocks): 4 kept."""
-    spec, grid, E_max, node_budget = key.inputs
-    plan = []
+def _cached_plan(key: _CacheKey) -> _Plan:
+    """One plan per forward signature, its quadrature arrays, p indices and
+    reduction matrices read-only; errors are never stored.  Working sets
+    measured in plans: 1 for each of expansion_3d, its trimmed verify suite,
+    the default verify suite and transform --mode 3d.  A plan's blocks hold
+    about 110 KB at M_max = 3 (8 blocks) and 860 KB at M_max = 30 (62
+    blocks); its reduction matrices add the 98 KB axial matrix (64 p nodes by
+    96 x3 nodes) and the folded DFT rows (7 KB at 7 modes, 62 KB at 61), so
+    about 215 KB and 1 MB: 4 kept."""
+    spec, grid, reduction, E_max, node_budget = key.inputs
+    channels = []
     for i, m in enumerate(grid.modes):
         kappa = channel_kappa(spec.phi, m)
         for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
             params = ExtensionParams(kappa, theta if theta is not None else 0.0)
             quad = discretize(spectral_measure(params), E_max, node_budget)
             _read_only((quad.e_nodes, quad.e_weights, p_idx))
-            plan.append(_Channel(i, m, p_idx, params, quad))
-    return tuple(plan)
+            channels.append(_Channel(i, m, p_idx, params, quad))
+    maps = _reduction(reduction, grid.modes, grid.p_nodes)
+    _read_only((maps.rows, maps.cos_rows, maps.axial))
+    return _Plan(tuple(channels), maps)
 
 
 def full_forward(
@@ -515,18 +615,19 @@ def full_forward(
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
     E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
     2500 / b**2 for support right edge b).  The blocks, one per (mode, theta
-    group), come from the cached channel plan, so a repeated signature builds
-    no spectral grid; blocks of two forwards with one signature share their
-    quad and p_indices objects.  The field is sampled SAMPLE_BLOCK_BYTES at a
-    time and reduced to a (n_r, n_modes, n_p) array, weighted by sqrt(r) w_r.
-    Each block is the factored kernel (transform.Kernel) applied to its group's
-    columns (n_r, n_group): a (F u) + b (G u) with u = sqrt(r) times them, two
-    real products over the cached Bessel pair of the mode's order with the
-    columns as interleaved re/im floats, then the atom rows.
+    group), and the reduction matrices come from the cached channel plan, so
+    a repeated signature builds no spectral grid and no phase matrix; blocks
+    of two forwards with one signature share their quad and p_indices
+    objects.  The field is sampled SAMPLE_BLOCK_BYTES at a time and reduced to
+    a (n_r, n_modes, n_p) array, weighted by sqrt(r) w_r.  Each block is the
+    factored kernel (transform.Kernel) applied to its group's columns
+    (n_r, n_group): a (F u) + b (G u) with u = sqrt(r) times them, two real
+    products over the cached Bessel pair of the mode's order with the columns
+    as interleaved re/im floats, then the atom rows.
     """
-    plan = _channel_plan(spec, grid, E_max, node_budget)
+    plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)
-    weighted = _reduce(field, r, reduction, grid.modes, grid.p_nodes)
+    weighted = _reduce(field, r, reduction, grid.modes, grid.p_nodes, plan.reduction)
     weighted *= (np.sqrt(r) * wr)[:, None, None]  # (n_r, n_modes, n_p)
     blocks = [
         ChannelBlock(
@@ -535,7 +636,7 @@ def full_forward(
             ch.quad,
             (kernel_matrix(ch.params, ch.quad, r) @ weighted[:, ch.mode, ch.p_indices]).T,
         )
-        for ch in plan
+        for ch in plan.channels
     ]
     return Coefficients3D(spec.phi, grid, blocks)
 

@@ -71,14 +71,14 @@ class RadialFunction:
         self.r_nodes = np.asarray(self.r_nodes, dtype=float)
         self.quad_weights = np.asarray(self.quad_weights, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        if not (np.isfinite(self.r_nodes).all() and np.isfinite(self.values).all()):
-            raise DomainError("radial nodes and values must be finite")
-        if self.r_nodes[0] <= 0.0:
-            raise DomainError("radial support must lie strictly inside (0, inf)")
         if not (len(self.r_nodes) == len(self.quad_weights) == len(self.values)):
             raise DomainError("nodes, weights, values must have equal length")
         if len(self.r_nodes) < 8:
             raise DomainError("need at least 8 quadrature nodes")
+        if not (np.isfinite(self.r_nodes).all() and np.isfinite(self.values).all()):
+            raise DomainError("radial nodes and values must be finite")
+        if self.r_nodes[0] <= 0.0:
+            raise DomainError("radial support must lie strictly inside (0, inf)")
 
     @classmethod
     def from_callable(cls, f, a: float, b: float, n: int = 64, second_derivative=None):

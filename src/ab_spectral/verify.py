@@ -278,14 +278,8 @@ def _check_sine_transform(config: SuiteConfig, kappa: float) -> float:
     quad = discretize(spectral_measure(params), config.e_cap, _NODE_BUDGET)
     coeffs = forward(params, psi, quad)
     root = np.sqrt(quad.e_nodes)
-    exact = np.array(
-        [
-            math.sqrt(2.0 / math.pi)
-            / rt
-            * np.sum(psi.quad_weights * np.sin(psi.r_nodes * rt) * psi.values.real)
-            for rt in root
-        ]
-    )
+    sines = np.sin(np.outer(root, psi.r_nodes))
+    exact = math.sqrt(2.0 / math.pi) / root * (sines @ (psi.quad_weights * psi.values.real))
     return float(np.max(np.abs(coeffs.continuum_values - exact)))
 
 

@@ -1,5 +1,6 @@
 """Tests of the three-dimensional channel decomposition and assembly."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from ab_spectral import ab3d, transform
 from ab_spectral.ab3d import (
     ChannelIndex,
     Coefficients3D,
+    FieldSum,
     ModeGrid,
     PiecewiseTheta,
     ReductionGrid,
@@ -195,22 +197,71 @@ class TestReduction:
         expected_hit = np.sqrt(r) * expected[:, modes.index(19), 2]
         assert np.max(np.abs(hit - expected_hit)) <= 1e-14 * peak
 
+    @pytest.mark.parametrize("n_phi", [16, 128])
+    @pytest.mark.parametrize("M_max", [20, 0])
+    def test_the_folded_dft_is_the_complex_dft(self, n_phi, M_max):
+        """The real cos and sin rows, combined as C - i sgn(m) S per mode, give
+        the complex DFT over the kept modes, aliases included; at M_max = 0
+        there is one cos row and no sin row."""
+        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=n_phi)
+        moved = [TransformedField(make_field(m=m), 0.7, 0.2) for m in (0, 3, -5)]
+
+        def field(r, angle, x3):
+            return sum(f(r, angle, x3) for f in moved)
+
+        r = np.linspace(0.6, 2.9, 9)
+        modes = list(range(-M_max, M_max + 1))
+        p = np.array([-1.1, 0.0, 0.4, 2.5])
+        dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n_phi)) % n_phi]) / n_phi
+        phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
+        expected = (dft @ whole_tensor(field, r, grid)) @ phases.T
+        got = _reduce(field, r, grid, modes, p)
+        assert got.shape == expected.shape
+        peak = np.max(np.abs(expected))
+        assert peak > 1.0
+        assert np.max(np.abs(got - expected)) <= 1e-15 * peak
+        n_rows = 1 + 2 * len({abs((m + n_phi // 2) % n_phi - n_phi // 2) for m in modes} - {0})
+        assert ab3d._reduction(grid, modes, p).rows.shape == (n_rows, n_phi)
+
+    def test_one_channel_folds_to_two_rows(self):
+        grid = ReductionGrid.build(CHI.support, n_x3=16, n_phi=32)
+        assert ab3d._reduction(grid, [-3], [0.4]).rows.shape == (2, 32)
+        maps = ab3d._reduction(grid, [0], [0.4])
+        assert maps.rows.shape == (1, 32) and maps.sines == ()
+
+    def test_an_empty_r_grid_has_no_radial_function(self):
+        grid = ReductionGrid.build(CHI.support, n_x3=16, n_phi=32)
+        with pytest.raises(DomainError, match="at least 8"):
+            radial_reduce(make_field(m=1), ChannelIndex(1, 0.4), np.zeros(0), grid)
+
     def test_node_by_node_equals_the_whole_tensor(self):
         """The reduction samples a block of r nodes at a time (3 at this grid,
         so 20 nodes end in a block of 2); at 20, 1 and 0 nodes its channel
-        values and the norm must be bit for bit the same DFT and axial matmul
-        applied to the whole (n_r, n_phi, n_x3) tensor."""
+        values and the norm must be bit for bit the same folded DFT, axial
+        matmul and per-mode combination applied to the whole (n_r, n_phi,
+        n_x3) tensor."""
         field = TransformedField(make_field(m=1), 0.7, 0.2)
         grid = ReductionGrid.build((-2.0, 2.5))
         modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
+        n, j = grid.n_phi, np.arange(grid.n_phi)
 
         def reduce_whole(tensor, modes, p):
-            steps = np.outer(modes, np.arange(grid.n_phi)) % grid.n_phi
-            dft = np.exp(-1j * grid.angles[steps]) / grid.n_phi
-            angular = dft @ tensor  # (n_r, n_modes, n_x3) in one broadcast matmul
+            # real cos rows of |m| (the modes are all nonzero), then sin rows
+            orders = sorted({abs(m) for m in modes})
+            rows = np.concatenate(
+                (np.cos(grid.angles[np.outer(orders, j) % n]),
+                 np.sin(grid.angles[np.outer(orders, j) % n]))
+            ) / n
+            floats = np.ascontiguousarray(tensor).view(float)
+            folded = (rows @ floats).view(complex)  # one broadcast matmul
             axial = np.exp(-1j * np.outer(p, grid.x3_nodes)) * grid.x3_weights
-            flat = angular.reshape(-1, len(grid.x3_nodes)) @ axial.T
-            return flat.reshape(len(tensor), len(modes), len(p))
+            flat = folded.reshape(-1, len(grid.x3_nodes)) @ axial.T
+            summed = flat.reshape(len(tensor), len(rows), len(p))
+            out = summed[:, [orders.index(abs(m)) for m in modes]]
+            for i, m in enumerate(modes):  # C - i sgn(m) S
+                sin = summed[:, len(orders) + orders.index(abs(m))]
+                out[:, i] += (-1j if m > 0 else 1j) * sin
+            return out
 
         for n_r in (20, 1, 0):
             r, wr = (a[:n_r] for a in gauss_legendre(PSI.a, PSI.b, 20))
@@ -222,7 +273,8 @@ class TestReduction:
                 values = np.sqrt(r) * reduce_whole(tensor, [m], [0.4])[:, 0, 0]
                 got = radial_reduce(field, ChannelIndex(m, 0.4), r, grid).values
                 assert got.tobytes() == values.tobytes()
-            per_r = np.einsum("ijk,k->i", np.abs(tensor) ** 2, grid.x3_weights)
+            squares = np.square(np.ascontiguousarray(tensor).view(float))
+            per_r = np.sum(squares @ np.repeat(grid.x3_weights, 2), axis=1)
             per_r = per_r * (2 * math.pi / grid.n_phi)
             assert field_norm_sq(field, (r, wr), grid) == float(np.sum(wr * r * per_r))
 
@@ -441,29 +493,44 @@ class TestChannelPlan:
     def test_a_warm_forward_builds_no_spectral_grid(self, monkeypatch):
         spec, grid, reduction, r_rule = piecewise_setup()
         built, original = [], ab3d.discretize
+        matrices, original_matrices = [], ab3d._reduction
 
         def discretize(*args):
             built.append(args)
             return original(*args)
 
+        def reduction_matrices(*args):
+            matrices.append(args)
+            return original_matrices(*args)
+
         monkeypatch.setattr(ab3d, "discretize", discretize)
+        monkeypatch.setattr(ab3d, "_reduction", reduction_matrices)
         ab3d._cached_plan.cache_clear()
         cold = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
         assert len(built) == len(cold.blocks) == 4  # m = -1, two pieces of m = 0, m = 1
+        assert len(matrices) == 1
         warm = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
-        assert len(built) == 4
+        assert len(built) == 4 and len(matrices) == 1  # no spectral grid, no phases
         for blk_c, blk_w in zip(cold.blocks, warm.blocks):
             assert blk_c.quad is blk_w.quad and blk_c.p_indices is blk_w.p_indices
 
     def test_each_input_it_reads_is_in_the_key(self):
-        spec, grid, _, _ = piecewise_setup()
-        base = (spec, grid, 10.0, 16)
+        spec, grid, red, _ = piecewise_setup()
+        x3, w3 = red.x3_nodes, red.x3_weights
+        base = (spec, grid, red, 10.0, 16)
         variants = {
-            "one piece's theta": (piecewise_setup(1.4)[0], grid, 10.0, 16),
-            "E_max": (spec, grid, 10.0 * (1 + 2**-52), 16),
-            "node_budget": (spec, grid, 10.0, 17),
-            "p grid": (spec, ModeGrid.build(1, 5.0 * (1 + 2**-52), 16), 10.0, 16),
-            "phi": (ThetaSpec(0.25, spec.entries), grid, 10.0, 16),
+            "one piece's theta": (piecewise_setup(1.4)[0], grid, red, 10.0, 16),
+            "E_max": (spec, grid, red, 10.0 * (1 + 2**-52), 16),
+            "node_budget": (spec, grid, red, 10.0, 17),
+            "p grid": (spec, ModeGrid.build(1, 5.0 * (1 + 2**-52), 16), red, 10.0, 16),
+            "phi": (ThetaSpec(0.25, spec.entries), grid, red, 10.0, 16),
+            "n_phi": (spec, grid, ReductionGrid(red.n_phi + 1, x3, w3), 10.0, 16),
+            "x3 nodes": (
+                spec, grid, ReductionGrid(red.n_phi, np.nextafter(x3, np.inf), w3), 10.0, 16
+            ),
+            "x3 weights": (
+                spec, grid, ReductionGrid(red.n_phi, x3, np.nextafter(w3, np.inf)), 10.0, 16
+            ),
         }
         _channel_plan(*base)
         for name, args in variants.items():
@@ -489,27 +556,62 @@ class TestChannelPlan:
             assert blk_w.values.tobytes() == blk_c.values.tobytes()
 
     def test_plan_arrays_are_read_only(self):
-        spec, grid, _, _ = piecewise_setup()
-        plan = _channel_plan(spec, grid, 10.0, 16)
-        assert [(ch.m, ch.params.theta) for ch in plan] == [
+        spec, grid, red, _ = piecewise_setup()
+        plan = _channel_plan(spec, grid, red, 10.0, 16)
+        assert [(ch.m, ch.params.theta) for ch in plan.channels] == [
             (-1, 1.0), (0, 1.0), (0, 1.3), (1, 0.0)
         ]
-        for ch in plan:
+        maps = plan.reduction
+        assert maps.rows.shape == (3, red.n_phi)  # cos rows of 0 and 1, a sin row of 1
+        assert maps.axial.shape == (len(grid.p_nodes), len(red.x3_nodes))
+        parts = [maps.rows, maps.cos_rows, maps.axial]
+        for ch in plan.channels:
             quad = ch.quad
-            for part in (ch.p_indices, quad.e_nodes, quad.e_weights, quad.nodes, quad.weights):
-                assert not part.flags.writeable
-                with pytest.raises(ValueError):
-                    part[:1] = 0
+            parts += [ch.p_indices, quad.e_nodes, quad.e_weights, quad.nodes, quad.weights]
+        for part in parts:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[:1] = 0
 
     def test_errors_are_not_stored(self):
-        spec, grid, _, _ = piecewise_setup()
+        spec, grid, red, _ = piecewise_setup()
         before = ab3d._cached_plan.cache_info()
         for _ in range(2):
             with pytest.raises(DomainError):
-                _channel_plan(spec, grid, math.inf, 16)
+                _channel_plan(spec, grid, red, math.inf, 16)
         after = ab3d._cached_plan.cache_info()
         assert after.misses == before.misses + 2
         assert after.currsize == before.currsize
+
+
+class TestFieldSum:
+    def test_equals_the_sum_of_its_terms(self):
+        image = make_field(m=2).hamiltonian_image(PHI)
+        grid = ReductionGrid.build(CHI.support, n_x3=24, n_phi=16)
+        r = np.linspace(0.6, 2.9, 5)[:, None, None]
+        angle, x3 = grid.angles[None, :, None], grid.x3_nodes[None, None, :]
+        got = image(r, angle, x3)
+        want = image.terms[0](r, angle, x3) + image.terms[1](r, angle, x3)
+        assert got.shape == want.shape == (5, 16, 24)
+        peak = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-15 * peak
+        for point in ((1.3, 0.4, 0.2), (2.0, 5.0, -0.7), (0.7, -1.0, 1.1)):
+            value = image(*point)
+            assert np.ndim(value) == 0
+            assert abs(value - sum(t(*point) for t in image.terms)) <= 1e-15 * peak
+
+    def test_terms_share_one_mode_and_the_supports(self):
+        base = make_field(m=0)
+        for terms in (
+            (base, make_field(m=1)),
+            (base, TransformedField(base, 0.1, 0.0)),
+            (base, dataclasses.replace(base, x3_support=(-1.0, 1.0))),
+            (base, dataclasses.replace(base, r_support=(0.4, 3.0))),
+            (),
+        ):
+            with pytest.raises(ConfigurationError):
+                FieldSum(terms)
+        assert FieldSum((base, base))(1.3, 0.4, 0.2) == pytest.approx(2 * base(1.3, 0.4, 0.2))
 
 
 class TestCoefficientDistance:

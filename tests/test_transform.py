@@ -75,6 +75,10 @@ class TestRadialFunction:
         with pytest.raises(DomainError):
             RadialFunction(r, np.ones(4), np.ones(4))
 
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(DomainError, match="at least 8"):
+            RadialFunction([], [], [])
+
     @pytest.mark.parametrize("where", ["r_nodes", "values"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_samples(self, where, bad):
