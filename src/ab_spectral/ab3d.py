@@ -20,7 +20,9 @@ one x3 matmul for every r node and row; each mode then C - i sgn(m) S; one
 real kernel product per block.  The blocks' modes, theta pieces, extensions
 and spectral grids, and the DFT rows and axial phases, form the forward's
 channel plan, built once per (phi, theta tables, M_max, p nodes, reduction
-grid, E_max, node_budget) and cached.  Norms satisfy
+grid, E_max, node_budget) and cached.  The angle grid of n_phi points
+resolves the modes |m| < n_phi / 2 only; a mode grid past that raises
+ConfigurationError rather than alias.  Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -34,7 +36,6 @@ coefficients as the phase e^{-i m alpha - i p beta}.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import functools
 import math
@@ -47,11 +48,9 @@ from .errors import ConfigurationError, DomainError
 from .measures import (
     ExtensionParams,
     MeasureQuadrature,
-    atom_weight,
     bound_state_energy,
     discretize,
     gauss_legendre,
-    has_bound_state,
     spectral_measure,
 )
 from .transform import (
@@ -68,8 +67,11 @@ def critical_channels(phi: float) -> tuple[int, ...]:
     """Angular modes m with |kappa| < 1, kappa = channel_kappa(phi, m) as computed.
 
     One mode for integer phi, else two; a flux within rounding of an integer
-    has one, because the other kappa rounds to +-1.
+    has one, because the other kappa rounds to +-1.  ConfigurationError for
+    a non-finite phi.
     """
+    if not math.isfinite(phi):
+        raise ConfigurationError(f"the flux phi must be finite, got {phi}")
     base = -math.floor(phi)  # only base - 1 and base can satisfy |m + phi| < 1
     return tuple(m for m in (base - 1, base) if abs(channel_kappa(phi, m)) < 1.0)
 
@@ -104,7 +106,7 @@ class PiecewiseTheta:
     """theta as a piecewise-constant function of p.
 
     values[i] applies on (breaks[i-1], breaks[i]]; values[-1] beyond the last
-    break.  breaks must be strictly increasing.
+    break.  breaks must be finite and strictly increasing, values finite.
     """
 
     breaks: tuple[float, ...]
@@ -115,11 +117,14 @@ class PiecewiseTheta:
             raise ConfigurationError(
                 "PiecewiseTheta needs exactly one more value than breakpoints"
             )
+        if not all(map(math.isfinite, (*self.breaks, *self.values))):
+            raise ConfigurationError("PiecewiseTheta breakpoints and values must be finite")
         if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
             raise ConfigurationError("PiecewiseTheta breakpoints must increase")
 
-    def theta_at(self, p: float) -> float:
-        return self.values[bisect.bisect_left(self.breaks, p)]
+    def theta_at(self, p):
+        """theta at p, a number or an array of p nodes (elementwise)."""
+        return np.asarray(self.values)[np.searchsorted(self.breaks, p, side="left")]
 
 
 @dataclass(frozen=True)
@@ -154,7 +159,7 @@ class ThetaSpec:
         return cls(phi, {m: theta for m in critical_channels(phi)})
 
     def theta_for(self, m: int, p: float) -> float:
-        return self.entries[m].theta_at(p)  # KeyError on non-critical m, by design
+        return float(self.entries[m].theta_at(p))  # KeyError on non-critical m, by design
 
     def shifted(self, delta: float) -> "ThetaSpec":
         """All angles shifted by delta (used by the theta + pi equivalence tests)."""
@@ -164,19 +169,32 @@ class ThetaSpec:
         })
 
 
+def _check_grid(count_name: str, count, least: int, rule: str, nodes, weights) -> None:
+    """ConfigurationError unless count is an integer >= least and nodes and
+    weights are 1-D arrays of one length, all finite, with positive weights."""
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise ConfigurationError(f"{count_name} must be an integer >= {least}, got {count!r}")
+    x, w = np.asarray(nodes), np.asarray(weights)
+    if x.ndim != 1 or x.shape != w.shape or not np.all(np.isfinite(x) & np.isfinite(w) & (w > 0)):
+        raise ConfigurationError(
+            f"the {rule} rule needs 1-D nodes and weights of one length, all finite, "
+            "with positive weights"
+        )
+
+
 @dataclass(frozen=True)
 class ModeGrid:
-    """Truncation of the channel sum/integral: |m| <= M_max, Gauss rule in p."""
+    """Truncation of the channel sum/integral: |m| <= M_max, Gauss rule in p.
+
+    ConfigurationError unless M_max is an integer >= 0 and the p rule is 1-D,
+    finite and of positive weights."""
 
     M_max: int
     p_nodes: np.ndarray
     p_weights: np.ndarray
 
     def __post_init__(self):
-        if self.M_max < 0:
-            raise ConfigurationError("M_max must be >= 0")
-        if np.any(np.asarray(self.p_weights) <= 0.0):
-            raise ConfigurationError("p weights must be positive")
+        _check_grid("M_max", self.M_max, 0, "p", self.p_nodes, self.p_weights)
 
     @classmethod
     def build(cls, M_max: int, P_max: float, n_p: int = 64) -> "ModeGrid":
@@ -194,11 +212,17 @@ class ReductionGrid:
 
     Uniform (trapezoid) rule in the angle -- spectrally accurate for smooth
     periodic integrands -- and a Gauss-Legendre rule over the x3 support.
+    The n_phi angles resolve the modes |m| < n_phi / 2.  ConfigurationError
+    unless n_phi is an integer >= 1 and the x3 rule is 1-D, finite and of
+    positive weights.
     """
 
     n_phi: int
     x3_nodes: np.ndarray
     x3_weights: np.ndarray
+
+    def __post_init__(self):
+        _check_grid("n_phi", self.n_phi, 1, "x3", self.x3_nodes, self.x3_weights)
 
     @classmethod
     def build(cls, x3_support: tuple[float, float], n_x3: int = 96, n_phi: int = 128):
@@ -348,12 +372,9 @@ def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
     and reduce maps the C-contiguous (k, n_phi, n_x3) block to k per-node
     results in one stacked operation, so every node's values have the same bits
     at any block size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never
-    held.  The size is in bytes because the page faults depend on bytes: at 1 to
-    3 nodes (up to 590 KB) a forward took at most about 380 minor faults, but at
-    4 (786 KB) and 8 nodes (1.6 MB) the forward of H Phi, when its field call
-    still held three block-sized temporaries, took 6,000-6,300 and ran 25-32 ms
-    against 18 ms at 3 nodes, as glibc gave the freed heap top back after each
-    block and faulted it in again for the next."""
+    held.  The size is in bytes because the page faults depend on bytes: past
+    some block size glibc gives the freed heap top back after each block and
+    faults it in again for the next."""
     r = np.asarray(r_nodes, dtype=float)[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
@@ -370,10 +391,10 @@ def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
 class _Reduction(NamedTuple):
     """The grid-only matrices that reduce field samples to (mode, p node) values.
 
-    rows is the folded angular DFT: cos(k a_j) / n_phi for each order k = |q|
-    of the modes' residues q, then sin(k a_j) / n_phi for each k > 0.
-    cos_rows[i] is mode i's cos row; sines holds (mode index, sin row,
-    -i sgn q) for each mode with q != 0.  axial is e^{-i p x3} w3, (n_p, n_x3).
+    rows is the folded angular DFT: cos(k a_j) / n_phi for each order k = |m|
+    of the modes, then sin(k a_j) / n_phi for each k > 0.  cos_rows[i] is
+    mode i's cos row; sines holds (mode index, sin row, -i sgn m) for each
+    mode m != 0.  axial is e^{-i p x3} w3, (n_p, n_x3).
     """
 
     rows: np.ndarray
@@ -385,45 +406,40 @@ class _Reduction(NamedTuple):
 def _reduction(grid: ReductionGrid, modes: Sequence[int], p_nodes) -> _Reduction:
     """The _Reduction of grid to modes and p_nodes.
 
-    e^{-i m a} = cos(|m| a) - i sgn(m) sin(|m| a) for the residue of m in
-    [-n_phi/2, n_phi/2), so the DFT over the modes is one real matrix of
-    distinct cos and sin rows, and aliases of a mode share its rows exactly as
-    in a length-n_phi FFT.  The phases are read at index k j mod n_phi of the
-    angle grid."""
+    e^{-i m a} = cos(|m| a) - i sgn(m) sin(|m| a), so the DFT over the modes
+    is one real matrix of distinct cos and sin rows, its phases read at index
+    |m| j mod n_phi of the angle grid.  ConfigurationError if any |m| >=
+    n_phi / 2: the n_phi angles cannot tell such a mode from its alias."""
     n = grid.n_phi
-    residues = [(m + n // 2) % n - n // 2 for m in modes]
-    orders = sorted({abs(q) for q in residues})
+    if any(2 * abs(m) >= n for m in modes):
+        raise ConfigurationError(
+            f"the {n} reduction angles resolve the modes |m| < n_phi/2 = {n / 2:g} only; "
+            f"got |m| = {max(abs(m) for m in modes)}: raise n_phi or keep fewer modes"
+        )
+    orders = sorted({abs(m) for m in modes})
     sin_orders = [k for k in orders if k > 0]  # none at M_max = 0
     angles = grid.angles[np.outer(orders + sin_orders, np.arange(n)) % n]
     rows = np.concatenate((np.cos(angles[: len(orders)]), np.sin(angles[len(orders) :]))) / n
-    cos_rows = np.array([orders.index(abs(q)) for q in residues])
+    cos_rows = np.array([orders.index(abs(m)) for m in modes])
     sines = tuple(
-        (i, len(orders) + sin_orders.index(abs(q)), -1j if q > 0 else 1j)
-        for i, q in enumerate(residues)
-        if q != 0
+        (i, len(orders) + sin_orders.index(abs(m)), -1j if m > 0 else 1j)
+        for i, m in enumerate(modes)
+        if m != 0
     )
     axial = np.exp(-1j * np.outer(p_nodes, grid.x3_nodes)) * grid.x3_weights
     return _Reduction(rows, cos_rows, sines, axial)
 
 
-def _reduce(
-    field,
-    r_nodes,
-    grid: ReductionGrid,
-    modes: Sequence[int],
-    p_nodes,
-    maps: _Reduction | None = None,
-) -> np.ndarray:
+def _reduce(field, r_nodes, grid: ReductionGrid, maps: _Reduction) -> np.ndarray:
     """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
-    for every r node, mode m and p node: shape (n_r, n_modes, n_p).
+    for every r node, mode m and p node of maps = _reduction(grid, modes,
+    p_nodes): shape (n_r, n_modes, n_p).
 
-    maps is _reduction(grid, modes, p_nodes), built here unless given
-    (full_forward passes its channel plan's).  Each block of samples, read as
-    interleaved re/im floats, goes through the real folded DFT rows in one
-    stacked matmul, giving the complex cos and sin sums C and S per order.
-    One x3 matmul applies the axial phases to every node and row, and each
-    mode is then C - i sgn(q) S of its residue q, one mode slice at a time."""
-    maps = _reduction(grid, modes, p_nodes) if maps is None else maps
+    Each block of samples, read as interleaved re/im floats, goes through the
+    real folded DFT rows in one stacked matmul, giving the complex cos and sin
+    sums C and S per order.  One x3 matmul applies the axial phases to every
+    node and row, and each mode is then C - i sgn(m) S, one mode slice at a
+    time."""
     folded = _by_r_node(
         field, r_nodes, grid, lambda t: (maps.rows @ t.view(float)).view(complex)
     )
@@ -439,9 +455,10 @@ def radial_reduce(
     field, channel: ChannelIndex, r_nodes, grid: ReductionGrid, quad_weights=None
 ) -> RadialFunction:
     """Channel reduction of a field at a single (m, p), sampled at r_nodes
-    (two folded DFT rows, one for m = 0)."""
+    (two folded DFT rows, one for m = 0); ConfigurationError if |m| >= n_phi / 2."""
     r = np.asarray(r_nodes, dtype=float)
-    values = np.sqrt(r) * _reduce(field, r, grid, [channel.m], [channel.p])[:, 0, 0]
+    maps = _reduction(grid, [channel.m], [channel.p])
+    values = np.sqrt(r) * _reduce(field, r, grid, maps)[:, 0, 0]
     if quad_weights is None:
         quad_weights = np.ones_like(r)
     return RadialFunction(r, np.asarray(quad_weights, dtype=float), values)
@@ -514,27 +531,23 @@ class Coefficients3D:
     grid: ModeGrid
     blocks: list[ChannelBlock]
 
-    def _norm_sq(self, m: int | None = None) -> float:
+    def norm_sq(self, m: int | None = None) -> float:
+        """Squared norm of every block, or of mode m's blocks only."""
         return sum(
             blk.norm_sq(self.grid.p_weights)
             for blk in self.blocks
             if m is None or blk.m == m
         )
 
-    def norm_sq(self) -> float:
-        return self._norm_sq()
-
     def channel_norm_sq(self, m: int) -> float:
-        return self._norm_sq(m)
+        return self.norm_sq(m)
 
 
 def _theta_groups(spec: ThetaSpec, m: int, p_nodes) -> list[tuple[float | None, np.ndarray]]:
     """p-node indices grouped by the theta in force, by increasing theta (None off-critical)."""
     if m not in spec.entries:
         return [(None, np.arange(len(p_nodes)))]
-    entry = spec.entries[m]
-    pieces = np.searchsorted(entry.breaks, p_nodes, side="left")  # as theta_at
-    thetas, group = np.unique(np.asarray(entry.values)[pieces], return_inverse=True)
+    thetas, group = np.unique(spec.entries[m].theta_at(p_nodes), return_inverse=True)
     return [(float(t), np.flatnonzero(group == k)) for k, t in enumerate(thetas)]
 
 
@@ -588,6 +601,8 @@ def _cached_plan(key: _CacheKey) -> _Plan:
     96 x3 nodes) and the folded DFT rows (7 KB at 7 modes, 62 KB at 61), so
     about 215 KB and 1 MB: 4 kept."""
     spec, grid, reduction, E_max, node_budget = key.inputs
+    maps = _reduction(reduction, grid.modes, grid.p_nodes)  # raises before any grid is built
+    _read_only((maps.rows, maps.cos_rows, maps.axial))
     channels = []
     for i, m in enumerate(grid.modes):
         kappa = channel_kappa(spec.phi, m)
@@ -596,8 +611,6 @@ def _cached_plan(key: _CacheKey) -> _Plan:
             quad = discretize(spectral_measure(params), E_max, node_budget)
             _read_only((quad.e_nodes, quad.e_weights, p_idx))
             channels.append(_Channel(i, m, p_idx, params, quad))
-    maps = _reduction(reduction, grid.modes, grid.p_nodes)
-    _read_only((maps.rows, maps.cos_rows, maps.axial))
     return _Plan(tuple(channels), maps)
 
 
@@ -614,7 +627,8 @@ def full_forward(
 
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
     E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
-    2500 / b**2 for support right edge b).  The blocks, one per (mode, theta
+    2500 / b**2 for support right edge b); ConfigurationError if M_max >=
+    n_phi / 2 of the reduction grid.  The blocks, one per (mode, theta
     group), and the reduction matrices come from the cached channel plan, so
     a repeated signature builds no spectral grid and no phase matrix; blocks
     of two forwards with one signature share their quad and p_indices
@@ -627,7 +641,7 @@ def full_forward(
     """
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)
-    weighted = _reduce(field, r, reduction, grid.modes, grid.p_nodes, plan.reduction)
+    weighted = _reduce(field, r, reduction, plan.reduction)
     weighted *= (np.sqrt(r) * wr)[:, None, None]  # (n_r, n_modes, n_p)
     blocks = [
         ChannelBlock(
@@ -641,46 +655,35 @@ def full_forward(
     return Coefficients3D(spec.phi, grid, blocks)
 
 
-def apply_H(spec: ThetaSpec, coeffs: Coefficients3D) -> Coefficients3D:
-    """Diagonalized Hamiltonian: multiply by p**2 + E over each block's grid."""
-    blocks = []
-    for blk in coeffs.blocks:
-        p = coeffs.grid.p_nodes[blk.p_indices]
-        factor = p[:, None] ** 2 + blk.quad.nodes[None, :]
-        blocks.append(dataclasses.replace(blk, values=factor * blk.values))
+def _scaled(coeffs: Coefficients3D, factor) -> Coefficients3D:
+    """coeffs with each block's values multiplied by factor(block, its p nodes)."""
+    p_nodes = coeffs.grid.p_nodes
+    blocks = [
+        dataclasses.replace(blk, values=factor(blk, p_nodes[blk.p_indices]) * blk.values)
+        for blk in coeffs.blocks
+    ]
     return Coefficients3D(coeffs.phi, coeffs.grid, blocks)
 
 
-def _same_array(x: np.ndarray, y: np.ndarray) -> bool:
-    return x is y or np.array_equal(x, y)
+def apply_H(spec: ThetaSpec, coeffs: Coefficients3D) -> Coefficients3D:
+    """Diagonalized Hamiltonian: multiply by p**2 + E over each block's grid."""
+    return _scaled(coeffs, lambda blk, p: p[:, None] ** 2 + blk.quad.nodes[None, :])
+
+
+def _grid_arrays(c: Coefficients3D) -> list:
+    """phi, M_max, the p nodes, then each block's m, p indices and spectral grid."""
+    blocks = [(blk.m, blk.p_indices, blk.quad.nodes, blk.quad.weights) for blk in c.blocks]
+    return [c.phi, c.grid.M_max, c.grid.p_nodes, *(part for blk in blocks for part in blk)]
 
 
 def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
     """Measure-weighted L2 distance between two coefficient sets on one grid.
 
     ConfigurationError unless phi, M_max, the p nodes and every block's mode,
-    p indices and spectral grid (nodes and weights) agree; blocks that share
-    their plan's objects, as forwards of one signature do, pass by identity.
+    p indices and spectral grid (nodes and weights) are equal.
     """
-    same = (
-        a.phi == b.phi
-        and a.grid.M_max == b.grid.M_max
-        and _same_array(a.grid.p_nodes, b.grid.p_nodes)
-        and len(a.blocks) == len(b.blocks)
-        and all(
-            blk_a.m == blk_b.m
-            and _same_array(blk_a.p_indices, blk_b.p_indices)
-            and (
-                blk_a.quad is blk_b.quad
-                or (
-                    _same_array(blk_a.quad.nodes, blk_b.quad.nodes)
-                    and _same_array(blk_a.quad.weights, blk_b.quad.weights)
-                )
-            )
-            for blk_a, blk_b in zip(a.blocks, b.blocks)
-        )
-    )
-    if not same:
+    grid_a, grid_b = _grid_arrays(a), _grid_arrays(b)
+    if len(grid_a) != len(grid_b) or not all(map(np.array_equal, grid_a, grid_b)):
         raise ConfigurationError(
             "coefficient_distance needs two coefficient sets on one spectral grid: "
             "the same phi, M_max, p nodes and per-block mode, p indices and measure"
@@ -695,12 +698,7 @@ def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
 
 def symmetry_phase(coeffs: Coefficients3D, alpha: float, beta: float) -> Coefficients3D:
     """Coefficients of the rotated/translated field predicted by covariance."""
-    blocks = []
-    for blk in coeffs.blocks:
-        p = coeffs.grid.p_nodes[blk.p_indices]
-        phase = np.exp(-1j * (blk.m * alpha + p * beta))[:, None]
-        blocks.append(dataclasses.replace(blk, values=phase * blk.values))
-    return Coefficients3D(coeffs.phi, coeffs.grid, blocks)
+    return _scaled(coeffs, lambda blk, p: np.exp(-1j * (blk.m * alpha + p * beta))[:, None])
 
 
 def symmetry_defect(
@@ -713,15 +711,14 @@ def symmetry_defect(
     reduction: ReductionGrid,
     E_max: float,
     node_budget: int = 16,
-    base: Coefficients3D | None = None,
+    *,
+    base: Coefficients3D,
 ) -> float:
     """sup |c_transformed - e^{-i m alpha - i p beta} c| over sampled (m,p,E).
 
-    base, if given, must be full_forward of the untransformed field on the
-    same grids (lets callers amortize it over several (alpha, beta) pairs).
+    base is full_forward of the untransformed field on the same grids, so
+    callers share it over several (alpha, beta) pairs.
     """
-    if base is None:
-        base = full_forward(spec, field, grid, r_rule, reduction, E_max, node_budget)
     moved = TransformedField(field, alpha, beta)
     transformed = full_forward(
         spec, moved, grid, r_rule, reduction, E_max, node_budget
@@ -779,15 +776,7 @@ def bound_state_table(spec: ThetaSpec) -> list[tuple[int, float, float, float, f
             if canonical in seen:
                 continue
             seen.add(canonical)
-            if has_bound_state(params):
-                rows.append(
-                    (
-                        m,
-                        params.kappa,
-                        bound_state_energy(params),
-                        atom_weight(params),
-                        canonical,
-                    )
-                )
+            for energy, weight in spectral_measure(params).atoms:
+                rows.append((m, params.kappa, energy, weight, canonical))
     return rows
 

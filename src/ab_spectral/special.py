@@ -230,14 +230,6 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
     return value, d_dr
 
 
-def _chi_with_slope(kappa: float, zeta) -> tuple[np.ndarray, np.ndarray]:
-    """(chi_kappa(zeta), d chi_kappa / d zeta), elementwise: chi_kappa(zeta) is
-    u(kappa, zeta | 1), and d chi_kappa / d zeta = -chi_{kappa+1} / 2 (DLMF 10.6.6)."""
-    zeta = np.asarray(zeta, dtype=float)
-    chi = _assemble(kappa, 1.0, 0.0, zeta, 1.0)[0]
-    return chi, -0.5 * _assemble(kappa + 1.0, 1.0, 0.0, zeta, 1.0)[0]
-
-
 def chi_kappa(kappa: float, zeta):
     """The entire function behind u: chi_kappa(zeta) = zeta**(-kappa/2) J_kappa(sqrt(zeta))."""
     val = _assemble(kappa, 1.0, 0.0, zeta, 1.0)[0]

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,14 +66,7 @@ class CheckResult:
         return bool(self.params.get("control", False))
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "params": self.params,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 class Job(NamedTuple):

@@ -1,5 +1,6 @@
 """Tests of the three-dimensional channel decomposition and assembly."""
 
+import bisect
 import dataclasses
 import math
 
@@ -19,6 +20,7 @@ from ab_spectral.ab3d import (
     TransformedField,
     _channel_plan,
     _reduce,
+    _reduction,
     _theta_groups,
     apply_H,
     bound_state_table,
@@ -109,12 +111,45 @@ class TestThetaSpec:
         assert spec.theta_for(0, 0.0) == 1.0 + math.pi
 
 
+P_RULE = gauss_legendre(-8.0, 8.0, 32)
+X3_RULE = gauss_legendre(-2.0, 2.5, 32)
+NAN_NODE = np.where(np.arange(32) == 5, math.nan, P_RULE[0])
+
+
 class TestGrids:
     def test_mode_grid_validation(self):
         with pytest.raises(ConfigurationError):
             ModeGrid(-1, np.zeros(4), np.ones(4))
         with pytest.raises(ConfigurationError):
             ModeGrid(1, np.zeros(4), -np.ones(4))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModeGrid(3, P_RULE[0][:10], P_RULE[1]),  # 10 nodes, 32 weights
+            lambda: ModeGrid(3, NAN_NODE, P_RULE[1]),
+            lambda: ModeGrid(2.5, *P_RULE),
+            lambda: ModeGrid(3, P_RULE[0][None, :], P_RULE[1][None, :]),  # 2-D
+            lambda: ModeGrid(3, P_RULE[0], np.where(np.arange(32) == 0, math.inf, P_RULE[1])),
+            lambda: ReductionGrid(0, *X3_RULE),
+            lambda: ReductionGrid(16.0, *X3_RULE),
+            lambda: ReductionGrid(16, X3_RULE[0], -X3_RULE[1]),
+            lambda: ReductionGrid(16, X3_RULE[0][:-1], X3_RULE[1]),
+            lambda: ReductionGrid(16, NAN_NODE, X3_RULE[1]),
+            lambda: PiecewiseTheta((math.nan,), (1.0, 1.3)),
+            lambda: PiecewiseTheta((0.0,), (1.0, math.inf)),
+            lambda: ThetaSpec.constant(math.nan, 1.0),
+            lambda: ThetaSpec(math.inf, {}),
+        ],
+        ids=[
+            "p-lengths", "p-nan-node", "m-max-float", "p-2d", "p-inf-weight",
+            "n-phi-0", "n-phi-float", "x3-negative-weights", "x3-lengths", "x3-nan-node",
+            "theta-nan-break", "theta-inf-value", "phi-nan", "phi-inf",
+        ],
+    )
+    def test_malformed_3d_inputs_raise_configuration_error(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
 
     def test_mode_grid_build(self):
         grid = ModeGrid.build(2, 5.0, 32)
@@ -172,37 +207,41 @@ class TestReduction:
         assert field_norm_sq(field, r_rule, grid) == pytest.approx(expected, rel=1e-10)
 
 
-    def test_kept_modes_match_the_fft_with_its_aliasing(self):
-        """The angular DFT over the kept modes gives the columns of a length
-        n_phi FFT, modes with |m| >= n_phi / 2 included: e^{-i m a_j} is
-        periodic in m mod n_phi, so aliases come out bit for bit equal."""
+    def test_modes_the_angle_grid_cannot_resolve_are_rejected(self):
+        """n_phi = 16 angles resolve |m| <= 7: every reduction path accepts
+        those, as the columns of a length-16 FFT, and raises at |m| = 8, where
+        e^{-8i a_j} = e^{8i a_j} = (-1)^j makes modes 8 and -8 one column."""
         field = TransformedField(make_field(m=3), 0.7, 0.2)
         grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=16)
         r = np.linspace(0.6, 2.9, 9)
-        modes = list(range(-20, 21))
+        modes = list(range(-7, 8))
         p = np.array([-1.1, 0.0, 0.4, 2.5])
         tensor = whole_tensor(field, r, grid)
         spectrum = np.fft.fft(tensor, axis=1)[:, [m % grid.n_phi for m in modes], :] / grid.n_phi
         phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
         expected = np.einsum("imk,pk->imp", spectrum, phases)
-        got = _reduce(field, r, grid, modes, p)
+        got = _reduce(field, r, grid, _reduction(grid, modes, p))
         assert got.shape == (len(r), len(modes), len(p))
         peak = np.max(np.abs(expected))
         assert peak > 0.1
         assert np.max(np.abs(got - expected)) <= 1e-14 * peak
-        for alias in (-13, 19):  # both alias m = 3
-            assert np.array_equal(got[:, modes.index(alias)], got[:, modes.index(3)])
-        assert np.max(np.abs(got[:, modes.index(4)])) <= 1e-14 * peak
-        hit = radial_reduce(field, ChannelIndex(19, 0.4), r, grid).values
-        expected_hit = np.sqrt(r) * expected[:, modes.index(19), 2]
-        assert np.max(np.abs(hit - expected_hit)) <= 1e-14 * peak
+        hit = radial_reduce(field, ChannelIndex(-7, 0.4), r, grid).values
+        assert np.max(np.abs(hit - np.sqrt(r) * expected[:, 0, 2])) <= 1e-14 * peak
+        spec, _, _, r_rule = small_setup()
+        full_forward(spec, make_field(m=0), ModeGrid.build(7, 5.0, 8), r_rule, grid, 10.0)
+        for m in (8, -8):
+            with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
+                _reduce(field, r, grid, _reduction(grid, [*modes, m], p))
+            with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
+                radial_reduce(field, ChannelIndex(m, 0.4), r, grid)
+        with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
+            full_forward(spec, make_field(m=0), ModeGrid.build(8, 5.0, 8), r_rule, grid, 10.0)
 
-    @pytest.mark.parametrize("n_phi", [16, 128])
-    @pytest.mark.parametrize("M_max", [20, 0])
+    @pytest.mark.parametrize("M_max,n_phi", [(0, 128), (0, 16), (20, 128)])
     def test_the_folded_dft_is_the_complex_dft(self, n_phi, M_max):
         """The real cos and sin rows, combined as C - i sgn(m) S per mode, give
-        the complex DFT over the kept modes, aliases included; at M_max = 0
-        there is one cos row and no sin row."""
+        the complex DFT over the kept modes; at M_max = 0 there is one cos row
+        and no sin row."""
         grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=n_phi)
         moved = [TransformedField(make_field(m=m), 0.7, 0.2) for m in (0, 3, -5)]
 
@@ -215,13 +254,12 @@ class TestReduction:
         dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n_phi)) % n_phi]) / n_phi
         phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
         expected = (dft @ whole_tensor(field, r, grid)) @ phases.T
-        got = _reduce(field, r, grid, modes, p)
+        got = _reduce(field, r, grid, _reduction(grid, modes, p))
         assert got.shape == expected.shape
         peak = np.max(np.abs(expected))
         assert peak > 1.0
         assert np.max(np.abs(got - expected)) <= 1e-15 * peak
-        n_rows = 1 + 2 * len({abs((m + n_phi // 2) % n_phi - n_phi // 2) for m in modes} - {0})
-        assert ab3d._reduction(grid, modes, p).rows.shape == (n_rows, n_phi)
+        assert _reduction(grid, modes, p).rows.shape == (1 + 2 * M_max, n_phi)
 
     def test_one_channel_folds_to_two_rows(self):
         grid = ReductionGrid.build(CHI.support, n_x3=16, n_phi=32)
@@ -266,7 +304,7 @@ class TestReduction:
         for n_r in (20, 1, 0):
             r, wr = (a[:n_r] for a in gauss_legendre(PSI.a, PSI.b, 20))
             tensor = whole_tensor(field, r, grid)
-            got = _reduce(field, r, grid, modes, p)
+            got = _reduce(field, r, grid, _reduction(grid, modes, p))
             assert got.shape == (n_r, 3, 2)
             assert got.tobytes() == reduce_whole(tensor, modes, p).tobytes()
             for m in (-2, 1) if n_r >= 8 else ():  # a RadialFunction needs 8 nodes
@@ -329,10 +367,12 @@ def whole_tensor(field, r, grid):
 class TestThetaGroups:
     @staticmethod
     def dict_grouping(spec, m, p_nodes):
-        """The p nodes grouped by a dict over theta_for, sorted by theta."""
-        groups = {}
+        """The p nodes grouped by a dict over a per-node bisect of the table,
+        values[i] on (breaks[i-1], breaks[i]], sorted by theta."""
+        table, groups = spec.entries[m], {}
         for i, p in enumerate(p_nodes):
-            groups.setdefault(spec.theta_for(m, float(p)), []).append(i)
+            theta = table.values[bisect.bisect_left(table.breaks, float(p))]
+            groups.setdefault(theta, []).append(i)
         return [(t, np.asarray(idx)) for t, idx in sorted(groups.items())]
 
     @pytest.mark.parametrize("seed", range(24))
@@ -351,8 +391,9 @@ class TestThetaGroups:
             got = _theta_groups(spec, m, p_nodes)
             want = self.dict_grouping(spec, m, p_nodes)
             assert [t for t, _ in got] == [t for t, _ in want]
-            for (_, idx), (_, ref) in zip(got, want):
+            for (theta, idx), (_, ref) in zip(got, want):
                 assert idx.dtype == ref.dtype and np.array_equal(idx, ref)
+                assert all(spec.theta_for(m, float(p)) == theta for p in p_nodes[idx])
 
     def test_pieces_sharing_a_theta_merge(self):
         p_nodes = np.array([-2.0, -1.0, 0.5, 1.0, 3.0])
@@ -382,6 +423,9 @@ class TestFullForward:
         for m in (-1, 0):
             assert coeffs.channel_norm_sq(m) < 1e-25 * total
         assert coeffs.channel_norm_sq(1) == pytest.approx(total)
+        assert [coeffs.norm_sq(m) for m in grid.modes] == [
+            coeffs.channel_norm_sq(m) for m in grid.modes
+        ]
 
     def test_parseval(self):
         # needs the full p-resolution: the small 16-node p grid used elsewhere
@@ -433,6 +477,8 @@ class TestFullForward:
             spec, field, 0.7, 1.3, grid, r_rule, reduction, 100.0, base=base
         )
         assert defect < 1e-8
+        with pytest.raises(TypeError):  # base is a required keyword
+            symmetry_defect(spec, field, 0.7, 1.3, grid, r_rule, reduction, 100.0)
 
     def test_deep_atoms_on_both_critical_channels(self):
         """theta = 0.9 puts E_b = -75.47 on both critical channels of phi = 1/2;

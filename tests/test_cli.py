@@ -381,6 +381,13 @@ class TestTransformCommand:
         assert not out.exists()
         assert f"bad [run] {key} " in capsys.readouterr().err
 
+    def test_3d_modes_past_the_angle_grid_are_a_usage_error(self, tmp_path, capsys):
+        # the default 128 reduction angles resolve |m| < 64 only
+        code, out = self._transform_3d(tmp_path, "m_max = 64")
+        assert code == EXIT_USAGE
+        assert not out.exists()
+        assert "|m| < n_phi/2 = 64" in capsys.readouterr().err
+
     def test_3d_csv_header(self, tmp_path, capsys):
         # at theta = pi/2 each critical mode has one atom per p node; the
         # channel the field does not occupy is left out of the dump

@@ -19,7 +19,6 @@ from ab_spectral.measures import (
 )
 from ab_spectral.special import (
     ZETA_BOUND,
-    _chi_with_slope,
     chi_kappa,
     gamma_fn,
     theta_kappa,
@@ -276,7 +275,8 @@ class TestBesselKernelSweep:
 
     @pytest.mark.parametrize("kappa", SWEEP_KAPPAS)
     def test_chi_and_slope(self, kappa):
-        value, slope = _chi_with_slope(kappa, SWEEP_ZETA)
+        # d chi_kappa / d zeta = -chi_{kappa+1} / 2 (DLMF 10.6.6)
+        value, slope = chi_kappa(kappa, SWEEP_ZETA), -0.5 * chi_kappa(kappa + 1, SWEEP_ZETA)
         oracle = np.array([chi_with_slope_oracle(kappa, z) for z in SWEEP_ZETA])
         for got, expected in ((value, oracle[:, 0]), (slope, oracle[:, 1])):
             error = np.abs(got - expected)
