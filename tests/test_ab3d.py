@@ -207,10 +207,11 @@ class TestReduction:
         assert field_norm_sq(field, r_rule, grid) == pytest.approx(expected, rel=1e-10)
 
 
-    def test_modes_the_angle_grid_cannot_resolve_are_rejected(self):
+    def test_kept_modes_match_the_fft_with_its_aliasing(self):
         """n_phi = 16 angles resolve |m| <= 7: every reduction path accepts
         those, as the columns of a length-16 FFT, and raises at |m| = 8, where
-        e^{-8i a_j} = e^{8i a_j} = (-1)^j makes modes 8 and -8 one column."""
+        the FFT aliases: e^{-8i a_j} = e^{8i a_j} = (-1)^j makes modes 8 and
+        -8 one column."""
         field = TransformedField(make_field(m=3), 0.7, 0.2)
         grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=16)
         r = np.linspace(0.6, 2.9, 9)
@@ -225,6 +226,7 @@ class TestReduction:
         peak = np.max(np.abs(expected))
         assert peak > 0.1
         assert np.max(np.abs(got - expected)) <= 1e-14 * peak
+        assert np.max(np.abs(got[:, modes.index(4)])) <= 1e-14 * peak
         hit = radial_reduce(field, ChannelIndex(-7, 0.4), r, grid).values
         assert np.max(np.abs(hit - np.sqrt(r) * expected[:, 0, 2])) <= 1e-14 * peak
         spec, _, _, r_rule = small_setup()
@@ -237,11 +239,12 @@ class TestReduction:
         with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
             full_forward(spec, make_field(m=0), ModeGrid.build(8, 5.0, 8), r_rule, grid, 10.0)
 
-    @pytest.mark.parametrize("M_max,n_phi", [(0, 128), (0, 16), (20, 128)])
+    @pytest.mark.parametrize("M_max,n_phi", [(0, 128), (0, 16), (20, 128), (20, 16)])
     def test_the_folded_dft_is_the_complex_dft(self, n_phi, M_max):
         """The real cos and sin rows, combined as C - i sgn(m) S per mode, give
         the complex DFT over the kept modes; at M_max = 0 there is one cos row
-        and no sin row."""
+        and no sin row. Past |m| = n_phi/2 - 1 the modes are kept up to that
+        order and the full range 0..M_max is rejected."""
         grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=n_phi)
         moved = [TransformedField(make_field(m=m), 0.7, 0.2) for m in (0, 3, -5)]
 
@@ -249,7 +252,8 @@ class TestReduction:
             return sum(f(r, angle, x3) for f in moved)
 
         r = np.linspace(0.6, 2.9, 9)
-        modes = list(range(-M_max, M_max + 1))
+        kept = min(M_max, n_phi // 2 - 1)
+        modes = list(range(-kept, kept + 1))
         p = np.array([-1.1, 0.0, 0.4, 2.5])
         dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n_phi)) % n_phi]) / n_phi
         phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
@@ -259,7 +263,10 @@ class TestReduction:
         peak = np.max(np.abs(expected))
         assert peak > 1.0
         assert np.max(np.abs(got - expected)) <= 1e-15 * peak
-        assert _reduction(grid, modes, p).rows.shape == (1 + 2 * M_max, n_phi)
+        assert _reduction(grid, modes, p).rows.shape == (1 + 2 * kept, n_phi)
+        if kept < M_max:
+            with pytest.raises(ConfigurationError, match=f"n_phi/2 = {n_phi // 2}"):
+                _reduction(grid, list(range(-M_max, M_max + 1)), p)
 
     def test_one_channel_folds_to_two_rows(self):
         grid = ReductionGrid.build(CHI.support, n_x3=16, n_phi=32)
