@@ -13,8 +13,9 @@ The reduction of a field Phi to channel (m, p) is
                          Phi(r cos phi, r sin phi, x3) e^{-i p x3 - i m phi}
 
 and the full forward map composes this reduction with the one-dimensional
-eigenfunction transform per channel: the field sampled a few r nodes per call
-(SAMPLE_BLOCK_BYTES); the angular DFT folded over +-m into one real matrix of
+eigenfunction transform per channel: the field sampled a block of r nodes per
+call (SAMPLE_BLOCK_BYTES), each block one real product of its mode's phases
+and its (r, x3) profile; the angular DFT folded over +-m into one real matrix of
 cos and sin rows, applied to the samples read as interleaved re/im floats;
 one x3 matmul for every r node and row; each mode then C - i sgn(m) S; one
 real kernel product per block.  The blocks' modes, theta pieces, extensions
@@ -239,12 +240,45 @@ class ReductionGrid:
 # Field families
 
 
+def _mode_samples(profile, m: int, angle) -> np.ndarray:
+    """profile * e^{i m angle}, in the broadcast product's shape.
+
+    On the sampling layout -- the angle varies only along axis -2, where the
+    profile has length 1 -- the samples are one stacked real product: the
+    (n_phi, 2) phases [cos m a, sin m a] times each leading index's rows
+    [p; i p], (2, 2 n_x3) read as interleaved re/im floats, the result read
+    back as complex.  For a real profile an element is one rounded product
+    plus an exact zero, so it has the broadcast product's bits (a zero may
+    come out as +0 where the broadcast gives -0); a complex profile agrees to
+    rounding.  Every other shape (a single point, a list of points) takes the
+    broadcast product."""
+    profile, angle = np.asarray(profile), np.asarray(angle)
+    phase = np.exp(1j * m * angle)
+    layout = (
+        2 <= angle.ndim <= profile.ndim
+        and angle.shape[-1] == 1
+        and angle.size == angle.shape[-2]
+        and profile.shape[-2] == 1
+    )
+    if not layout:
+        return profile * phase
+    lead, n_x3 = profile.shape[:-2], profile.shape[-1]
+    flat = profile.reshape(math.prod(lead), n_x3)
+    rows = np.empty((len(flat), 2, n_x3), dtype=complex)
+    rows[:, 0], rows[:, 1] = flat, 1j * flat
+    phases = np.stack((phase.real.ravel(), phase.imag.ravel()), axis=1)
+    samples = (phases @ rows.view(float)).view(complex)
+    return samples.reshape(*lead, angle.shape[-2], n_x3)
+
+
 @dataclass(frozen=True)
 class SeparableField:
     """Phi(r cos a, r sin a, x3) = r**-1/2 psi(r) chi(x3) e^{i m a}.
 
     Its channel reduction is exact: delta_{km} chi_hat(p) psi(r), which makes
-    this the sharp test family for everything three-dimensional.
+    this the sharp test family for everything three-dimensional.  A call
+    forms the (r, x3) profile r**-1/2 psi chi and samples its one mode with
+    _mode_samples: one real product over a block of r nodes.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
@@ -257,12 +291,8 @@ class SeparableField:
 
     def __call__(self, r, angle, x3):
         r = np.asarray(r, dtype=float)
-        return (
-            self.psi(r)
-            / np.sqrt(r)
-            * np.asarray(self.chi(x3))
-            * np.exp(1j * self.m * np.asarray(angle))
-        )
+        profile = self.psi(r) / np.sqrt(r) * np.asarray(self.chi(x3))
+        return _mode_samples(profile, self.m, angle)
 
     def hamiltonian_image(self, phi: float) -> "FieldSum":
         """The field H Phi, as a sum of two separable pieces.
@@ -297,9 +327,9 @@ class SeparableField:
 class FieldSum:
     """Pointwise sum of SeparableFields of one mode m and the same supports.
 
-    A call sums the real (r, x3) profiles psi_k(r) chi_k(x3), divides by
-    sqrt(r) once and multiplies by e^{i m a} once, so a call over a block of
-    nodes makes one block-sized array, as a one-term field does.
+    A call sums the (r, x3) profiles psi_k(r) chi_k(x3), divides by sqrt(r)
+    once and samples the mode with _mode_samples once, so a call over a block
+    of nodes makes one block-sized array, as a one-term field does.
     """
 
     terms: tuple
@@ -320,7 +350,7 @@ class FieldSum:
         profile = self.terms[0].psi(r) * np.asarray(self.terms[0].chi(x3))
         for t in self.terms[1:]:
             profile = profile + t.psi(r) * np.asarray(t.chi(x3))
-        return profile / np.sqrt(r) * np.exp(1j * self.terms[0].m * np.asarray(angle))
+        return _mode_samples(profile / np.sqrt(r), self.terms[0].m, angle)
 
     @property
     def r_support(self):
@@ -361,20 +391,22 @@ class TransformedField:
 
 
 #: Bytes of complex field samples taken per call of the field: as many whole
-#: r nodes as fit, at least one; 3 at the default 128 x 96 reduction grid.
-SAMPLE_BLOCK_BYTES = 600_000
+#: r nodes as fit, at least one; 12 at the default 128 x 96 reduction grid.
+SAMPLE_BLOCK_BYTES = 2_400_000
 
 
 def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
     """reduce(Phi(r_i, angle_j, x3_k)) over blocks of consecutive r nodes, joined along r.
 
-    Each call of the field samples as many r nodes as fit in SAMPLE_BLOCK_BYTES,
-    and reduce maps the C-contiguous (k, n_phi, n_x3) block to k per-node
-    results in one stacked operation, so every node's values have the same bits
-    at any block size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never
-    held.  The size is in bytes because the page faults depend on bytes: past
-    some block size glibc gives the freed heap top back after each block and
-    faults it in again for the next."""
+    Each call of the field samples as many r nodes as fit in SAMPLE_BLOCK_BYTES
+    into one block-sized array, and reduce maps the C-contiguous (k, n_phi,
+    n_x3) block to k per-node results, by one operation stacked over the nodes
+    or node by node, so every node's values have the same bits at any block
+    size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never held.  The
+    size is in bytes because the page faults depend on bytes: glibc raises
+    its heap-trim threshold to twice the largest mmapped block it frees, and
+    with smaller blocks it gives the freed heap top back between a forward's
+    temporaries and faults it in again."""
     r = np.asarray(r_nodes, dtype=float)[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
@@ -467,15 +499,18 @@ def radial_reduce(
 def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
     """||Phi||^2 over R^3 by tensor quadrature (r dr x dangle x dx3).
 
-    Per block, the squares of the samples read as interleaved re/im floats go
-    through the x3 weights (each repeated for re and im) in one matmul, and
-    the angles are summed."""
+    One r node at a time, the squares of its samples read as interleaved
+    re/im floats go through the x3 weights (each repeated for re and im) in
+    one matmul, and the angles are summed: a node's sum has the same bits at
+    any block size, and no block-sized temporary is made."""
     r, wr = r_rule
     dphi = 2.0 * math.pi / grid.n_phi
     w3 = np.repeat(np.asarray(grid.x3_weights, dtype=float), 2)
-    per_r = _by_r_node(
-        field, r, grid, lambda t: np.sum(np.square(t.view(float)) @ w3, axis=1)
-    ) * dphi
+
+    def per_node(block):
+        return np.array([np.sum(np.square(node) @ w3) for node in block.view(float)])
+
+    per_r = _by_r_node(field, r, grid, per_node) * dphi
     return float(np.sum(wr * np.asarray(r) * per_r))
 
 
@@ -739,12 +774,15 @@ def eigenfunction_3d(
     """Generalized 3D eigenfunction of channel (m, p) at energy E and point x.
 
     value = e^{i p x3} / (2 pi sqrt(r)) * ((x1 + i x2)/r)**m * J(E | r) with
-    r = hypot(x1, x2) and J the channel's radial eigenfunction.
+    r = hypot(x1, x2) and J the channel's radial eigenfunction.  DomainError
+    on the x3-axis and for a non-finite p or x3.
     """
     x1, x2, x3 = (float(c) for c in x)
     r = math.hypot(x1, x2)
     if r == 0.0:
         raise DomainError("eigenfunction_3d is undefined on the x3-axis")
+    if not (math.isfinite(channel.p) and math.isfinite(x3)):
+        raise DomainError(f"eigenfunction_3d needs a finite p and x3, got p={channel.p} x3={x3}")
     m = channel.m
     kappa = channel_kappa(spec.phi, m)
     if abs(kappa) < 1.0:

@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -279,12 +280,13 @@ class TestReduction:
         with pytest.raises(DomainError, match="at least 8"):
             radial_reduce(make_field(m=1), ChannelIndex(1, 0.4), np.zeros(0), grid)
 
-    def test_node_by_node_equals_the_whole_tensor(self):
-        """The reduction samples a block of r nodes at a time (3 at this grid,
-        so 20 nodes end in a block of 2); at 20, 1 and 0 nodes its channel
-        values and the norm must be bit for bit the same folded DFT, axial
-        matmul and per-mode combination applied to the whole (n_r, n_phi,
-        n_x3) tensor."""
+    def test_node_by_node_equals_the_whole_tensor(self, monkeypatch):
+        """The reduction samples a block of r nodes at a time (12 at this grid
+        and SAMPLE_BLOCK_BYTES, so 20 nodes end in a block of 8); at 20, 1 and
+        0 nodes its channel values and the norm must be bit for bit the same
+        folded DFT, axial matmul and per-mode combination applied to the
+        whole (n_r, n_phi, n_x3) tensor, at the module's block size and at
+        blocks of 3 and 6 nodes."""
         field = TransformedField(make_field(m=1), 0.7, 0.2)
         grid = ReductionGrid.build((-2.0, 2.5))
         modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
@@ -308,7 +310,9 @@ class TestReduction:
                 out[:, i] += (-1j if m > 0 else 1j) * sin
             return out
 
-        for n_r in (20, 1, 0):
+        sizes = (ab3d.SAMPLE_BLOCK_BYTES, 600_000, 1_200_000)
+        for block_bytes, n_r in itertools.product(sizes, (20, 1, 0)):
+            monkeypatch.setattr(ab3d, "SAMPLE_BLOCK_BYTES", block_bytes)
             r, wr = (a[:n_r] for a in gauss_legendre(PSI.a, PSI.b, 20))
             tensor = whole_tensor(field, r, grid)
             got = _reduce(field, r, grid, _reduction(grid, modes, p))
@@ -326,11 +330,11 @@ class TestReduction:
     @pytest.mark.parametrize(
         "n_phi,n_x3,n_r,calls",
         [
-            (128, 96, 20, 7),  # 3 nodes (590 KB) per block, then a block of 2
+            (128, 96, 20, 2),  # 12 nodes (2.36 MB) per block, then a block of 8
             (128, 96, 3, 1),
             (128, 96, 1, 1),
-            (32, 48, 20, 1),  # 24 nodes fit in a block
-            (128, 400, 5, 5),  # a node is 800 KB: one per block
+            (32, 48, 20, 1),  # 97 nodes fit in a block
+            (128, 1200, 5, 5),  # a node is 2.46 MB: one per block
         ],
     )
     def test_the_field_is_called_once_per_block(self, n_phi, n_x3, n_r, calls):
@@ -667,6 +671,78 @@ class TestFieldSum:
         assert FieldSum((base, base))(1.3, 0.4, 0.2) == pytest.approx(2 * base(1.3, 0.4, 0.2))
 
 
+class TestModeSamples:
+    """A field of one angular mode samples profile * e^{i m a} as one real
+    product on the sampling layout (the angle along axis -2 only, the profile
+    of length 1 there) and as the broadcast product on any other shape."""
+
+    def layout(self):
+        grid = ReductionGrid.build(CHI.support, n_x3=40, n_phi=32)
+        r = gauss_legendre(PSI.a, PSI.b, 5)[0]
+        return r[:, None, None], grid.angles[None, :, None], grid.x3_nodes[None, None, :]
+
+    @staticmethod
+    def assert_same_floats(got, want):
+        # bit for bit, except that a zero may differ in sign: a BLAS sum of
+        # one +-0 product and an exact zero starts from +0
+        assert got.shape == want.shape and got.dtype == want.dtype == complex
+        assert got.flags.c_contiguous
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+    @pytest.mark.parametrize("m", [-3, 0, 2])
+    def test_a_separable_field_is_the_broadcast_product(self, m):
+        r, angle, x3 = self.layout()
+        want = PSI(r) / np.sqrt(r) * CHI(x3) * np.exp(1j * m * angle)
+        self.assert_same_floats(make_field(m)(r, angle, x3), want)
+        assert want.shape == (5, 32, 40)
+
+    def test_the_hamiltonian_image_is_the_broadcast_product(self):
+        r, angle, x3 = self.layout()
+        image = make_field(m=2).hamiltonian_image(PHI)
+        first, second = image.terms
+        profile = first.psi(r) * first.chi(x3) + second.psi(r) * second.chi(x3)
+        want = profile / np.sqrt(r) * np.exp(2j * angle)
+        self.assert_same_floats(image(r, angle, x3), want)
+
+    def test_a_transformed_field_is_the_broadcast_product(self):
+        r, angle, x3 = self.layout()
+        moved = TransformedField(make_field(m=3), 0.7, 0.2)
+        want = PSI(r) / np.sqrt(r) * CHI(x3 - 0.2) * np.exp(3j * (angle - 0.7))
+        self.assert_same_floats(moved(r, angle, x3), want)
+
+    def test_points_and_other_layouts_take_the_broadcast_product(self):
+        r, angle, x3 = (np.array(v) for v in ([1.3, 2.0, 0.7], [0.4, 5.0, -1.0], [0.2, -0.7, 1.1]))
+        field = make_field(m=2)
+        want = PSI(r) / np.sqrt(r) * CHI(x3) * np.exp(2j * angle)
+        assert field(r, angle, x3).tobytes() == want.tobytes()
+        for fld in (field, FieldSum((field,)), TransformedField(field, 0.0, 0.0)):
+            values = fld(r, angle, x3)
+            assert values.shape == (3,)
+            assert np.max(np.abs(values - want)) <= 1e-15 * np.max(np.abs(want))
+            for i in range(3):
+                value = fld(r[i], angle[i], x3[i])
+                assert np.ndim(value) == 0 and value == values[i]
+        # angles along the last axis and x3 along axis -2: the transposed samples
+        r, angle, x3 = self.layout()
+        swapped = field(r, angle.reshape(1, 1, -1), x3.reshape(1, -1, 1))
+        swapped = np.ascontiguousarray(swapped.transpose(0, 2, 1))
+        self.assert_same_floats(swapped, field(r, angle, x3))
+
+    def test_a_complex_profile(self):
+        r, angle, x3 = self.layout()
+
+        def psi(r):
+            return PSI(r) * np.exp(0.8j * r)
+
+        field = SeparableField(psi, CHI, -2, (PSI.a, PSI.b), CHI.support)
+        want = psi(r) / np.sqrt(r) * CHI(x3) * np.exp(-2j * angle)
+        got = field(r, angle, x3)
+        assert got.shape == want.shape
+        peak = np.max(np.abs(want))
+        assert peak > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-15 * peak
+
+
 class TestCoefficientDistance:
     def forward(self, theta=1.0, M_max=1, E_max=10.0):
         spec, _, reduction, r_rule = small_setup(theta)
@@ -709,6 +785,16 @@ class TestEigenfunction3D:
         spec = ThetaSpec.constant(0.5, 1.0)
         with pytest.raises(DomainError):
             eigenfunction_3d(spec, ChannelIndex(0, 1.0), 2.0, (0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "p,x3",
+        [(math.nan, 0.4), (math.inf, 0.4), (0.0, math.nan), (1.5, math.inf), (1.5, -math.inf)],
+    )
+    def test_a_non_finite_p_or_x3_is_rejected(self, p, x3):
+        spec = ThetaSpec.constant(0.5, 1.0)
+        for m in (0, 2):  # a critical channel and one without theta
+            with pytest.raises(DomainError, match="finite p and x3"):
+                eigenfunction_3d(spec, ChannelIndex(m, p), 2.0, (1.0, 1.0, x3))
 
     def test_value_off_critical_channel(self):
         # m = 2, kappa = 2.5: no theta involved, value is the plain product
