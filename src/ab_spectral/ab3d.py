@@ -661,18 +661,18 @@ def full_forward(
     """Channel-decompose a field and forward-transform every channel.
 
     r_rule is a (nodes, weights) Gauss rule on the field's radial support;
-    E_max applies to every channel (the kernel bound ZETA_BOUND caps it at
-    2500 / b**2 for support right edge b); ConfigurationError if M_max >=
-    n_phi / 2 of the reduction grid.  The blocks, one per (mode, theta
-    group), and the reduction matrices come from the cached channel plan, so
-    a repeated signature builds no spectral grid and no phase matrix; blocks
-    of two forwards with one signature share their quad and p_indices
-    objects.  The field is sampled SAMPLE_BLOCK_BYTES at a time and reduced to
-    a (n_r, n_modes, n_p) array, weighted by sqrt(r) w_r.  Each block is the
-    factored kernel (transform.Kernel) applied to its group's columns
-    (n_r, n_group): a (F u) + b (G u) with u = sqrt(r) times them, two real
-    products over the cached Bessel pair of the mode's order with the columns
-    as interleaved re/im floats, then the atom rows.
+    E_max applies to every channel (special.energy_cap(b) caps it for support
+    right edge b); ConfigurationError if M_max >= n_phi / 2 of the reduction
+    grid.  The blocks, one per (mode, theta group), and the reduction matrices
+    come from the cached channel plan, so a repeated signature builds no
+    spectral grid and no phase matrix; blocks of two forwards with one
+    signature share their quad and p_indices objects.  The field is sampled
+    SAMPLE_BLOCK_BYTES at a time and reduced to a (n_r, n_modes, n_p) array,
+    weighted by sqrt(r) w_r.  Each block is the factored kernel
+    (transform.Kernel) applied to its group's columns (n_r, n_group):
+    a (F u) + b (G u) with u = sqrt(r) times them, two real products over the
+    cached Bessel pair of the mode's order with the columns as interleaved
+    re/im floats, then the atom rows.
     """
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)
@@ -711,8 +711,8 @@ def _grid_arrays(c: Coefficients3D) -> list:
     return [c.phi, c.grid.M_max, c.grid.p_nodes, *(part for blk in blocks for part in blk)]
 
 
-def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
-    """Measure-weighted L2 distance between two coefficient sets on one grid.
+def _block_pairs(a: Coefficients3D, b: Coefficients3D, caller: str):
+    """The blocks of a and b paired in order, one pair at a time.
 
     ConfigurationError unless phi, M_max, the p nodes and every block's mode,
     p indices and spectral grid (nodes and weights) are equal.
@@ -720,13 +720,19 @@ def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
     grid_a, grid_b = _grid_arrays(a), _grid_arrays(b)
     if len(grid_a) != len(grid_b) or not all(map(np.array_equal, grid_a, grid_b)):
         raise ConfigurationError(
-            "coefficient_distance needs two coefficient sets on one spectral grid: "
+            f"{caller} needs two coefficient sets on one spectral grid: "
             "the same phi, M_max, p nodes and per-block mode, p indices and measure"
         )
+    return zip(a.blocks, b.blocks)
+
+
+def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
+    """Measure-weighted L2 distance between two coefficient sets on one grid
+    (ConfigurationError otherwise, by _block_pairs)."""
     return math.sqrt(
         sum(
             blk_a.norm_sq(a.grid.p_weights, blk_a.values - blk_b.values)
-            for blk_a, blk_b in zip(a.blocks, b.blocks)
+            for blk_a, blk_b in _block_pairs(a, b, "coefficient_distance")
         )
     )
 
@@ -752,20 +758,14 @@ def symmetry_defect(
     """sup |c_transformed - e^{-i m alpha - i p beta} c| over sampled (m,p,E).
 
     base is full_forward of the untransformed field on the same grids, so
-    callers share it over several (alpha, beta) pairs.
+    callers share it over several (alpha, beta) pairs; a base on any other
+    spectral grid is a ConfigurationError (_block_pairs).
     """
     moved = TransformedField(field, alpha, beta)
-    transformed = full_forward(
-        spec, moved, grid, r_rule, reduction, E_max, node_budget
-    )
-    predicted = symmetry_phase(base, alpha, beta)
-    return max(
-        (
-            float(np.max(np.abs(blk_t.values - blk_p.values), initial=0.0))
-            for blk_t, blk_p in zip(transformed.blocks, predicted.blocks)
-        ),
-        default=0.0,
-    )
+    transformed = full_forward(spec, moved, grid, r_rule, reduction, E_max, node_budget)
+    pairs = _block_pairs(transformed, symmetry_phase(base, alpha, beta), "symmetry_defect")
+    gaps = (np.abs(blk_t.values - blk_p.values) for blk_t, blk_p in pairs)
+    return max((float(np.max(gap, initial=0.0)) for gap in gaps), default=0.0)
 
 
 def eigenfunction_3d(

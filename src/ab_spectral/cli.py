@@ -35,7 +35,7 @@ from .measures import (
     gauss_legendre,
     spectral_measure,
 )
-from .special import ZETA_BOUND, u_eigen, u_theta_eigen
+from .special import energy_cap, u_eigen, u_theta_eigen
 from .transform import RadialFunction, forward, parseval_defect, roundtrip_defect
 from .verify import SuiteConfig, _atomic_write, run_suite, suite_exit_status, write_report
 
@@ -139,26 +139,29 @@ def _write_csv(path: str, header: str, rows, atoms=()) -> None:
 # Commands
 
 
+def _extension_params(args) -> ExtensionParams:
+    """The extension of --kappa and --theta; UsageError if --theta is missing
+    while |kappa| < 1."""
+    if abs(args.kappa) < 1.0 and args.theta is None:
+        raise UsageError("--theta is required when |kappa| < 1")
+    return ExtensionParams(args.kappa, args.theta or 0.0)
+
+
 def cmd_eigenfunction(args) -> int:
-    kappa = args.kappa
     r = parse_range(args.r)
     if np.any(r <= 0.0):
         raise UsageError("r grid must be strictly positive (off the axis)")
-    if abs(kappa) < 1.0:
-        if args.theta is None:
-            raise UsageError("--theta is required when |kappa| < 1")
-        result = u_theta_eigen(kappa, args.theta, args.energy, r)
+    params = _extension_params(args)
+    if params.needs_theta:
+        result = u_theta_eigen(params.kappa, params.theta, args.energy, r)
     else:
-        result = u_eigen(abs(kappa), args.energy, r)
+        result = u_eigen(abs(params.kappa), args.energy, r)
     _write_csv(args.output, "r,u,du_dr", zip(r, result.value, result.d_dr))
     return EXIT_OK
 
 
 def cmd_measure(args) -> int:
-    if abs(args.kappa) < 1.0 and args.theta is None:
-        raise UsageError("--theta is required when |kappa| < 1")
-    params = ExtensionParams(args.kappa, args.theta or 0.0)
-    measure = spectral_measure(params)
+    measure = spectral_measure(_extension_params(args))
     energies = parse_range(args.energies)
     _write_csv(args.output, "E,density", zip(energies, measure.density(energies)), measure.atoms)
     return EXIT_OK
@@ -229,18 +232,14 @@ def _named_family(text: str) -> RadialFunction:
 def cmd_transform(args) -> int:
     if args.mode == "3d":
         return _cmd_transform_3d(args)
-    if args.theta is None and abs(args.kappa) < 1.0:
-        raise UsageError("--theta is required when |kappa| < 1")
+    params = _extension_params(args)
     if args.family:
         psi = _named_family(args.family)
     elif args.input:
         psi = _read_profile_csv(args.input)
     else:
         raise UsageError("transform needs --family or --input")
-    params = ExtensionParams(args.kappa, args.theta or 0.0)
-    b = float(psi.r_nodes[-1])
-    e_max = ZETA_BOUND / (b * b)
-    quad = discretize(spectral_measure(params), e_max, args.node_budget)
+    quad = discretize(spectral_measure(params), energy_cap(psi.r_nodes[-1]), args.node_budget)
     coeffs = forward(params, psi, quad)
     pv = parseval_defect(psi, coeffs)
     rt = roundtrip_defect(params, psi, quad)
@@ -275,7 +274,7 @@ def _cmd_transform_3d(args) -> int:
     red = ab3d.ReductionGrid.build(chi.support)
     r_rule = gauss_legendre(a, b, _run_value(run, "r_nodes", 64, above=0))
     coeffs = ab3d.full_forward(
-        spec, fld, grid, r_rule, red, ZETA_BOUND / (b * b), args.node_budget
+        spec, fld, grid, r_rule, red, energy_cap(b), args.node_budget
     )
     total = coeffs.norm_sq()
     atoms, rows = [], []
@@ -304,11 +303,9 @@ def cmd_verify(args) -> int:
             if key in run:
                 kwargs[key] = _parse_float_list(key, run[key])
     kwargs["negative_controls"] = args.negative_controls
-    if args.no_atoms:
-        kwargs["include_atoms"] = False
     try:
         suite = SuiteConfig(**kwargs)
-    except (ConfigurationError, TypeError) as exc:
+    except ConfigurationError as exc:
         raise UsageError(f"bad suite config: {exc}") from exc
     results = run_suite(suite)
     if args.report:
@@ -384,11 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="leave out the expected-failure controls",
     )
-    p.add_argument(
-        "--no-atoms",
-        action="store_true",
-        help="drop bound-state atoms everywhere (turns Parseval into a control)",
-    )
     p.set_defaults(func=cmd_verify)
 
     return parser
@@ -403,10 +395,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConfigurationError, DomainError) as exc:
+    except (UsageError, ConfigurationError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

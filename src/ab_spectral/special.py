@@ -46,6 +46,12 @@ from .errors import DomainError, SeriesDomainError
 #: Largest |r**2 E| accepted by the kernels (i.e. r sqrt|E| <= 50).
 ZETA_BOUND = 2500.0
 
+
+def energy_cap(b: float) -> float:
+    """Largest E_max whose kernels stay within ZETA_BOUND out to r = b: ZETA_BOUND / b**2."""
+    return ZETA_BOUND / (b * b)
+
+
 _EULER_GAMMA = 0.5772156649015328606
 
 

@@ -32,10 +32,9 @@ from .measures import (
     bound_state_energy,
     discretize,
     gauss_legendre,
-    has_bound_state,
     spectral_measure,
 )
-from .special import ZETA_BOUND, chi_kappa, radial_kernel, theta_kappa, u_eigen, w_eigen, wronskian
+from .special import chi_kappa, energy_cap, radial_kernel, theta_kappa, u_eigen, w_eigen, wronskian
 from .transform import (
     RadialFunction,
     apply_l_q,
@@ -130,7 +129,6 @@ class SuiteConfig:
     thetas: tuple = (0.0, 1.0, math.pi / 2)
     phis: tuple = (0.5,)
     support: tuple = (0.5, 3.0)
-    include_atoms: bool = True
     negative_controls: bool = True
 
     def __post_init__(self):
@@ -139,8 +137,8 @@ class SuiteConfig:
 
     @property
     def e_cap(self) -> float:
-        """Largest usable E_max: the kernel bound ZETA_BOUND over the support edge squared."""
-        return ZETA_BOUND / self.support[1] ** 2
+        """Largest usable E_max: special.energy_cap of the support's right edge."""
+        return energy_cap(self.support[1])
 
     def extension_pairs(self):
         """(kappa, theta) with theta fixed to 0 off the extension family."""
@@ -230,37 +228,36 @@ def _check_measure_collapse(kappa: float, E: float) -> float:
 
 def _suite_bump(config: SuiteConfig) -> RadialFunction:
     bump = GaussianBump(*config.support)
-    r, w = gauss_legendre(config.support[0], config.support[1], _R_NODES)
-    return RadialFunction(r, w, bump(r), second_derivative=bump.derivative2)
+    return RadialFunction.from_callable(
+        bump, *config.support, _R_NODES, second_derivative=bump.derivative2
+    )
 
 
 def _unitarity_defects(config: SuiteConfig, kappa: float, theta: float):
     """Parseval, roundtrip and diagonalization defects of one extension, each
-    with the E_max the doubling rule chose (and the control flag when the
-    dropped atom makes Parseval fail by design)."""
+    with the E_max the doubling rule chose.  Every probe of the rule keeps its
+    spectral grid, coefficients and defects, so the chosen cutoff's are read
+    back, not measured again."""
     psi = _suite_bump(config)
     params = ExtensionParams(kappa, theta)
     measure = spectral_measure(params)
     cap = config.e_cap
-    include_atoms = config.include_atoms
+    probes = {}
 
     def defect_at(e_max: float) -> float:
         quad = discretize(measure, e_max, _NODE_BUDGET)
-        pv = parseval_defect(psi, forward(params, psi, quad, include_atoms))
-        return max(pv, roundtrip_defect(params, psi, quad))
+        coeffs = forward(params, psi, quad)
+        pv, rt = parseval_defect(psi, coeffs), roundtrip_defect(params, psi, quad)
+        probes[e_max] = quad, coeffs, pv, rt
+        return max(pv, rt)
 
     chosen = doubling_rule(defect_at, cap / 4.0, cap, 1e-6)
-    quad = discretize(measure, chosen.value, _NODE_BUDGET)
-    coeffs = forward(params, psi, quad, include_atoms)
-    pv = parseval_defect(psi, coeffs)
-    rt = roundtrip_defect(params, psi, quad)
+    quad, coeffs, pv, rt = probes[chosen.value]
 
-    image = forward(params, apply_l_q(kappa, psi), quad, include_atoms)
+    image = forward(params, apply_l_q(kappa, psi), quad)
     num = float(np.sum(quad.weights * np.abs(image.values - quad.nodes * coeffs.values) ** 2))
     diag = math.sqrt(num / psi.norm_sq())
     extra = {"E_max": chosen.value, "doubling_converged": chosen.converged}
-    if not include_atoms and abs(kappa) < 1.0 and has_bound_state(params):
-        extra["control"] = True
     return [(pv, extra), (rt, extra), (diag, extra)]
 
 
@@ -474,7 +471,7 @@ def _build_jobs(config: SuiteConfig) -> list[Job]:
 
     unitarity = (("parseval", 1e-6), ("roundtrip", 1e-6), ("diagonalization", 1e-5))
     for kappa, theta in config.extension_pairs():
-        params = {"kappa": kappa, "theta": theta, "atoms": config.include_atoms}
+        params = {"kappa": kappa, "theta": theta, "atoms": True}  # the atom is always kept
         checks = [(f"unitarity_{which}", params, tol) for which, tol in unitarity]
         jobs.append(Job(checks, functools.partial(_unitarity_defects, config, kappa, theta)))
 

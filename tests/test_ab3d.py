@@ -744,10 +744,10 @@ class TestModeSamples:
 
 
 class TestCoefficientDistance:
-    def forward(self, theta=1.0, M_max=1, E_max=10.0):
+    def forward(self, theta=1.0, M_max=1, E_max=10.0, node_budget=16):
         spec, _, reduction, r_rule = small_setup(theta)
         grid = ModeGrid.build(M_max, 5.0, 16)
-        return full_forward(spec, make_field(m=0), grid, r_rule, reduction, E_max)
+        return full_forward(spec, make_field(m=0), grid, r_rule, reduction, E_max, node_budget)
 
     @pytest.mark.parametrize(
         "other",
@@ -755,11 +755,21 @@ class TestCoefficientDistance:
             {"theta": 2.0},  # another atom in both critical channels
             {"E_max": 2500.0 / 36},  # other E nodes
             {"M_max": 2},  # more blocks
+            {"E_max": 5.0},  # as many E nodes, at other energies
+            {"node_budget": 32},  # more E nodes per block
         ],
     )
     def test_different_spectral_grids_are_rejected(self, other):
-        with pytest.raises(ConfigurationError):
+        """coefficient_distance and symmetry_defect (whose base is on other
+        grids than its own forward) share one grid check."""
+        with pytest.raises(ConfigurationError, match="coefficient_distance"):
             coefficient_distance(self.forward(), self.forward(**other))
+        spec, grid, reduction, r_rule = small_setup()
+        with pytest.raises(ConfigurationError, match="symmetry_defect"):
+            symmetry_defect(
+                spec, make_field(m=0), 0.7, 1.3, grid, r_rule, reduction, 10.0,
+                base=self.forward(**other),
+            )
 
     def test_different_measures_on_the_same_nodes_are_rejected(self):
         # theta = 0.1 and 0.2 have no atom at phi = 1/2: the nodes agree, the weights do not

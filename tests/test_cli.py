@@ -97,17 +97,20 @@ class TestEigenfunctionCommand:
         assert u == pytest.approx(float(ref.value), rel=1e-15)
         assert du == pytest.approx(float(ref.d_dr), rel=1e-15)
 
-    def test_theta_required_on_extension_family(self, tmp_path):
-        code = main(
-            [
-                "eigenfunction",
-                "--kappa", "0.3",
-                "--energy", "2.0",
-                "--r", "0.5:2.0:8",
-                "--output", str(tmp_path / "x.csv"),
-            ]
-        )
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eigenfunction", "--energy", "2.0", "--r", "0.5:2.0:8"],
+            ["measure", "--energies", "0:1:3"],
+            ["transform", "--family", "gauss:0.5:3"],
+        ],
+        ids=["eigenfunction", "measure", "transform"],
+    )
+    def test_theta_required_on_extension_family(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--kappa", "0.3", "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --theta is required when |kappa| < 1\n"
+        assert not out.exists()
 
     def test_bound_state_energy_decays(self, tmp_path):
         """At its own E_b (kappa = 0.3, theta = 0.7) the profile is the
@@ -436,6 +439,7 @@ class TestVerifyCommand:
         assert self._control_ids(tmp_path) == self.CONTROLS
         assert self._control_ids(tmp_path, "--no-negative-controls") == set()
         assert main(["verify", "--negative-controls"]) == EXIT_USAGE  # no such flag
+        assert main(["verify", "--no-atoms"]) == EXIT_USAGE  # the control job is the one atom switch
 
 
     def _run(self, tmp_path, run_lines):

@@ -150,6 +150,32 @@ class TestJobTable:
         assert len(keys) == 100
 
 
+class TestUnitarityJob:
+    def test_the_chosen_cutoff_is_read_from_its_probe(self, monkeypatch):
+        """The doubling rule probes E_max = cap/4, cap/2 and the cap; the chosen
+        cutoff's grid, coefficients and defects come from its probe, so the one
+        further forward is the diagonalization's image of L psi."""
+        counts = collections.Counter()
+
+        def counted(name):
+            original = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("discretize", "forward"):
+            monkeypatch.setattr(verify, name, counted(name))
+        config = SuiteConfig()
+        outcomes = verify._unitarity_defects(config, 0.0, 0.0)
+        assert counts == {"discretize": 3, "forward": 4}
+        assert [extra for _, extra in outcomes] == 3 * [
+            {"E_max": config.e_cap, "doubling_converged": False}
+        ]
+
+
 class TestThreeDimensionalJob:
     CHECKS = [
         "threed_apply_h",
