@@ -18,12 +18,12 @@ call (SAMPLE_BLOCK_BYTES), each block one real product of its mode's phases
 and its (r, x3) profile; the angular DFT folded over +-m into one real matrix of
 cos and sin rows, applied to the samples read as interleaved re/im floats;
 one x3 matmul for every r node and row; each mode then C - i sgn(m) S; one
-real kernel product per block.  The blocks' modes, theta pieces, extensions
-and spectral grids, and the DFT rows and axial phases, form the forward's
-channel plan, built once per (phi, theta tables, M_max, p nodes, reduction
-grid, E_max, node_budget) and cached.  The angle grid of n_phi points
-resolves the modes |m| < n_phi / 2 only; a mode grid past that raises
-ConfigurationError rather than alias.  Norms satisfy
+real product per block with its extension's cached dense kernel.  The blocks'
+modes, theta pieces, extensions and spectral grids, and the DFT rows and axial
+phases, form the forward's channel plan, built once per (phi, theta tables,
+M_max, p nodes, reduction grid, E_max, node_budget) and cached.  The angle
+grid of n_phi points resolves the modes |m| < n_phi / 2 only; a mode grid
+past that raises ConfigurationError rather than alias.  Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -668,11 +668,9 @@ def full_forward(
     spectral grid and no phase matrix; blocks of two forwards with one
     signature share their quad and p_indices objects.  The field is sampled
     SAMPLE_BLOCK_BYTES at a time and reduced to a (n_r, n_modes, n_p) array,
-    weighted by sqrt(r) w_r.  Each block is the factored kernel
-    (transform.Kernel) applied to its group's columns (n_r, n_group):
-    a (F u) + b (G u) with u = sqrt(r) times them, two real products over the
-    cached Bessel pair of the mode's order with the columns as interleaved
-    re/im floats, then the atom rows.
+    weighted by sqrt(r) w_r.  Each block, critical or not, is its extension's
+    cached dense kernel (transform.Kernel) times its group's columns (n_r,
+    n_group): one real product, with the columns as interleaved re/im floats.
     """
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)

@@ -265,6 +265,8 @@ def discretize(
     """
     if not 0.0 <= E_max < math.inf:
         raise DomainError(f"E_max must be finite and >= 0, got {E_max!r}")
+    if not isinstance(node_budget, (int, np.integer)):
+        raise DomainError(f"node_budget must be an integer, got {node_budget!r}")
     if node_budget < 16:
         raise DomainError("node_budget must be at least 16")
     if E_max == 0.0:

@@ -11,15 +11,16 @@ With K[i, j] = kernel(node_i | r_j) over that grid, forward is K (w_r psi),
 inverse is (w c) K and ||c||**2 = sum w |c|**2.  No interpolation in E
 happens anywhere, so the discrete pair is a matrix and its adjoint.
 
-K is never formed.  On the E nodes it is sqrt(r) (a F + b G) over the Bessel
-pair (F, G) = (J_nu, Y_nu) of order nu = |kappa| at x = r sqrt(E), and only
-the per-energy coefficients (a, b) depend on theta and on the sign of kappa.
-kernel_matrix returns it in that factored form (Kernel), applied as
-a (F u) + b (G u) with u = sqrt(r) v, and as ((a c) F + (b c) G) sqrt(r), plus
-the atom rows.  Two caches: the pairs (the 32 most recent; 213 KB per array at
-416 E nodes x 64 r nodes, so at most 13.6 MB), and per extension the
-coefficients and atom rows (the 128 most recent, about 7.5 KB each, under 1 MB).
-Both are sized to the working sets measured in their docstrings.
+On the E nodes K is sqrt(r) (a F + b G) over the Bessel pair (F, G) = (J_nu,
+Y_nu) of order nu = |kappa| at x = r sqrt(E), and only the per-energy
+coefficients (a, b) depend on theta and on the sign of kappa.  kernel_matrix
+forms K once per extension as one read-only dense matrix (Kernel), so K @ v
+and c @ K are one real product each, a complex operand entering as
+interleaved re/im floats.  Two caches: the pairs (the 32 most recent; 213 KB
+per array at 416 E nodes x 64 r nodes, so at most 13.6 MB), the one store of
+Bessel values, and per extension the dense K (the 64 most recent; 213 KB at
+417 x 64, so at most about 13.7 MB).  Both are sized to the working sets
+measured in their docstrings.
 """
 
 from __future__ import annotations
@@ -75,10 +76,14 @@ class RadialFunction:
             raise DomainError("nodes, weights, values must have equal length")
         if len(self.r_nodes) < 8:
             raise DomainError("need at least 8 quadrature nodes")
-        if not (np.isfinite(self.r_nodes).all() and np.isfinite(self.values).all()):
-            raise DomainError("radial nodes and values must be finite")
-        if self.r_nodes[0] <= 0.0:
-            raise DomainError("radial support must lie strictly inside (0, inf)")
+        # ufunc reductions, cheaper per call than ndarray.min; a NaN fails each check
+        r, w = self.r_nodes, self.quad_weights
+        if not (np.minimum.reduce(r) > 0.0 and np.maximum.reduce(r) < math.inf):
+            raise DomainError("radial nodes must be finite and lie strictly inside (0, inf)")
+        if not (np.minimum.reduce(w) >= 0.0 and np.maximum.reduce(w) < math.inf):
+            raise DomainError("quadrature weights must be finite and >= 0")
+        if not np.isfinite(self.values).all():
+            raise DomainError("radial values must be finite")
 
     @classmethod
     def from_callable(cls, f, a: float, b: float, n: int = 64, second_derivative=None):
@@ -125,57 +130,35 @@ def kernel_values(params: ExtensionParams, E, r, bound_state=False) -> np.ndarra
 
 @dataclass(frozen=True)
 class Kernel:
-    """K[i, j] = kernel(node_i | r_j) over a spectral grid, in factored form:
-    sqrt(r_j) (a_i F_ij + b_i G_ij) on the E nodes, over the Bessel pair (F, G)
-    of the channel's order, then one row per atom, the bound eigenfunction.
-    a and b carry the parity sign of theta; b is None where G is not read.
-    Only the products K @ v and c @ K are offered, so no dense K is formed."""
+    """K[i, j] = kernel(node_i | r_j) over a spectral grid as one read-only
+    dense matrix: sqrt(r_j) (a_i F_ij + b_i G_ij) on the E nodes, over the
+    Bessel pair (F, G) of the channel's order, then one row per atom, the
+    bound eigenfunction.  K @ v and c @ K are one real product each, a complex
+    operand entering as interleaved re/im floats, so K is never cast to complex."""
 
-    sqrt_r: np.ndarray
-    a: np.ndarray
-    b: np.ndarray | None
-    F: np.ndarray
-    G: np.ndarray | None
-    atoms: np.ndarray
+    matrix: np.ndarray
 
     __array_ufunc__ = None  # ndarray @ Kernel defers to __rmatmul__
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.a) + len(self.atoms), len(self.sqrt_r)
+        return self.matrix.shape
 
     def __matmul__(self, v) -> np.ndarray:
-        """K @ v for v of shape (n_r,) or (n_r, k): a (F u) + b (G u), u = sqrt(r) v,
-        in real arithmetic (a complex v as interleaved re/im columns)."""
+        """K @ v for v of shape (n_r,) or (n_r, k)."""
         v = np.asarray(v)
-        cols = _interleaved(v.reshape(len(self.sqrt_r), -1))
-        u = self.sqrt_r[:, None] * cols
-        n = len(self.a)
-        out = np.empty((self.shape[0], cols.shape[1]))
-        np.matmul(self.F, u, out=out[:n])
-        out[:n] *= self.a[:, None]
-        if self.b is not None:
-            Gu = self.G @ u
-            Gu *= self.b[:, None]
-            out[:n] += Gu
-        np.matmul(self.atoms, cols, out=out[n:])
+        out = self.matrix @ _interleaved(v.reshape(self.shape[1], -1))
         if np.iscomplexobj(v):
             out = out.view(complex)
         return out.reshape(out.shape[:1] + v.shape[1:])
 
     def __rmatmul__(self, c) -> np.ndarray:
-        """c @ K for c of shape (n_nodes,) or (k, n_nodes): ((a c) F + (b c) G) sqrt(r),
-        in real arithmetic as K @ v."""
+        """c @ K for c of shape (n_nodes,) or (k, n_nodes), as K.T @ c.T."""
         c = np.asarray(c)
-        rows = c.reshape(-1, self.shape[0])
-        n = len(self.a)
-        out = self.F.T @ _interleaved((self.a * rows[:, :n]).T)
-        if self.b is not None:
-            out += self.G.T @ _interleaved((self.b * rows[:, :n]).T)
+        out = self.matrix.T @ _interleaved(c.reshape(-1, self.shape[0]).T)
         if np.iscomplexobj(c):
             out = out.view(complex)
-        out = out.T * self.sqrt_r + rows[:, n:] @ self.atoms
-        return out.reshape(c.shape[:-1] + out.shape[1:])
+        return out.T.reshape(c.shape[:-1] + out.shape[:1])
 
 
 def _interleaved(v: np.ndarray) -> np.ndarray:
@@ -199,35 +182,40 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> 
     the continuum rows over the Bessel pair of order |kappa|, the atom rows
     the bound eigenfunction (bound_state=True).
 
-    Two cache levels, both keyed bit for bit by what they read and both
-    holding read-only arrays.  The pair cache holds (J_nu, Y_nu) at r sqrt(E),
-    keyed by (nu, E nodes, r nodes); the per-extension cache holds a, b and
-    the atom rows, keyed by |kappa| or (kappa, theta_mod_pi, theta_sign), the
-    E nodes, the atom energies and the r nodes.  The grid is checked when its
-    pair is built, so a hit does no work over the grid; errors are never
-    stored, and both levels are safe to share between threads."""
+    Cached per extension, keyed bit for bit by what the matrix reads: |kappa|
+    or (kappa, theta_mod_pi, theta_sign), the E nodes (not the weights), the
+    atom energies and the r nodes.  A hit returns the same Kernel and builds
+    nothing; a miss reads the Bessel pair from its own cache, keyed by (nu,
+    E nodes, r nodes), so every theta and both signs of kappa of one order
+    share one pair.  The grid is checked when its pair is built; errors are
+    never stored, and both caches are safe to share between threads."""
     r = np.asarray(r_nodes, dtype=float)
-    F, G = _bessel_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
     branch = (abs(params.kappa),)
     if params.needs_theta:
         branch = (params.kappa, params.theta_mod_pi, params.theta_sign)
     read = (branch, quad.e_nodes, quad.nodes[len(quad.e_nodes) :], r)
-    sqrt_r, a, b, atoms = _build_kernel(_CacheKey(_bits(*read), (params, quad, r)))
-    return Kernel(sqrt_r, a, b, F, None if b is None else G, atoms)
+    return _build_kernel(_CacheKey(_bits(*read), (params, quad, r)))
 
 
-@functools.lru_cache(maxsize=128)
-def _build_kernel(key: _CacheKey) -> tuple:
-    """(sqrt(r), a, b or None, atom rows) of one extension, about 7.5 KB at 416 E nodes x
-    64 r nodes.  Working sets measured in extensions: 11 (the radial_sweep
-    benchmark), 6 (expansion_3d), 18 (its trimmed verify suite), 42 (the
-    default suite) and 32 (a full_forward at M_max = 30): 128 kept, under 1 MB."""
+@functools.lru_cache(maxsize=64)
+def _build_kernel(key: _CacheKey) -> Kernel:
+    """One extension's dense kernel, 213 KB at 417 nodes x 64 r nodes.  Working
+    sets measured in extensions: 11 (the radial_sweep benchmark), 6
+    (expansion_3d), 18 (its trimmed verify suite), 42 (the default suite) and
+    32 (a full_forward at M_max = 30): 64 kept, at most about 13.7 MB."""
     params, quad, r = key.inputs
+    n = len(quad.e_nodes)
+    F, G = _bessel_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
     a, b = special._kernel_coefficients(params.kappa, params.theta_mod_pi, quad.e_nodes)
     sign = params.theta_sign if params.needs_theta else 1
-    b = None if b is None else sign * b
-    atoms = kernel_values(params, quad.nodes[len(quad.e_nodes) :, None], r[None, :], True)
-    return _read_only((np.sqrt(r), sign * a, b, atoms))
+    K = np.empty((len(quad.nodes), len(r)))
+    np.multiply((sign * a)[:, None], F, out=K[:n])
+    if b is not None:
+        K[:n] += (sign * b)[:, None] * G
+    K[:n] *= np.sqrt(r)
+    K[n:] = kernel_values(params, quad.nodes[n:, None], r[None, :], True)
+    K.setflags(write=False)
+    return Kernel(K)
 
 
 def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
@@ -237,10 +225,10 @@ def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _cached_pair(key: _CacheKey) -> tuple:
-    """The one store of large arrays, 213 KB each at 416 x 64.  Working sets
-    measured in pairs: 5 (radial_sweep), 4 (expansion_3d), 13 (the trimmed
-    suite), 20 (the default suite) and 31 (a full_forward at M_max = 30):
-    32 kept, at most 13.6 MB."""
+    """The one store of Bessel values, 213 KB per array at 416 x 64.  Working
+    sets measured in pairs: 5 (radial_sweep), 4 (expansion_3d), 13 (the
+    trimmed suite), 20 (the default suite) and 31 (a full_forward at M_max =
+    30): 32 kept, at most 13.6 MB."""
     return _read_only(special._jy_pair(*key.inputs))
 
 

@@ -453,7 +453,7 @@ class TestFullForward:
 
     def test_warm_forward_at_m_max_30_misses_no_cache(self):
         """The acceptance field at M_max = 30 (node_budget 32): one forward
-        needs 31 Bessel pairs, 32 extensions' coefficients and one channel
+        needs 31 Bessel pairs, 32 extensions' kernels and one channel
         plan; a second forward finds every one of them in the caches."""
         grid = ModeGrid.build(30, 8.0, 64)
         r_rule = gauss_legendre(PSI.a, PSI.b, 64)

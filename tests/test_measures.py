@@ -236,8 +236,13 @@ class TestDiscretize:
         assert len(quad.e_nodes) == 0
 
     def test_node_budget_floor(self):
-        with pytest.raises(DomainError):
-            discretize(spectral_measure(ExtensionParams(1.5)), 1.0, node_budget=8)
+        measure = spectral_measure(ExtensionParams(1.5))
+        with pytest.raises(DomainError, match="at least 16"):
+            discretize(measure, 1.0, node_budget=8)
+        for budget in (16.5, 16.0, "16", None):
+            with pytest.raises(DomainError, match="integer"):
+                discretize(measure, 1.0, node_budget=budget)
+        assert len(discretize(measure, 1.0, node_budget=np.int64(16)).e_nodes) == 13 * 16
 
     def test_deterministic(self):
         m = spectral_measure(ExtensionParams(0.3, 1.0))

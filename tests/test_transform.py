@@ -79,13 +79,29 @@ class TestRadialFunction:
         with pytest.raises(DomainError, match="at least 8"):
             RadialFunction([], [], [])
 
-    @pytest.mark.parametrize("where", ["r_nodes", "values"])
+    @pytest.mark.parametrize("where", ["r_nodes", "values", "quad_weights"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_samples(self, where, bad):
-        arrays = {"r_nodes": np.linspace(0.5, 1.0, 16), "values": np.ones(16)}
+        arrays = {
+            "r_nodes": np.linspace(0.5, 1.0, 16), "quad_weights": np.ones(16), "values": np.ones(16)
+        }
         arrays[where][5] = bad
         with pytest.raises(DomainError):
-            RadialFunction(arrays["r_nodes"], np.ones(16), arrays["values"])
+            RadialFunction(**arrays)
+
+    def test_rejects_a_negative_weight(self):
+        w = np.ones(16)
+        w[5] = -1e-300
+        with pytest.raises(DomainError, match="weights"):
+            RadialFunction(np.linspace(0.5, 1.0, 16), w, np.ones(16))
+        assert RadialFunction(np.linspace(0.5, 1.0, 16), np.zeros(16), np.ones(16)).norm_sq() == 0.0
+
+    @pytest.mark.parametrize("node", [0.0, -0.25])
+    def test_rejects_an_interior_node_off_the_half_line(self, node):
+        r = np.linspace(0.5, 1.0, 16)
+        r[7] = node  # unsorted: the first node is still > 0
+        with pytest.raises(DomainError, match="strictly inside"):
+            RadialFunction(r, np.ones(16), np.ones(16))
 
     def test_norm_of_unit_constant(self):
         psi = RadialFunction.from_callable(lambda r: np.ones_like(r), 1.0, 3.0, 32)
@@ -115,23 +131,37 @@ def fresh_kernel(params, quad, r):
     return np.vstack([K] + rows)
 
 
-def assert_products_match(K, dense):
-    """K @ v (complex), K @ V (real, 2-D) and c @ K (complex) of the factored
-    kernel against the same products of the dense matrix, each within 1e-14 of
-    the peak of its parts' magnitudes: the a F rows, the b G rows and the atom
-    rows applied on their own, |.| summed.  Where nothing cancels that is about
-    the product's own peak; where a F and b G cancel (kappa = 0 with a w term,
-    |a| about 6 at the lowest E nodes against a kernel peak of 0.8) a product
-    rounds on the scale of its parts, not of their sum."""
+def fresh_build(params, quad, r):
+    """(fresh_kernel, its parts): the a F rows, the b G rows (where the kernel
+    reads G) and the atom rows, each zero elsewhere, built from special's pair
+    and coefficients, bypassing the caches."""
+    n = len(quad.e_nodes)
+    dense = fresh_kernel(params, quad, r)
+    F, G = special._jy_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
+    a, b = special._kernel_coefficients(params.kappa, params.theta_mod_pi, quad.e_nodes)
+    terms = [(a, F)] + ([(b, G)] if b is not None else [])
+    parts = [np.vstack([np.sqrt(r) * x[:, None] * P, np.zeros_like(dense[n:])]) for x, P in terms]
+    parts.append(np.vstack([np.zeros_like(dense[:n]), dense[n:]]))
+    return dense, parts
+
+
+def assert_products_match(K, fresh):
+    """K @ v (complex), K @ V (real, 2-D), c @ K (complex) and C @ K (complex,
+    2-D) of the cached kernel against the same products of the fresh dense
+    matrix, each within 1e-14 of the peak of its parts' magnitudes: the a F
+    rows, the b G rows and the atom rows applied on their own, |.| summed.
+    Where nothing cancels that is about the product's own peak; where a F and
+    b G cancel (kappa = 0 with a w term, |a| about 6 at the lowest E nodes
+    against a kernel peak of 0.8) a product rounds on the scale of its parts,
+    not of their sum."""
+    dense, parts = fresh
     assert K.shape == dense.shape
-    terms = [(K.a, K.F)] + ([(K.b, K.G)] if K.b is not None else [])
-    parts = [np.vstack([K.sqrt_r * x[:, None] * P, np.zeros_like(K.atoms)]) for x, P in terms]
-    parts.append(np.vstack([np.zeros((len(K.a), dense.shape[1])), K.atoms]))
     rng = np.random.default_rng(11)
     v = rng.standard_normal(dense.shape[1]) + 1j * rng.standard_normal(dense.shape[1])
     V = rng.standard_normal((dense.shape[1], 3))
     c = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
-    for product in (lambda M: M @ v, lambda M: M @ V, lambda M: c @ M):
+    C = rng.standard_normal((2, dense.shape[0])) + 1j * rng.standard_normal((2, dense.shape[0]))
+    for product in (lambda M: M @ v, lambda M: M @ V, lambda M: c @ M, lambda M: C @ M):
         got, expected = product(K), product(dense)
         assert got.shape == expected.shape
         scale = sum(np.abs(product(part)) for part in parts)
@@ -147,9 +177,9 @@ def cache_counts():
 
 
 class TestKernelCache:
-    """kernel_matrix keeps each extension's coefficients and atom rows, keyed
-    bit for bit by what the kernel reads; every answer must give the products
-    of a fresh dense build."""
+    """kernel_matrix keeps each extension's dense kernel, keyed bit for bit by
+    what the kernel reads; every answer must be the fresh build's matrix and
+    give its products."""
 
     R = np.linspace(0.5, 3.0, 12)
     PARAMS = ExtensionParams(0.3, 1.0)  # has a bound state
@@ -160,35 +190,37 @@ class TestKernelCache:
     def test_hit_equals_fresh_build(self):
         quad = self.quad()
         first = kernel_matrix(self.PARAMS, quad, self.R)
-        (_, kernel_misses), (_, pair_misses) = cache_counts()
+        counts = cache_counts()
         again = kernel_matrix(self.PARAMS, quad, self.R.copy())
-        assert again.a is first.a and again.F is first.F  # served from both caches
-        assert [misses for _, misses in cache_counts()] == [kernel_misses, pair_misses]
-        assert_products_match(again, fresh_kernel(self.PARAMS, quad, self.R))
+        assert again is first and again.matrix is first.matrix
+        (hits, misses), pair = counts
+        assert cache_counts() == ((hits + 1, misses), pair)  # the pair cache is not consulted
+        assert np.array_equal(again.matrix, fresh_kernel(self.PARAMS, quad, self.R))
+        assert_products_match(again, fresh_build(self.PARAMS, quad, self.R))
 
     def test_weights_are_not_part_of_the_key(self):
         quad = self.quad()
         reweighted = MeasureQuadrature(quad.e_nodes.copy(), 2.0 * quad.e_weights, quad.atoms)
-        assert kernel_matrix(self.PARAMS, reweighted, self.R).a is kernel_matrix(
+        assert kernel_matrix(self.PARAMS, reweighted, self.R).matrix is kernel_matrix(
             self.PARAMS, quad, self.R
-        ).a
+        ).matrix
 
     def test_results_are_read_only(self):
         quad = self.quad()
         K = kernel_matrix(self.PARAMS, quad, self.R)
-        assert K.shape == (len(quad.e_nodes) + 1, len(self.R))  # one atom row
-        for part in (K.sqrt_r, K.a, K.b, K.F, K.G, K.atoms):
-            assert not part.flags.writeable
-            with pytest.raises(ValueError):
-                part[0] = 1.0
+        assert K.shape == K.matrix.shape == (len(quad.e_nodes) + 1, len(self.R))  # one atom row
+        assert not K.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            K.matrix[0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
-            K.a = K.b
+            K.matrix = np.zeros(K.shape)
 
     def test_theta_plus_pi_negates(self):
         quad = self.quad()
         flipped = ExtensionParams(0.3, 1.0 + math.pi)
         assert flipped.theta_mod_pi == self.PARAMS.theta_mod_pi
         K, K_flipped = (kernel_matrix(p, quad, self.R) for p in (self.PARAMS, flipped))
+        assert np.array_equal(K_flipped.matrix, -K.matrix)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(len(self.R)) + 1j * rng.standard_normal(len(self.R))
         V = rng.standard_normal((len(self.R), 3))
@@ -207,7 +239,8 @@ class TestKernelCache:
         (_, kernel_misses), (_, pair_misses) = cache_counts()
         K = kernel_matrix(self.PARAMS, quad, shifted)
         assert [misses for _, misses in cache_counts()] == [kernel_misses + 1, pair_misses + 1]
-        assert_products_match(K, expected)
+        assert np.array_equal(K.matrix, expected)
+        assert_products_match(K, fresh_build(self.PARAMS, quad, shifted))
 
     def test_atom_energy_is_part_of_the_key(self):
         quad = self.quad()
@@ -218,7 +251,10 @@ class TestKernelCache:
         K = kernel_matrix(self.PARAMS, moved, self.R)
         assert cache_counts()[0][1] == kernel_misses + 1  # new atom row, same pair
         assert cache_counts()[1][0] == pair_hits + 1
-        assert_products_match(K, fresh_kernel(self.PARAMS, moved, self.R))
+        pair = cache_counts()[1]
+        assert kernel_matrix(self.PARAMS, moved, self.R) is K
+        assert cache_counts()[1] == pair  # a warm call does not consult the pair cache
+        assert_products_match(K, fresh_build(self.PARAMS, moved, self.R))
 
     def test_errors_are_not_cached(self):
         quad = self.quad(E_max=2.0 * ZETA_BOUND / 9.0)  # past the bound at r = 3
@@ -226,14 +262,14 @@ class TestKernelCache:
         for _ in range(2):
             with pytest.raises(SeriesDomainError):
                 kernel_matrix(self.PARAMS, quad, self.R)
-        # both calls miss the pair cache; no coefficients are built for a bad grid
+        # both calls miss both caches and store nothing
         assert cache_counts() == (
-            (kernel_hits, kernel_misses), (pair_hits, pair_misses + 2)
+            (kernel_hits, kernel_misses + 2), (pair_hits, pair_misses + 2)
         )
 
     def test_concurrent_builds_past_capacity(self):
         """4 threads, 168 distinct extensions over 48 distinct pairs (past the
-        128 and 32 kept), each thread in its own order; every answer must give
+        64 and 32 kept), each thread in its own order; every answer must give
         its fresh build's products."""
         cases = []
         for kappa, thetas in (
@@ -246,7 +282,7 @@ class TestKernelCache:
                 for theta in thetas:
                     params = ExtensionParams(kappa, theta)
                     quad = self.quad(params, E_max)
-                    cases.append((params, quad, fresh_kernel(params, quad, self.R)))
+                    cases.append((params, quad, fresh_build(params, quad, self.R)))
         failures = []
 
         def work(order):
@@ -276,9 +312,10 @@ class TestKernelCache:
 
 
 class TestBesselPairCache:
-    """kernel_matrix keeps the Bessel pair (J_nu, Y_nu) at r sqrt(E), keyed by
-    (nu, E nodes, r nodes): every theta and both signs of kappa of one order
-    share one pair, and each kernel gives the products of a fresh build."""
+    """A kernel_matrix miss reads the Bessel pair (J_nu, Y_nu) at r sqrt(E)
+    from its own cache, keyed by (nu, E nodes, r nodes): every theta and both
+    signs of kappa of one order share one pair, a hit never consults it, and
+    each kernel is its fresh build."""
 
     # r grids (and shifts of them) no other test uses, so each pair starts uncached
     R_COUNT = np.linspace(0.55, 2.95, 10)
@@ -318,8 +355,12 @@ class TestBesselPairCache:
         ):
             jy_calls.clear()
             params = ExtensionParams(kappa, theta)
-            kernel_matrix(params, self.quad(params), r)
+            quad = self.quad(params)
+            kernel_matrix(params, quad, r)
             assert jy_calls == built, (kappa, theta)
+            pair = cache_counts()[1]
+            kernel_matrix(params, quad, r)  # warm: neither built nor looked up
+            assert jy_calls == built and cache_counts()[1] == pair, (kappa, theta)
 
     def test_every_kernel_is_a_fresh_build(self):
         r = self.R_BITS
@@ -334,11 +375,13 @@ class TestBesselPairCache:
             for kappa, theta in cases:
                 params = ExtensionParams(kappa, theta)
                 quad = self.quad(params, E_max)
-                expected = fresh_kernel(params, quad, r)
-                assert_products_match(kernel_matrix(params, quad, r), expected)
+                dense, parts = fresh_build(params, quad, r)
+                K = kernel_matrix(params, quad, r)
+                assert np.array_equal(K.matrix, dense), (kappa, theta)
+                assert_products_match(K, (dense, parts))
         assert ExtensionParams(0.3, theta_kappa(0.3)).theta_mod_pi == theta_kappa(0.3)
         reference = ExtensionParams(0.3, theta_kappa(0.3))
-        assert kernel_matrix(reference, self.quad(reference), r).G is None
+        assert len(fresh_build(reference, self.quad(reference), r)[1]) == 2  # a F and atoms
 
     def test_pairs_are_read_only(self):
         E = self.quad(ExtensionParams(0.3, 1.0)).e_nodes[:, None]
@@ -364,7 +407,7 @@ class TestBesselPairCache:
             pair_misses = cache_counts()[1][1]
             K = kernel_matrix(params, quad, nodes)
             assert cache_counts()[1][1] == pair_misses + 1
-            assert_products_match(K, fresh_kernel(params, quad, nodes))
+            assert_products_match(K, fresh_build(params, quad, nodes))
 
     def test_errors_reach_no_cache(self, jy_calls):
         params = ExtensionParams(0.3, 1.0)
@@ -388,7 +431,7 @@ class TestBesselPairCache:
         with pytest.raises(DomainError):
             kernel_matrix(params, quad, self.R_BITS)
         (hits, misses), pair = counts
-        assert cache_counts() == ((hits, misses), (pair[0], pair[1] + 1))
+        assert cache_counts() == ((hits, misses + 1), (pair[0], pair[1] + 1))
 
 
 class TestForwardOracle:

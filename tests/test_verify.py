@@ -233,7 +233,7 @@ class TestReport:
 
 
 def test_second_default_suite_misses_no_cache():
-    """The default suite needs 20 Bessel pairs, 42 extensions' coefficients and
+    """The default suite needs 20 Bessel pairs, 42 extensions' kernels and
     one channel plan; a second run in one process finds every one of them in
     the caches."""
 
