@@ -49,18 +49,17 @@ from .errors import ConfigurationError, DomainError
 from .measures import (
     ExtensionParams,
     MeasureQuadrature,
-    bound_state_energy,
     discretize,
     gauss_legendre,
     spectral_measure,
 )
+from .special import radial_kernel
 from .transform import (
     RadialFunction,
     _bits,
     _CacheKey,
     _read_only,
     kernel_matrix,
-    kernel_values,
 )
 
 
@@ -124,7 +123,10 @@ class PiecewiseTheta:
             raise ConfigurationError("PiecewiseTheta breakpoints must increase")
 
     def theta_at(self, p):
-        """theta at p, a number or an array of p nodes (elementwise)."""
+        """theta at p, a number or an array of p nodes (elementwise); DomainError
+        for a non-finite p."""
+        if not np.isfinite(p).all():
+            raise DomainError(f"theta is only defined at a finite p, got p={p}")
         return np.asarray(self.values)[np.searchsorted(self.breaks, p, side="left")]
 
 
@@ -783,12 +785,8 @@ def eigenfunction_3d(
         raise DomainError(f"eigenfunction_3d needs a finite p and x3, got p={channel.p} x3={x3}")
     m = channel.m
     kappa = channel_kappa(spec.phi, m)
-    if abs(kappa) < 1.0:
-        params = ExtensionParams(kappa, spec.theta_for(m, channel.p))
-        bound = float(E) == bound_state_energy(params)  # then the decaying K form
-    else:
-        params, bound = ExtensionParams(kappa), False
-    radial = complex(kernel_values(params, float(E), r, bound_state=bound))
+    theta = spec.theta_for(m, channel.p) if abs(kappa) < 1.0 else 0.0
+    radial = complex(radial_kernel(kappa, theta, float(E), r))
     angular = ((x1 + 1j * x2) / r) ** m
     return (
         np.exp(1j * channel.p * x3) * angular * radial / (2.0 * math.pi * math.sqrt(r))

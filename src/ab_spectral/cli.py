@@ -76,7 +76,7 @@ def _parse_theta_entry(text: str):
 
 
 def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
-    """A comma-separated [run] list of numbers; an empty one has no entries."""
+    """A comma-separated [run] list of finite numbers; an empty one has no entries."""
     if not text.strip():
         return ()
     values = []
@@ -85,6 +85,8 @@ def _parse_float_list(key: str, text: str) -> tuple[float, ...]:
             values.append(float(entry))
         except ValueError:
             raise UsageError(f"bad [run] {key} entry {entry.strip()!r}: not a number") from None
+        if not math.isfinite(values[-1]):
+            raise UsageError(f"bad [run] {key} entry {entry.strip()!r}: must be finite")
     return tuple(values)
 
 
@@ -302,7 +304,6 @@ def cmd_verify(args) -> int:
         for key in ("kappas", "thetas", "phis"):
             if key in run:
                 kwargs[key] = _parse_float_list(key, run[key])
-    kwargs["negative_controls"] = args.negative_controls
     try:
         suite = SuiteConfig(**kwargs)
     except ConfigurationError as exc:
@@ -375,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suite")
     p.add_argument("--config", help="INI config overriding suite grids")
     p.add_argument("--report", default="report.json")
-    p.add_argument(
-        "--no-negative-controls",
-        dest="negative_controls",
-        action="store_false",
-        help="leave out the expected-failure controls",
-    )
     p.set_defaults(func=cmd_verify)
 
     return parser

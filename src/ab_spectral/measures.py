@@ -20,34 +20,13 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .special import theta_kappa
-
-# ln of the largest and of the smallest normal double: the range of |E_b|
-_LOG_HUGE = math.log(sys.float_info.max)
-_LOG_TINY = math.log(sys.float_info.min)
-
-
-def reduce_theta(theta: float) -> tuple[float, int]:
-    """Return (t, parity) with t = theta - parity*pi in [0, pi)."""
-    n = math.floor(theta / math.pi)
-    t = theta - n * math.pi
-    if t >= math.pi:
-        t -= math.pi
-        n += 1
-    if t < 0.0:
-        t += math.pi
-        n -= 1
-        if t >= math.pi:  # theta was a negative rounding error below 0
-            t = 0.0
-            n += 1
-    return t, n
+from .special import _LOG_HUGE, _LOG_TINY, bound_state_exponent, reduce_theta, theta_kappa
 
 
 @dataclass(frozen=True)
@@ -124,33 +103,20 @@ def _require_extension_family(kappa: float, what: str) -> None:
 def has_bound_state(params: ExtensionParams) -> bool:
     """True iff theta mod pi lies strictly inside (|pi*kappa/2|, pi - |pi*kappa/2|)."""
     _require_extension_family(params.kappa, "has_bound_state")
-    t = params.theta_mod_pi
-    tk = abs(theta_kappa(params.kappa))
-    return tk < t < math.pi - tk
+    return bound_state_exponent(params.kappa, params.theta_mod_pi) is not None
 
 
 def bound_state_energy(params: ExtensionParams) -> float | None:
-    """Energy of the atom, or None on the atom-free branch.
-
-    E = -(sin(t+tk)/sin(t-tk))**(1/kappa) for kappa != 0 and -exp(pi*cot t)
-    for kappa = 0.  The kappa != 0 branch is evaluated through log1p of the
-    exact ratio increment 2 cos(t) sin(tk) / sin(t-tk), which passes smoothly
-    into the kappa = 0 limit.  Near the ends of the branch |E| leaves the
-    range of normal doubles (above ~1.8e308 near |tk|, below ~2.2e-308 near
-    pi - |tk|); that raises DomainError.
+    """Energy of the atom, -exp(special.bound_state_exponent), or None on the
+    atom-free branch.  Near the ends of the branch |E| leaves the range of
+    normal doubles (above ~1.8e308 near |tk|, below ~2.2e-308 near pi - |tk|);
+    that raises DomainError.
     """
-    _require_extension_family(params.kappa, "bound_state_energy")
-    if not has_bound_state(params):
-        return None
-    t = params.theta_mod_pi
     kappa = params.kappa
-    # |kappa| below ~1e-8 underflows the kappa != 0 expressions; use the
-    # analytic kappa -> 0 limit (error O(kappa), far below any tolerance here)
-    if abs(kappa) < 1e-8:
-        exponent = math.pi * math.cos(t) / math.sin(t)
-    else:
-        tk = theta_kappa(kappa)
-        exponent = math.log1p(2.0 * math.cos(t) * math.sin(tk) / math.sin(t - tk)) / kappa
+    _require_extension_family(kappa, "bound_state_energy")
+    exponent = bound_state_exponent(kappa, params.theta_mod_pi)
+    if exponent is None:
+        return None
     if not _LOG_TINY <= exponent <= _LOG_HUGE:
         raise DomainError(
             f"bound-state energy -exp({exponent:.6g}) of kappa={kappa}, theta={params.theta} "

@@ -11,9 +11,16 @@ with a, b per energy by DLMF 10.4.7 and 10.27.2 for J_{-nu} and I_{-nu}.  w's
 coefficient of F holds (|E|**(nu/2) - |E|**(-nu/2)) / sin(pi nu), formed as
 2 sinh(nu ln|E| / 2) / sin(pi nu), so kappa -> 0 passes continuously into the
 log solutions sqrt(r) [Y_0 - ln(E)/pi J_0] and -sqrt(r) [ln|E|/pi I_0 + 2/pi K_0];
-E = 0 is the power-law limit, its difference formed the same way.  At a bound
-state a = 0 exactly (radial_kernel(..., bound_state=True); u_theta_eigen at E_b):
-the cancellation-free -(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_nu(x).
+E = 0 is the power-law limit, its difference formed the same way.
+
+One rule turns (kappa, theta, E) into the kernel u_theta, in radial_kernel and
+u_theta_eigen alike: theta is taken modulo pi, t = theta - n pi in [0, pi),
+and the parity sign (-1)**n multiplies (cu, cw), so theta -> theta + pi flips
+every value exactly whenever theta + pi rounds to the same t.  Where E equals
+the extension's bound-state energy E_b, -exp(bound_state_exponent), a normal
+double, a = 0 exactly (the I term vanishes, DLMF 10.40.1-2): the
+cancellation-free -(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_nu(x).
+An E_b outside the double range is met by no energy, so it raises nothing here.
 
 The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
 orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
@@ -36,6 +43,7 @@ raises DomainError.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +84,47 @@ def theta_kappa(kappa: float) -> float:
     return math.pi * kappa / 2.0
 
 
+def reduce_theta(theta: float) -> tuple[float, int]:
+    """Return (t, parity) with t = theta - parity*pi in [0, pi)."""
+    n = math.floor(theta / math.pi)
+    t = theta - n * math.pi
+    if t >= math.pi:
+        t -= math.pi
+        n += 1
+    if t < 0.0:
+        t += math.pi
+        n -= 1
+        if t >= math.pi:  # theta was a negative rounding error below 0
+            t = 0.0
+            n += 1
+    return t, n
+
+
+# ln of the largest and of the smallest normal double: the range of |E_b|
+_LOG_HUGE = math.log(sys.float_info.max)
+_LOG_TINY = math.log(sys.float_info.min)
+
+
+def bound_state_exponent(kappa: float, t: float) -> float | None:
+    """ln|E_b| of the extension with theta mod pi = t, or None off the
+    bound-state branch |pi*kappa/2| < t < pi - |pi*kappa/2| (empty for |kappa| >= 1).
+
+    E_b = -(sin(t+tk)/sin(t-tk))**(1/kappa) for kappa != 0 and -exp(pi*cot t)
+    for kappa = 0.  The kappa != 0 branch is evaluated through log1p of the
+    exact ratio increment 2 cos(t) sin(tk) / sin(t-tk), which passes smoothly
+    into the kappa = 0 limit.  E_b is a normal double exactly when the
+    exponent lies in [_LOG_TINY, _LOG_HUGE].
+    """
+    tk = theta_kappa(kappa)
+    if not abs(tk) < t < math.pi - abs(tk):
+        return None
+    # |kappa| below ~1e-8 underflows the kappa != 0 expressions; use the
+    # analytic kappa -> 0 limit (error O(kappa), far below any tolerance here)
+    if abs(kappa) < 1e-8:
+        return math.pi * math.cos(t) / math.sin(t)
+    return math.log1p(2.0 * math.cos(t) * math.sin(tk) / math.sin(t - tk)) / kappa
+
+
 def _check_zeta(zeta: np.ndarray) -> None:
     if np.any(np.abs(zeta) > ZETA_BOUND):
         bad = float(np.max(np.abs(zeta)))
@@ -89,6 +138,12 @@ def _cos_sin_pi(nu: float) -> tuple[float, float]:
     if (2.0 * nu) % 1.0 == 0.0:
         return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(2.0 * nu) % 4]
     return math.cos(math.pi * nu), math.sin(math.pi * nu)
+
+
+def _tan_half_pi(nu: float, c: float, s: float) -> float:
+    """tan(pi nu / 2) from (c, s) = _cos_sin_pi(nu) as s / (1 + c), or as
+    cot(pi (1 - nu) / 2) where c rounds to -1 (nu within ~5e-9 of 1)."""
+    return s / (1.0 + c) if c > -1.0 else 1.0 / math.tan(0.5 * math.pi * (1.0 - nu))
 
 
 def _sinh_ratio(nu: float, m) -> np.ndarray:
@@ -149,7 +204,7 @@ def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
         nu = abs(kappa)
         c, s = _cos_sin_pi(nu)
         m = np.log(0.5 * r) + _log_gamma_odd(nu)
-        grow = s / (1.0 + c) * np.exp(kappa * m)
+        grow = _tan_half_pi(nu, c, s) * np.exp(kappa * m)
         f = _sinh_ratio(nu, m) - math.copysign(1.0, kappa) * grow
         df = (2.0 / math.pi) * np.cosh(nu * m) / np.sinc(nu) - nu * grow  # nu df/dbeta
         scale = cw * math.sqrt(np.sinc(nu)) * np.sqrt(r)
@@ -185,7 +240,7 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
         a = cu * np.where(neg, 1.0, c) * p
         b = cu * np.where(neg, 2.0 / math.pi, -1.0) * s * p
     if cw != 0.0:
-        t = s / (1.0 + c)  # tan(pi nu / 2)
+        t = _tan_half_pi(nu, c, s)
         R = _sinh_ratio(nu, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
         if kappa >= 0.0:
             a = a - cw * (c * R + np.where(neg, t, 0.0) * p)
@@ -195,9 +250,10 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
     return a, (b if kappa < 0.0 or cw != 0.0 else None)
 
 
-def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_state=False):
+def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound=False):
     """(value, d/dr or None) of cu u + cw w; the pair coefficients (a, b) are
-    formed per energy and broadcast over r.  bound_state (a flag or E mask) sets a = 0."""
+    formed per energy and broadcast over r.  a = 0 where bound (a mask over E,
+    from _at_bound_state)."""
     # the Bessel routines underflow below |E| = 1e-200, where the E = 0 limit is exact
     E = np.where(np.abs(E) < 1e-200, 0.0, np.asarray(E, dtype=float))
     r = np.asarray(r, dtype=float)
@@ -205,7 +261,7 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound_
     nu = abs(kappa)
     a, b = _pair_coefficients(kappa, cu, cw, E)
     second = b is not None
-    bound = np.broadcast_to(bound_state, E_b.shape)
+    bound = np.broadcast_to(bound, E_b.shape)
     a, b = np.where(bound, 0.0, a), np.broadcast_to(b if second else 0.0, E_b.shape)
     value = np.empty(E_b.shape)
     d_dr = np.empty(E_b.shape) if derivative else None
@@ -242,32 +298,43 @@ def chi_kappa(kappa: float, zeta):
     return float(val) if np.ndim(zeta) == 0 else val
 
 
-def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, float]:
-    """(order, cu, cw) with the transform kernel cu u + cw w of that order."""
+def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, float, float]:
+    """(order, t, cu, cw) with the transform kernel cu u + cw w of that order and
+    t = theta mod pi; the parity sign (-1)**n of theta = t + n pi is in (cu, cw),
+    so theta -> theta + pi flips the kernel exactly."""
     if abs(kappa) >= 1.0:
-        return abs(kappa), 1.0, 0.0
+        return abs(kappa), 0.0, 1.0, 0.0
     if not math.isfinite(theta):
         raise DomainError(f"the extension angle must be finite (theta={theta})")
-    delta = theta - theta_kappa(kappa)
-    return kappa, math.cos(delta), math.sin(delta)
+    t, n = reduce_theta(theta)
+    delta, sign = t - theta_kappa(kappa), (-1.0 if n % 2 else 1.0)
+    return kappa, t, sign * math.cos(delta), sign * math.sin(delta)
+
+
+def _at_bound_state(kappa: float, t: float, E) -> np.ndarray | bool:
+    """Where E is the bound-state energy E_b of the extension (kappa, t), a
+    normal double: there the kernel is the decaying K form (its I term vanishes,
+    DLMF 10.40.1-2), so _assemble sets a = 0.  Off the branch, or where E_b
+    leaves the double range, no E is E_b."""
+    exponent = bound_state_exponent(kappa, t)
+    if exponent is None or not _LOG_TINY <= exponent <= _LOG_HUGE:
+        return False
+    return np.asarray(E, dtype=float) == -math.exp(exponent)
 
 
 def _kernel_coefficients(kappa: float, theta: float, E) -> tuple[np.ndarray, np.ndarray | None]:
     """(a, b) with radial_kernel(kappa, theta, E, r) = sqrt(r) [a F + b G] over
-    (F, G) = _jy_pair(|kappa|, E, r) at energies E > 1e-200; b is None where the
-    kernel reads no G (always for |kappa| >= 1)."""
-    return _pair_coefficients(*_kernel_terms(kappa, theta), E)
+    (F, G) = _jy_pair(|kappa|, E, r) at energies E > 1e-200 other than E_b; b is
+    None where the kernel reads no G (always for |kappa| >= 1)."""
+    order, _, cu, cw = _kernel_terms(kappa, theta)
+    return _pair_coefficients(order, cu, cw, E)
 
 
-def radial_kernel(kappa: float, theta: float, E, r, bound_state=False) -> np.ndarray:
+def radial_kernel(kappa: float, theta: float, E, r) -> np.ndarray:
     """Transform kernel values, no derivatives: u(|kappa|, E | r) for |kappa| >= 1
-    (theta unused), else u_theta(kappa, theta, E | r).  bound_state=True (or a
-    mask broadcasting against E) asserts that E is the bound-state energy there
-    and evaluates the cancellation-free K form."""
-    order, cu, cw = _kernel_terms(kappa, theta)
-    if abs(kappa) >= 1.0:
-        bound_state = False  # no bound state off the extension family
-    return _assemble(order, cu, cw, E, r, bound_state=bound_state)[0]
+    (theta unused), else u_theta(kappa, theta, E | r), the decaying K form at E_b."""
+    order, t, cu, cw = _kernel_terms(kappa, theta)
+    return _assemble(order, cu, cw, E, r, bound=_at_bound_state(kappa, t, E))[0]
 
 
 def _jy_pair(nu: float, E, r) -> tuple[np.ndarray, np.ndarray | None]:
@@ -282,8 +349,8 @@ def _jy_pair(nu: float, E, r) -> tuple[np.ndarray, np.ndarray | None]:
     return _bessel(_J, nu, x), (_bessel(_Y, nu, x) if nu < 1.0 else None)
 
 
-def _eigen(kappa: float, cu: float, cw: float, E, r, bound_state=False) -> ValueWithDerivative:
-    value, d_dr = _assemble(kappa, cu, cw, E, r, derivative=True, bound_state=bound_state)
+def _eigen(E, r, value, d_dr) -> ValueWithDerivative:
+    """An _assemble result, as floats at a scalar E and r."""
     if np.ndim(E) == 0 and np.ndim(r) == 0:
         return ValueWithDerivative(float(value), float(d_dr))
     return ValueWithDerivative(value, d_dr)
@@ -291,7 +358,7 @@ def _eigen(kappa: float, cu: float, cw: float, E, r, bound_state=False) -> Value
 
 def u_eigen(kappa: float, E, r) -> ValueWithDerivative:
     """u(kappa, E | r) = r**(1/2+kappa) chi_kappa(r**2 E) and d/dr."""
-    return _eigen(kappa, 1.0, 0.0, E, r)
+    return _eigen(E, r, *_assemble(kappa, 1.0, 0.0, E, r, derivative=True))
 
 
 def w_eigen(kappa: float, E, r) -> ValueWithDerivative:
@@ -299,21 +366,20 @@ def w_eigen(kappa: float, E, r) -> ValueWithDerivative:
     extension family.  Only defined for |kappa| < 1."""
     if abs(kappa) >= 1.0:
         raise DomainError(f"w_eigen requires |kappa| < 1, got kappa={kappa}")
-    return _eigen(kappa, 0.0, 1.0, E, r)
+    return _eigen(E, r, *_assemble(kappa, 0.0, 1.0, E, r, derivative=True))
 
 
 def u_theta_eigen(kappa: float, theta: float, E, r) -> ValueWithDerivative:
     """Extension-family eigenfunction u_theta = u cos(d) + w sin(d), d = theta - pi*kappa/2.
 
     Stable for all |kappa| < 1, kappa -> 0 included; the decaying K form at exactly E_b.
+    Its value is radial_kernel's.
     """
     if abs(kappa) >= 1.0:
         raise DomainError(f"u_theta_eigen requires |kappa| < 1, got kappa={kappa}")
-    from .measures import ExtensionParams, bound_state_energy  # measures imports special
-    E_b = bound_state_energy(ExtensionParams(kappa, theta))
-    bound = E_b is not None and np.asarray(E, dtype=float) == E_b
-    delta = theta - theta_kappa(kappa)
-    return _eigen(kappa, math.cos(delta), math.sin(delta), E, r, bound)
+    _, t, cu, cw = _kernel_terms(kappa, theta)
+    bound = _at_bound_state(kappa, t, E)
+    return _eigen(E, r, *_assemble(kappa, cu, cw, E, r, derivative=True, bound=bound))
 
 
 def wronskian(f: ValueWithDerivative, g: ValueWithDerivative):

@@ -119,15 +119,6 @@ class TransformCoefficients:
         return float(np.sum(self.quad.weights * np.abs(self.values) ** 2))
 
 
-def kernel_values(params: ExtensionParams, E, r, bound_state=False) -> np.ndarray:
-    """Transform kernel: u(|kappa|, E|r) off the extension family,
-    u_theta(kappa, theta, E|r) on it (theta taken modulo pi, with the parity
-    sign applied so that theta -> theta + pi flips the kernel exactly);
-    bound_state (a flag or a mask over E) as in special.radial_kernel."""
-    value = np.asarray(radial_kernel(params.kappa, params.theta_mod_pi, E, r, bound_state))
-    return params.theta_sign * value if params.needs_theta else value
-
-
 @dataclass(frozen=True)
 class Kernel:
     """K[i, j] = kernel(node_i | r_j) over a spectral grid as one read-only
@@ -180,7 +171,7 @@ def _bits(*values) -> tuple[bytes, ...]:
 def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> Kernel:
     """The kernel over the spectral grid quad.nodes and r_nodes as a Kernel:
     the continuum rows over the Bessel pair of order |kappa|, the atom rows
-    the bound eigenfunction (bound_state=True).
+    radial_kernel at the atom energies (at E_b the bound eigenfunction).
 
     Cached per extension, keyed bit for bit by what the matrix reads: |kappa|
     or (kappa, theta_mod_pi, theta_sign), the E nodes (not the weights), the
@@ -206,14 +197,13 @@ def _build_kernel(key: _CacheKey) -> Kernel:
     params, quad, r = key.inputs
     n = len(quad.e_nodes)
     F, G = _bessel_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
-    a, b = special._kernel_coefficients(params.kappa, params.theta_mod_pi, quad.e_nodes)
-    sign = params.theta_sign if params.needs_theta else 1
+    a, b = special._kernel_coefficients(params.kappa, params.theta, quad.e_nodes)
     K = np.empty((len(quad.nodes), len(r)))
-    np.multiply((sign * a)[:, None], F, out=K[:n])
+    np.multiply(a[:, None], F, out=K[:n])
     if b is not None:
-        K[:n] += (sign * b)[:, None] * G
+        K[:n] += b[:, None] * G
     K[:n] *= np.sqrt(r)
-    K[n:] = kernel_values(params, quad.nodes[n:, None], r[None, :], True)
+    K[n:] = radial_kernel(params.kappa, params.theta, quad.nodes[n:, None], r[None, :])
     K.setflags(write=False)
     return Kernel(K)
 

@@ -129,7 +129,6 @@ class SuiteConfig:
     thetas: tuple = (0.0, 1.0, math.pi / 2)
     phis: tuple = (0.5,)
     support: tuple = (0.5, 3.0)
-    negative_controls: bool = True
 
     def __post_init__(self):
         if self.support[0] <= 0.0 or self.support[1] <= self.support[0]:
@@ -475,9 +474,7 @@ def _build_jobs(config: SuiteConfig) -> list[Job]:
         checks = [(f"unitarity_{which}", params, tol) for which, tol in unitarity]
         jobs.append(Job(checks, functools.partial(_unitarity_defects, config, kappa, theta)))
 
-    if config.negative_controls:
-        jobs.append(_negative_control_job(config))
-
+    jobs.append(_negative_control_job(config))
     return jobs
 
 

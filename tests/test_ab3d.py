@@ -101,6 +101,15 @@ class TestThetaSpec:
         assert spec.theta_for(-1, 1.0) == 0.2
         assert spec.theta_for(-1, 100.0) == 0.3
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_p_rejected(self, p):
+        pw = PiecewiseTheta((0.0,), (1.0, 1.3))
+        spec = ThetaSpec(0.5, {-1: pw, 0: 1.0})
+        for lookup in (lambda: pw.theta_at(p), lambda: pw.theta_at(np.array([0.5, p])),
+                       lambda: spec.theta_for(-1, p), lambda: spec.theta_for(0, p)):
+            with pytest.raises(DomainError, match="finite p"):
+                lookup()
+
     def test_piecewise_validation(self):
         with pytest.raises(ConfigurationError):
             PiecewiseTheta(breaks=(0.0,), values=(0.1,))

@@ -18,7 +18,7 @@ from ab_spectral.cli import (
     parse_range,
 )
 from ab_spectral.measures import ExtensionParams, bound_state_energy
-from ab_spectral.special import theta_kappa, u_theta_eigen
+from ab_spectral.special import radial_kernel, theta_kappa, u_theta_eigen
 
 
 class TestParseRange:
@@ -133,6 +133,18 @@ class TestEigenfunctionCommand:
         amplitude = -2.0 / math.pi * math.sin(0.7 - theta_kappa(0.3)) * k**0.3
         for r, u, _ in rows:
             assert u == pytest.approx(amplitude * math.sqrt(r) * sc.kv(0.3, k * r), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.001, math.pi - 0.001])
+    def test_finite_past_the_double_range(self, tmp_path, theta):
+        """kappa = 0 with an E_b out of the double range: there is no bound-state
+        energy to meet, so E = 1 writes radial_kernel's values (measure exits 2)."""
+        out = tmp_path / "eig.csv"
+        argv = ["eigenfunction", "--kappa", "0", "--theta", repr(theta), "--energy", "1",
+                "--r", "0.5:3:4", "--output", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = np.array([ln.split(",") for ln in out.read_text().split("\n")[1:] if ln], float)
+        assert np.array_equal(rows[:, 1], radial_kernel(0.0, theta, 1.0, rows[:, 0]))
+        assert np.all(np.isfinite(rows))
 
     def test_axis_rejected(self, tmp_path):
         code = main(
@@ -437,7 +449,7 @@ class TestVerifyCommand:
 
     def test_negative_controls_default_on(self, tmp_path, capsys):
         assert self._control_ids(tmp_path) == self.CONTROLS
-        assert self._control_ids(tmp_path, "--no-negative-controls") == set()
+        assert main(["verify", "--no-negative-controls"]) == EXIT_USAGE  # the controls always run
         assert main(["verify", "--negative-controls"]) == EXIT_USAGE  # no such flag
         assert main(["verify", "--no-atoms"]) == EXIT_USAGE  # the control job is the one atom switch
 
@@ -455,6 +467,9 @@ class TestVerifyCommand:
             ("kappas = 1.5,x", "kappas", "x"),
             ("kappas = 1.5\nthetas = 1.0,,2.0", "thetas", ""),
             ("kappas = 1.5\nphis = 0.5;0.3", "phis", "0.5;0.3"),
+            ("kappas = nan\nphis = inf", "kappas", "nan"),
+            ("kappas = 1.5\nthetas = 1.0, -inf", "thetas", "-inf"),
+            ("kappas = 1.5\nphis = 0.5,inf", "phis", "inf"),
         ],
     )
     def test_malformed_list_entry_is_a_usage_error(self, tmp_path, capsys, run_lines, key, entry):

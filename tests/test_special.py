@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ab_spectral import special
@@ -122,6 +122,15 @@ class TestEigenfunctions:
         below = w_eigen(5e-7, E, r).value  # logarithmic branch
         above = w_eigen(5e-6, E, r).value  # difference-quotient branch
         assert below == pytest.approx(above, rel=1e-4)
+
+    @pytest.mark.parametrize("kappa", [1.0 - 1e-9, math.nextafter(1.0, 0.0)])
+    @pytest.mark.parametrize("E", [-1.0, 1.0])
+    def test_w_next_to_kappa_one(self, kappa, E):
+        """Within ~5e-9 of kappa = 1 cos(pi kappa) rounds to -1, so tan(pi kappa / 2)
+        is cot(pi (1 - kappa) / 2) there, not a division by zero."""
+        r = np.array([0.5, 1.3, 3.0])
+        oracle = np.array([w_oracle(kappa, E, x) for x in r], dtype=float)
+        _assert_close(w_eigen(kappa, E, r), oracle)
 
     def test_w_requires_extension_family(self):
         with pytest.raises(DomainError):
@@ -386,6 +395,9 @@ class TestBoundStateEigenfunction:
         "kappa,theta", [(0.3, 0.7), (0.3, 0.7 + math.pi), (-0.7, 1.2), (0.0, 0.5), (0.5, 1.0)]
     )
     def test_u_theta_at_bound_state(self, kappa, theta):
+        """u_theta and radial_kernel, which is told nothing about E_b, both take
+        the K form there out to 0.999 of the zeta bound; the two-term sum was
+        wrong by 3e27 relative at r = 4.83 for kappa = 0.3, theta = 0.7."""
         energy = bound_state_energy(ExtensionParams(kappa, theta))
         r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
         got = u_theta_eigen(kappa, theta, energy, r)
@@ -393,6 +405,7 @@ class TestBoundStateEigenfunction:
         slope = bound_state_slope_oracle(kappa, theta, energy, r)
         assert np.all(np.abs(got.value - value) <= 1e-13 * np.abs(value))
         assert np.all(np.abs(got.d_dr - slope) <= 1e-13 * np.abs(slope))
+        assert np.array_equal(special.radial_kernel(kappa, theta, energy, r), got.value)
 
     def test_scalar_far_out(self):
         """kappa = 0.3, theta = 0.7 (E_b = -106.97) at r = 1.5 and 3, where the
@@ -426,11 +439,11 @@ class TestBoundStateEigenfunction:
         that evaluating I everywhere (and multiplying it by 0) gives."""
         energy = bound_state_energy(ExtensionParams(kappa, theta))
         r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
-        E, mask = np.array([[energy], [-1.0], [2.0]]), np.array([[True], [False], [False]])
+        E = np.array([[energy], [-1.0], [2.0]])
 
         def evaluate():
-            row = special.radial_kernel(kappa, theta, energy, r, bound_state=True)
-            mixed = special.radial_kernel(kappa, theta, E, r[None, :], bound_state=mask)
+            row = special.radial_kernel(kappa, theta, energy, r)
+            mixed = special.radial_kernel(kappa, theta, E, r[None, :])
             return (row, mixed, *u_theta_eigen(kappa, theta, energy, r))
 
         original, kinds = special._bessel, []
@@ -440,7 +453,7 @@ class TestBoundStateEigenfunction:
             return original(kind, order, x)
 
         monkeypatch.setattr(special, "_bessel", counted)
-        special.radial_kernel(kappa, theta, energy, r, bound_state=True)
+        special.radial_kernel(kappa, theta, energy, r)
         assert kinds == [special._K]
         kinds.clear()
         u_theta_eigen(kappa, theta, energy, r)
@@ -452,6 +465,45 @@ class TestBoundStateEigenfunction:
         )
         for new, before in zip(got, evaluate()):
             assert new.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("theta", [0.001, math.pi - 0.001])
+    def test_no_bound_state_energy_past_the_double_range(self, theta):
+        """kappa = 0 with theta 0.001 from an end of the bound-state branch: E_b =
+        -exp(pi cot theta) is no double, so no energy is E_b, and u_theta and the
+        3D eigenfunction at E = 1 are radial_kernel's finite values; only the
+        measure, which would hold E_b as its atom, raises."""
+        r = np.linspace(0.5, 3.0, 4)
+        kernel = special.radial_kernel(0.0, theta, 1.0, r)
+        got = u_theta_eigen(0.0, theta, 1.0, r)
+        assert np.all(np.isfinite(kernel)) and np.all(np.isfinite(got.d_dr))
+        assert np.array_equal(got.value, kernel)
+        spec = ThetaSpec.constant(1.0, theta)  # channel m = -1 has kappa = 0
+        for x, radial in zip(r, kernel):
+            psi = eigenfunction_3d(spec, ChannelIndex(-1, 0.0), 1.0, (x, 0.0, 0.0))
+            assert psi == pytest.approx(radial / (2 * math.pi * math.sqrt(x)), rel=1e-15)
+        params = ExtensionParams(0.0, theta)
+        for measure in (bound_state_energy, spectral_measure):
+            with pytest.raises(DomainError, match="double range"):
+                measure(params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+        theta=st.floats(-20.0, 20.0),
+        E=st.floats(0.01, 100.0),
+        negative=st.booleans(),
+    )
+    def test_theta_plus_pi_flips_exactly(self, kappa, theta, E, negative):
+        """Wherever theta + pi rounds to the class of theta (the same theta mod
+        pi), the kernel and u_theta with d/dr are bit for bit negated."""
+        assume(special.reduce_theta(theta + math.pi)[0] == special.reduce_theta(theta)[0])
+        E, r = -E if negative else E, np.linspace(0.5, 4.0, 5)
+        for evaluate in (
+            lambda t: special.radial_kernel(kappa, t, E, r),
+            lambda t: u_theta_eigen(kappa, t, E, r).value,
+            lambda t: u_theta_eigen(kappa, t, E, r).d_dr,
+        ):
+            assert (-evaluate(theta + math.pi)).tobytes() == evaluate(theta).tobytes()
 
     @pytest.mark.parametrize("theta", [0.7, 0.7 + math.pi])
     def test_eigenfunction_3d_at_bound_state(self, theta):
@@ -486,7 +538,8 @@ class TestEnergySignBranches:
         r = np.linspace(0.5, 3.0, 8)
         E = np.array([[2.0], [5.0]])
         special.radial_kernel(0.3, 1.0, E, r)
-        special.radial_kernel(0.3, math.pi / 2, -1.0, r, bound_state=True)
+        energy = bound_state_energy(ExtensionParams(0.3, math.pi / 2))  # -1.0000000000000002
+        special.radial_kernel(0.3, math.pi / 2, energy, r)
         u_theta_eigen(-0.7, 1.0, 2.0, r)
         u_theta_eigen(0.3, math.pi / 2, -1.0, r)
         assert bessel_sizes and 0 not in bessel_sizes

@@ -18,7 +18,7 @@ from ab_spectral.measures import (
     discretize,
     spectral_measure,
 )
-from ab_spectral.special import ZETA_BOUND, theta_kappa, u_theta_eigen
+from ab_spectral.special import ZETA_BOUND, radial_kernel, theta_kappa, u_theta_eigen
 from ab_spectral.transform import (
     Endpoint,
     RadialFunction,
@@ -29,7 +29,6 @@ from ab_spectral.transform import (
     forward,
     inverse,
     kernel_matrix,
-    kernel_values,
     parseval_defect,
     roundtrip_defect,
 )
@@ -112,22 +111,22 @@ class TestKernel:
     def test_theta_shift_flips_sign_exactly(self):
         # fl(1.0 + pi) reduces back to exactly 1.0, so the flip is bitwise
         r = np.linspace(0.5, 3.0, 7)
-        base = kernel_values(ExtensionParams(0.3, 1.0), 2.0, r)
-        flipped = kernel_values(ExtensionParams(0.3, 1.0 + math.pi), 2.0, r)
+        base = radial_kernel(0.3, 1.0, 2.0, r)
+        flipped = radial_kernel(0.3, 1.0 + math.pi, 2.0, r)
         assert np.array_equal(flipped, -base)
 
     def test_fixed_kernel_ignores_theta_and_sign_of_kappa(self):
         r = np.linspace(0.5, 3.0, 7)
-        a = kernel_values(ExtensionParams(1.5, 0.0), 2.0, r)
-        b = kernel_values(ExtensionParams(-1.5, 2.0), 2.0, r)
+        a = radial_kernel(1.5, 0.0, 2.0, r)
+        b = radial_kernel(-1.5, 2.0, 2.0, r)
         assert np.array_equal(a, b)
 
 
 def fresh_kernel(params, quad, r):
-    """A dense kernel matrix built directly from kernel_values, bypassing the
+    """A dense kernel matrix built directly from radial_kernel, bypassing the
     caches: the E-node rows in one call, then each atom row on its own."""
-    K = kernel_values(params, quad.e_nodes[:, None], r[None, :])
-    rows = [kernel_values(params, e, r, bound_state=True) for e, _ in quad.atoms]
+    K = radial_kernel(params.kappa, params.theta, quad.e_nodes[:, None], r[None, :])
+    rows = [radial_kernel(params.kappa, params.theta, e, r) for e, _ in quad.atoms]
     return np.vstack([K] + rows)
 
 
@@ -445,7 +444,7 @@ class TestForwardOracle:
         quad = discretize(spectral_measure(params), E_MAX, node_budget=32)
         # evaluate the analysis integral at this exact energy via a one-node grid
         weighted = psi.quad_weights * psi.values.real
-        got = float(np.sum(kernel_values(params, E, psi.r_nodes) * weighted))
+        got = float(np.sum(radial_kernel(params.kappa, params.theta, E, psi.r_nodes) * weighted))
 
         sqrtE = mpmath.sqrt(E)
         a, b, c, w, k = BUMP.a, BUMP.b, 1.75, 0.5, 3

@@ -87,7 +87,7 @@ class TestSuiteMechanics:
                 verify.Job([("boom_check", {"x": 2}, 1.0)], lambda: [(1 / 0, {})]),
             ],
         )
-        return SuiteConfig(kappas=(1.5,), negative_controls=False)
+        return SuiteConfig(kappas=(1.5,))
 
     def test_errors_recorded_never_raised(self, stubbed):
         results = run_suite(stubbed)
@@ -183,7 +183,7 @@ class TestThreeDimensionalJob:
         "threed_selectivity",
         "threed_symmetry",
     ]
-    CONFIG = SuiteConfig(kappas=(1.5,), negative_controls=False)
+    CONFIG = SuiteConfig(kappas=(1.5,))
 
     @staticmethod
     def _threed(results):
