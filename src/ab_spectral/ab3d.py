@@ -13,17 +13,21 @@ The reduction of a field Phi to channel (m, p) is
                          Phi(r cos phi, r sin phi, x3) e^{-i p x3 - i m phi}
 
 and the full forward map composes this reduction with the one-dimensional
-eigenfunction transform per channel: the field sampled a block of r nodes per
-call (SAMPLE_BLOCK_BYTES), each block one real product of its mode's phases
-and its (r, x3) profile; the angular DFT folded over +-m into one real matrix of
-cos and sin rows, applied to the samples read as interleaved re/im floats;
-one x3 matmul for every r node and row; each mode then C - i sgn(m) S; one
-real product per block with its extension's cached dense kernel.  The blocks'
-modes, theta pieces, extensions and spectral grids, and the DFT rows and axial
-phases, form the forward's channel plan, built once per (phi, theta tables,
-M_max, p nodes, reduction grid, E_max, node_budget) and cached.  The angle
-grid of n_phi points resolves the modes |m| < n_phi / 2 only; a mode grid
-past that raises ConfigurationError rather than alias.  Norms satisfy
+eigenfunction transform per channel.  Every library field (SeparableField,
+FieldSum and a TransformedField of either) is one angular mode,
+P(r, x3) e^{i m a}, and hands the reduction its two factors instead of
+samples: the angular DFT, folded over +-m into one real matrix of cos and sin
+rows, takes the phase row to one sum per row; each mode is C - i sgn(m) S;
+one x3 matmul takes the profile to (n_r, n_p); the (n_r, n_modes, n_p) array
+is their outer product.  Any other field is sampled a block of r nodes per
+call (SAMPLE_BLOCK_BYTES), each block folded by the same rows.  Each block of
+the forward is then one real product with its extension's cached dense
+kernel.  The blocks' modes, theta pieces, extensions and spectral grids, and
+the DFT rows and axial phases, form the forward's channel plan, built once
+per (phi, theta tables, M_max, p nodes, reduction grid, E_max, node_budget)
+and cached.  The angle grid of n_phi points resolves the modes
+|m| < n_phi / 2 only; a mode grid past that raises ConfigurationError rather
+than alias.  Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -242,45 +246,32 @@ class ReductionGrid:
 # Field families
 
 
-def _mode_samples(profile, m: int, angle) -> np.ndarray:
-    """profile * e^{i m angle}, in the broadcast product's shape.
+class _OneMode:
+    """A field of one angular mode: Phi(r cos a, r sin a, x3) = P(r, x3) e^{i m a},
+    its mode m and (r, x3) profile _profile(r, x3) given by the subclass.
 
-    On the sampling layout -- the angle varies only along axis -2, where the
-    profile has length 1 -- the samples are one stacked real product: the
-    (n_phi, 2) phases [cos m a, sin m a] times each leading index's rows
-    [p; i p], (2, 2 n_x3) read as interleaved re/im floats, the result read
-    back as complex.  For a real profile an element is one rounded product
-    plus an exact zero, so it has the broadcast product's bits (a zero may
-    come out as +0 where the broadcast gives -0); a complex profile agrees to
-    rounding.  Every other shape (a single point, a list of points) takes the
-    broadcast product."""
-    profile, angle = np.asarray(profile), np.asarray(angle)
-    phase = np.exp(1j * m * angle)
-    layout = (
-        2 <= angle.ndim <= profile.ndim
-        and angle.shape[-1] == 1
-        and angle.size == angle.shape[-2]
-        and profile.shape[-2] == 1
-    )
-    if not layout:
-        return profile * phase
-    lead, n_x3 = profile.shape[:-2], profile.shape[-1]
-    flat = profile.reshape(math.prod(lead), n_x3)
-    rows = np.empty((len(flat), 2, n_x3), dtype=complex)
-    rows[:, 0], rows[:, 1] = flat, 1j * flat
-    phases = np.stack((phase.real.ravel(), phase.imag.ravel()), axis=1)
-    samples = (phases @ rows.view(float)).view(complex)
-    return samples.reshape(*lead, angle.shape[-2], n_x3)
+    A call is the broadcast product P e^{i m a} over any shapes of r, angle and
+    x3; mode_factors hands the reduction the two factors on a grid instead."""
+
+    def __call__(self, r, angle, x3):
+        return self._profile(r, x3) * np.exp(1j * self.m * np.asarray(angle))
+
+    def mode_factors(self, r, angles, x3):
+        """The phase row e^{i m a_j} over the 1-D angles and the profile
+        P(r_i, x3_k), shape (len(r), len(x3)): the call's values there are
+        their outer product."""
+        profile = self._profile(np.asarray(r)[:, None], np.asarray(x3)[None, :])
+        return np.exp(1j * self.m * np.asarray(angles)), profile
 
 
 @dataclass(frozen=True)
-class SeparableField:
+class SeparableField(_OneMode):
     """Phi(r cos a, r sin a, x3) = r**-1/2 psi(r) chi(x3) e^{i m a}.
 
     Its channel reduction is exact: delta_{km} chi_hat(p) psi(r), which makes
-    this the sharp test family for everything three-dimensional.  A call
-    forms the (r, x3) profile r**-1/2 psi chi and samples its one mode with
-    _mode_samples: one real product over a block of r nodes.
+    this the sharp test family for everything three-dimensional.  Its profile
+    is r**-1/2 psi chi.  ConfigurationError unless m is an integer: the field
+    must be single-valued on R^3.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
@@ -291,10 +282,13 @@ class SeparableField:
     psi_d2: Callable[[np.ndarray], np.ndarray] | None = None
     chi_d2: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def __call__(self, r, angle, x3):
+    def __post_init__(self):
+        if not isinstance(self.m, (int, np.integer)):
+            raise ConfigurationError(f"the angular mode m must be an integer, got {self.m!r}")
+
+    def _profile(self, r, x3):
         r = np.asarray(r, dtype=float)
-        profile = self.psi(r) / np.sqrt(r) * np.asarray(self.chi(x3))
-        return _mode_samples(profile, self.m, angle)
+        return self.psi(r) / np.sqrt(r) * np.asarray(self.chi(x3))
 
     def hamiltonian_image(self, phi: float) -> "FieldSum":
         """The field H Phi, as a sum of two separable pieces.
@@ -326,12 +320,12 @@ class SeparableField:
 
 
 @dataclass(frozen=True)
-class FieldSum:
+class FieldSum(_OneMode):
     """Pointwise sum of SeparableFields of one mode m and the same supports.
 
-    A call sums the (r, x3) profiles psi_k(r) chi_k(x3), divides by sqrt(r)
-    once and samples the mode with _mode_samples once, so a call over a block
-    of nodes makes one block-sized array, as a one-term field does.
+    Its profile sums the terms' psi_k(r) chi_k(x3) and divides by sqrt(r)
+    once, so a call makes one array of the call's shape, as a one-term field
+    does.
     """
 
     terms: tuple
@@ -347,12 +341,16 @@ class FieldSum:
                 "FieldSum needs SeparableField terms of one mode m and the same supports"
             )
 
-    def __call__(self, r, angle, x3):
+    def _profile(self, r, x3):
         r = np.asarray(r, dtype=float)
         profile = self.terms[0].psi(r) * np.asarray(self.terms[0].chi(x3))
         for t in self.terms[1:]:
             profile = profile + t.psi(r) * np.asarray(t.chi(x3))
-        return _mode_samples(profile / np.sqrt(r), self.terms[0].m, angle)
+        return profile / np.sqrt(r)
+
+    @property
+    def m(self):
+        return self.terms[0].m
 
     @property
     def r_support(self):
@@ -369,14 +367,27 @@ class TransformedField:
 
     (Phi o G^-1)(r, angle, x3) = Phi(r, angle - alpha, x3 - beta); its channel
     coefficients are e^{-i m alpha - i p beta} times the original ones.
+    ConfigurationError unless alpha and beta are finite.
     """
 
     field: object
     alpha: float
     beta: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.alpha, self.beta))):
+            raise ConfigurationError(
+                f"a symmetry needs a finite alpha and beta, got {self.alpha!r}, {self.beta!r}"
+            )
+
     def __call__(self, r, angle, x3):
         return self.field(r, np.asarray(angle) - self.alpha, np.asarray(x3) - self.beta)
+
+    def mode_factors(self, r, angles, x3):
+        """The field's mode factors at the shifted angles and x3 nodes, or None
+        for a field without them."""
+        angles, x3 = np.asarray(angles) - self.alpha, np.asarray(x3) - self.beta
+        return _mode_factors(self.field, r, angles, x3)
 
     @property
     def r_support(self):
@@ -392,12 +403,26 @@ class TransformedField:
 # Reduction
 
 
-#: Bytes of complex field samples taken per call of the field: as many whole
-#: r nodes as fit, at least one; 12 at the default 128 x 96 reduction grid.
+#: Bytes of complex samples taken per call of a field without mode factors
+#: (a plain callable, or a TransformedField of one): as many whole r nodes as
+#: fit, at least one; 12 at the default 128 x 96 reduction grid.  Library
+#: fields are reduced from their factors and never sampled in blocks.
 SAMPLE_BLOCK_BYTES = 2_400_000
 
 
-def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
+def _mode_factors(field, r, angles, x3):
+    """field.mode_factors(r, angles, x3): the phase row (len(angles),) and the
+    profile (len(r), len(x3)); None for a field without them."""
+    mode_factors = getattr(field, "mode_factors", None)
+    return None if mode_factors is None else mode_factors(r, angles, x3)
+
+
+def _abs_sq(z) -> np.ndarray:
+    """|z|**2 elementwise, as re**2 + im**2."""
+    return np.square(z.real) + np.square(z.imag)
+
+
+def _by_r_node(field, r, grid: ReductionGrid, reduce) -> np.ndarray:
     """reduce(Phi(r_i, angle_j, x3_k)) over blocks of consecutive r nodes, joined along r.
 
     Each call of the field samples as many r nodes as fit in SAMPLE_BLOCK_BYTES
@@ -409,7 +434,7 @@ def _by_r_node(field, r_nodes, grid: ReductionGrid, reduce) -> np.ndarray:
     its heap-trim threshold to twice the largest mmapped block it frees, and
     with smaller blocks it gives the freed heap top back between a forward's
     temporaries and faults it in again."""
-    r = np.asarray(r_nodes, dtype=float)[:, None, None]
+    r = r[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
     step = max(1, SAMPLE_BLOCK_BYTES // (16 * grid.n_phi * x3.size))
@@ -464,25 +489,37 @@ def _reduction(grid: ReductionGrid, modes: Sequence[int], p_nodes) -> _Reduction
     return _Reduction(rows, cos_rows, sines, axial)
 
 
+def _per_mode(summed: np.ndarray, maps: _Reduction) -> np.ndarray:
+    """C - i sgn(m) S for each mode, from the folded rows along axis 1 of summed."""
+    out = summed[:, maps.cos_rows]
+    for i, s, phase in maps.sines:
+        out[:, i] += phase * summed[:, s]
+    return out
+
+
 def _reduce(field, r_nodes, grid: ReductionGrid, maps: _Reduction) -> np.ndarray:
     """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
     for every r node, mode m and p node of maps = _reduction(grid, modes,
     p_nodes): shape (n_r, n_modes, n_p).
 
-    Each block of samples, read as interleaved re/im floats, goes through the
-    real folded DFT rows in one stacked matmul, giving the complex cos and sin
-    sums C and S per order.  One x3 matmul applies the axial phases to every
-    node and row, and each mode is then C - i sgn(m) S, one mode slice at a
-    time."""
-    folded = _by_r_node(
-        field, r_nodes, grid, lambda t: (maps.rows @ t.view(float)).view(complex)
-    )
+    A field with mode factors, Phi = P(r_i, x3_k) ph_j, is reduced from them:
+    the real folded DFT rows take the phase row, read as (n_phi, 2) floats, to
+    one complex sum per row; each mode is then C - i sgn(m) S; the axial
+    matrix takes the profile to (n_r, n_p) in one matmul; the result is their
+    outer product.  Any other field is sampled SAMPLE_BLOCK_BYTES at a time
+    (_by_r_node); each block, read as interleaved re/im floats, goes through
+    the folded DFT rows in one stacked matmul, one x3 matmul applies the
+    axial phases to every node and row, and each mode is then C - i sgn(m) S."""
+    r = np.asarray(r_nodes, dtype=float)
+    factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
+    if factors is not None:
+        phase, profile = factors
+        folded = (maps.rows @ np.stack((phase.real, phase.imag), axis=1)).view(complex)
+        return (profile @ maps.axial.T)[:, None, :] * _per_mode(folded[None], maps)
+    folded = _by_r_node(field, r, grid, lambda t: (maps.rows @ t.view(float)).view(complex))
     n_r, n_rows, n_x3 = folded.shape
     summed = (folded.reshape(-1, n_x3) @ maps.axial.T).reshape(n_r, n_rows, len(maps.axial))
-    out = summed[:, maps.cos_rows]
-    for i, s, phase in maps.sines:
-        out[:, i] += phase * summed[:, s]
-    return out
+    return _per_mode(summed, maps)
 
 
 def radial_reduce(
@@ -501,19 +538,26 @@ def radial_reduce(
 def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
     """||Phi||^2 over R^3 by tensor quadrature (r dr x dangle x dx3).
 
-    One r node at a time, the squares of its samples read as interleaved
-    re/im floats go through the x3 weights (each repeated for re and im) in
-    one matmul, and the angles are summed: a node's sum has the same bits at
-    any block size, and no block-sized temporary is made."""
-    r, wr = r_rule
+    A field with mode factors (phase row ph, profile P) needs no samples: each
+    r node's sum is sum_j |ph_j|^2 dangle times |P|^2 @ w3.  Any other field
+    is sampled in blocks, and one r node at a time the squares of its samples,
+    read as interleaved re/im floats, go through the x3 weights (each repeated
+    for re and im) in one matmul, and the angles are summed: a node's sum has
+    the same bits at any block size, and no block-sized temporary is made."""
+    r, wr = (np.asarray(a, dtype=float) for a in r_rule)
     dphi = 2.0 * math.pi / grid.n_phi
-    w3 = np.repeat(np.asarray(grid.x3_weights, dtype=float), 2)
+    factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
+    if factors is not None:
+        phase, profile = factors
+        per_r = (_abs_sq(profile) @ grid.x3_weights) * (np.sum(_abs_sq(phase)) * dphi)
+    else:
+        w3 = np.repeat(np.asarray(grid.x3_weights, dtype=float), 2)
 
-    def per_node(block):
-        return np.array([np.sum(np.square(node) @ w3) for node in block.view(float)])
+        def per_node(block):
+            return np.array([np.sum(np.square(node) @ w3) for node in block.view(float)])
 
-    per_r = _by_r_node(field, r, grid, per_node) * dphi
-    return float(np.sum(wr * np.asarray(r) * per_r))
+        per_r = _by_r_node(field, r, grid, per_node) * dphi
+    return float(np.sum(wr * r * per_r))
 
 
 # --------------------------------------------------------------------------
@@ -668,11 +712,12 @@ def full_forward(
     grid.  The blocks, one per (mode, theta group), and the reduction matrices
     come from the cached channel plan, so a repeated signature builds no
     spectral grid and no phase matrix; blocks of two forwards with one
-    signature share their quad and p_indices objects.  The field is sampled
-    SAMPLE_BLOCK_BYTES at a time and reduced to a (n_r, n_modes, n_p) array,
-    weighted by sqrt(r) w_r.  Each block, critical or not, is its extension's
-    cached dense kernel (transform.Kernel) times its group's columns (n_r,
-    n_group): one real product, with the columns as interleaved re/im floats.
+    signature share their quad and p_indices objects.  The field is reduced
+    (_reduce: from its mode factors, else sampled SAMPLE_BLOCK_BYTES at a
+    time) to a (n_r, n_modes, n_p) array, weighted by sqrt(r) w_r.  Each
+    block, critical or not, is its extension's cached dense kernel
+    (transform.Kernel) times its group's columns (n_r, n_group): one real
+    product, with the columns as interleaved re/im floats.
     """
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
     r, wr = (np.asarray(a, dtype=float) for a in r_rule)

@@ -150,11 +150,15 @@ class TestGrids:
             lambda: PiecewiseTheta((0.0,), (1.0, math.inf)),
             lambda: ThetaSpec.constant(math.nan, 1.0),
             lambda: ThetaSpec(math.inf, {}),
+            lambda: SeparableField(PSI, CHI, 0.5, (PSI.a, PSI.b), CHI.support),
+            lambda: TransformedField(make_field(m=1), math.nan, 0.2),
+            lambda: TransformedField(make_field(m=1), 0.7, math.inf),
         ],
         ids=[
             "p-lengths", "p-nan-node", "m-max-float", "p-2d", "p-inf-weight",
             "n-phi-0", "n-phi-float", "x3-negative-weights", "x3-lengths", "x3-nan-node",
             "theta-nan-break", "theta-inf-value", "phi-nan", "phi-inf",
+            "field-m-half", "moved-alpha-nan", "moved-beta-inf",
         ],
     )
     def test_malformed_3d_inputs_raise_configuration_error(self, build):
@@ -290,13 +294,14 @@ class TestReduction:
             radial_reduce(make_field(m=1), ChannelIndex(1, 0.4), np.zeros(0), grid)
 
     def test_node_by_node_equals_the_whole_tensor(self, monkeypatch):
-        """The reduction samples a block of r nodes at a time (12 at this grid
-        and SAMPLE_BLOCK_BYTES, so 20 nodes end in a block of 8); at 20, 1 and
-        0 nodes its channel values and the norm must be bit for bit the same
-        folded DFT, axial matmul and per-mode combination applied to the
-        whole (n_r, n_phi, n_x3) tensor, at the module's block size and at
+        """The reduction samples a field without mode factors (here a plain
+        callable, as CountingField is) a block of r nodes at a time (12 at
+        this grid and SAMPLE_BLOCK_BYTES, so 20 nodes end in a block of 8); at
+        20, 1 and 0 nodes its channel values and the norm must be bit for bit
+        the same folded DFT, axial matmul and per-mode combination applied to
+        the whole (n_r, n_phi, n_x3) tensor, at the module's block size and at
         blocks of 3 and 6 nodes."""
-        field = TransformedField(make_field(m=1), 0.7, 0.2)
+        field = CountingField(TransformedField(make_field(m=1), 0.7, 0.2))
         grid = ReductionGrid.build((-2.0, 2.5))
         modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
         n, j = grid.n_phi, np.arange(grid.n_phi)
@@ -347,15 +352,68 @@ class TestReduction:
         ],
     )
     def test_the_field_is_called_once_per_block(self, n_phi, n_x3, n_r, calls):
+        """A plain callable, and a TransformedField of one, is sampled once per
+        block of r nodes."""
         spec, grid, _, _ = small_setup()
         reduction = ReductionGrid.build(CHI.support, n_x3=n_x3, n_phi=n_phi)
         r_rule = gauss_legendre(PSI.a, PSI.b, n_r)
-        field = CountingField(make_field(m=0))
-        full_forward(spec, field, grid, r_rule, reduction, 10.0)
-        assert field.calls == calls
-        field.calls = 0
-        field_norm_sq(field, r_rule, reduction)
-        assert field.calls == calls
+        counted = CountingField(make_field(m=0))
+        for field in (counted, TransformedField(counted, 0.7, 0.2)):
+            counted.calls = 0
+            full_forward(spec, field, grid, r_rule, reduction, 10.0)
+            assert counted.calls == calls
+            counted.calls = 0
+            field_norm_sq(field, r_rule, reduction)
+            assert counted.calls == calls
+
+    def test_a_library_field_is_never_sampled(self, monkeypatch):
+        """SeparableField, FieldSum and a TransformedField of either are reduced
+        and normed from their mode factors: no call of any of them."""
+        called = []
+        for cls in (SeparableField, FieldSum, TransformedField):
+            monkeypatch.setattr(cls, "__call__", lambda self, *args: called.append(self))
+        spec, grid, reduction, r_rule = small_setup()
+        base = make_field(m=1)
+        for field in (base, base.hamiltonian_image(PHI), TransformedField(base, 0.7, 0.2),
+                      TransformedField(base.hamiltonian_image(PHI), 0.7, 0.2)):
+            full_forward(spec, field, grid, r_rule, reduction, 10.0)
+            radial_reduce(field, ChannelIndex(1, 0.4), r_rule[0], reduction)
+            field_norm_sq(field, r_rule, reduction)
+        assert called == []
+
+    @pytest.mark.parametrize("kind", ["m=-3", "m=0", "m=2", "image", "complex"])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_mode_factors_reduce_as_the_whole_tensor(self, kind, moved):
+        """The reduction and the norm from a library field's mode factors agree
+        with the complex DFT, axial sum and tensor quadrature of its whole
+        sample tensor within 1e-15 of their peak."""
+        field = {
+            "m=-3": make_field(m=-3),
+            "m=0": make_field(m=0),
+            "m=2": make_field(m=2),
+            "image": make_field(m=2).hamiltonian_image(PHI),
+            "complex": SeparableField(
+                lambda r: PSI(r) * np.exp(0.8j * r), CHI, -2, (PSI.a, PSI.b), CHI.support
+            ),
+        }[kind]
+        if moved:
+            field = TransformedField(field, 0.7, 0.2)
+        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=32)
+        r, wr = gauss_legendre(PSI.a, PSI.b, 9)
+        modes, p = list(range(-5, 6)), np.array([-1.1, 0.0, 0.4, 2.5])
+        n = grid.n_phi
+        tensor = whole_tensor(field, r, grid)
+        dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n)) % n]) / n
+        phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
+        expected = (dft @ tensor) @ phases.T
+        got = _reduce(field, r, grid, _reduction(grid, modes, p))
+        assert got.shape == expected.shape
+        peak = np.max(np.abs(expected))
+        assert peak > 0.1
+        assert np.max(np.abs(got - expected)) <= 1e-15 * peak
+        per_r = np.abs(tensor) ** 2 @ grid.x3_weights
+        norm = float(np.sum(wr * r * np.sum(per_r, axis=1))) * 2 * math.pi / n
+        assert abs(field_norm_sq(field, (r, wr), grid) - norm) <= 1e-15 * norm
 
     def test_an_empty_r_grid_is_one_empty_block(self):
         field = CountingField(make_field(m=0))
@@ -681,9 +739,8 @@ class TestFieldSum:
 
 
 class TestModeSamples:
-    """A field of one angular mode samples profile * e^{i m a} as one real
-    product on the sampling layout (the angle along axis -2 only, the profile
-    of length 1 there) and as the broadcast product on any other shape."""
+    """A call of a field of one angular mode is the broadcast product
+    profile * e^{i m a}, on every shape of its arguments."""
 
     def layout(self):
         grid = ReductionGrid.build(CHI.support, n_x3=40, n_phi=32)
@@ -692,8 +749,7 @@ class TestModeSamples:
 
     @staticmethod
     def assert_same_floats(got, want):
-        # bit for bit, except that a zero may differ in sign: a BLAS sum of
-        # one +-0 product and an exact zero starts from +0
+        # bit for bit, up to the sign of a zero
         assert got.shape == want.shape and got.dtype == want.dtype == complex
         assert got.flags.c_contiguous
         assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
