@@ -5,6 +5,16 @@ absolutely continuous measure (1/2) E**|kappa| dE on E >= 0.  For |kappa| < 1
 each extension angle theta produces a density on E >= 0 plus, on the interior
 branch of theta mod pi, a single negative-energy atom (the bound state).
 
+The extension family is even in kappa (u_theta does not change under
+kappa -> -kappa at fixed theta), so the density, E_b and the atom mass are
+computed on nu = |kappa| and agree bitwise for both signs.  Each has one
+form, cancellation-free as nu -> 0 and as nu -> 1, with its factors of pi nu
+from special._pi_factors; near an integer flux one critical channel has
+nu near 0 and the other nu near 1.  Against 60-digit mpmath
+(tests/test_measures.py) the density is within 3.7e-15 relative for |kappa|
+from 1e-12 to 1 - 1e-9, and E_b and the mass within a few ulps times their
+condition number in theta.
+
 discretize turns a measure into one spectral grid, a MeasureQuadrature: the
 Gauss nodes of the density on [0, E_max], then the atom as one more node
 whose weight is its mass.  Every sum over the spectrum is a sum over that
@@ -26,7 +36,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .special import _LOG_HUGE, _LOG_TINY, bound_state_exponent, reduce_theta, theta_kappa
+from .special import (
+    _LOG_HUGE,
+    _LOG_TINY,
+    _pi_factors,
+    _sinh_ratio,
+    bound_state_exponent,
+    reduce_theta,
+    theta_kappa,
+)
 
 
 @dataclass(frozen=True)
@@ -126,68 +144,58 @@ def bound_state_energy(params: ExtensionParams) -> float | None:
 
 
 def atom_weight(params: ExtensionParams) -> float | None:
-    """Mass of the Dirac atom, or None on the atom-free branch."""
+    """Mass of the Dirac atom, or None on the atom-free branch:
+    pi**2 sinc(nu) |E_b| / (2 A B), with nu = |kappa|, A = sin(t + pi nu/2) and
+    B = sin(t - pi nu/2), even in kappa; pi**2 |E_b| / (2 sin(t)**2) at nu = 0."""
     _require_extension_family(params.kappa, "atom_weight")
     energy = bound_state_energy(params)
     if energy is None:
         return None
-    t = params.theta_mod_pi
-    kappa = params.kappa
-    if abs(kappa) < 1e-8:
-        weight = math.pi**2 * abs(energy) / (2.0 * math.sin(t) ** 2)
-    else:
-        tk = theta_kappa(kappa)
-        weight = (
-            math.pi
-            * math.sin(math.pi * kappa)
-            * abs(energy)
-            / (2.0 * kappa * math.sin(t + tk) * math.sin(t - tk))
-        )
+    nu, t = abs(params.kappa), params.theta_mod_pi
+    half = theta_kappa(nu)
+    sinc = _pi_factors(nu)[3]
+    weight = math.pi**2 * sinc * abs(energy) / (2.0 * math.sin(t + half) * math.sin(t - half))
     if not math.isfinite(weight):
-        raise DomainError(f"atom weight of kappa={kappa}, theta={params.theta} overflows")
+        raise DomainError(f"atom weight of kappa={params.kappa}, theta={params.theta} overflows")
     return weight
 
 
 def ac_density(params: ExtensionParams, E) -> float | np.ndarray:
     """Density of the absolutely continuous part at energy E (0 for E < 0).
 
-    Branches: (1/2) E**|kappa| for |kappa| >= 1; the theta-dependent rational
-    expression in E**(+-kappa) for 0 < |kappa| < 1; the log expression for
-    kappa = 0.  A divergent (but integrable) E -> 0 limit is reported as inf.
+    (1/2) E**nu for nu = |kappa| >= 1.  For nu < 1 it is (1/2) sin(pi nu)**2 / D,
+    D = E**-nu A**2 - 2 cos(pi nu) A B + E**nu B**2, with A = sin(t + pi nu/2)
+    and B = sin(t - pi nu/2); it is even in kappa, so it is computed on nu.
+    With u = E**(nu/2) and R = (u - 1/u) / sin(pi nu) (special._sinh_ratio,
+    ln(E)/pi at nu = 0), D / sin(pi nu)**2 is |u e^{it} - A R e^{i pi nu/2}|**2
+    and also |e^{it}/u - B R e^{-i pi nu/2}|**2.  Rotated by e^{-it}, the first
+    serves E < 1 and the second E >= 1, as X**2 + Y**2 with Y = A B R and
+    X = u - A R cos(t - pi nu/2), or X = 1/u - B R cos(t + pi nu/2).  Nothing
+    cancels as nu -> 0 or 1, nor where E**-nu A**2 or E**nu B**2 dominates D,
+    and at E = 1 the density is exactly 1/2.  At E = 0 it is 0, except for the
+    one extension with A = 0 exactly (nu = t = 0), whose density is 1/2
+    everywhere.  A NaN or infinite energy raises DomainError.
     """
-    kappa = params.kappa
+    nu = abs(params.kappa)
     scalar = np.ndim(E) == 0
     E = np.atleast_1d(np.asarray(E, dtype=float))
-    if np.isnan(E).any():
-        raise DomainError("ac_density: energy is NaN")
+    if not np.isfinite(E).all():
+        raise DomainError("ac_density: the energy must be finite (not NaN or infinite)")
     out = np.zeros_like(E)
     pos = E > 0.0
-    zero = E == 0.0
-    if abs(kappa) >= 1.0:
-        out[pos] = 0.5 * E[pos] ** abs(kappa)
-    elif abs(kappa) < 1e-8:
-        # The rational expression loses all digits as kappa -> 0 (its kappa**2
-        # numerator and denominator both underflow); use its analytic limit.
-        t = params.theta_mod_pi
-        c, s = math.cos(t), math.sin(t)
-        Ep = E[pos]
-        out[pos] = 0.5 / ((c - np.log(Ep) * s / math.pi) ** 2 + s * s)
-        if np.any(zero):
-            out[zero] = 0.5 / (c * c) if s == 0.0 else 0.0
+    if nu >= 1.0:
+        out[pos] = 0.5 * E[pos] ** nu
     else:
-        t = params.theta_mod_pi
-        tk = theta_kappa(kappa)
-        A = math.sin(t + tk)
-        B = math.sin(t - tk)
-        cpk = math.cos(math.pi * kappa)
-        spk2 = math.sin(math.pi * kappa) ** 2
-        Ep = E[pos]
-        denom = Ep ** (-kappa) * A * A - 2.0 * cpk * A * B + Ep**kappa * B * B
-        out[pos] = 0.5 * spk2 / denom
-        if np.any(zero):
-            # whichever of E**-kappa A**2, E**kappa B**2 blows up wins
-            diverges = (A == 0.0) if kappa > 0.0 else (B == 0.0)
-            out[zero] = math.inf if diverges else 0.0
+        t, half = params.theta_mod_pi, theta_kappa(nu)
+        A, B = math.sin(t + half), math.sin(t - half)
+        ell = np.log(E[pos])
+        R = _sinh_ratio(nu, _pi_factors(nu)[3], 0.5 * ell)
+        X = np.exp(-0.5 * nu * np.abs(ell))
+        X -= R * np.where(ell >= 0.0, B * math.cos(t + half), A * math.cos(t - half))
+        Y = R * (A * B)
+        out[pos] = 0.5 / (X * X + Y * Y)
+        if A == 0.0:
+            out[E == 0.0] = 0.5
     return float(out[0]) if scalar else out
 
 

@@ -13,6 +13,14 @@ coefficient of F holds (|E|**(nu/2) - |E|**(-nu/2)) / sin(pi nu), formed as
 log solutions sqrt(r) [Y_0 - ln(E)/pi J_0] and -sqrt(r) [ln|E|/pi I_0 + 2/pi K_0];
 E = 0 is the power-law limit, its difference formed the same way.
 
+Every factor of pi nu that the extension family reads -- cos(pi nu),
+sin(pi nu), tan(pi nu / 2) and sinc(nu) = sin(pi nu) / (pi nu) -- comes from
+one helper, _pi_factors, for the kernels here and for the measure in
+measures.  It is exact at nu = 0 and 1/2, and past 1/2 it forms each factor
+from 1 - nu, which is exact there while pi nu is not: so no rule switches
+form as nu -> 0 or nu -> 1, where one critical channel of a flux next to an
+integer sits.
+
 One rule turns (kappa, theta, E) into the kernel u_theta, in radial_kernel and
 u_theta_eigen alike: theta is taken modulo pi, t = theta - n pi in [0, pi),
 and the parity sign (-1)**n multiplies (cu, cw), so theta -> theta + pi flips
@@ -32,8 +40,10 @@ Where a = 0 (a bound state) F and F_{nu+1} are not evaluated.
 
 Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
 1.3e-14 of max(1, |chi|) for 0 <= zeta <= 2500 and 3.8e-15 relative for
-zeta < 0; u, w, u_theta and d/dr for kappa down to 1e-7 and E of either sign
-or 0 to 6.7e-14 of max(1, |f|); bound-state kernel rows to 2.1e-14 relative.
+zeta < 0; u, w, u_theta and d/dr for E of either sign or 0 to 6.7e-14 of
+max(1, |f|); w and u_theta at |kappa| from 1e-12 to 1e-5 and from 1 - 1e-6 to
+nextafter(1, 0) to 8.2e-15 of max(1, |f|); bound-state kernel rows to
+2.1e-14 relative.
 |zeta| = |r**2 E| > ZETA_BOUND raises SeriesDomainError, a kept contract of the
 public API (energy cutoffs derive from it), not a precision limit; so does an
 infinite E.  A non-finite kappa, r or theta (when |kappa| < 1), or a NaN E,
@@ -109,20 +119,23 @@ def bound_state_exponent(kappa: float, t: float) -> float | None:
     """ln|E_b| of the extension with theta mod pi = t, or None off the
     bound-state branch |pi*kappa/2| < t < pi - |pi*kappa/2| (empty for |kappa| >= 1).
 
-    E_b = -(sin(t+tk)/sin(t-tk))**(1/kappa) for kappa != 0 and -exp(pi*cot t)
-    for kappa = 0.  The kappa != 0 branch is evaluated through log1p of the
-    exact ratio increment 2 cos(t) sin(tk) / sin(t-tk), which passes smoothly
-    into the kappa = 0 limit.  E_b is a normal double exactly when the
-    exponent lies in [_LOG_TINY, _LOG_HUGE].
+    E_b = -(A/B)**(1/nu) with nu = |kappa|, A = sin(t + pi nu/2) and
+    B = sin(t - pi nu/2); it is even in kappa, so it is computed on nu.  The
+    ratio increment A/B - 1 = 2 cos(t) sin(pi nu/2) / B is nu q, with
+    q = pi sinc(nu) cos(t) / (cos(pi nu/2) B) and 1/cos(pi nu/2) =
+    hypot(1, tan(pi nu/2)), all from _pi_factors; the exponent is
+    q log1p(nu q) / (nu q), which nothing cancels in as nu -> 0 or 1 and which
+    is pi cot t at nu = 0 (E_b = -exp(pi cot t)).  E_b is a normal double
+    exactly when the exponent lies in [_LOG_TINY, _LOG_HUGE].
     """
-    tk = theta_kappa(kappa)
-    if not abs(tk) < t < math.pi - abs(tk):
+    nu = abs(kappa)
+    half = theta_kappa(nu)
+    if not half < t < math.pi - half:
         return None
-    # |kappa| below ~1e-8 underflows the kappa != 0 expressions; use the
-    # analytic kappa -> 0 limit (error O(kappa), far below any tolerance here)
-    if abs(kappa) < 1e-8:
-        return math.pi * math.cos(t) / math.sin(t)
-    return math.log1p(2.0 * math.cos(t) * math.sin(tk) / math.sin(t - tk)) / kappa
+    _, _, tan_half, sinc = _pi_factors(nu)
+    q = math.pi * sinc * math.cos(t) * math.hypot(1.0, tan_half) / math.sin(t - half)
+    x = nu * q
+    return q * (math.log1p(x) / x if x else 1.0)
 
 
 def _check_zeta(zeta: np.ndarray) -> None:
@@ -133,25 +146,39 @@ def _check_zeta(zeta: np.ndarray) -> None:
         )
 
 
-def _cos_sin_pi(nu: float) -> tuple[float, float]:
-    """(cos(pi nu), sin(pi nu)), exact when 2 nu is an integer."""
-    if (2.0 * nu) % 1.0 == 0.0:
-        return ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))[int(2.0 * nu) % 4]
-    return math.cos(math.pi * nu), math.sin(math.pi * nu)
+def _pi_factors(nu: float) -> tuple[float, float, float, float]:
+    """(cos pi nu, sin pi nu, tan(pi nu / 2), sin(pi nu) / (pi nu)) for 0 <= nu < 1:
+    every factor of pi nu that the extension family reads, formed here alone.
+
+    They are exact at nu = 0 and 1/2.  Past 1/2 they are formed from 1 - nu,
+    which is exact there, while pi nu rounds away the digits that set
+    sin(pi nu), 1 + cos(pi nu) and tan(pi nu / 2) as nu -> 1.  For nu >= 1
+    (u at an order kappa <= -1) the first two are those of nu mod 2, exact at
+    every multiple of 1/2; the last two are not read there.
+    """
+    if nu >= 1.0:
+        rest = math.fmod(nu, 2.0)
+        c, s, _, _ = _pi_factors(rest % 1.0)
+        return (c, s, math.nan, math.nan) if rest < 1.0 else (-c, -s, math.nan, math.nan)
+    if nu > 0.5:
+        c, s, tan_half, _ = _pi_factors(1.0 - nu)
+        return -c, s, 1.0 / tan_half, s / (math.pi * nu)
+    if nu == 0.5:
+        return 0.0, 1.0, 1.0, 2.0 / math.pi
+    x = math.pi * nu
+    s = math.sin(x)
+    return math.cos(x), s, math.tan(0.5 * x), (s / x if x else 1.0)
 
 
-def _tan_half_pi(nu: float, c: float, s: float) -> float:
-    """tan(pi nu / 2) from (c, s) = _cos_sin_pi(nu) as s / (1 + c), or as
-    cot(pi (1 - nu) / 2) where c rounds to -1 (nu within ~5e-9 of 1)."""
-    return s / (1.0 + c) if c > -1.0 else 1.0 / math.tan(0.5 * math.pi * (1.0 - nu))
-
-
-def _sinh_ratio(nu: float, m) -> np.ndarray:
-    """2 sinh(nu m) / sin(pi nu), continuous through nu = 0 (limit 2 m / pi)."""
+def _sinh_ratio(nu: float, sinc: float, m) -> np.ndarray:
+    """2 sinh(nu m) / sin(pi nu) from sinc = _pi_factors(nu)[3], continuous
+    through nu = 0 (limit 2 m / pi)."""
     m = np.asarray(m, dtype=float)
     z = nu * m
-    sinhc = np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0.0)
-    return (2.0 / math.pi) * m * sinhc / np.sinc(nu)
+    ratio = (2.0 / math.pi) * m
+    ratio *= np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0.0)
+    ratio /= sinc
+    return ratio
 
 
 def _log_gamma_odd(nu: float) -> float:
@@ -202,12 +229,12 @@ def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
     value, d_dr = u, (0.5 + kappa) * u / r
     if cw != 0.0:
         nu = abs(kappa)
-        c, s = _cos_sin_pi(nu)
+        _, _, tan_half, sinc = _pi_factors(nu)
         m = np.log(0.5 * r) + _log_gamma_odd(nu)
-        grow = _tan_half_pi(nu, c, s) * np.exp(kappa * m)
-        f = _sinh_ratio(nu, m) - math.copysign(1.0, kappa) * grow
-        df = (2.0 / math.pi) * np.cosh(nu * m) / np.sinc(nu) - nu * grow  # nu df/dbeta
-        scale = cw * math.sqrt(np.sinc(nu)) * np.sqrt(r)
+        grow = tan_half * np.exp(kappa * m)
+        f = _sinh_ratio(nu, sinc, m) - math.copysign(1.0, kappa) * grow
+        df = (2.0 / math.pi) * np.cosh(nu * m) / sinc - nu * grow  # nu df/dbeta
+        scale = cw * math.sqrt(sinc) * np.sqrt(r)
         value = value + scale * f
         d_dr = d_dr + scale * (0.5 * f + df) / r
     return value, d_dr
@@ -230,7 +257,7 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
     the pair (F, G) of order |kappa|; b is None where G is not read (kappa >= 0
     with no w term)."""
     nu = abs(kappa)
-    c, s = _cos_sin_pi(nu)
+    c, s, tan_half, sinc = _pi_factors(nu)
     neg = E < 0.0
     M = np.where(E == 0.0, 1.0, np.abs(E))
     p = M ** (0.5 * nu)
@@ -240,12 +267,11 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
         a = cu * np.where(neg, 1.0, c) * p
         b = cu * np.where(neg, 2.0 / math.pi, -1.0) * s * p
     if cw != 0.0:
-        t = _tan_half_pi(nu, c, s)
-        R = _sinh_ratio(nu, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
+        R = _sinh_ratio(nu, sinc, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
         if kappa >= 0.0:
-            a = a - cw * (c * R + np.where(neg, t, 0.0) * p)
+            a = a - cw * (c * R + np.where(neg, tan_half, 0.0) * p)
         else:
-            a = a + cw * (np.where(neg, t, s) * p - R)
+            a = a + cw * (np.where(neg, tan_half, s) * p - R)
         b = b + cw * np.where(neg, -2.0 / math.pi, 1.0) * (1.0 if kappa >= 0.0 else c) * p
     return a, (b if kappa < 0.0 or cw != 0.0 else None)
 
@@ -278,10 +304,11 @@ def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound=
             # F' = (nu/x) F -+ F_{nu+1} and G' = -(nu/x) G +- G_{nu-1}
             slope = am * _bessel_where(F_kind, nu + 1.0, x, live)
             if second:  # G_{nu-1}: K is even in its order, Y by DLMF 10.4.7
-                mu, (cm, sm) = abs(nu - 1.0), _cos_sin_pi(nu - 1.0)
+                mu = abs(nu - 1.0)
                 lower = _bessel(G_kind, mu, x)
-                if G_kind is _Y and nu < 1.0:
-                    lower = cm * lower - sm * _bessel(_J, mu, x)
+                if G_kind is _Y and nu < 1.0:  # Y_{-mu} = sin(pi mu) J_mu + cos(pi mu) Y_mu
+                    c, s, _, _ = _pi_factors(nu)
+                    lower = s * _bessel(_J, mu, x) - c * lower
                 slope = slope - bm * lower
             d_dr[mask] = sq * (((0.5 + nu) * am * F + (0.5 - nu) * bm * G) / rm + sign * k * slope)
     zero = E_b == 0.0

@@ -127,7 +127,7 @@ class SuiteConfig:
 
     kappas: tuple = (0.0, 0.3, -0.7, 1.5, 3.0)
     thetas: tuple = (0.0, 1.0, math.pi / 2)
-    phis: tuple = (0.5,)
+    phis: tuple = (0.5, 1e-6)
     support: tuple = (0.5, 3.0)
 
     def __post_init__(self):

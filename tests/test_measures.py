@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,7 +61,7 @@ class TestBoundStates:
         )
 
     def test_direct_formula_agreement(self):
-        # the log1p evaluation equals the textbook ratio power
+        # the library's cancellation-free form equals the textbook ratio power
         kappa, t = 0.45, 1.2
         tk = theta_kappa(kappa)
         direct = -((math.sin(t + tk) / math.sin(t - tk)) ** (1.0 / kappa))
@@ -179,11 +180,109 @@ class TestAcDensity:
         assert ac_density(ExtensionParams(kappa, theta), E) >= 0.0
 
 
+def density_oracle(kappa: float, t: float, E: float):
+    """(1/2) sin(pi k)**2 / (E**-k A**2 - 2 cos(pi k) A B + E**k B**2) at 60
+    digits, A = sin(t + pi k/2), B = sin(t - pi k/2); the log form at k = 0."""
+    with mpmath.workdps(60):
+        k, t, E = mpmath.mpf(kappa), mpmath.mpf(t), mpmath.mpf(E)
+        if kappa == 0.0:
+            c, s = mpmath.cos(t), mpmath.sin(t)
+            return 0.5 / ((c - mpmath.log(E) * s / mpmath.pi) ** 2 + s * s)
+        A, B = mpmath.sin(t + mpmath.pi * k / 2), mpmath.sin(t - mpmath.pi * k / 2)
+        denom = E**-k * A * A - 2 * mpmath.cos(mpmath.pi * k) * A * B + E**k * B * B
+        return mpmath.sin(mpmath.pi * k) ** 2 / (2 * denom)
+
+
+def bound_state_oracle(kappa: float, t: float):
+    """(E_b, atom mass) at 60 digits: -(A/B)**(1/k) and pi sin(pi k) |E_b| / (2 k A B)."""
+    with mpmath.workdps(60):
+        k, t = mpmath.mpf(kappa), mpmath.mpf(t)
+        A, B = mpmath.sin(t + mpmath.pi * k / 2), mpmath.sin(t - mpmath.pi * k / 2)
+        energy = -((A / B) ** (1 / k))
+        return energy, mpmath.pi * mpmath.sin(mpmath.pi * k) * abs(energy) / (2 * k * A * B)
+
+
+NEAR_INTEGER_KAPPAS = [
+    sign * k for k in (1e-12, 1e-8, 1e-5, 1.0 - 1e-6, 1.0 - 1e-9) for sign in (1.0, -1.0)
+]
+
+
+class TestNearIntegerFlux:
+    """The critical channels of a flux near an integer have |kappa| near 0 and
+    near 1.  There the density, E_b and the atom mass each have one
+    cancellation-free form on nu = |kappa|; the earlier forms were off by up to
+    27 % in the density (at kappa = 1 - 1e-8) and divided by zero at
+    -(1 - 1e-9)."""
+
+    @pytest.mark.parametrize("kappa", NEAR_INTEGER_KAPPAS)
+    def test_density_against_mpmath(self, kappa):
+        """Within 1e-13 relative over theta mod pi and 1e-6 <= E <= 1e5
+        (3.7e-15 measured, from 7.6e-2 at kappa = 2e-8 before)."""
+        E = np.geomspace(1e-6, 1e5, 23)
+        for t in (0.01, 0.3, 1.0, 2.0, 2.9, 3.13):
+            got = ac_density(ExtensionParams(kappa, t), E)
+            oracle = np.array([density_oracle(kappa, t, e) for e in E], dtype=float)
+            assert np.all(np.abs(got - oracle) <= 1e-13 * oracle)
+
+    @pytest.mark.parametrize("kappa", NEAR_INTEGER_KAPPAS)
+    def test_bound_state_against_mpmath(self, kappa):
+        """E_b and the atom mass across the branch, within 8 ulps times their
+        condition number in t, 1 + pi t sinc(nu) / (A B): the branch
+        (|pi kappa/2|, pi - |pi kappa/2|) narrows to a width pi (1 - |kappa|),
+        so a float t fixes A and B only to about 1e-16 / (1 - |kappa|)
+        relative (2 ulps times it measured)."""
+        nu = abs(kappa)
+        half = math.pi * nu / 2
+        sinc = math.sin(math.pi * nu) / (math.pi * nu)
+        for f in np.linspace(0.02, 0.98, 13):
+            t = half + f * (math.pi - 2 * half)
+            params = ExtensionParams(kappa, t)
+            energy, weight = bound_state_oracle(kappa, t)
+            cond = 1.0 + math.pi * t * sinc / (math.sin(t + half) * math.sin(t - half))
+            tol = 8 * 2.0**-52 * cond
+            assert abs(bound_state_energy(params) - energy) <= tol * abs(energy)
+            assert abs(atom_weight(params) - weight) <= tol * weight
+
+    @settings(max_examples=200, deadline=None)
+    @given(kappa=st.floats(-3.0, 3.0), theta=st.floats(-10.0, 10.0))
+    def test_density_is_one_half_at_unit_energy(self, kappa, theta):
+        """A**2 - 2 cos(pi nu) A B + B**2 = sin(pi nu)**2, so every extension
+        has density exactly 1/2 at E = 1, as the |kappa| >= 1 measure
+        (1/2) E**|kappa| has."""
+        assert ac_density(ExtensionParams(kappa, theta), 1.0) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(nu=st.floats(0.0, 1.0, exclude_max=True), theta=st.floats(-10.0, 10.0))
+    def test_even_in_kappa(self, nu, theta):
+        """u_theta does not change under kappa -> -kappa at fixed theta, so
+        neither does the measure: the density, E_b and the mass are computed
+        on nu = |kappa| and agree bitwise."""
+        plus, minus = ExtensionParams(nu, theta), ExtensionParams(-nu, theta)
+        E = np.geomspace(1e-4, 1e3, 50)
+        assert np.array_equal(ac_density(plus, E), ac_density(minus, E))
+        try:
+            energy, weight = bound_state_energy(plus), atom_weight(plus)
+        except DomainError:
+            with pytest.raises(DomainError):
+                spectral_measure(minus)
+            return
+        assert (bound_state_energy(minus), atom_weight(minus)) == (energy, weight)
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("kappa", [0.0, 0.3, 1.5])
     def test_ac_density_nan_energy(self, kappa):
         params = ExtensionParams(kappa, 1.0)
         for E in (math.nan, [1.0, math.nan]):
+            with pytest.raises(DomainError):
+                ac_density(params, E)
+
+    @pytest.mark.parametrize("kappa,theta", [(0.3, theta_kappa(0.3)), (0.0, 0.0), (0.3, 1.0), (1.5, 0.0)])
+    def test_ac_density_infinite_energy(self, kappa, theta):
+        """+inf used to give nan (at kappa = 0.3, theta = theta_kappa, and at
+        kappa = theta = 0) and -inf a density of 0; both now raise, as NaN does."""
+        params = ExtensionParams(kappa, theta)
+        for E in (math.inf, -math.inf, [1.0, math.inf]):
             with pytest.raises(DomainError):
                 ac_density(params, E)
 

@@ -105,6 +105,14 @@ class TestEigenfunctions:
         exact = math.sqrt(2 / math.pi) * np.sin(r * math.sqrt(E)) / math.sqrt(E)
         assert np.max(np.abs(u_eigen(0.5, E, r).value - exact)) < 1e-15
 
+    @pytest.mark.parametrize("E", [-2.0, 3.0])
+    def test_negative_integer_order_is_the_positive_one(self, E):
+        # J_{-2} = J_2 and I_{-2} = I_2, so u(-2) = E**2 u(2): cos and sin of
+        # 2 pi are exactly 1 and 0, and no Y_2 or K_2 term enters as r -> 0
+        r = np.geomspace(1e-3, 3.0, 9)
+        got, expected = u_eigen(-2.0, E, r).value, E**2 * u_eigen(2.0, E, r).value
+        assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
+
     def test_w_zero_order_closed_form_at_E0(self):
         # w(0, 0 | r) = (2/pi)(ln(r/2) + gamma) sqrt(r)
         for r in (0.2, 1.0, 7.0):
@@ -117,17 +125,17 @@ class TestEigenfunctions:
             assert w_eigen(0.0, 0.0, r).value == pytest.approx(expected, rel=1e-13)
 
     def test_w_continuous_at_kappa_switch(self):
-        # the difference-quotient and logarithmic branches agree near kappa = 0
+        # one form serves every kappa: w passes continuously into the log solution
         E, r = 2.0, 1.4
-        below = w_eigen(5e-7, E, r).value  # logarithmic branch
-        above = w_eigen(5e-6, E, r).value  # difference-quotient branch
+        below = w_eigen(5e-7, E, r).value
+        above = w_eigen(5e-6, E, r).value
         assert below == pytest.approx(above, rel=1e-4)
 
     @pytest.mark.parametrize("kappa", [1.0 - 1e-9, math.nextafter(1.0, 0.0)])
     @pytest.mark.parametrize("E", [-1.0, 1.0])
     def test_w_next_to_kappa_one(self, kappa, E):
-        """Within ~5e-9 of kappa = 1 cos(pi kappa) rounds to -1, so tan(pi kappa / 2)
-        is cot(pi (1 - kappa) / 2) there, not a division by zero."""
+        """Within ~5e-9 of kappa = 1 cos(pi kappa) rounds to -1; the factors of
+        pi kappa are formed from 1 - kappa there, not divided by zero."""
         r = np.array([0.5, 1.3, 3.0])
         oracle = np.array([w_oracle(kappa, E, x) for x in r], dtype=float)
         _assert_close(w_eigen(kappa, E, r), oracle)
@@ -370,6 +378,34 @@ class TestBesselKernelSweep:
             + w_eigen(kappa, energy, r).value * math.sin(delta)
         )
         assert not np.all(np.abs(two_term - expected) <= 1e-13 * np.abs(expected))
+
+
+class TestNearIntegerKernels:
+    """w and u_theta, value and d/dr, at |kappa| near 0 and near 1, against
+    80-digit mpmath, within 1e-14 of max(1, |f|).  Every factor of pi nu comes
+    from one helper that forms it from 1 - nu past nu = 1/2; the earlier
+    tan(pi nu / 2) = sin(pi nu) / (1 + cos(pi nu)) and sinc(nu) left w off by
+    22 % at kappa = 1 - 1e-8, E = 0 and by 76 % at kappa = nextafter(1, 0).
+    Worst measured: 8.2e-15 (u_theta at kappa = -(1 - 1e-8))."""
+
+    R = np.array([0.5, 1.3, 3.0])
+
+    @staticmethod
+    def _assert_within(got, oracle):
+        for values, expected in ((got.value, oracle[:, 0]), (got.d_dr, oracle[:, 1])):
+            assert np.all(np.abs(values - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize(
+        "kappa",
+        [sign * k for k in (1e-12, 1e-8, 1e-5, 1 - 1e-6, 1 - 1e-8, 1 - 1e-9) for sign in (1, -1)]
+        + [math.nextafter(1.0, 0.0)],
+    )
+    @pytest.mark.parametrize("E", [-1.0, 0.0, 1.0])
+    def test_w_and_u_theta(self, kappa, E):
+        w = np.array([w_oracle(kappa, E, x) for x in self.R], dtype=float)
+        self._assert_within(w_eigen(kappa, E, self.R), w)
+        u = np.array([u_theta_oracle(kappa, 1.3, E, x) for x in self.R], dtype=float)
+        self._assert_within(u_theta_eigen(kappa, 1.3, E, self.R), u)
 
 
 def bound_state_slope_oracle(kappa, theta, E, r):

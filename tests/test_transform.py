@@ -476,6 +476,16 @@ class TestUnitarity:
         assert parseval_defect(psi, coeffs) < 1e-8
         assert roundtrip_defect(params, psi, quad) < 2e-6
 
+    @pytest.mark.parametrize("kappa,theta", [(1e-6, 1.0), (2e-8, 2.0), (-1e-8, 1.0)])
+    def test_parseval_next_to_kappa_zero(self, kappa, theta):
+        """The density's digits no longer cancel as kappa -> 0: the defect is the
+        kappa = 0 one (1.25e-11 at theta = 1, 1.9e-13 at (2e-8, 2)), where it
+        was 2.3e-5, 3.0e-3 and 0.18."""
+        params = ExtensionParams(kappa, theta)
+        psi = make_psi()
+        quad = discretize(spectral_measure(params), E_MAX, node_budget=32)
+        assert parseval_defect(psi, forward(params, psi, quad)) <= 1e-10
+
     def test_diagonalization(self):
         # transform intertwines the differential operator with E-multiplication
         params = ExtensionParams(0.3, 1.0)

@@ -131,10 +131,10 @@ class TestJobTable:
         "theta_periodicity_measure": 6,
         "theta_periodicity_coefficients": 3,
         "measure_continuity_kappa_to_zero": 3,
-        "threed_selectivity": 1,
-        "threed_parseval": 1,
-        "threed_apply_h": 1,
-        "threed_symmetry": 1,
+        "threed_selectivity": 2,
+        "threed_parseval": 2,
+        "threed_apply_h": 2,
+        "threed_symmetry": 2,
         "unitarity_parseval": 11,
         "unitarity_roundtrip": 11,
         "unitarity_diagonalization": 11,
@@ -142,12 +142,29 @@ class TestJobTable:
         "negative_control_deficit_matches_atom": 1,
     }
 
-    def test_default_suite_declares_100_checks(self):
+    def test_default_suite_declares_104_checks(self):
         checks = [check for job in verify._build_jobs(SuiteConfig()) for check in job.checks]
-        assert len(checks) == 100
+        assert len(checks) == 104
         assert collections.Counter(check_id for check_id, _, _ in checks) == self.EXPECTED
         keys = {(check_id, json.dumps(params, sort_keys=True)) for check_id, params, _ in checks}
-        assert len(keys) == 100
+        assert len(keys) == 104
+
+
+@pytest.mark.parametrize("phi", [1e-6, 1e-7])
+def test_near_integer_flux_passes_the_3d_checks(phi):
+    """At phi = 1e-6 (a default row) and 1e-7 the critical channels have
+    kappa = phi and phi - 1.  Their 3D Parseval defect is 2.08e-8, as at
+    phi = 1/2, where it was 2.31e-5 and 3.0e-4 while the density lost its
+    digits as kappa -> 0."""
+    (job,) = [
+        job
+        for job in verify._build_jobs(SuiteConfig(phis=(phi,)))
+        if job.checks[0][0].startswith("threed_")
+    ]
+    results = verify._run_job(job)
+    assert len(results) == 4 and all(r.passed for r in results)
+    (parseval,) = [r.measured for r in results if r.check_id == "threed_parseval"]
+    assert parseval < 1e-7
 
 
 class TestUnitarityJob:
@@ -183,7 +200,7 @@ class TestThreeDimensionalJob:
         "threed_selectivity",
         "threed_symmetry",
     ]
-    CONFIG = SuiteConfig(kappas=(1.5,))
+    CONFIG = SuiteConfig(kappas=(1.5,), phis=(0.5,))
 
     @staticmethod
     def _threed(results):
@@ -233,9 +250,9 @@ class TestReport:
 
 
 def test_second_default_suite_misses_no_cache():
-    """The default suite needs 20 Bessel pairs, 42 extensions' kernels and
-    one channel plan; a second run in one process finds every one of them in
-    the caches."""
+    """The default suite needs 27 Bessel pairs, 49 extensions' kernels and
+    two channel plans (phi = 1/2 and 1e-6); a second run in one process finds
+    every one of them in the caches."""
 
     def misses():
         caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
