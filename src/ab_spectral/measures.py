@@ -11,7 +11,7 @@ computed on nu = |kappa| and agree bitwise for both signs.  Each has one
 form, cancellation-free as nu -> 0 and as nu -> 1, with its factors of pi nu
 from special._pi_factors; near an integer flux one critical channel has
 nu near 0 and the other nu near 1.  Against 60-digit mpmath
-(tests/test_measures.py) the density is within 3.7e-15 relative for |kappa|
+(tests/test_measures.py) the density is within 3.4e-15 relative for |kappa|
 from 1e-12 to 1 - 1e-9, and E_b and the mass within a few ulps times their
 condition number in theta.
 
@@ -189,7 +189,7 @@ def ac_density(params: ExtensionParams, E) -> float | np.ndarray:
         t, half = params.theta_mod_pi, theta_kappa(nu)
         A, B = math.sin(t + half), math.sin(t - half)
         ell = np.log(E[pos])
-        R = _sinh_ratio(nu, _pi_factors(nu)[3], 0.5 * ell)
+        R = _sinh_ratio(nu, 0.5 * ell)
         X = np.exp(-0.5 * nu * np.abs(ell))
         X -= R * np.where(ell >= 0.0, B * math.cos(t + half), A * math.cos(t - half))
         Y = R * (A * B)

@@ -170,15 +170,14 @@ def _pi_factors(nu: float) -> tuple[float, float, float, float]:
     return math.cos(x), s, math.tan(0.5 * x), (s / x if x else 1.0)
 
 
-def _sinh_ratio(nu: float, sinc: float, m) -> np.ndarray:
-    """2 sinh(nu m) / sin(pi nu) from sinc = _pi_factors(nu)[3], continuous
-    through nu = 0 (limit 2 m / pi)."""
+def _sinh_ratio(nu: float, m) -> np.ndarray:
+    """2 sinh(nu m) / sin(pi nu), continuous through nu = 0 (limit 2 m / pi).
+    Below the normal range sinh(nu m) / nu is m to the last bit, while nu m
+    would lose digits to underflow and 1 / nu overflow, so the limit serves."""
     m = np.asarray(m, dtype=float)
-    z = nu * m
-    ratio = (2.0 / math.pi) * m
-    ratio *= np.divide(np.sinh(z), z, out=np.ones_like(z), where=z != 0.0)
-    ratio /= sinc
-    return ratio
+    if nu < np.finfo(float).tiny:
+        return (2.0 / math.pi) * m
+    return np.sinh(nu * m) * (2.0 / (math.pi * nu * _pi_factors(nu)[3]))
 
 
 def _log_gamma_odd(nu: float) -> float:
@@ -232,7 +231,7 @@ def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
         _, _, tan_half, sinc = _pi_factors(nu)
         m = np.log(0.5 * r) + _log_gamma_odd(nu)
         grow = tan_half * np.exp(kappa * m)
-        f = _sinh_ratio(nu, sinc, m) - math.copysign(1.0, kappa) * grow
+        f = _sinh_ratio(nu, m) - math.copysign(1.0, kappa) * grow
         df = (2.0 / math.pi) * np.cosh(nu * m) / sinc - nu * grow  # nu df/dbeta
         scale = cw * math.sqrt(sinc) * np.sqrt(r)
         value = value + scale * f
@@ -257,7 +256,7 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
     the pair (F, G) of order |kappa|; b is None where G is not read (kappa >= 0
     with no w term)."""
     nu = abs(kappa)
-    c, s, tan_half, sinc = _pi_factors(nu)
+    c, s, tan_half, _ = _pi_factors(nu)
     neg = E < 0.0
     M = np.where(E == 0.0, 1.0, np.abs(E))
     p = M ** (0.5 * nu)
@@ -267,7 +266,7 @@ def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
         a = cu * np.where(neg, 1.0, c) * p
         b = cu * np.where(neg, 2.0 / math.pi, -1.0) * s * p
     if cw != 0.0:
-        R = _sinh_ratio(nu, sinc, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
+        R = _sinh_ratio(nu, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
         if kappa >= 0.0:
             a = a - cw * (c * R + np.where(neg, tan_half, 0.0) * p)
         else:

@@ -217,7 +217,7 @@ class TestNearIntegerFlux:
     @pytest.mark.parametrize("kappa", NEAR_INTEGER_KAPPAS)
     def test_density_against_mpmath(self, kappa):
         """Within 1e-13 relative over theta mod pi and 1e-6 <= E <= 1e5
-        (3.7e-15 measured, from 7.6e-2 at kappa = 2e-8 before)."""
+        (3.4e-15 measured, from 7.6e-2 at kappa = 2e-8 before)."""
         E = np.geomspace(1e-6, 1e5, 23)
         for t in (0.01, 0.3, 1.0, 2.0, 2.9, 3.13):
             got = ac_density(ExtensionParams(kappa, t), E)
@@ -242,6 +242,18 @@ class TestNearIntegerFlux:
             tol = 8 * 2.0**-52 * cond
             assert abs(bound_state_energy(params) - energy) <= tol * abs(energy)
             assert abs(atom_weight(params) - weight) <= tol * weight
+
+    @pytest.mark.parametrize("kappa", [5e-324, -5e-324, np.finfo(float).tiny, -1e-300, 1e-200])
+    def test_density_below_the_normal_range(self, kappa):
+        """For nu below the normal range the sinh ratio takes its nu = 0 limit,
+        as nu ln(E) / 2 would underflow and 1 / nu overflow; just above it, an
+        E next to 1 puts nu ln(E) / 2 in the subnormal range.  The density
+        differs from the kappa = 0 one by O(kappa), so that oracle serves."""
+        E = np.append(np.geomspace(1e-6, 1e5, 23), 1.0 + np.array([-1e-12, -1e-15, 2.0**-52, 1e-13]))
+        for t in (0.01, 1.0, 2.9):
+            got = ac_density(ExtensionParams(kappa, t), E)
+            oracle = np.array([density_oracle(0.0, t, e) for e in E], dtype=float)
+            assert np.all(np.abs(got - oracle) <= 1e-13 * oracle)
 
     @settings(max_examples=200, deadline=None)
     @given(kappa=st.floats(-3.0, 3.0), theta=st.floats(-10.0, 10.0))
@@ -280,7 +292,8 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("kappa,theta", [(0.3, theta_kappa(0.3)), (0.0, 0.0), (0.3, 1.0), (1.5, 0.0)])
     def test_ac_density_infinite_energy(self, kappa, theta):
         """+inf used to give nan (at kappa = 0.3, theta = theta_kappa, and at
-        kappa = theta = 0) and -inf a density of 0; both now raise, as NaN does."""
+        kappa = theta = 0), inf for |kappa| >= 1, and -inf a density of 0; both
+        now raise for every kappa, as NaN does."""
         params = ExtensionParams(kappa, theta)
         for E in (math.inf, -math.inf, [1.0, math.inf]):
             with pytest.raises(DomainError):

@@ -407,6 +407,20 @@ class TestNearIntegerKernels:
         u = np.array([u_theta_oracle(kappa, 1.3, E, x) for x in self.R], dtype=float)
         self._assert_within(u_theta_eigen(kappa, 1.3, E, self.R), u)
 
+    @pytest.mark.parametrize("kappa", [5e-324, -5e-324, np.finfo(float).tiny, -1e-300])
+    @pytest.mark.parametrize("E", [-1.0, 0.0, 1.0])
+    def test_below_the_normal_range(self, kappa, E):
+        """For nu below the normal range the sinh ratio takes its nu = 0 limit,
+        as nu m would underflow and 1 / nu overflow; just above it, a radius
+        where m = ln(r/2) + Euler's gamma is near 0 puts nu m in the subnormal
+        range.  w and u_theta differ from their kappa = 0 values by O(kappa),
+        so the kappa = 0 oracle serves."""
+        r = np.append(self.R, 2.0 * math.exp(-float(mpmath.euler)))
+        w = np.array([w_oracle(0.0, E, x) for x in r], dtype=float)
+        self._assert_within(w_eigen(kappa, E, r), w)
+        u = np.array([u_theta_oracle(0.0, 1.3, E, x) for x in r], dtype=float)
+        self._assert_within(u_theta_eigen(kappa, 1.3, E, r), u)
+
 
 def bound_state_slope_oracle(kappa, theta, E, r):
     """d/dr of bound_state_oracle, with K_nu' = -(K_{nu-1} + K_{nu+1}) / 2."""
