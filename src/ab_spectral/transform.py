@@ -19,8 +19,9 @@ and c @ K are one real product each, a complex operand entering as
 interleaved re/im floats.  Two caches: the pairs (the 32 most recent; 213 KB
 per array at 416 E nodes x 64 r nodes, so at most 13.6 MB), the one store of
 Bessel values, and per extension the dense K (the 64 most recent; 213 KB at
-417 x 64, so at most about 13.7 MB).  Both are sized to the working sets
-measured in their docstrings.
+417 x 64, so at most about 13.7 MB).  Each is sized to the largest working
+set measured in its docstring, a full_forward at M_max = 30 (31 pairs, 32
+kernels); a default verify suite needs 17 pairs and 27 kernels.
 """
 
 from __future__ import annotations
@@ -192,7 +193,7 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> 
 def _build_kernel(key: _CacheKey) -> Kernel:
     """One extension's dense kernel, 213 KB at 417 nodes x 64 r nodes.  Working
     sets measured in extensions: 11 (the radial_sweep benchmark), 6
-    (expansion_3d), 18 (its trimmed verify suite), 42 (the default suite) and
+    (expansion_3d), 14 (its trimmed verify suite), 27 (the default suite) and
     32 (a full_forward at M_max = 30): 64 kept, at most about 13.7 MB."""
     params, quad, r = key.inputs
     n = len(quad.e_nodes)
@@ -216,8 +217,8 @@ def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _cached_pair(key: _CacheKey) -> tuple:
     """The one store of Bessel values, 213 KB per array at 416 x 64.  Working
-    sets measured in pairs: 5 (radial_sweep), 4 (expansion_3d), 13 (the
-    trimmed suite), 20 (the default suite) and 31 (a full_forward at M_max =
+    sets measured in pairs: 5 (radial_sweep), 4 (expansion_3d), 9 (the
+    trimmed suite), 17 (the default suite) and 31 (a full_forward at M_max =
     30): 32 kept, at most 13.6 MB."""
     return _read_only(special._jy_pair(*key.inputs))
 

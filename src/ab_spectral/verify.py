@@ -234,9 +234,10 @@ def _suite_bump(config: SuiteConfig) -> RadialFunction:
 
 def _unitarity_defects(config: SuiteConfig, kappa: float, theta: float):
     """Parseval, roundtrip and diagonalization defects of one extension, each
-    with the E_max the doubling rule chose.  Every probe of the rule keeps its
-    spectral grid, coefficients and defects, so the chosen cutoff's are read
-    back, not measured again."""
+    with the E_max the doubling rule chose.  The rule starts at the cap, so it
+    probes the one spectral grid of the extension; the probe keeps its grid,
+    coefficients and defects, so the chosen cutoff's are read back, not
+    measured again."""
     psi = _suite_bump(config)
     params = ExtensionParams(kappa, theta)
     measure = spectral_measure(params)
@@ -250,7 +251,7 @@ def _unitarity_defects(config: SuiteConfig, kappa: float, theta: float):
         probes[e_max] = quad, coeffs, pv, rt
         return max(pv, rt)
 
-    chosen = doubling_rule(defect_at, cap / 4.0, cap, 1e-6)
+    chosen = doubling_rule(defect_at, cap, cap, 1e-6)
     quad, coeffs, pv, rt = probes[chosen.value]
 
     image = forward(params, apply_l_q(kappa, psi), quad)
@@ -290,7 +291,7 @@ def _check_theta_periodicity_coefficients(config: SuiteConfig, kappa, theta) -> 
     psi = _suite_bump(config)
     p1 = ExtensionParams(kappa, theta)
     p2 = ExtensionParams(kappa, theta + math.pi)
-    quad = discretize(spectral_measure(p1), config.e_cap / 4.0, _NODE_BUDGET)
+    quad = discretize(spectral_measure(p1), config.e_cap, _NODE_BUDGET)
     return float(np.max(np.abs(forward(p1, psi, quad).values + forward(p2, psi, quad).values)))
 
 
@@ -504,8 +505,6 @@ def run_suite(config: SuiteConfig | None = None) -> list[CheckResult]:
     each of its checks.
     """
     config = config or SuiteConfig()
-    if not config.kappas:
-        return []
     results = [result for job in _build_jobs(config) for result in _run_job(job)]
     results.sort(key=lambda r: (r.check_id, json.dumps(r.params, sort_keys=True)))
     return results

@@ -67,8 +67,17 @@ class TestCheckResult:
 
 
 class TestSuiteMechanics:
-    def test_empty_kappas_run_nothing(self):
-        assert run_suite(SuiteConfig(kappas=())) == []
+    def test_empty_kappas_skip_only_the_unitarity_jobs(self):
+        """kappas = () drops the unitarity rows, as phis = () drops the 3D
+        rows; every other check of the default suite still runs."""
+        declared = [check for job in verify._build_jobs(SuiteConfig()) for check in job.checks]
+        expected = sorted(
+            check_id for check_id, _, _ in declared if not check_id.startswith("unitarity_")
+        )
+        results = run_suite(SuiteConfig(kappas=()))
+        assert len(results) == 71
+        assert sorted(r.check_id for r in results) == expected
+        assert suite_exit_status(results) == 0
 
     def test_invalid_support_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -169,9 +178,9 @@ def test_near_integer_flux_passes_the_3d_checks(phi):
 
 class TestUnitarityJob:
     def test_the_chosen_cutoff_is_read_from_its_probe(self, monkeypatch):
-        """The doubling rule probes E_max = cap/4, cap/2 and the cap; the chosen
-        cutoff's grid, coefficients and defects come from its probe, so the one
-        further forward is the diagonalization's image of L psi."""
+        """The doubling rule starts at the cap, so it probes one spectral grid;
+        the chosen cutoff's grid, coefficients and defects come from that probe,
+        so the one further forward is the diagonalization's image of L psi."""
         counts = collections.Counter()
 
         def counted(name):
@@ -187,7 +196,7 @@ class TestUnitarityJob:
             monkeypatch.setattr(verify, name, counted(name))
         config = SuiteConfig()
         outcomes = verify._unitarity_defects(config, 0.0, 0.0)
-        assert counts == {"discretize": 3, "forward": 4}
+        assert counts == {"discretize": 1, "forward": 2}
         assert [extra for _, extra in outcomes] == 3 * [
             {"E_max": config.e_cap, "doubling_converged": False}
         ]
@@ -249,19 +258,31 @@ class TestReport:
         assert payload[0]["measured"] == 0.1
 
 
+_SUITE_CACHES = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
+
+
+def _suite_cache_misses():
+    return [cache.cache_info().misses for cache in _SUITE_CACHES]
+
+
+def test_cold_default_suite_builds_one_grid_per_extension():
+    """Every extension is discretized once, at the cap, and each periodicity
+    check reuses the unitarity job's kernel at theta = 1: a cold default suite
+    builds 27 extensions' kernels over 17 Bessel pairs, and two channel plans."""
+    for cache in _SUITE_CACHES:
+        cache.cache_clear()
+    run_suite()
+    assert _suite_cache_misses() == [27, 17, 2]
+
+
 def test_second_default_suite_misses_no_cache():
-    """The default suite needs 27 Bessel pairs, 49 extensions' kernels and
+    """The default suite needs 17 Bessel pairs, 27 extensions' kernels and
     two channel plans (phi = 1/2 and 1e-6); a second run in one process finds
     every one of them in the caches."""
-
-    def misses():
-        caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
-        return [cache.cache_info().misses for cache in caches]
-
     run_suite()
-    before = misses()
+    before = _suite_cache_misses()
     run_suite()
-    assert misses() == before
+    assert _suite_cache_misses() == before
 
 
 @pytest.fixture(scope="module")
