@@ -14,18 +14,22 @@ The reduction of a field Phi to channel (m, p) is
 
 and the full forward map composes this reduction with the one-dimensional
 eigenfunction transform per channel.  Every library field (SeparableField,
-FieldSum and a TransformedField of either) is one angular mode,
-P(r, x3) e^{i m a}, and hands the reduction its two factors instead of
-samples: the angular DFT, folded over +-m into one real matrix of cos and sin
-rows, takes the phase row to one sum per row; each mode is C - i sgn(m) S;
-one x3 matmul takes the profile to (n_r, n_p); the (n_r, n_modes, n_p) array
-is their outer product.  Any other field is sampled a block of r nodes per
-call (SAMPLE_BLOCK_BYTES), each block folded by the same rows.  Each block of
-the forward is then one real product with its extension's cached dense
-kernel.  The blocks' modes, theta pieces, extensions and spectral grids, and
-the DFT rows and axial phases, form the forward's channel plan, built once
-per (phi, theta tables, M_max, p nodes, reduction grid, E_max, node_budget)
-and cached.  The angle grid of n_phi points resolves the modes
+FieldSum and a TransformedField of either) is one angular mode and a sum of
+k separable terms (k = 2 for H Phi), sum_k R_k(r) X_k(x3) e^{i m a}, and
+hands the reduction its factors instead of samples: the phase row, the
+radial factors R (n_r, k) and the axial factors X (k, n_x3).  The angular
+DFT, folded over +-m into one real matrix of cos and sin rows, takes the
+phase row to one sum per row, and each mode's c_m is C - i sgn(m) S; one x3
+matmul takes X to X_hat (k, n_p).  Each block of the forward is then
+(c_m X_hat[:, group]).T @ (K @ R_w).T: its extension's cached dense kernel
+K meets only the k weighted radial factors R_w = sqrt(r) w_r R, and the
+(n_r, n_modes, n_p) reduced array is never formed.  Any other field is
+sampled a block of r nodes per call (SAMPLE_BLOCK_BYTES), each block folded
+by the same rows, and each block of the forward is K times its group's
+reduced columns.  The blocks' modes, theta pieces, extensions and spectral
+grids, and the DFT rows and axial phases, form the forward's channel plan,
+built once per (phi, theta tables, M_max, p nodes, reduction grid, E_max,
+node_budget) and cached.  The angle grid of n_phi points resolves the modes
 |m| < n_phi / 2 only; a mode grid past that raises ConfigurationError rather
 than alias.  Norms satisfy
 
@@ -62,6 +66,7 @@ from .transform import (
     RadialFunction,
     _bits,
     _CacheKey,
+    _interleaved,
     _read_only,
     kernel_matrix,
 )
@@ -176,17 +181,33 @@ class ThetaSpec:
         })
 
 
-def _check_grid(count_name: str, count, least: int, rule: str, nodes, weights) -> None:
-    """ConfigurationError unless count is an integer >= least and nodes and
-    weights are 1-D arrays of one length, all finite, with positive weights."""
-    if not isinstance(count, (int, np.integer)) or count < least:
-        raise ConfigurationError(f"{count_name} must be an integer >= {least}, got {count!r}")
+def _check_rule(rule: str, nodes, weights, positive_nodes: bool = False) -> None:
+    """ConfigurationError unless nodes and weights are 1-D arrays of one
+    length, all finite, with positive weights (and positive nodes if asked)."""
     x, w = np.asarray(nodes), np.asarray(weights)
-    if x.ndim != 1 or x.shape != w.shape or not np.all(np.isfinite(x) & np.isfinite(w) & (w > 0)):
+    if x.ndim != 1 or x.shape != w.shape or not np.all(
+        np.isfinite(x) & np.isfinite(w) & (w > 0) & ((x > 0) | (not positive_nodes))
+    ):
         raise ConfigurationError(
             f"the {rule} rule needs 1-D nodes and weights of one length, all finite, "
-            "with positive weights"
+            f"with positive weights{' and nodes' if positive_nodes else ''}"
         )
+
+
+def _check_grid(count_name: str, count, least: int, rule: str, nodes, weights) -> None:
+    """ConfigurationError unless count is an integer >= least and nodes and
+    weights pass _check_rule."""
+    if not isinstance(count, (int, np.integer)) or count < least:
+        raise ConfigurationError(f"{count_name} must be an integer >= {least}, got {count!r}")
+    _check_rule(rule, nodes, weights)
+
+
+def _radial_rule(r_rule) -> tuple[np.ndarray, np.ndarray]:
+    """The r nodes and weights of r_rule = (nodes, weights) as float arrays;
+    ConfigurationError unless they pass _check_rule with r > 0."""
+    r, w = (np.asarray(a, dtype=float) for a in r_rule)
+    _check_rule("r", r, w, positive_nodes=True)
+    return r, w
 
 
 @dataclass(frozen=True)
@@ -247,21 +268,30 @@ class ReductionGrid:
 
 
 class _OneMode:
-    """A field of one angular mode: Phi(r cos a, r sin a, x3) = P(r, x3) e^{i m a},
-    its mode m and (r, x3) profile _profile(r, x3) given by the subclass.
+    """A field of one angular mode and k separable terms:
+    Phi(r cos a, r sin a, x3) = P(r, x3) e^{i m a} with P = sum_k R_k(r) X_k(x3),
+    its mode m, profile _profile(r, x3) and factors _terms(r, x3) given by the
+    subclass.
 
     A call is the broadcast product P e^{i m a} over any shapes of r, angle and
-    x3; mode_factors hands the reduction the two factors on a grid instead."""
+    x3; mode_factors hands the reduction the factors on a grid instead."""
 
     def __call__(self, r, angle, x3):
         return self._profile(r, x3) * np.exp(1j * self.m * np.asarray(angle))
 
     def mode_factors(self, r, angles, x3):
-        """The phase row e^{i m a_j} over the 1-D angles and the profile
-        P(r_i, x3_k), shape (len(r), len(x3)): the call's values there are
-        their outer product."""
-        profile = self._profile(np.asarray(r)[:, None], np.asarray(x3)[None, :])
-        return np.exp(1j * self.m * np.asarray(angles)), profile
+        """The phase row e^{i m a_j} over the 1-D angles, the radial factors
+        R_k(r_i), shape (len(r), k), and the axial factors X_k(x3_l), shape
+        (k, len(x3)): the call's values there are phase[j] (R @ X)[i, l]."""
+        r, x3 = np.asarray(r, dtype=float), np.asarray(x3)
+        radial, axial = self._terms(r, x3)
+        return np.exp(1j * self.m * np.asarray(angles)), radial, axial
+
+
+def _on_grid(f, x) -> np.ndarray:
+    """f(x) broadcast to the shape of x: a factor may return a constant."""
+    values = np.asarray(f(x))
+    return values if values.shape == x.shape else np.broadcast_to(values, x.shape)
 
 
 @dataclass(frozen=True)
@@ -270,8 +300,9 @@ class SeparableField(_OneMode):
 
     Its channel reduction is exact: delta_{km} chi_hat(p) psi(r), which makes
     this the sharp test family for everything three-dimensional.  Its profile
-    is r**-1/2 psi chi.  ConfigurationError unless m is an integer: the field
-    must be single-valued on R^3.
+    is r**-1/2 psi chi, one term: R = r**-1/2 psi and X = chi.
+    ConfigurationError unless m is an integer: the field must be
+    single-valued on R^3.
     """
 
     psi: Callable[[np.ndarray], np.ndarray]
@@ -289,6 +320,9 @@ class SeparableField(_OneMode):
     def _profile(self, r, x3):
         r = np.asarray(r, dtype=float)
         return self.psi(r) / np.sqrt(r) * np.asarray(self.chi(x3))
+
+    def _terms(self, r, x3):
+        return (_on_grid(self.psi, r) / np.sqrt(r))[:, None], _on_grid(self.chi, x3)[None, :]
 
     def hamiltonian_image(self, phi: float) -> "FieldSum":
         """The field H Phi, as a sum of two separable pieces.
@@ -325,7 +359,7 @@ class FieldSum(_OneMode):
 
     Its profile sums the terms' psi_k(r) chi_k(x3) and divides by sqrt(r)
     once, so a call makes one array of the call's shape, as a one-term field
-    does.
+    does.  Its factors hold one term per column of R and row of X.
     """
 
     terms: tuple
@@ -347,6 +381,10 @@ class FieldSum(_OneMode):
         for t in self.terms[1:]:
             profile = profile + t.psi(r) * np.asarray(t.chi(x3))
         return profile / np.sqrt(r)
+
+    def _terms(self, r, x3):
+        radial, axial = zip(*(t._terms(r, x3) for t in self.terms))
+        return np.hstack(radial), np.vstack(axial)
 
     @property
     def m(self):
@@ -411,8 +449,9 @@ SAMPLE_BLOCK_BYTES = 2_400_000
 
 
 def _mode_factors(field, r, angles, x3):
-    """field.mode_factors(r, angles, x3): the phase row (len(angles),) and the
-    profile (len(r), len(x3)); None for a field without them."""
+    """field.mode_factors(r, angles, x3): the phase row (len(angles),), the
+    radial factors (len(r), k) and the axial factors (k, len(x3)); None for a
+    field without them."""
     mode_factors = getattr(field, "mode_factors", None)
     return None if mode_factors is None else mode_factors(r, angles, x3)
 
@@ -429,22 +468,24 @@ def _by_r_node(field, r, grid: ReductionGrid, reduce) -> np.ndarray:
     into one block-sized array, and reduce maps the C-contiguous (k, n_phi,
     n_x3) block to k per-node results, by one operation stacked over the nodes
     or node by node, so every node's values have the same bits at any block
-    size.  The whole tensor (12.6 MB at 64 x 128 x 96) is never held.  The
-    size is in bytes because the page faults depend on bytes: glibc raises
-    its heap-trim threshold to twice the largest mmapped block it frees, and
-    with smaller blocks it gives the freed heap top back between a forward's
-    temporaries and faults it in again."""
+    size.  A field's values are broadcast to the block's shape, so one that
+    does not vary with r or the angle is sampled at every node.  The whole
+    tensor (12.6 MB at 64 x 128 x 96) is never held.  The size is in bytes
+    because the page faults depend on bytes: glibc raises its heap-trim
+    threshold to twice the largest mmapped block it frees, and with smaller
+    blocks it gives the freed heap top back between a forward's temporaries
+    and faults it in again."""
     r = r[:, None, None]
     a = grid.angles[None, :, None]
     x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
     step = max(1, SAMPLE_BLOCK_BYTES // (16 * grid.n_phi * x3.size))
     starts = range(0, max(len(r), 1), step)  # an empty grid is one empty block
-    return np.concatenate(
-        [
-            reduce(np.ascontiguousarray(field(r[i : i + step], a, x3), dtype=complex))
-            for i in starts
-        ]
-    )
+
+    def block(nodes):
+        samples = np.broadcast_to(field(nodes, a, x3), (len(nodes), grid.n_phi, x3.size))
+        return reduce(np.ascontiguousarray(samples, dtype=complex))
+
+    return np.concatenate([block(r[i : i + step]) for i in starts])
 
 
 class _Reduction(NamedTuple):
@@ -497,25 +538,37 @@ def _per_mode(summed: np.ndarray, maps: _Reduction) -> np.ndarray:
     return out
 
 
+def _factors(field, r, grid: ReductionGrid, maps: _Reduction):
+    """A field's reduction to maps = _reduction(grid, modes, p_nodes) from its
+    mode factors: c (n_modes,), the radial factors R (n_r, k) and X_hat =
+    X @ axial.T (k, n_p), so that reduced(m, p | r_i) / sqrt(r_i) is
+    c_m (R @ X_hat)[i, p]; None for a field without mode factors.
+
+    The real folded DFT rows take the phase row, read as (n_phi, 2) floats,
+    to one complex sum per row, and each c_m is C - i sgn(m) S."""
+    factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
+    if factors is None:
+        return None
+    phase, radial, axial = factors
+    folded = (maps.rows @ np.stack((phase.real, phase.imag), axis=1)).view(complex)
+    return _per_mode(folded.T, maps)[0], radial, axial @ maps.axial.T
+
+
 def _reduce(field, r_nodes, grid: ReductionGrid, maps: _Reduction) -> np.ndarray:
     """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
     for every r node, mode m and p node of maps = _reduction(grid, modes,
     p_nodes): shape (n_r, n_modes, n_p).
 
-    A field with mode factors, Phi = P(r_i, x3_k) ph_j, is reduced from them:
-    the real folded DFT rows take the phase row, read as (n_phi, 2) floats, to
-    one complex sum per row; each mode is then C - i sgn(m) S; the axial
-    matrix takes the profile to (n_r, n_p) in one matmul; the result is their
-    outer product.  Any other field is sampled SAMPLE_BLOCK_BYTES at a time
+    A field with mode factors is reduced from them (_factors): the result is
+    c_m (R @ X_hat).  Any other field is sampled SAMPLE_BLOCK_BYTES at a time
     (_by_r_node); each block, read as interleaved re/im floats, goes through
     the folded DFT rows in one stacked matmul, one x3 matmul applies the
     axial phases to every node and row, and each mode is then C - i sgn(m) S."""
     r = np.asarray(r_nodes, dtype=float)
-    factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
+    factors = _factors(field, r, grid, maps)
     if factors is not None:
-        phase, profile = factors
-        folded = (maps.rows @ np.stack((phase.real, phase.imag), axis=1)).view(complex)
-        return (profile @ maps.axial.T)[:, None, :] * _per_mode(folded[None], maps)
+        c, radial, axial = factors
+        return (radial @ axial)[:, None, :] * c[:, None]
     folded = _by_r_node(field, r, grid, lambda t: (maps.rows @ t.view(float)).view(complex))
     n_r, n_rows, n_x3 = folded.shape
     summed = (folded.reshape(-1, n_x3) @ maps.axial.T).reshape(n_r, n_rows, len(maps.axial))
@@ -526,30 +579,31 @@ def radial_reduce(
     field, channel: ChannelIndex, r_nodes, grid: ReductionGrid, quad_weights=None
 ) -> RadialFunction:
     """Channel reduction of a field at a single (m, p), sampled at r_nodes
-    (two folded DFT rows, one for m = 0); ConfigurationError if |m| >= n_phi / 2."""
+    (two folded DFT rows, one for m = 0).  ConfigurationError if |m| >= n_phi / 2,
+    or unless the r nodes and weights (all 1 by default) are a radial rule:
+    1-D, of one length, finite and positive."""
     r = np.asarray(r_nodes, dtype=float)
+    r, wr = _radial_rule((r, np.ones_like(r) if quad_weights is None else quad_weights))
     maps = _reduction(grid, [channel.m], [channel.p])
-    values = np.sqrt(r) * _reduce(field, r, grid, maps)[:, 0, 0]
-    if quad_weights is None:
-        quad_weights = np.ones_like(r)
-    return RadialFunction(r, np.asarray(quad_weights, dtype=float), values)
+    return RadialFunction(r, wr, np.sqrt(r) * _reduce(field, r, grid, maps)[:, 0, 0])
 
 
 def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
     """||Phi||^2 over R^3 by tensor quadrature (r dr x dangle x dx3).
 
-    A field with mode factors (phase row ph, profile P) needs no samples: each
-    r node's sum is sum_j |ph_j|^2 dangle times |P|^2 @ w3.  Any other field
-    is sampled in blocks, and one r node at a time the squares of its samples,
-    read as interleaved re/im floats, go through the x3 weights (each repeated
-    for re and im) in one matmul, and the angles are summed: a node's sum has
-    the same bits at any block size, and no block-sized temporary is made."""
-    r, wr = (np.asarray(a, dtype=float) for a in r_rule)
+    ConfigurationError unless r_rule is a radial rule (_radial_rule).  A field
+    with mode factors (phase row ph, R, X) needs no samples: each r node's sum
+    is sum_j |ph_j|^2 dangle times |R @ X|^2 @ w3.  Any other field is sampled
+    in blocks, and one r node at a time the squares of its samples, read as
+    interleaved re/im floats, go through the x3 weights (each repeated for re
+    and im) in one matmul, and the angles are summed: a node's sum has the
+    same bits at any block size, and no block-sized temporary is made."""
+    r, wr = _radial_rule(r_rule)
     dphi = 2.0 * math.pi / grid.n_phi
     factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
     if factors is not None:
-        phase, profile = factors
-        per_r = (_abs_sq(profile) @ grid.x3_weights) * (np.sum(_abs_sq(phase)) * dphi)
+        phase, radial, axial = factors
+        per_r = (_abs_sq(radial @ axial) @ grid.x3_weights) * (np.sum(_abs_sq(phase)) * dphi)
     else:
         w3 = np.repeat(np.asarray(grid.x3_weights, dtype=float), 2)
 
@@ -613,7 +667,13 @@ class Coefficients3D:
     blocks: list[ChannelBlock]
 
     def norm_sq(self, m: int | None = None) -> float:
-        """Squared norm of every block, or of mode m's blocks only."""
+        """Squared norm of every block, or of mode m's blocks only;
+        ConfigurationError for an m outside grid.modes, whose channel the
+        truncation dropped: its norm is unknown, not 0."""
+        if m is not None and m not in self.grid.modes:
+            raise ConfigurationError(
+                f"mode {m} is outside the truncation |m| <= M_max = {self.grid.M_max}"
+            )
         return sum(
             blk.norm_sq(self.grid.p_weights)
             for blk in self.blocks
@@ -674,13 +734,16 @@ def _channel_plan(
 @functools.lru_cache(maxsize=4)
 def _cached_plan(key: _CacheKey) -> _Plan:
     """One plan per forward signature, its quadrature arrays, p indices and
-    reduction matrices read-only; errors are never stored.  Working sets
-    measured in plans: 1 for each of expansion_3d, its trimmed verify suite,
-    the default verify suite and transform --mode 3d.  A plan's blocks hold
-    about 110 KB at M_max = 3 (8 blocks) and 860 KB at M_max = 30 (62
-    blocks); its reduction matrices add the 98 KB axial matrix (64 p nodes by
-    96 x3 nodes) and the folded DFT rows (7 KB at 7 modes, 62 KB at 61), so
-    about 215 KB and 1 MB: 4 kept."""
+    reduction matrices read-only; errors are never stored.  A forward reads
+    the folded DFT rows once for a library field's phase row (or once per
+    sampled block), and the axial matrix once to take its k axial factors to
+    X_hat (or the folded samples to the p nodes).  Working sets measured in
+    plans: 1 for each of expansion_3d, its trimmed verify suite and
+    transform --mode 3d, 2 for the default verify suite (phi = 1/2 and
+    1e-6).  A plan's blocks hold about 110 KB at M_max = 3 (8 blocks) and
+    860 KB at M_max = 30 (62 blocks); its reduction matrices add the 98 KB
+    axial matrix (64 p nodes by 96 x3 nodes) and the folded DFT rows (7 KB
+    at 7 modes, 62 KB at 61), so about 215 KB and 1 MB: 4 kept."""
     spec, grid, reduction, E_max, node_budget = key.inputs
     maps = _reduction(reduction, grid.modes, grid.p_nodes)  # raises before any grid is built
     _read_only((maps.rows, maps.cos_rows, maps.axial))
@@ -706,29 +769,49 @@ def full_forward(
 ) -> Coefficients3D:
     """Channel-decompose a field and forward-transform every channel.
 
-    r_rule is a (nodes, weights) Gauss rule on the field's radial support;
-    E_max applies to every channel (special.energy_cap(b) caps it for support
-    right edge b); ConfigurationError if M_max >= n_phi / 2 of the reduction
-    grid.  The blocks, one per (mode, theta group), and the reduction matrices
-    come from the cached channel plan, so a repeated signature builds no
-    spectral grid and no phase matrix; blocks of two forwards with one
-    signature share their quad and p_indices objects.  The field is reduced
-    (_reduce: from its mode factors, else sampled SAMPLE_BLOCK_BYTES at a
-    time) to a (n_r, n_modes, n_p) array, weighted by sqrt(r) w_r.  Each
-    block, critical or not, is its extension's cached dense kernel
-    (transform.Kernel) times its group's columns (n_r, n_group): one real
-    product, with the columns as interleaved re/im floats.
+    r_rule is a (nodes, weights) Gauss rule on the field's radial support
+    (ConfigurationError unless it is a radial rule, _radial_rule); E_max
+    applies to every channel (special.energy_cap(b) caps it for support right
+    edge b); ConfigurationError if M_max >= n_phi / 2 of the reduction grid.
+    The blocks, one per (mode, theta group), and the reduction matrices come
+    from the cached channel plan, so a repeated signature builds no spectral
+    grid and no phase matrix; blocks of two forwards with one signature share
+    their quad and p_indices objects.  Each block is one real product with
+    its extension's cached dense kernel K (transform.Kernel).  A field with
+    mode factors (_factors: c, R, X_hat) is never reduced to a dense array:
+    its block is (c_m X_hat[:, group]).T @ (K @ R_w).T with R_w = sqrt(r) w_r
+    R, so K meets k real columns (a complex R as its real and imaginary
+    parts, 2k columns), and the k-term sum is one real product with the
+    coefficients as interleaved re/im floats.  Any other field is reduced
+    (_reduce, sampled SAMPLE_BLOCK_BYTES at a time) to an (n_r, n_modes, n_p)
+    array, weighted by sqrt(r) w_r, and its block is K times the group's
+    columns (n_r, n_group), as interleaved re/im floats.
     """
+    r, wr = _radial_rule(r_rule)
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
-    r, wr = (np.asarray(a, dtype=float) for a in r_rule)
-    weighted = _reduce(field, r, reduction, plan.reduction)
-    weighted *= (np.sqrt(r) * wr)[:, None, None]  # (n_r, n_modes, n_p)
+    weight = np.sqrt(r) * wr
+    factors = _factors(field, r, reduction, plan.reduction)
+    if factors is None:
+        weighted = _reduce(field, r, reduction, plan.reduction)
+        weighted *= weight[:, None, None]  # (n_r, n_modes, n_p)
+
+        def block(ch, kernel):
+            return (kernel @ weighted[:, ch.mode, ch.p_indices]).T
+
+    else:
+        c, radial, axial = factors
+        if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
+            radial, axial = np.hstack((radial.real, radial.imag)), np.vstack((axial, 1j * axial))
+        radial = radial * weight[:, None]
+
+        def block(ch, kernel):
+            # np.dot, not @: matmul skips BLAS for an inner dimension of 1
+            coefs = _interleaved(c[ch.mode] * axial[:, ch.p_indices])
+            return np.dot(kernel.matrix @ radial, coefs).view(complex).T
+
     blocks = [
         ChannelBlock(
-            ch.m,
-            ch.p_indices,
-            ch.quad,
-            (kernel_matrix(ch.params, ch.quad, r) @ weighted[:, ch.mode, ch.p_indices]).T,
+            ch.m, ch.p_indices, ch.quad, block(ch, kernel_matrix(ch.params, ch.quad, r))
         )
         for ch in plan.channels
     ]

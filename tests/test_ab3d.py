@@ -384,9 +384,10 @@ class TestReduction:
     @pytest.mark.parametrize("kind", ["m=-3", "m=0", "m=2", "image", "complex"])
     @pytest.mark.parametrize("moved", [False, True])
     def test_mode_factors_reduce_as_the_whole_tensor(self, kind, moved):
-        """The reduction and the norm from a library field's mode factors agree
-        with the complex DFT, axial sum and tensor quadrature of its whole
-        sample tensor within 1e-15 of their peak."""
+        """The reduction from a library field's mode factors, contracted as
+        c_m (R @ X_hat), and the norm from them agree with the complex DFT,
+        axial sum and tensor quadrature of its whole sample tensor within
+        1e-15 of their peak."""
         field = {
             "m=-3": make_field(m=-3),
             "m=0": make_field(m=0),
@@ -406,7 +407,9 @@ class TestReduction:
         dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n)) % n]) / n
         phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
         expected = (dft @ tensor) @ phases.T
-        got = _reduce(field, r, grid, _reduction(grid, modes, p))
+        c, radial, axial = ab3d._factors(field, r, grid, _reduction(grid, modes, p))
+        assert radial.shape == (len(r), axial.shape[0]) and axial.shape[1] == len(p)
+        got = np.einsum("m,ik,kp->imp", c, radial, axial)
         assert got.shape == expected.shape
         peak = np.max(np.abs(expected))
         assert peak > 0.1
@@ -414,6 +417,23 @@ class TestReduction:
         per_r = np.abs(tensor) ** 2 @ grid.x3_weights
         norm = float(np.sum(wr * r * np.sum(per_r, axis=1))) * 2 * math.pi / n
         assert abs(field_norm_sq(field, (r, wr), grid) - norm) <= 1e-15 * norm
+
+    def test_samples_are_broadcast_to_the_block(self):
+        """A plain callable whose values do not vary with r or the angle is
+        sampled at every node: its forward and norm have the bits of the same
+        field written out at every (r, angle, x3)."""
+        def flat(r, angle, x3):
+            return np.exp(-np.square(x3 - 0.3))
+
+        def full(r, angle, x3):
+            return flat(r, angle, x3) + 0.0 * (r + angle)
+
+        spec, grid, reduction, r_rule = small_setup()
+        norms = [field_norm_sq(f, r_rule, reduction) for f in (flat, full)]
+        assert norms[0] == norms[1] > 0.0
+        forwards = [full_forward(spec, f, grid, r_rule, reduction, 10.0) for f in (flat, full)]
+        for blk_flat, blk_full in zip(*(c.blocks for c in forwards)):
+            assert blk_flat.values.tobytes() == blk_full.values.tobytes()
 
     def test_an_empty_r_grid_is_one_empty_block(self):
         field = CountingField(make_field(m=0))
@@ -600,6 +620,131 @@ class TestFullForward:
         field = SeparableField(PSI, CHI, 0, (PSI.a, PSI.b), CHI.support)
         with pytest.raises(ConfigurationError):
             field.hamiltonian_image(PHI)
+
+    def test_a_truncated_channel_has_no_norm(self):
+        """A mode outside grid.modes was dropped by the truncation: its norm is
+        unknown, not 0."""
+        spec, grid, reduction, r_rule = small_setup()
+        coeffs = full_forward(spec, make_field(m=1), grid, r_rule, reduction, 10.0)
+        for m in (2, -2, 9):
+            with pytest.raises(ConfigurationError, match="outside the truncation"):
+                coeffs.channel_norm_sq(m)
+            with pytest.raises(ConfigurationError, match="outside the truncation"):
+                coeffs.norm_sq(m)
+        assert sum(coeffs.norm_sq(m) for m in grid.modes) == pytest.approx(coeffs.norm_sq())
+
+    @pytest.mark.parametrize("both", [False, True], ids=["chi", "psi-and-chi"])
+    def test_a_constant_factor_is_broadcast_to_its_grid(self, both):
+        """A factor that returns a scalar gives the bits of one that returns
+        the same constant as an array, in the forward, the norm and one channel."""
+        def field(const):
+            return SeparableField(const if both else PSI, const, 1, (PSI.a, PSI.b), CHI.support)
+
+        scalar, array = field(lambda x: 0.5), field(lambda x: np.full(np.shape(x), 0.5))
+        assert scalar(1.0, 0.3, 0.2) == array(1.0, 0.3, 0.2)
+        spec, grid, reduction, r_rule = small_setup()
+        forwards = [full_forward(spec, f, grid, r_rule, reduction, 10.0) for f in (scalar, array)]
+        for blk_s, blk_a in zip(*(c.blocks for c in forwards)):
+            assert blk_s.values.tobytes() == blk_a.values.tobytes()
+        assert field_norm_sq(scalar, r_rule, reduction) == field_norm_sq(array, r_rule, reduction)
+        one, other = (
+            radial_reduce(TransformedField(f, 0.7, 0.2), ChannelIndex(1, 0.4), r_rule[0], reduction)
+            for f in (scalar, array)
+        )
+        assert one.values.tobytes() == other.values.tobytes()
+
+
+R_RULE = gauss_legendre(PSI.a, PSI.b, 16)
+
+
+class TestRadialRule:
+    """full_forward, field_norm_sq and radial_reduce take one radial rule:
+    1-D nodes and weights of one length, all finite, with r > 0 and w > 0."""
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            (R_RULE[0], np.full(16, math.nan)),
+            (R_RULE[0], -R_RULE[1]),
+            (R_RULE[0], R_RULE[1][:-1]),
+            (R_RULE[0][None, :], R_RULE[1][None, :]),
+            (np.where(np.arange(16) == 3, math.inf, R_RULE[0]), R_RULE[1]),
+            (R_RULE[0] - R_RULE[0][0], R_RULE[1]),
+            (R_RULE[0], np.where(np.arange(16) == 3, 0.0, R_RULE[1])),
+        ],
+        ids=["nan-weights", "negated-weights", "lengths", "2d", "inf-node", "node-at-0",
+             "zero-weight"],
+    )
+    @pytest.mark.parametrize("field", [make_field(m=1), CountingField(make_field(m=1))],
+                             ids=["factored", "sampled"])
+    def test_a_malformed_rule_raises_configuration_error(self, rule, field):
+        spec, grid, reduction, _ = small_setup()
+        with pytest.raises(ConfigurationError, match="the r rule"):
+            full_forward(spec, field, grid, rule, reduction, 10.0)
+        with pytest.raises(ConfigurationError, match="the r rule"):
+            field_norm_sq(field, rule, reduction)
+        with pytest.raises(ConfigurationError, match="the r rule"):
+            radial_reduce(field, ChannelIndex(1, 0.4), rule[0], reduction, rule[1])
+
+    def test_radial_reduce_checks_its_nodes_without_weights(self):
+        _, _, reduction, _ = small_setup()
+        nodes = R_RULE[0] - R_RULE[0][0]  # the first node at r = 0
+        with pytest.raises(ConfigurationError, match="the r rule"):
+            radial_reduce(make_field(m=1), ChannelIndex(1, 0.4), nodes, reduction)
+
+
+def dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max):
+    """full_forward's block values through the whole reduced array: the field's
+    (r, x3) profile through the axial phases, times each mode's folded
+    phase-row sum, weighted by sqrt(r) w_r, and each block its dense kernel
+    matrix times the group's (n_r, n_group) columns."""
+    base, alpha, beta = field, 0.0, 0.0
+    if isinstance(field, TransformedField):
+        base, alpha, beta = field.field, field.alpha, field.beta
+    r, wr = r_rule
+    plan = _channel_plan(spec, grid, reduction, e_max, 16)
+    maps = plan.reduction
+    phase = np.exp(1j * base.m * (reduction.angles - alpha))
+    folded = (maps.rows @ np.stack((phase.real, phase.imag), axis=1)).view(complex)
+    profile = base._profile(r[:, None], (reduction.x3_nodes - beta)[None, :])
+    weighted = (profile @ maps.axial.T)[:, None, :] * ab3d._per_mode(folded[None], maps)
+    weighted *= (np.sqrt(r) * wr)[:, None, None]
+    return [
+        (transform.kernel_matrix(ch.params, ch.quad, r).matrix
+         @ weighted[:, ch.mode, ch.p_indices]).T
+        for ch in plan.channels
+    ]
+
+
+class TestFactoredForward:
+    @pytest.mark.parametrize("M_max", [3, 30])
+    @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6])
+    def test_the_factored_forward_is_the_dense_one(self, phi, M_max):
+        """Every block of a library field's forward, one kernel matvec with its
+        radial factors, equals the dense kernel product with the whole reduced
+        array within 2e-15 of the coefficient set's peak: field modes -1, 0
+        and 2, the base field, its H image and a moved copy, theta piecewise
+        in p on m = 0, and a complex psi."""
+        spec = ThetaSpec(phi, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
+        grid = ModeGrid.build(M_max, 8.0, 64)
+        reduction = ReductionGrid.build(CHI.support)
+        r_rule = gauss_legendre(PSI.a, PSI.b, 64)
+        e_max = 2500.0 / PSI.b**2
+        fields = [make_field(m=m) for m in (-1, 0, 2)]
+        fields += [f.hamiltonian_image(phi) for f in fields]
+        fields += [TransformedField(f, 0.7, 1.3) for f in fields[:3]]
+        fields.append(SeparableField(
+            lambda r: PSI(r) * np.exp(0.8j * r), CHI, 2, (PSI.a, PSI.b), CHI.support
+        ))
+        for field in fields:
+            got = full_forward(spec, field, grid, r_rule, reduction, e_max)
+            expected = dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max)
+            peak = max(np.max(np.abs(values)) for values in expected)
+            assert peak > 1e-3
+            assert len(got.blocks) == len(expected)
+            for blk, values in zip(got.blocks, expected):
+                assert blk.values.shape == values.shape
+                assert np.max(np.abs(blk.values - values)) <= 2e-15 * peak
 
 
 def piecewise_setup(theta_above=1.3):
