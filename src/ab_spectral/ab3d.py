@@ -457,8 +457,11 @@ def _mode_factors(field, r, angles, x3):
 
 
 def _abs_sq(z) -> np.ndarray:
-    """|z|**2 elementwise, as re**2 + im**2."""
-    return np.square(z.real) + np.square(z.imag)
+    """|z|**2 elementwise, as re**2 + im**2, the sum taken in place in the
+    first square: one temporary of the result's size fewer."""
+    out = np.square(z.real)
+    out += np.square(z.imag)
+    return out
 
 
 def _by_r_node(field, r, grid: ReductionGrid, reduce) -> np.ndarray:
@@ -654,8 +657,7 @@ class ChannelBlock:
         """sum over the block's p nodes and grid nodes of p weight * w |values|**2
         (the block's own values by default)."""
         values = self.values if values is None else values
-        per_p = np.sum(self.quad.weights[None, :] * np.abs(values) ** 2, axis=1)
-        return float(np.sum(p_weights[self.p_indices] * per_p))
+        return float(p_weights[self.p_indices] @ (_abs_sq(values) @ self.quad.weights))
 
 
 @dataclass
@@ -758,37 +760,23 @@ def _cached_plan(key: _CacheKey) -> _Plan:
     return _Plan(tuple(channels), maps)
 
 
-def full_forward(
-    spec: ThetaSpec,
-    field,
-    grid: ModeGrid,
-    r_rule,
-    reduction: ReductionGrid,
-    E_max: float,
-    node_budget: int = 16,
-) -> Coefficients3D:
-    """Channel-decompose a field and forward-transform every channel.
+def _forward_blocks(plan: _Plan, field, r, wr, reduction: ReductionGrid):
+    """The ChannelBlocks of a forward of field over plan's channels, one at a
+    time: each block is computed when the next one is asked for, so a caller
+    that reduces a block before asking for the next one holds one block.
 
-    r_rule is a (nodes, weights) Gauss rule on the field's radial support
-    (ConfigurationError unless it is a radial rule, _radial_rule); E_max
-    applies to every channel (special.energy_cap(b) caps it for support right
-    edge b); ConfigurationError if M_max >= n_phi / 2 of the reduction grid.
-    The blocks, one per (mode, theta group), and the reduction matrices come
-    from the cached channel plan, so a repeated signature builds no spectral
-    grid and no phase matrix; blocks of two forwards with one signature share
-    their quad and p_indices objects.  Each block is one real product with
-    its extension's cached dense kernel K (transform.Kernel).  A field with
-    mode factors (_factors: c, R, X_hat) is never reduced to a dense array:
-    its block is (c_m X_hat[:, group]).T @ (K @ R_w).T with R_w = sqrt(r) w_r
-    R, so K meets k real columns (a complex R as its real and imaginary
-    parts, 2k columns), and the k-term sum is one real product with the
+    r and wr are a checked radial rule (_radial_rule).  Each block is one real
+    product with its extension's cached dense kernel K (transform.Kernel),
+    called through this module's kernel_matrix binding.  A field with mode
+    factors (_factors: c, R, X_hat) is never reduced to a dense array: its
+    block is (c_m X_hat[:, group]).T @ (K @ R_w).T with R_w = sqrt(r) w_r R,
+    so K meets k real columns (a complex R as its real and imaginary parts,
+    2k columns), and the k-term sum is one real product with the
     coefficients as interleaved re/im floats.  Any other field is reduced
     (_reduce, sampled SAMPLE_BLOCK_BYTES at a time) to an (n_r, n_modes, n_p)
     array, weighted by sqrt(r) w_r, and its block is K times the group's
-    columns (n_r, n_group), as interleaved re/im floats.
-    """
-    r, wr = _radial_rule(r_rule)
-    plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
+    columns (n_r, n_group), as interleaved re/im floats.  Block values are
+    fresh writable arrays."""
     weight = np.sqrt(r) * wr
     factors = _factors(field, r, reduction, plan.reduction)
     if factors is None:
@@ -809,13 +797,39 @@ def full_forward(
             coefs = _interleaved(c[ch.mode] * axial[:, ch.p_indices])
             return np.dot(kernel.matrix @ radial, coefs).view(complex).T
 
-    blocks = [
-        ChannelBlock(
+    for ch in plan.channels:
+        yield ChannelBlock(
             ch.m, ch.p_indices, ch.quad, block(ch, kernel_matrix(ch.params, ch.quad, r))
         )
-        for ch in plan.channels
-    ]
-    return Coefficients3D(spec.phi, grid, blocks)
+
+
+def full_forward(
+    spec: ThetaSpec,
+    field,
+    grid: ModeGrid,
+    r_rule,
+    reduction: ReductionGrid,
+    E_max: float,
+    node_budget: int = 16,
+) -> Coefficients3D:
+    """Channel-decompose a field and forward-transform every channel.
+
+    r_rule is a (nodes, weights) Gauss rule on the field's radial support
+    (ConfigurationError unless it is a radial rule, _radial_rule); E_max
+    applies to every channel (special.energy_cap(b) caps it for support right
+    edge b); ConfigurationError if M_max >= n_phi / 2 of the reduction grid.
+    The blocks, one per (mode, theta group), and the reduction matrices come
+    from the cached channel plan, so a repeated signature builds no spectral
+    grid and no phase matrix; blocks of two forwards with one signature share
+    their quad and p_indices objects.  The blocks are those of
+    _forward_blocks, the one forward path, all kept: a factored field's block
+    meets its extension's kernel in k real columns, a sampled field's block is
+    the kernel times the group's weighted reduced columns.  hamiltonian_defect
+    and symmetry_defect run the same blocks and keep none of them.
+    """
+    r, wr = _radial_rule(r_rule)
+    plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
+    return Coefficients3D(spec.phi, grid, list(_forward_blocks(plan, field, r, wr, reduction)))
 
 
 def _scaled(coeffs: Coefficients3D, factor) -> Coefficients3D:
@@ -828,46 +842,119 @@ def _scaled(coeffs: Coefficients3D, factor) -> Coefficients3D:
     return Coefficients3D(coeffs.phi, coeffs.grid, blocks)
 
 
+def _energy(blk: ChannelBlock, p: np.ndarray) -> np.ndarray:
+    """p**2 + E over a block's p nodes and spectral grid: the multiplier of H."""
+    return p[:, None] ** 2 + blk.quad.nodes[None, :]
+
+
+def _phase(alpha: float, beta: float):
+    """The multiplier e^{-i m alpha - i p beta} of the symmetry (alpha, beta),
+    as a factor(block, its p nodes)."""
+    return lambda blk, p: np.exp(-1j * (blk.m * alpha + p * beta))[:, None]
+
+
 def apply_H(spec: ThetaSpec, coeffs: Coefficients3D) -> Coefficients3D:
     """Diagonalized Hamiltonian: multiply by p**2 + E over each block's grid."""
-    return _scaled(coeffs, lambda blk, p: p[:, None] ** 2 + blk.quad.nodes[None, :])
+    return _scaled(coeffs, _energy)
 
 
-def _grid_arrays(c: Coefficients3D) -> list:
-    """phi, M_max, the p nodes, then each block's m, p indices and spectral grid."""
-    blocks = [(blk.m, blk.p_indices, blk.quad.nodes, blk.quad.weights) for blk in c.blocks]
-    return [c.phi, c.grid.M_max, c.grid.p_nodes, *(part for blk in blocks for part in blk)]
+def _grid_arrays(phi: float, grid: ModeGrid, blocks) -> list:
+    """phi, M_max, the p nodes, then each block's m, p indices and spectral
+    grid; blocks are ChannelBlocks or a channel plan's _Channels."""
+    parts = [(blk.m, blk.p_indices, blk.quad.nodes, blk.quad.weights) for blk in blocks]
+    return [phi, grid.M_max, grid.p_nodes, *(part for blk in parts for part in blk)]
 
 
-def _block_pairs(a: Coefficients3D, b: Coefficients3D, caller: str):
-    """The blocks of a and b paired in order, one pair at a time.
-
-    ConfigurationError unless phi, M_max, the p nodes and every block's mode,
-    p indices and spectral grid (nodes and weights) are equal.
-    """
-    grid_a, grid_b = _grid_arrays(a), _grid_arrays(b)
-    if len(grid_a) != len(grid_b) or not all(map(np.array_equal, grid_a, grid_b)):
+def _check_one_grid(caller: str, a: tuple, b: tuple) -> None:
+    """ConfigurationError, naming caller, unless a and b, each (phi, ModeGrid,
+    blocks), have equal _grid_arrays: phi, M_max, the p nodes and every
+    block's mode, p indices and spectral grid (nodes and weights)."""
+    a, b = _grid_arrays(*a), _grid_arrays(*b)
+    if len(a) != len(b) or not all(map(np.array_equal, a, b)):
         raise ConfigurationError(
             f"{caller} needs two coefficient sets on one spectral grid: "
             "the same phi, M_max, p nodes and per-block mode, p indices and measure"
         )
-    return zip(a.blocks, b.blocks)
 
 
 def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
     """Measure-weighted L2 distance between two coefficient sets on one grid
-    (ConfigurationError otherwise, by _block_pairs)."""
+    (ConfigurationError otherwise, by _check_one_grid)."""
+    _check_one_grid("coefficient_distance", (a.phi, a.grid, a.blocks), (b.phi, b.grid, b.blocks))
     return math.sqrt(
         sum(
             blk_a.norm_sq(a.grid.p_weights, blk_a.values - blk_b.values)
-            for blk_a, blk_b in _block_pairs(a, b, "coefficient_distance")
+            for blk_a, blk_b in zip(a.blocks, b.blocks)
         )
     )
 
 
 def symmetry_phase(coeffs: Coefficients3D, alpha: float, beta: float) -> Coefficients3D:
     """Coefficients of the rotated/translated field predicted by covariance."""
-    return _scaled(coeffs, lambda blk, p: np.exp(-1j * (blk.m * alpha + p * beta))[:, None])
+    return _scaled(coeffs, _phase(alpha, beta))
+
+
+def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, field,
+          grid: ModeGrid, r_rule, reduction: ReductionGrid, E_max: float, node_budget: int):
+    """measure(gap) for each block of field's forward, gap = the block minus
+    factor(base block, its p nodes) * base block, one block at a time.
+
+    base's grid is checked against the forward's channel plan first
+    (ConfigurationError naming caller, _check_one_grid), before any block is
+    computed.  Each gap is formed in place in the forward's block, and the
+    block is measured and dropped before the next one is computed.  A real
+    factor (H's p**2 + E) scales the real and imaginary parts of the base
+    block apart, with the bits of the complex product: cast to complex, it
+    took numpy's cast buffers and raised hamiltonian_defect's traced peak
+    from 569 to 806 KB at the acceptance grid, past glibc's heap-trim
+    threshold in some processes, which then faulted about 1,100 pages back
+    in per call."""
+    r, wr = _radial_rule(r_rule)
+    plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
+    _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, plan.channels))
+
+    def gap(blk: ChannelBlock, ref: ChannelBlock):
+        scale = factor(ref, grid.p_nodes[ref.p_indices])
+        if np.isrealobj(scale):
+            blk.values.real -= scale * ref.values.real
+            blk.values.imag -= scale * ref.values.imag
+        else:
+            blk.values -= scale * ref.values
+        return measure(blk)
+
+    return map(gap, _forward_blocks(plan, field, r, wr, reduction), base.blocks)
+
+
+def hamiltonian_defect(
+    spec: ThetaSpec,
+    field,
+    grid: ModeGrid,
+    r_rule,
+    reduction: ReductionGrid,
+    E_max: float,
+    node_budget: int = 16,
+    *,
+    base: Coefficients3D,
+) -> float:
+    """coefficient_distance(full_forward(H Phi), apply_H(spec, base)), with
+    H Phi = field.hamiltonian_image(spec.phi), formed without either set.
+
+    base is full_forward of field on the same grids; a base on any other
+    spectral grid is a ConfigurationError, raised before any block of H Phi
+    is computed.  The forward of H Phi runs one block at a time: (p**2 + E)
+    times base's block is subtracted from it in place, and the block is
+    reduced to sum p_w w |gap|**2 before the next one is computed.  A NaN in
+    any block gives NaN.  ConfigurationError for a field without
+    hamiltonian_image.
+    """
+    image = getattr(field, "hamiltonian_image", None)
+    if image is None:
+        raise ConfigurationError("hamiltonian_defect needs a field with hamiltonian_image")
+    gaps = _gaps(
+        "hamiltonian_defect", base, _energy, lambda blk: blk.norm_sq(grid.p_weights),
+        spec, image(spec.phi), grid, r_rule, reduction, E_max, node_budget,
+    )
+    return math.sqrt(sum(gaps))
 
 
 def symmetry_defect(
@@ -887,13 +974,18 @@ def symmetry_defect(
 
     base is full_forward of the untransformed field on the same grids, so
     callers share it over several (alpha, beta) pairs; a base on any other
-    spectral grid is a ConfigurationError (_block_pairs).
+    spectral grid is a ConfigurationError, raised before any block of the
+    moved field is computed.  The forward of the moved field runs one block
+    at a time: symmetry_phase's multiple of base's block is subtracted from
+    it in place, and the block is reduced to max |gap|**2 before the next
+    one is computed.  A NaN in any block gives NaN.
     """
-    moved = TransformedField(field, alpha, beta)
-    transformed = full_forward(spec, moved, grid, r_rule, reduction, E_max, node_budget)
-    pairs = _block_pairs(transformed, symmetry_phase(base, alpha, beta), "symmetry_defect")
-    gaps = (np.abs(blk_t.values - blk_p.values) for blk_t, blk_p in pairs)
-    return max((float(np.max(gap, initial=0.0)) for gap in gaps), default=0.0)
+    gaps = _gaps(
+        "symmetry_defect", base, _phase(alpha, beta),
+        lambda blk: np.max(_abs_sq(blk.values), initial=0.0),
+        spec, TransformedField(field, alpha, beta), grid, r_rule, reduction, E_max, node_budget,
+    )
+    return math.sqrt(functools.reduce(np.maximum, gaps, 0.0))  # np.maximum keeps a NaN
 
 
 def eigenfunction_3d(

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -65,7 +65,9 @@ class CheckResult:
         return bool(self.params.get("control", False))
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, with a shallow copy of params (its values are
+        scalars, so asdict's deep copy is not needed)."""
+        return {**vars(self), "params": dict(self.params)}
 
 
 class Job(NamedTuple):
@@ -334,24 +336,26 @@ def _3d_setup(config: SuiteConfig, phi: float):
 
 def _3d_defects(config: SuiteConfig, phi: float):
     """Selectivity, Parseval, apply_H and symmetry defects of one field, all
-    from one forward transform of it."""
+    against one forward transform of it.  The H image and the moved fields
+    are streamed against it block by block (hamiltonian_defect,
+    symmetry_defect).  The maxima are taken by np.max, which keeps a NaN
+    where Python's max would drop it."""
     spec, fld, grid, red, r_rule = _3d_setup(config, phi)
     e_max = config.e_cap
     base = ab3d.full_forward(spec, fld, grid, r_rule, red, e_max)
     nsq = ab3d.field_norm_sq(fld, r_rule, red)
     active = base.channel_norm_sq(fld.m)
-    cross = max(base.channel_norm_sq(m) for m in grid.modes if m != fld.m)
+    cross = np.max([base.channel_norm_sq(m) for m in grid.modes if m != fld.m])
     parseval = abs(nsq - base.norm_sq()) / nsq
-    apply_h = ab3d.coefficient_distance(
-        ab3d.full_forward(spec, fld.hamiltonian_image(phi), grid, r_rule, red, e_max),
-        ab3d.apply_H(spec, base),
+    apply_h = ab3d.hamiltonian_defect(
+        spec, fld, grid, r_rule, red, e_max, base=base
     ) / math.sqrt(nsq)
-    symmetry = max(
+    symmetry = np.max([
         ab3d.symmetry_defect(
             spec, fld, alpha, beta, grid, r_rule, red, e_max, base=base
         )
         for alpha, beta in ((0.7, 0.0), (0.0, 1.3), (0.7, 1.3))
-    )
+    ])
     return [(cross / active, {}), (parseval, {}), (apply_h, {}), (symmetry, {})]
 
 

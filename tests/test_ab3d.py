@@ -4,6 +4,7 @@ import bisect
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from ab_spectral.ab3d import (
     eigenfunction_3d,
     field_norm_sq,
     full_forward,
+    hamiltonian_defect,
     radial_reduce,
     symmetry_defect,
     symmetry_phase,
@@ -443,7 +445,8 @@ class TestReduction:
 
 
 class CountingField:
-    """A field that counts the calls made to it."""
+    """A field that counts the calls made to it.  It has no mode factors, so
+    the reduction samples it; its H image is sampled too."""
 
     def __init__(self, field):
         self.field = field
@@ -452,6 +455,9 @@ class CountingField:
     def __call__(self, r, angle, x3):
         self.calls += 1
         return self.field(r, angle, x3)
+
+    def hamiltonian_image(self, phi):
+        return CountingField(self.field.hamiltonian_image(phi))
 
 
 def whole_tensor(field, r, grid):
@@ -969,17 +975,23 @@ class TestCoefficientDistance:
             {"node_budget": 32},  # more E nodes per block
         ],
     )
-    def test_different_spectral_grids_are_rejected(self, other):
-        """coefficient_distance and symmetry_defect (whose base is on other
-        grids than its own forward) share one grid check."""
+    def test_different_spectral_grids_are_rejected(self, monkeypatch, other):
+        """coefficient_distance, symmetry_defect and hamiltonian_defect (whose
+        base is on other grids than their own forward) share one grid check,
+        and the streamed two make it before any kernel is asked for."""
         with pytest.raises(ConfigurationError, match="coefficient_distance"):
             coefficient_distance(self.forward(), self.forward(**other))
         spec, grid, reduction, r_rule = small_setup()
+        base = self.forward(**other)
+        kernels = []
+        monkeypatch.setattr(ab3d, "kernel_matrix", lambda *args: kernels.append(args))
         with pytest.raises(ConfigurationError, match="symmetry_defect"):
             symmetry_defect(
-                spec, make_field(m=0), 0.7, 1.3, grid, r_rule, reduction, 10.0,
-                base=self.forward(**other),
+                spec, make_field(m=0), 0.7, 1.3, grid, r_rule, reduction, 10.0, base=base
             )
+        with pytest.raises(ConfigurationError, match="hamiltonian_defect"):
+            hamiltonian_defect(spec, make_field(m=0), grid, r_rule, reduction, 10.0, base=base)
+        assert kernels == []
 
     def test_different_measures_on_the_same_nodes_are_rejected(self):
         # theta = 0.1 and 0.2 have no atom at phi = 1/2: the nodes agree, the weights do not
@@ -998,6 +1010,97 @@ class TestCoefficientDistance:
         ab3d._cached_plan.cache_clear()  # equal grids in distinct objects pass too
         c = self.forward()
         assert coefficient_distance(a, c) == 0.0
+
+
+class TestStreamedDefects:
+    """hamiltonian_defect and symmetry_defect run a forward block by block
+    against base instead of forming whole coefficient sets."""
+
+    MOVES = ((0.7, 0.0), (0.0, 1.3), (0.7, 1.3))
+
+    @staticmethod
+    def setup(phi):
+        """theta piecewise in p on m = 0, M_max = 3: 8 blocks."""
+        _, _, reduction, r_rule = small_setup()
+        spec = ThetaSpec(phi, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
+        return spec, ModeGrid.build(3, 8.0, 32), reduction, r_rule
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6])
+    def test_the_streamed_defects_are_the_whole_set_ones(self, phi, sampled):
+        """Within rounding of the distance between whole coefficient sets,
+        for the field's own base and for a base 0.1 % off it."""
+        spec, grid, reduction, r_rule = self.setup(phi)
+        field = CountingField(make_field(m=0)) if sampled else make_field(m=0)
+        args = (grid, r_rule, reduction, 100.0)
+        base = full_forward(spec, field, *args)
+        image = full_forward(spec, field.hamiltonian_image(phi), *args)
+        moved = {
+            move: full_forward(spec, TransformedField(field, *move), *args) for move in self.MOVES
+        }
+        off = Coefficients3D(phi, grid, [
+            dataclasses.replace(blk, values=1.001 * blk.values) for blk in base.blocks
+        ])
+        for ref in (base, off):
+            whole = coefficient_distance(image, apply_H(spec, ref))
+            streamed = hamiltonian_defect(spec, field, *args, base=ref)
+            assert streamed == pytest.approx(whole, rel=1e-12, abs=1e-300)
+            for move, coeffs in moved.items():
+                predicted = symmetry_phase(ref, *move)
+                whole = max(
+                    np.max(np.abs(t.values - p.values))
+                    for t, p in zip(coeffs.blocks, predicted.blocks)
+                )
+                streamed = symmetry_defect(spec, field, *move, *args, base=ref)
+                assert streamed == pytest.approx(whole, rel=1e-12, abs=1e-300)
+        assert hamiltonian_defect(spec, field, *args, base=base) < 1e-6
+        assert hamiltonian_defect(spec, field, *args, base=off) > 1e-4
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_a_nan_in_any_block_of_base_gives_nan(self, block):
+        """Python's max keeps its first value against a NaN, so a NaN past
+        the first block used to be dropped from the symmetry defect."""
+        spec, grid, reduction, r_rule = self.setup(PHI)
+        args = (grid, r_rule, reduction, 100.0)
+        base = full_forward(spec, make_field(m=0), *args)
+        assert len(base.blocks) == 8
+        base.blocks[block].values[-1, -1] = np.nan
+        assert math.isnan(hamiltonian_defect(spec, make_field(m=0), *args, base=base))
+        assert math.isnan(symmetry_defect(spec, make_field(m=0), 0.7, 1.3, *args, base=base))
+
+    def test_a_field_without_a_hamiltonian_image_is_refused(self):
+        spec, grid, reduction, r_rule = self.setup(PHI)
+        args = (grid, r_rule, reduction, 100.0)
+        base = full_forward(spec, make_field(m=0), *args)
+        with pytest.raises(ConfigurationError, match="hamiltonian_image"):
+            hamiltonian_defect(spec, lambda r, a, x3: make_field(m=0)(r, a, x3), *args, base=base)
+
+    def test_a_warm_call_holds_less_than_one_coefficient_set(self):
+        """At the acceptance grid (7 blocks of 64 p nodes), a warm call's
+        traced peak stays below the bytes of one coefficient set: no whole
+        set is formed.  A library field is not sampled; a sampled field
+        holds its SAMPLE_BLOCK_BYTES sample block by design."""
+        spec = ThetaSpec.constant(PHI, 1.0)
+        args = (
+            ModeGrid.build(3, 8.0, 64), gauss_legendre(PSI.a, PSI.b, 64),
+            ReductionGrid.build(CHI.support), ZETA_BOUND / PSI.b**2,
+        )
+        field = make_field(m=0)
+        base = full_forward(spec, field, *args)
+        whole_set = sum(blk.values.nbytes for blk in base.blocks)
+        calls = [
+            lambda: hamiltonian_defect(spec, field, *args, base=base),
+            lambda: symmetry_defect(spec, field, 0.7, 1.3, *args, base=base),
+        ]
+        for call in calls:
+            call()  # warm: the kernels and the plan are cached
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < whole_set
 
 
 class TestEigenfunction3D:

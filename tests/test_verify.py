@@ -216,14 +216,16 @@ class TestThreeDimensionalJob:
         return [r for r in results if r.check_id.startswith("threed_")]
 
     def test_one_phi_runs_five_forwards(self, monkeypatch):
+        """Counted as runs of the block generator, which full_forward,
+        hamiltonian_defect and symmetry_defect share."""
         calls = []
-        original = verify.ab3d.full_forward
+        original = verify.ab3d._forward_blocks
 
         def counted(*args, **kwargs):
             calls.append(None)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(verify.ab3d, "full_forward", counted)
+        monkeypatch.setattr(verify.ab3d, "_forward_blocks", counted)
         results = self._threed(run_suite(self.CONFIG))
         # the field, its H-image and the three moved fields
         assert len(calls) == 5
@@ -239,6 +241,28 @@ class TestThreeDimensionalJob:
         assert sorted(r.check_id for r in results) == self.CHECKS
         assert all(r.measured == math.inf and not r.passed for r in results)
         assert all(r.error == "ConfigurationError('boom')" for r in results)
+
+    def test_a_nan_in_any_block_fails_symmetry_and_selectivity(self, monkeypatch):
+        """A NaN in any of the 7 blocks of the field's coefficients fails both
+        checks: Python's max used to drop a NaN past the first block of a
+        symmetry defect, and past the first mode of the selectivity maximum."""
+        jobs = verify._build_jobs(self.CONFIG)
+        [job] = [j for j in jobs if j.checks[0][0] == "threed_selectivity"]
+        original = verify.ab3d.full_forward
+        poisoned = []
+
+        def forward(*args, **kwargs):
+            coeffs = original(*args, **kwargs)
+            coeffs.blocks[poisoned[-1]].values[-1, -1] = math.nan
+            return coeffs
+
+        monkeypatch.setattr(verify.ab3d, "full_forward", forward)
+        for block in range(7):
+            poisoned.append(block)
+            results = {r.check_id: r for r in verify._run_job(job)}
+            for check_id in ("threed_selectivity", "threed_symmetry"):
+                assert math.isnan(results[check_id].measured)
+                assert not results[check_id].passed
 
 
 class TestReport:
