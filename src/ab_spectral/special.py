@@ -71,6 +71,9 @@ def energy_cap(b: float) -> float:
 
 
 _EULER_GAMMA = 0.5772156649015328606
+# the odd k of DLMF 5.7.3 and zeta(k), formed once: about 13 us a call if recomputed
+_ODD_K = np.arange(3.0, 59.0, 2.0)
+_ODD_ZETA = sc.zeta(_ODD_K)
 
 
 class ValueWithDerivative(NamedTuple):
@@ -185,8 +188,7 @@ def _log_gamma_odd(nu: float) -> float:
     nu = 1/2 by DLMF 5.7.3, as gammaln(1 +- nu) loses a small nu to rounding."""
     if nu > 0.5:
         return (sc.gammaln(1.0 - nu) - sc.gammaln(1.0 + nu)) / (2.0 * nu)
-    k = np.arange(3.0, 59.0, 2.0)
-    return _EULER_GAMMA + float(np.sum(sc.zeta(k) * nu ** (k - 1.0) / k))
+    return _EULER_GAMMA + float(np.sum(_ODD_ZETA * nu ** (_ODD_K - 1.0) / _ODD_K))
 
 
 # each kind: (order 0, order 1, spherical of order n for n + 1/2, any order)

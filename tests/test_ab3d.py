@@ -1011,6 +1011,32 @@ class TestCoefficientDistance:
         c = self.forward()
         assert coefficient_distance(a, c) == 0.0
 
+    @pytest.mark.parametrize("part", ["e_nodes", "e_weights", "p_indices", "p_nodes"])
+    def test_equal_shapes_with_other_values_are_rejected(self, part):
+        """Arrays shared through the cached plan pass by identity, without a
+        scan; a copy of one passes by its values, and a copy with one entry
+        moved, of the same shape, is another grid."""
+        a = self.forward()
+
+        def changed(moved):
+            """a with a copy of part in its last block (or in its mode grid),
+            the copy's last entry moved by one index or 1e-9 if asked."""
+            blk, grid = a.blocks[-1], a.grid
+            owner = {"p_nodes": grid, "p_indices": blk}.get(part, blk.quad)
+            values = getattr(owner, part).copy()
+            if moved:
+                values[-1] += 1 if part == "p_indices" else 1e-9
+            owner = dataclasses.replace(owner, **{part: values})
+            if part == "p_nodes":
+                grid = owner
+            else:
+                blk = owner if part == "p_indices" else dataclasses.replace(blk, quad=owner)
+            return Coefficients3D(a.phi, grid, [*a.blocks[:-1], blk])
+
+        assert coefficient_distance(a, changed(False)) == 0.0
+        with pytest.raises(ConfigurationError, match="coefficient_distance"):
+            coefficient_distance(a, changed(True))
+
 
 class TestStreamedDefects:
     """hamiltonian_defect and symmetry_defect run a forward block by block
@@ -1055,6 +1081,27 @@ class TestStreamedDefects:
                 assert streamed == pytest.approx(whole, rel=1e-12, abs=1e-300)
         assert hamiltonian_defect(spec, field, *args, base=base) < 1e-6
         assert hamiltonian_defect(spec, field, *args, base=off) > 1e-4
+
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_the_multiplier_of_h_is_in_the_blocks_order(self, monkeypatch, sampled):
+        """_energy is p**2 + E to the bit, in each forward block's memory order,
+        and hamiltonian_defect reads the bits it read with a C-ordered one."""
+        spec, grid, reduction, r_rule = self.setup(PHI)
+        field = CountingField(make_field(m=0)) if sampled else make_field(m=0)
+        args = (grid, r_rule, reduction, 100.0)
+        base = full_forward(spec, field, *args)
+        for blk in base.blocks:
+            p = grid.p_nodes[blk.p_indices]
+            energy = ab3d._energy(blk, p)
+            assert energy.tobytes() == (p[:, None] ** 2 + blk.quad.nodes).tobytes()
+            assert energy.flags.f_contiguous and blk.values.flags.f_contiguous
+            assert not energy.flags.c_contiguous and not blk.values.flags.c_contiguous
+        off = Coefficients3D(PHI, grid, [
+            dataclasses.replace(blk, values=1.001 * blk.values) for blk in base.blocks
+        ])
+        defects = [hamiltonian_defect(spec, field, *args, base=ref) for ref in (base, off)]
+        monkeypatch.setattr(ab3d, "_energy", lambda blk, p: p[:, None] ** 2 + blk.quad.nodes)
+        assert [hamiltonian_defect(spec, field, *args, base=ref) for ref in (base, off)] == defects
 
     @pytest.mark.parametrize("block", range(8))
     def test_a_nan_in_any_block_of_base_gives_nan(self, block):

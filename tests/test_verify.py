@@ -127,6 +127,53 @@ class TestSuiteMechanics:
         assert all("SeriesDomainError" in r.error for r in controls)
 
 
+class TestSharedKappaJobs:
+    """The Wronskian rows of one kappa share one u_eigen and one w_eigen call,
+    the collapse rows of one kappa one ac_density call."""
+
+    @pytest.mark.parametrize(
+        "check_id, binding, kappa",
+        [("wronskian", "w_eigen", -0.5), ("measure_collapse", "ac_density", 0.5)],
+    )
+    def test_a_raising_job_fails_exactly_its_own_rows(self, monkeypatch, check_id, binding,
+                                                      kappa):
+        original = getattr(verify, binding)
+
+        def raising(*args):
+            nu = args[0] if binding == "w_eigen" else args[0].kappa
+            if nu == kappa:
+                raise ConfigurationError("boom")
+            return original(*args)
+
+        monkeypatch.setattr(verify, binding, raising)
+        jobs = [job for job in verify._build_jobs(SuiteConfig()) if job.checks[0][0] == check_id]
+        results = [result for job in jobs for result in verify._run_job(job)]
+        failed = [r for r in results if not r.passed]
+        assert len(results) == (21 if check_id == "wronskian" else 9)
+        assert len(failed) == 3
+        assert all(r.params["kappa"] == kappa and r.measured == math.inf for r in failed)
+        assert all(r.error == "ConfigurationError('boom')" for r in failed)
+
+    def test_one_kernel_call_per_kappa(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name):
+            original = getattr(verify, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in ("u_eigen", "w_eigen", "ac_density"):
+            monkeypatch.setattr(verify, name, counted(name))
+        for job in verify._build_jobs(SuiteConfig()):
+            if job.checks[0][0] in ("wronskian", "measure_collapse"):
+                assert all(r.passed for r in verify._run_job(job))
+        assert calls == {"u_eigen": 7, "w_eigen": 7, "ac_density": 3}
+
+
 class TestJobTable:
     """The default suite's checks, read from the job list without running it."""
 
@@ -280,6 +327,25 @@ class TestReport:
         assert payload[1]["passed"] is False
         assert payload[1]["error"] == "boom"
         assert payload[0]["measured"] == 0.1
+
+    def test_non_finite_values_are_strict_json(self, tmp_path):
+        """JSON has no Infinity or NaN: a non-finite float, as measured or in
+        params, is written as a string, and the report parses strictly."""
+        results = [
+            CheckResult("a", {"x": math.nan}, math.inf, 1.0, False, "boom"),
+            CheckResult.from_measurement("b", {"x": -math.inf}, math.nan, 1.0),
+            CheckResult.from_measurement("c", {"x": 2.0}, 0.1, 1.0),
+        ]
+        path = tmp_path / "report.json"
+        write_report(results, str(path))
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        payload = json.loads(path.read_text(), parse_constant=refuse)
+        assert [(row["measured"], row["params"]["x"]) for row in payload] == [
+            ("inf", "nan"), ("nan", "-inf"), (0.1, 2.0)
+        ]
 
 
 _SUITE_CACHES = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
