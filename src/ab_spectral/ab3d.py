@@ -13,25 +13,21 @@ The reduction of a field Phi to channel (m, p) is
                          Phi(r cos phi, r sin phi, x3) e^{-i p x3 - i m phi}
 
 and the full forward map composes this reduction with the one-dimensional
-eigenfunction transform per channel.  Every library field (SeparableField,
-FieldSum and a TransformedField of either) is one angular mode and a sum of
-k separable terms (k = 2 for H Phi), sum_k R_k(r) X_k(x3) e^{i m a}, and
-hands the reduction its factors instead of samples: the phase row, the
-radial factors R (n_r, k) and the axial factors X (k, n_x3).  The angular
-DFT, folded over +-m into one real matrix of cos and sin rows, takes the
-phase row to one sum per row, and each mode's c_m is C - i sgn(m) S; one x3
-matmul takes X to X_hat (k, n_p).  Each block of the forward is then
-(c_m X_hat[:, group]).T @ (K @ R_w).T: its extension's cached dense kernel
-K meets only the k weighted radial factors R_w = sqrt(r) w_r R, and the
-(n_r, n_modes, n_p) reduced array is never formed.  Any other field is
-sampled a block of r nodes per call (SAMPLE_BLOCK_BYTES), each block folded
-by the same rows, and each block of the forward is K times its group's
-reduced columns.  The blocks' modes, theta pieces, extensions and spectral
-grids, and the DFT rows and axial phases, form the forward's channel plan,
-built once per (phi, theta tables, M_max, p nodes, reduction grid, E_max,
-node_budget) and cached.  The angle grid of n_phi points resolves the modes
-|m| < n_phi / 2 only; a mode grid past that raises ConfigurationError rather
-than alias.  Norms satisfy
+eigenfunction transform per channel.  A 3D field hands the reduction its
+exact factors: field.factors(r, x3) gives its angular mode m, radial factors
+R (n_r, k) and axial factors X (k, n_x3), so that the field is
+sum_k R_k(r) X_k(x3) e^{i m a} on the r and x3 nodes (k = 2 for H Phi).
+SeparableField, FieldSum and a TransformedField of either have factors; a
+field without them is a ConfigurationError.  A field of mode m lives in mode
+m alone, so the angle integral is exact and no angle is sampled: one x3
+matmul takes X to X_hat = X @ (e^{-i p x3} w3).T (k, n_p), and each block of
+the forward is [m == block's mode] X_hat[:, group].T @ (K @ R_w).T: its
+extension's cached dense kernel K meets only the k weighted radial factors
+R_w = sqrt(r) w_r R, and the (n_r, n_modes, n_p) reduced array is never
+formed.  The blocks' modes, theta pieces, extensions and spectral grids,
+and the axial phases, form the forward's channel plan, built once per (phi,
+theta tables, M_max, p nodes, x3 rule, E_max, node_budget) and cached.
+Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
 
@@ -194,14 +190,6 @@ def _check_rule(rule: str, nodes, weights, positive_nodes: bool = False) -> None
         )
 
 
-def _check_grid(count_name: str, count, least: int, rule: str, nodes, weights) -> None:
-    """ConfigurationError unless count is an integer >= least and nodes and
-    weights pass _check_rule."""
-    if not isinstance(count, (int, np.integer)) or count < least:
-        raise ConfigurationError(f"{count_name} must be an integer >= {least}, got {count!r}")
-    _check_rule(rule, nodes, weights)
-
-
 def _radial_rule(r_rule) -> tuple[np.ndarray, np.ndarray]:
     """The r nodes and weights of r_rule = (nodes, weights) as float arrays;
     ConfigurationError unless they pass _check_rule with r > 0."""
@@ -222,7 +210,9 @@ class ModeGrid:
     p_weights: np.ndarray
 
     def __post_init__(self):
-        _check_grid("M_max", self.M_max, 0, "p", self.p_nodes, self.p_weights)
+        if not isinstance(self.M_max, (int, np.integer)) or self.M_max < 0:
+            raise ConfigurationError(f"M_max must be an integer >= 0, got {self.M_max!r}")
+        _check_rule("p", self.p_nodes, self.p_weights)
 
     @classmethod
     def build(cls, M_max: int, P_max: float, n_p: int = 64) -> "ModeGrid":
@@ -236,31 +226,22 @@ class ModeGrid:
 
 @dataclass(frozen=True)
 class ReductionGrid:
-    """Quadrature for the angular/axial reduction integrals.
-
-    Uniform (trapezoid) rule in the angle -- spectrally accurate for smooth
-    periodic integrands -- and a Gauss-Legendre rule over the x3 support.
-    The n_phi angles resolve the modes |m| < n_phi / 2.  ConfigurationError
-    unless n_phi is an integer >= 1 and the x3 rule is 1-D, finite and of
+    """Quadrature for the axial reduction integral: a Gauss-Legendre rule over
+    the x3 support.  The angle integral needs none, as a field hands its
+    exact mode.  ConfigurationError unless the x3 rule is 1-D, finite and of
     positive weights.
     """
 
-    n_phi: int
     x3_nodes: np.ndarray
     x3_weights: np.ndarray
 
     def __post_init__(self):
-        _check_grid("n_phi", self.n_phi, 1, "x3", self.x3_nodes, self.x3_weights)
+        _check_rule("x3", self.x3_nodes, self.x3_weights)
 
     @classmethod
-    def build(cls, x3_support: tuple[float, float], n_x3: int = 96, n_phi: int = 128):
+    def build(cls, x3_support: tuple[float, float], n_x3: int = 96):
         lo, hi = x3_support
-        x3, w3 = gauss_legendre(lo, hi, n_x3)
-        return cls(n_phi, x3, w3)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * math.pi * np.arange(self.n_phi) / self.n_phi
+        return cls(*gauss_legendre(lo, hi, n_x3))
 
 
 # --------------------------------------------------------------------------
@@ -270,22 +251,15 @@ class ReductionGrid:
 class _OneMode:
     """A field of one angular mode and k separable terms:
     Phi(r cos a, r sin a, x3) = P(r, x3) e^{i m a} with P = sum_k R_k(r) X_k(x3),
-    its mode m, profile _profile(r, x3) and factors _terms(r, x3) given by the
+    its mode m, profile _profile(r, x3) and factors(r, x3) given by the
     subclass.
 
     A call is the broadcast product P e^{i m a} over any shapes of r, angle and
-    x3; mode_factors hands the reduction the factors on a grid instead."""
+    x3; factors hands the reduction (m, R, X) on 1-D r and x3 nodes instead:
+    R_k(r_i), shape (len(r), k), and X_k(x3_l), shape (k, len(x3))."""
 
     def __call__(self, r, angle, x3):
         return self._profile(r, x3) * np.exp(1j * self.m * np.asarray(angle))
-
-    def mode_factors(self, r, angles, x3):
-        """The phase row e^{i m a_j} over the 1-D angles, the radial factors
-        R_k(r_i), shape (len(r), k), and the axial factors X_k(x3_l), shape
-        (k, len(x3)): the call's values there are phase[j] (R @ X)[i, l]."""
-        r, x3 = np.asarray(r, dtype=float), np.asarray(x3)
-        radial, axial = self._terms(r, x3)
-        return np.exp(1j * self.m * np.asarray(angles)), radial, axial
 
 
 def _on_grid(f, x) -> np.ndarray:
@@ -321,8 +295,10 @@ class SeparableField(_OneMode):
         r = np.asarray(r, dtype=float)
         return self.psi(r) / np.sqrt(r) * np.asarray(self.chi(x3))
 
-    def _terms(self, r, x3):
-        return (_on_grid(self.psi, r) / np.sqrt(r))[:, None], _on_grid(self.chi, x3)[None, :]
+    def factors(self, r, x3):
+        r, x3 = np.asarray(r, dtype=float), np.asarray(x3)
+        radial = _on_grid(self.psi, r) / np.sqrt(r)
+        return self.m, radial[:, None], _on_grid(self.chi, x3)[None, :]
 
     def hamiltonian_image(self, phi: float) -> "FieldSum":
         """The field H Phi, as a sum of two separable pieces.
@@ -382,9 +358,9 @@ class FieldSum(_OneMode):
             profile = profile + t.psi(r) * np.asarray(t.chi(x3))
         return profile / np.sqrt(r)
 
-    def _terms(self, r, x3):
-        radial, axial = zip(*(t._terms(r, x3) for t in self.terms))
-        return np.hstack(radial), np.vstack(axial)
+    def factors(self, r, x3):
+        _, radial, axial = zip(*(t.factors(r, x3) for t in self.terms))
+        return self.m, np.hstack(radial), np.vstack(axial)
 
     @property
     def m(self):
@@ -405,7 +381,8 @@ class TransformedField:
 
     (Phi o G^-1)(r, angle, x3) = Phi(r, angle - alpha, x3 - beta); its channel
     coefficients are e^{-i m alpha - i p beta} times the original ones.
-    ConfigurationError unless alpha and beta are finite.
+    ConfigurationError unless alpha and beta are finite.  Its factors are the
+    field's at x3 - beta, X times the exact phase e^{-i m alpha}.
     """
 
     field: object
@@ -421,11 +398,9 @@ class TransformedField:
     def __call__(self, r, angle, x3):
         return self.field(r, np.asarray(angle) - self.alpha, np.asarray(x3) - self.beta)
 
-    def mode_factors(self, r, angles, x3):
-        """The field's mode factors at the shifted angles and x3 nodes, or None
-        for a field without them."""
-        angles, x3 = np.asarray(angles) - self.alpha, np.asarray(x3) - self.beta
-        return _mode_factors(self.field, r, angles, x3)
+    def factors(self, r, x3):
+        m, radial, axial = _factors(self.field, r, np.asarray(x3) - self.beta)
+        return m, radial, axial * np.exp(-1j * m * self.alpha)
 
     @property
     def r_support(self):
@@ -441,19 +416,17 @@ class TransformedField:
 # Reduction
 
 
-#: Bytes of complex samples taken per call of a field without mode factors
-#: (a plain callable, or a TransformedField of one): as many whole r nodes as
-#: fit, at least one; 12 at the default 128 x 96 reduction grid.  Library
-#: fields are reduced from their factors and never sampled in blocks.
-SAMPLE_BLOCK_BYTES = 2_400_000
-
-
-def _mode_factors(field, r, angles, x3):
-    """field.mode_factors(r, angles, x3): the phase row (len(angles),), the
-    radial factors (len(r), k) and the axial factors (k, len(x3)); None for a
-    field without them."""
-    mode_factors = getattr(field, "mode_factors", None)
-    return None if mode_factors is None else mode_factors(r, angles, x3)
+def _factors(field, r, x3):
+    """field.factors(r, x3): its mode m, radial factors R (len(r), k) and
+    axial factors X (k, len(x3)); ConfigurationError for a field without
+    them, such as a plain callable."""
+    factors = getattr(field, "factors", None)
+    if factors is None:
+        raise ConfigurationError(
+            "a 3D field needs factors(r, x3) -> (m, R, X), as SeparableField, FieldSum "
+            f"and a TransformedField of either have; got {type(field).__name__}"
+        )
+    return factors(r, x3)
 
 
 def _abs_sq(z) -> np.ndarray:
@@ -464,156 +437,34 @@ def _abs_sq(z) -> np.ndarray:
     return out
 
 
-def _by_r_node(field, r, grid: ReductionGrid, reduce) -> np.ndarray:
-    """reduce(Phi(r_i, angle_j, x3_k)) over blocks of consecutive r nodes, joined along r.
-
-    Each call of the field samples as many r nodes as fit in SAMPLE_BLOCK_BYTES
-    into one block-sized array, and reduce maps the C-contiguous (k, n_phi,
-    n_x3) block to k per-node results, by one operation stacked over the nodes
-    or node by node, so every node's values have the same bits at any block
-    size.  A field's values are broadcast to the block's shape, so one that
-    does not vary with r or the angle is sampled at every node.  The whole
-    tensor (12.6 MB at 64 x 128 x 96) is never held.  The size is in bytes
-    because the page faults depend on bytes: glibc raises its heap-trim
-    threshold to twice the largest mmapped block it frees, and with smaller
-    blocks it gives the freed heap top back between a forward's temporaries
-    and faults it in again."""
-    r = r[:, None, None]
-    a = grid.angles[None, :, None]
-    x3 = np.asarray(grid.x3_nodes, dtype=float)[None, None, :]
-    step = max(1, SAMPLE_BLOCK_BYTES // (16 * grid.n_phi * x3.size))
-    starts = range(0, max(len(r), 1), step)  # an empty grid is one empty block
-
-    def block(nodes):
-        samples = np.broadcast_to(field(nodes, a, x3), (len(nodes), grid.n_phi, x3.size))
-        return reduce(np.ascontiguousarray(samples, dtype=complex))
-
-    return np.concatenate([block(r[i : i + step]) for i in starts])
-
-
-class _Reduction(NamedTuple):
-    """The grid-only matrices that reduce field samples to (mode, p node) values.
-
-    rows is the folded angular DFT: cos(k a_j) / n_phi for each order k = |m|
-    of the modes, then sin(k a_j) / n_phi for each k > 0.  cos_rows[i] is
-    mode i's cos row; sines holds (mode index, sin row, -i sgn m) for each
-    mode m != 0.  axial is e^{-i p x3} w3, (n_p, n_x3).
-    """
-
-    rows: np.ndarray
-    cos_rows: np.ndarray
-    sines: tuple[tuple[int, int, complex], ...]
-    axial: np.ndarray
-
-
-def _reduction(grid: ReductionGrid, modes: Sequence[int], p_nodes) -> _Reduction:
-    """The _Reduction of grid to modes and p_nodes.
-
-    e^{-i m a} = cos(|m| a) - i sgn(m) sin(|m| a), so the DFT over the modes
-    is one real matrix of distinct cos and sin rows, its phases read at index
-    |m| j mod n_phi of the angle grid.  ConfigurationError if any |m| >=
-    n_phi / 2: the n_phi angles cannot tell such a mode from its alias."""
-    n = grid.n_phi
-    if any(2 * abs(m) >= n for m in modes):
-        raise ConfigurationError(
-            f"the {n} reduction angles resolve the modes |m| < n_phi/2 = {n / 2:g} only; "
-            f"got |m| = {max(abs(m) for m in modes)}: raise n_phi or keep fewer modes"
-        )
-    orders = sorted({abs(m) for m in modes})
-    sin_orders = [k for k in orders if k > 0]  # none at M_max = 0
-    angles = grid.angles[np.outer(orders + sin_orders, np.arange(n)) % n]
-    rows = np.concatenate((np.cos(angles[: len(orders)]), np.sin(angles[len(orders) :]))) / n
-    cos_rows = np.array([orders.index(abs(m)) for m in modes])
-    sines = tuple(
-        (i, len(orders) + sin_orders.index(abs(m)), -1j if m > 0 else 1j)
-        for i, m in enumerate(modes)
-        if m != 0
-    )
-    axial = np.exp(-1j * np.outer(p_nodes, grid.x3_nodes)) * grid.x3_weights
-    return _Reduction(rows, cos_rows, sines, axial)
-
-
-def _per_mode(summed: np.ndarray, maps: _Reduction) -> np.ndarray:
-    """C - i sgn(m) S for each mode, from the folded rows along axis 1 of summed."""
-    out = summed[:, maps.cos_rows]
-    for i, s, phase in maps.sines:
-        out[:, i] += phase * summed[:, s]
-    return out
-
-
-def _factors(field, r, grid: ReductionGrid, maps: _Reduction):
-    """A field's reduction to maps = _reduction(grid, modes, p_nodes) from its
-    mode factors: c (n_modes,), the radial factors R (n_r, k) and X_hat =
-    X @ axial.T (k, n_p), so that reduced(m, p | r_i) / sqrt(r_i) is
-    c_m (R @ X_hat)[i, p]; None for a field without mode factors.
-
-    The real folded DFT rows take the phase row, read as (n_phi, 2) floats,
-    to one complex sum per row, and each c_m is C - i sgn(m) S."""
-    factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
-    if factors is None:
-        return None
-    phase, radial, axial = factors
-    folded = (maps.rows @ np.stack((phase.real, phase.imag), axis=1)).view(complex)
-    return _per_mode(folded.T, maps)[0], radial, axial @ maps.axial.T
-
-
-def _reduce(field, r_nodes, grid: ReductionGrid, maps: _Reduction) -> np.ndarray:
-    """sum_k w3_k e^{-i p x3_k} (1/n_phi) sum_j Phi(r, angle_j, x3_k) e^{-i m angle_j}
-    for every r node, mode m and p node of maps = _reduction(grid, modes,
-    p_nodes): shape (n_r, n_modes, n_p).
-
-    A field with mode factors is reduced from them (_factors): the result is
-    c_m (R @ X_hat).  Any other field is sampled SAMPLE_BLOCK_BYTES at a time
-    (_by_r_node); each block, read as interleaved re/im floats, goes through
-    the folded DFT rows in one stacked matmul, one x3 matmul applies the
-    axial phases to every node and row, and each mode is then C - i sgn(m) S."""
-    r = np.asarray(r_nodes, dtype=float)
-    factors = _factors(field, r, grid, maps)
-    if factors is not None:
-        c, radial, axial = factors
-        return (radial @ axial)[:, None, :] * c[:, None]
-    folded = _by_r_node(field, r, grid, lambda t: (maps.rows @ t.view(float)).view(complex))
-    n_r, n_rows, n_x3 = folded.shape
-    summed = (folded.reshape(-1, n_x3) @ maps.axial.T).reshape(n_r, n_rows, len(maps.axial))
-    return _per_mode(summed, maps)
+def _axial(p_nodes, grid: ReductionGrid) -> np.ndarray:
+    """The x3 quadrature of e^{-i p x3}: e^{-i p x3} w3, shape (n_p, n_x3)."""
+    return np.exp(-1j * np.outer(p_nodes, grid.x3_nodes)) * grid.x3_weights
 
 
 def radial_reduce(
     field, channel: ChannelIndex, r_nodes, grid: ReductionGrid, quad_weights=None
 ) -> RadialFunction:
-    """Channel reduction of a field at a single (m, p), sampled at r_nodes
-    (two folded DFT rows, one for m = 0).  ConfigurationError if |m| >= n_phi / 2,
-    or unless the r nodes and weights (all 1 by default) are a radial rule:
-    1-D, of one length, finite and positive."""
+    """Channel reduction of a field at a single (m, p), sampled at r_nodes:
+    sqrt(r) R @ (X @ e^{-i p x3} w3) for the field's own mode, 0 for any
+    other.  ConfigurationError for a field without factors, or unless the r
+    nodes and weights (all 1 by default) are a radial rule: 1-D, of one
+    length, finite and positive."""
     r = np.asarray(r_nodes, dtype=float)
     r, wr = _radial_rule((r, np.ones_like(r) if quad_weights is None else quad_weights))
-    maps = _reduction(grid, [channel.m], [channel.p])
-    return RadialFunction(r, wr, np.sqrt(r) * _reduce(field, r, grid, maps)[:, 0, 0])
+    m, radial, axial = _factors(field, r, grid.x3_nodes)
+    reduced = radial @ (axial @ _axial([channel.p], grid)[0])
+    return RadialFunction(r, wr, float(channel.m == m) * np.sqrt(r) * reduced)
 
 
 def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
-    """||Phi||^2 over R^3 by tensor quadrature (r dr x dangle x dx3).
-
-    ConfigurationError unless r_rule is a radial rule (_radial_rule).  A field
-    with mode factors (phase row ph, R, X) needs no samples: each r node's sum
-    is sum_j |ph_j|^2 dangle times |R @ X|^2 @ w3.  Any other field is sampled
-    in blocks, and one r node at a time the squares of its samples, read as
-    interleaved re/im floats, go through the x3 weights (each repeated for re
-    and im) in one matmul, and the angles are summed: a node's sum has the
-    same bits at any block size, and no block-sized temporary is made."""
+    """||Phi||^2 over R^3 by quadrature from its factors:
+    2 pi sum_i w_r r_i (|R @ X|^2 @ w3)_i, the angle integral exact.
+    ConfigurationError for a field without factors, or unless r_rule is a
+    radial rule (_radial_rule)."""
     r, wr = _radial_rule(r_rule)
-    dphi = 2.0 * math.pi / grid.n_phi
-    factors = _mode_factors(field, r, grid.angles, grid.x3_nodes)
-    if factors is not None:
-        phase, radial, axial = factors
-        per_r = (_abs_sq(radial @ axial) @ grid.x3_weights) * (np.sum(_abs_sq(phase)) * dphi)
-    else:
-        w3 = np.repeat(np.asarray(grid.x3_weights, dtype=float), 2)
-
-        def per_node(block):
-            return np.array([np.sum(np.square(node) @ w3) for node in block.view(float)])
-
-        per_r = _by_r_node(field, r, grid, per_node) * dphi
+    _, radial, axial = _factors(field, r, grid.x3_nodes)
+    per_r = (_abs_sq(radial @ axial) @ grid.x3_weights) * (2.0 * math.pi)
     return float(np.sum(wr * r * per_r))
 
 
@@ -695,10 +546,9 @@ def _theta_groups(spec: ThetaSpec, m: int, p_nodes) -> list[tuple[float | None, 
 
 
 class _Channel(NamedTuple):
-    """One block of a forward: the mode's index in grid.modes, the mode, the
-    p nodes of one theta, their extension and its spectral grid."""
+    """One block of a forward: the mode, the p nodes of one theta, their
+    extension and its spectral grid."""
 
-    mode: int
     m: int
     p_indices: np.ndarray
     params: ExtensionParams
@@ -706,10 +556,10 @@ class _Channel(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    """A forward's blocks and the matrices of its reduction, all read-only."""
+    """A forward's blocks and its axial matrix e^{-i p x3} w3, all read-only."""
 
     channels: tuple[_Channel, ...]
-    reduction: _Reduction
+    axial: np.ndarray
 
 
 def _channel_plan(
@@ -719,15 +569,15 @@ def _channel_plan(
     E_max: float,
     node_budget: int,
 ) -> _Plan:
-    """The blocks and reduction matrices of full_forward, keyed bit for bit by
-    what they read: phi, each critical table's (breaks, values), M_max, the p
-    nodes, n_phi, the x3 nodes and weights, E_max and node_budget.  Nothing in
-    a plan depends on the field or on r."""
+    """The blocks and axial matrix of full_forward, keyed bit for bit by what
+    they read: phi, each critical table's (breaks, values), M_max, the p
+    nodes, the x3 nodes and weights, E_max and node_budget.  Nothing in a
+    plan depends on the field or on r."""
     tables = [spec.entries[m] for m in sorted(spec.entries)]
     pieces = [part for table in tables for part in (table.breaks, table.values)]
     read = (
         spec.phi, *pieces, grid.M_max, grid.p_nodes,
-        reduction.n_phi, reduction.x3_nodes, reduction.x3_weights, E_max, node_budget,
+        reduction.x3_nodes, reduction.x3_weights, E_max, node_budget,
     )
     inputs = (spec, grid, reduction, E_max, node_budget)
     return _cached_plan(_CacheKey(_bits(*read), inputs))
@@ -736,71 +586,53 @@ def _channel_plan(
 @functools.lru_cache(maxsize=4)
 def _cached_plan(key: _CacheKey) -> _Plan:
     """One plan per forward signature, its quadrature arrays, p indices and
-    reduction matrices read-only; errors are never stored.  A forward reads
-    the folded DFT rows once for a library field's phase row (or once per
-    sampled block), and the axial matrix once to take its k axial factors to
-    X_hat (or the folded samples to the p nodes).  Working sets measured in
-    plans: 1 for each of expansion_3d, its trimmed verify suite and
-    transform --mode 3d, 2 for the default verify suite (phi = 1/2 and
+    axial matrix read-only; errors are never stored.  A forward reads the
+    axial matrix once, to take its k axial factors to X_hat.  Working sets
+    measured in plans: 1 for each of expansion_3d, its trimmed verify suite
+    and transform --mode 3d, 2 for the default verify suite (phi = 1/2 and
     1e-6).  A plan's blocks hold about 110 KB at M_max = 3 (8 blocks) and
-    860 KB at M_max = 30 (62 blocks); its reduction matrices add the 98 KB
-    axial matrix (64 p nodes by 96 x3 nodes) and the folded DFT rows (7 KB
-    at 7 modes, 62 KB at 61), so about 215 KB and 1 MB: 4 kept."""
+    860 KB at M_max = 30 (62 blocks), and its axial matrix 98 KB (64 p
+    nodes by 96 x3 nodes), so about 210 KB and 960 KB: 4 kept."""
     spec, grid, reduction, E_max, node_budget = key.inputs
-    maps = _reduction(reduction, grid.modes, grid.p_nodes)  # raises before any grid is built
-    _read_only((maps.rows, maps.cos_rows, maps.axial))
     channels = []
-    for i, m in enumerate(grid.modes):
+    for m in grid.modes:
         kappa = channel_kappa(spec.phi, m)
         for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
             params = ExtensionParams(kappa, theta if theta is not None else 0.0)
             quad = discretize(spectral_measure(params), E_max, node_budget)
             _read_only((quad.e_nodes, quad.e_weights, p_idx))
-            channels.append(_Channel(i, m, p_idx, params, quad))
-    return _Plan(tuple(channels), maps)
+            channels.append(_Channel(m, p_idx, params, quad))
+    axial = _axial(grid.p_nodes, reduction)
+    axial.setflags(write=False)
+    return _Plan(tuple(channels), axial)
 
 
-def _forward_blocks(plan: _Plan, field, r, wr, reduction: ReductionGrid):
-    """The ChannelBlocks of a forward of field over plan's channels, one at a
-    time: each block is computed when the next one is asked for, so a caller
-    that reduces a block before asking for the next one holds one block.
+def _forward_blocks(plan: _Plan, factors, r, wr):
+    """The ChannelBlocks of a forward over plan's channels of a field with
+    factors (m, R, X) = field.factors(r, x3 nodes), one at a time: each block
+    is computed when the next one is asked for, so a caller that reduces a
+    block before asking for the next one holds one block.
 
-    r and wr are a checked radial rule (_radial_rule).  Each block is one real
-    product with its extension's cached dense kernel K (transform.Kernel),
-    called through this module's kernel_matrix binding.  A field with mode
-    factors (_factors: c, R, X_hat) is never reduced to a dense array: its
-    block is (c_m X_hat[:, group]).T @ (K @ R_w).T with R_w = sqrt(r) w_r R,
-    so K meets k real columns (a complex R as its real and imaginary parts,
-    2k columns), and the k-term sum is one real product with the
-    coefficients as interleaved re/im floats.  Any other field is reduced
-    (_reduce, sampled SAMPLE_BLOCK_BYTES at a time) to an (n_r, n_modes, n_p)
-    array, weighted by sqrt(r) w_r, and its block is K times the group's
-    columns (n_r, n_group), as interleaved re/im floats.  Block values are
-    fresh writable arrays."""
-    weight = np.sqrt(r) * wr
-    factors = _factors(field, r, reduction, plan.reduction)
-    if factors is None:
-        weighted = _reduce(field, r, reduction, plan.reduction)
-        weighted *= weight[:, None, None]  # (n_r, n_modes, n_p)
-
-        def block(ch, kernel):
-            return (kernel @ weighted[:, ch.mode, ch.p_indices]).T
-
-    else:
-        c, radial, axial = factors
-        if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
-            radial, axial = np.hstack((radial.real, radial.imag)), np.vstack((axial, 1j * axial))
-        radial = radial * weight[:, None]
-
-        def block(ch, kernel):
-            # np.dot, not @: matmul skips BLAS for an inner dimension of 1
-            coefs = _interleaved(c[ch.mode] * axial[:, ch.p_indices])
-            return np.dot(kernel.matrix @ radial, coefs).view(complex).T
-
+    r and wr are a checked radial rule (_radial_rule).  Each block is
+    ([m == block's mode] X_hat[:, group]).T @ (K @ R_w).T, with X_hat = X @
+    plan.axial.T and R_w = sqrt(r) w_r R: one real product with its
+    extension's cached dense kernel K (transform.Kernel), called through this
+    module's kernel_matrix binding, in k real columns (a complex R as its
+    real and imaginary parts, 2k columns), and the k-term sum one real
+    product with the coefficients as interleaved re/im floats.  A block of
+    another mode than m is exactly 0.  Block values are fresh writable
+    arrays."""
+    m, radial, axial = factors
+    axial = axial @ plan.axial.T
+    if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
+        radial, axial = np.hstack((radial.real, radial.imag)), np.vstack((axial, 1j * axial))
+    radial = radial * (np.sqrt(r) * wr)[:, None]
     for ch in plan.channels:
-        yield ChannelBlock(
-            ch.m, ch.p_indices, ch.quad, block(ch, kernel_matrix(ch.params, ch.quad, r))
-        )
+        kernel = kernel_matrix(ch.params, ch.quad, r)
+        # np.dot, not @: matmul skips BLAS for an inner dimension of 1
+        coefs = _interleaved(float(ch.m == m) * axial[:, ch.p_indices])
+        values = np.dot(kernel.matrix @ radial, coefs).view(complex).T
+        yield ChannelBlock(ch.m, ch.p_indices, ch.quad, values)
 
 
 def full_forward(
@@ -817,19 +649,19 @@ def full_forward(
     r_rule is a (nodes, weights) Gauss rule on the field's radial support
     (ConfigurationError unless it is a radial rule, _radial_rule); E_max
     applies to every channel (special.energy_cap(b) caps it for support right
-    edge b); ConfigurationError if M_max >= n_phi / 2 of the reduction grid.
-    The blocks, one per (mode, theta group), and the reduction matrices come
-    from the cached channel plan, so a repeated signature builds no spectral
-    grid and no phase matrix; blocks of two forwards with one signature share
-    their quad and p_indices objects.  The blocks are those of
-    _forward_blocks, the one forward path, all kept: a factored field's block
-    meets its extension's kernel in k real columns, a sampled field's block is
-    the kernel times the group's weighted reduced columns.  hamiltonian_defect
+    edge b).  ConfigurationError for a field without factors, raised before
+    any plan or kernel is built.  The blocks, one per (mode, theta group),
+    and the axial matrix come from the cached channel plan, so a repeated
+    signature builds no spectral grid and no phase matrix; blocks of two
+    forwards with one signature share their quad and p_indices objects.  The
+    blocks are those of _forward_blocks, the one forward path, all kept:
+    each meets its extension's kernel in k real columns.  hamiltonian_defect
     and symmetry_defect run the same blocks and keep none of them.
     """
     r, wr = _radial_rule(r_rule)
+    factors = _factors(field, r, reduction.x3_nodes)
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
-    return Coefficients3D(spec.phi, grid, list(_forward_blocks(plan, field, r, wr, reduction)))
+    return Coefficients3D(spec.phi, grid, list(_forward_blocks(plan, factors, r, wr)))
 
 
 def _scaled(coeffs: Coefficients3D, factor) -> Coefficients3D:
@@ -908,9 +740,10 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
     """measure(gap) for each block of field's forward, gap = the block minus
     factor(base block, its p nodes) * base block, one block at a time.
 
-    base's grid is checked against the forward's channel plan first
-    (ConfigurationError naming caller, _check_one_grid), before any block is
-    computed.  Each gap is formed in place in the forward's block, and the
+    A field without factors is a ConfigurationError, raised before any plan
+    or kernel is built; then base's grid is checked against the forward's
+    channel plan (ConfigurationError naming caller, _check_one_grid), before
+    any block is computed.  Each gap is formed in place in the forward's block, and the
     block is measured and dropped before the next one is computed.  A real
     factor (H's p**2 + E) scales the real and imaginary parts of the base
     block apart, with the bits of the complex product: cast to complex, it
@@ -920,6 +753,7 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
     in per call.  The factor comes in the block's memory order (F, _energy):
     against a C-ordered one each step took 229 us, not 57 us, a block."""
     r, wr = _radial_rule(r_rule)
+    factors = _factors(field, r, reduction.x3_nodes)
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
     _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, plan.channels))
 
@@ -932,7 +766,7 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
             blk.values -= scale * ref.values
         return measure(blk)
 
-    return map(gap, _forward_blocks(plan, field, r, wr, reduction), base.blocks)
+    return map(gap, _forward_blocks(plan, factors, r, wr), base.blocks)
 
 
 def hamiltonian_defect(

@@ -352,7 +352,9 @@ def _3d_defects(config: SuiteConfig, phi: float):
     against one forward transform of it.  The H image and the moved fields
     are streamed against it block by block (hamiltonian_defect,
     symmetry_defect).  The maxima are taken by np.max, which keeps a NaN
-    where Python's max would drop it."""
+    where Python's max would drop it.  A library field hands its exact mode,
+    so every block of another mode is exactly 0 and the selectivity reads
+    0.0: a regression check of that exactness."""
     spec, fld, grid, red, r_rule = _3d_setup(config, phi)
     e_max = config.e_cap
     base = ab3d.full_forward(spec, fld, grid, r_rule, red, e_max)

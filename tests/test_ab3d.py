@@ -21,8 +21,6 @@ from ab_spectral.ab3d import (
     ThetaSpec,
     TransformedField,
     _channel_plan,
-    _reduce,
-    _reduction,
     _theta_groups,
     apply_H,
     bound_state_table,
@@ -143,11 +141,9 @@ class TestGrids:
             lambda: ModeGrid(2.5, *P_RULE),
             lambda: ModeGrid(3, P_RULE[0][None, :], P_RULE[1][None, :]),  # 2-D
             lambda: ModeGrid(3, P_RULE[0], np.where(np.arange(32) == 0, math.inf, P_RULE[1])),
-            lambda: ReductionGrid(0, *X3_RULE),
-            lambda: ReductionGrid(16.0, *X3_RULE),
-            lambda: ReductionGrid(16, X3_RULE[0], -X3_RULE[1]),
-            lambda: ReductionGrid(16, X3_RULE[0][:-1], X3_RULE[1]),
-            lambda: ReductionGrid(16, NAN_NODE, X3_RULE[1]),
+            lambda: ReductionGrid(X3_RULE[0], -X3_RULE[1]),
+            lambda: ReductionGrid(X3_RULE[0][:-1], X3_RULE[1]),
+            lambda: ReductionGrid(NAN_NODE, X3_RULE[1]),
             lambda: PiecewiseTheta((math.nan,), (1.0, 1.3)),
             lambda: PiecewiseTheta((0.0,), (1.0, math.inf)),
             lambda: ThetaSpec.constant(math.nan, 1.0),
@@ -158,7 +154,7 @@ class TestGrids:
         ],
         ids=[
             "p-lengths", "p-nan-node", "m-max-float", "p-2d", "p-inf-weight",
-            "n-phi-0", "n-phi-float", "x3-negative-weights", "x3-lengths", "x3-nan-node",
+            "x3-negative-weights", "x3-lengths", "x3-nan-node",
             "theta-nan-break", "theta-inf-value", "phi-nan", "phi-inf",
             "field-m-half", "moved-alpha-nan", "moved-beta-inf",
         ],
@@ -197,180 +193,70 @@ def make_field(m=0):
     )
 
 
+#: The oracle's angle grid: 128 uniform angles resolve the modes |m| < 64.
+N_ANGLES = 128
+ANGLES = 2.0 * math.pi * np.arange(N_ANGLES) / N_ANGLES
+
+
+def whole_tensor(field, r, x3):
+    """Phi(r_i, angle_j, x3_k) sampled at once over the oracle's angles,
+    shape (n_r, N_ANGLES, n_x3)."""
+    return np.asarray(
+        field(np.asarray(r)[:, None, None], ANGLES[None, :, None], np.asarray(x3)[None, None, :]),
+        dtype=complex,
+    )
+
+
+def oracle_reduction(field, r, modes, p, grid):
+    """reduced(m, p | r) / sqrt(r) from the field's samples, independent of its
+    factors: an FFT over the angles, then the x3 quadrature of e^{-i p x3};
+    shape (n_r, len(modes), len(p))."""
+    spectrum = np.fft.fft(whole_tensor(field, r, grid.x3_nodes), axis=1) / N_ANGLES
+    phases = np.exp(-1j * np.outer(p, grid.x3_nodes)) * grid.x3_weights
+    return spectrum[:, [m % N_ANGLES for m in modes], :] @ phases.T
+
+
+def oracle_norm_sq(field, r_rule, grid):
+    """||Phi||^2 by tensor quadrature of the samples: r dr x dangle x dx3."""
+    r, wr = r_rule
+    per_r = np.sum(np.abs(whole_tensor(field, r, grid.x3_nodes)) ** 2 @ grid.x3_weights, axis=1)
+    return float(np.sum(wr * r * per_r)) * 2.0 * math.pi / N_ANGLES
+
+
 class TestReduction:
     def test_separable_reduction_closed_form(self):
         # reducing r**-1/2 psi(r) chi(x3) e^{i m a} at channel (m, p) gives
-        # exactly chi_hat(p) psi(r); other modes vanish
+        # exactly chi_hat(p) psi(r); other modes are exactly 0
         field = make_field(m=1)
-        grid = ReductionGrid.build(CHI.support, n_x3=96, n_phi=64)
+        grid = ReductionGrid.build(CHI.support, n_x3=96)
         r = np.linspace(0.6, 2.9, 12)
         p = 1.3
         hit = radial_reduce(field, ChannelIndex(1, p), r, grid)
         expected = complex(CHI.fourier(p)) * PSI(r)
         assert np.max(np.abs(hit.values - expected)) < 1e-10
         miss = radial_reduce(field, ChannelIndex(0, p), r, grid)
-        assert np.max(np.abs(miss.values)) < 1e-13
+        assert np.all(miss.values == 0.0)
 
     def test_field_norm_separates(self):
         # ||Phi||^2 = 2 pi ||psi||^2 ||chi||^2 for the separable family
         field = make_field(m=2)
-        grid = ReductionGrid.build(CHI.support, n_x3=96, n_phi=64)
+        grid = ReductionGrid.build(CHI.support, n_x3=96)
         r_rule = gauss_legendre(PSI.a, PSI.b, 64)
         x, w = gauss_legendre(*CHI.support, 96)
         psi_norm = float(np.sum(gauss_legendre(PSI.a, PSI.b, 64)[1] * PSI(r_rule[0]) ** 2))
         chi_norm = float(np.sum(w * CHI(x) ** 2))
         expected = 2.0 * math.pi * psi_norm * chi_norm
         assert field_norm_sq(field, r_rule, grid) == pytest.approx(expected, rel=1e-10)
-
-
-    def test_kept_modes_match_the_fft_with_its_aliasing(self):
-        """n_phi = 16 angles resolve |m| <= 7: every reduction path accepts
-        those, as the columns of a length-16 FFT, and raises at |m| = 8, where
-        the FFT aliases: e^{-8i a_j} = e^{8i a_j} = (-1)^j makes modes 8 and
-        -8 one column."""
-        field = TransformedField(make_field(m=3), 0.7, 0.2)
-        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=16)
-        r = np.linspace(0.6, 2.9, 9)
-        modes = list(range(-7, 8))
-        p = np.array([-1.1, 0.0, 0.4, 2.5])
-        tensor = whole_tensor(field, r, grid)
-        spectrum = np.fft.fft(tensor, axis=1)[:, [m % grid.n_phi for m in modes], :] / grid.n_phi
-        phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
-        expected = np.einsum("imk,pk->imp", spectrum, phases)
-        got = _reduce(field, r, grid, _reduction(grid, modes, p))
-        assert got.shape == (len(r), len(modes), len(p))
-        peak = np.max(np.abs(expected))
-        assert peak > 0.1
-        assert np.max(np.abs(got - expected)) <= 1e-14 * peak
-        assert np.max(np.abs(got[:, modes.index(4)])) <= 1e-14 * peak
-        hit = radial_reduce(field, ChannelIndex(-7, 0.4), r, grid).values
-        assert np.max(np.abs(hit - np.sqrt(r) * expected[:, 0, 2])) <= 1e-14 * peak
-        spec, _, _, r_rule = small_setup()
-        full_forward(spec, make_field(m=0), ModeGrid.build(7, 5.0, 8), r_rule, grid, 10.0)
-        for m in (8, -8):
-            with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
-                _reduce(field, r, grid, _reduction(grid, [*modes, m], p))
-            with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
-                radial_reduce(field, ChannelIndex(m, 0.4), r, grid)
-        with pytest.raises(ConfigurationError, match="n_phi/2 = 8"):
-            full_forward(spec, make_field(m=0), ModeGrid.build(8, 5.0, 8), r_rule, grid, 10.0)
-
-    @pytest.mark.parametrize("M_max,n_phi", [(0, 128), (0, 16), (20, 128), (20, 16)])
-    def test_the_folded_dft_is_the_complex_dft(self, n_phi, M_max):
-        """The real cos and sin rows, combined as C - i sgn(m) S per mode, give
-        the complex DFT over the kept modes; at M_max = 0 there is one cos row
-        and no sin row. Past |m| = n_phi/2 - 1 the modes are kept up to that
-        order and the full range 0..M_max is rejected."""
-        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=n_phi)
-        moved = [TransformedField(make_field(m=m), 0.7, 0.2) for m in (0, 3, -5)]
-
-        def field(r, angle, x3):
-            return sum(f(r, angle, x3) for f in moved)
-
-        r = np.linspace(0.6, 2.9, 9)
-        kept = min(M_max, n_phi // 2 - 1)
-        modes = list(range(-kept, kept + 1))
-        p = np.array([-1.1, 0.0, 0.4, 2.5])
-        dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n_phi)) % n_phi]) / n_phi
-        phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
-        expected = (dft @ whole_tensor(field, r, grid)) @ phases.T
-        got = _reduce(field, r, grid, _reduction(grid, modes, p))
-        assert got.shape == expected.shape
-        peak = np.max(np.abs(expected))
-        assert peak > 1.0
-        assert np.max(np.abs(got - expected)) <= 1e-15 * peak
-        assert _reduction(grid, modes, p).rows.shape == (1 + 2 * kept, n_phi)
-        if kept < M_max:
-            with pytest.raises(ConfigurationError, match=f"n_phi/2 = {n_phi // 2}"):
-                _reduction(grid, list(range(-M_max, M_max + 1)), p)
-
-    def test_one_channel_folds_to_two_rows(self):
-        grid = ReductionGrid.build(CHI.support, n_x3=16, n_phi=32)
-        assert ab3d._reduction(grid, [-3], [0.4]).rows.shape == (2, 32)
-        maps = ab3d._reduction(grid, [0], [0.4])
-        assert maps.rows.shape == (1, 32) and maps.sines == ()
+        assert field_norm_sq(field, (np.zeros(0), np.zeros(0)), grid) == 0.0
 
     def test_an_empty_r_grid_has_no_radial_function(self):
-        grid = ReductionGrid.build(CHI.support, n_x3=16, n_phi=32)
+        grid = ReductionGrid.build(CHI.support, n_x3=16)
         with pytest.raises(DomainError, match="at least 8"):
             radial_reduce(make_field(m=1), ChannelIndex(1, 0.4), np.zeros(0), grid)
 
-    def test_node_by_node_equals_the_whole_tensor(self, monkeypatch):
-        """The reduction samples a field without mode factors (here a plain
-        callable, as CountingField is) a block of r nodes at a time (12 at
-        this grid and SAMPLE_BLOCK_BYTES, so 20 nodes end in a block of 8); at
-        20, 1 and 0 nodes its channel values and the norm must be bit for bit
-        the same folded DFT, axial matmul and per-mode combination applied to
-        the whole (n_r, n_phi, n_x3) tensor, at the module's block size and at
-        blocks of 3 and 6 nodes."""
-        field = CountingField(TransformedField(make_field(m=1), 0.7, 0.2))
-        grid = ReductionGrid.build((-2.0, 2.5))
-        modes, p = [-2, 1, 5], np.array([-0.9, 0.4])
-        n, j = grid.n_phi, np.arange(grid.n_phi)
-
-        def reduce_whole(tensor, modes, p):
-            # real cos rows of |m| (the modes are all nonzero), then sin rows
-            orders = sorted({abs(m) for m in modes})
-            rows = np.concatenate(
-                (np.cos(grid.angles[np.outer(orders, j) % n]),
-                 np.sin(grid.angles[np.outer(orders, j) % n]))
-            ) / n
-            floats = np.ascontiguousarray(tensor).view(float)
-            folded = (rows @ floats).view(complex)  # one broadcast matmul
-            axial = np.exp(-1j * np.outer(p, grid.x3_nodes)) * grid.x3_weights
-            flat = folded.reshape(-1, len(grid.x3_nodes)) @ axial.T
-            summed = flat.reshape(len(tensor), len(rows), len(p))
-            out = summed[:, [orders.index(abs(m)) for m in modes]]
-            for i, m in enumerate(modes):  # C - i sgn(m) S
-                sin = summed[:, len(orders) + orders.index(abs(m))]
-                out[:, i] += (-1j if m > 0 else 1j) * sin
-            return out
-
-        sizes = (ab3d.SAMPLE_BLOCK_BYTES, 600_000, 1_200_000)
-        for block_bytes, n_r in itertools.product(sizes, (20, 1, 0)):
-            monkeypatch.setattr(ab3d, "SAMPLE_BLOCK_BYTES", block_bytes)
-            r, wr = (a[:n_r] for a in gauss_legendre(PSI.a, PSI.b, 20))
-            tensor = whole_tensor(field, r, grid)
-            got = _reduce(field, r, grid, _reduction(grid, modes, p))
-            assert got.shape == (n_r, 3, 2)
-            assert got.tobytes() == reduce_whole(tensor, modes, p).tobytes()
-            for m in (-2, 1) if n_r >= 8 else ():  # a RadialFunction needs 8 nodes
-                values = np.sqrt(r) * reduce_whole(tensor, [m], [0.4])[:, 0, 0]
-                got = radial_reduce(field, ChannelIndex(m, 0.4), r, grid).values
-                assert got.tobytes() == values.tobytes()
-            squares = np.square(np.ascontiguousarray(tensor).view(float))
-            per_r = np.sum(squares @ np.repeat(grid.x3_weights, 2), axis=1)
-            per_r = per_r * (2 * math.pi / grid.n_phi)
-            assert field_norm_sq(field, (r, wr), grid) == float(np.sum(wr * r * per_r))
-
-    @pytest.mark.parametrize(
-        "n_phi,n_x3,n_r,calls",
-        [
-            (128, 96, 20, 2),  # 12 nodes (2.36 MB) per block, then a block of 8
-            (128, 96, 3, 1),
-            (128, 96, 1, 1),
-            (32, 48, 20, 1),  # 97 nodes fit in a block
-            (128, 1200, 5, 5),  # a node is 2.46 MB: one per block
-        ],
-    )
-    def test_the_field_is_called_once_per_block(self, n_phi, n_x3, n_r, calls):
-        """A plain callable, and a TransformedField of one, is sampled once per
-        block of r nodes."""
-        spec, grid, _, _ = small_setup()
-        reduction = ReductionGrid.build(CHI.support, n_x3=n_x3, n_phi=n_phi)
-        r_rule = gauss_legendre(PSI.a, PSI.b, n_r)
-        counted = CountingField(make_field(m=0))
-        for field in (counted, TransformedField(counted, 0.7, 0.2)):
-            counted.calls = 0
-            full_forward(spec, field, grid, r_rule, reduction, 10.0)
-            assert counted.calls == calls
-            counted.calls = 0
-            field_norm_sq(field, r_rule, reduction)
-            assert counted.calls == calls
-
     def test_a_library_field_is_never_sampled(self, monkeypatch):
         """SeparableField, FieldSum and a TransformedField of either are reduced
-        and normed from their mode factors: no call of any of them."""
+        and normed from their factors: no call of any of them."""
         called = []
         for cls in (SeparableField, FieldSum, TransformedField):
             monkeypatch.setattr(cls, "__call__", lambda self, *args: called.append(self))
@@ -383,15 +269,16 @@ class TestReduction:
             field_norm_sq(field, r_rule, reduction)
         assert called == []
 
-    @pytest.mark.parametrize("kind", ["m=-3", "m=0", "m=2", "image", "complex"])
+    @pytest.mark.parametrize("kind", ["m=-3", "m=-1", "m=0", "m=2", "image", "complex"])
     @pytest.mark.parametrize("moved", [False, True])
     def test_mode_factors_reduce_as_the_whole_tensor(self, kind, moved):
-        """The reduction from a library field's mode factors, contracted as
-        c_m (R @ X_hat), and the norm from them agree with the complex DFT,
-        axial sum and tensor quadrature of its whole sample tensor within
-        1e-15 of their peak."""
+        """A library field's factors (m, R, X) give its samples, R @ X times
+        e^{i m a}; radial_reduce and field_norm_sq from them agree with the
+        FFT, axial sum and tensor quadrature of its whole sample tensor within
+        1e-15 of their peak, and every other mode's reduction is exactly 0."""
         field = {
             "m=-3": make_field(m=-3),
+            "m=-1": make_field(m=-1),
             "m=0": make_field(m=0),
             "m=2": make_field(m=2),
             "image": make_field(m=2).hamiltonian_image(PHI),
@@ -401,52 +288,31 @@ class TestReduction:
         }[kind]
         if moved:
             field = TransformedField(field, 0.7, 0.2)
-        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40, n_phi=32)
+        grid = ReductionGrid.build((-2.0, 2.5), n_x3=40)
         r, wr = gauss_legendre(PSI.a, PSI.b, 9)
         modes, p = list(range(-5, 6)), np.array([-1.1, 0.0, 0.4, 2.5])
-        n = grid.n_phi
-        tensor = whole_tensor(field, r, grid)
-        dft = np.exp(-1j * grid.angles[np.outer(modes, np.arange(n)) % n]) / n
-        phases = np.exp(-1j * p[:, None] * grid.x3_nodes[None, :]) * grid.x3_weights[None, :]
-        expected = (dft @ tensor) @ phases.T
-        c, radial, axial = ab3d._factors(field, r, grid, _reduction(grid, modes, p))
-        assert radial.shape == (len(r), axial.shape[0]) and axial.shape[1] == len(p)
-        got = np.einsum("m,ik,kp->imp", c, radial, axial)
-        assert got.shape == expected.shape
+        tensor = whole_tensor(field, r, grid.x3_nodes)
+        m, radial, axial = field.factors(r, grid.x3_nodes)
+        assert radial.shape == (len(r), axial.shape[0]) and axial.shape[1] == len(grid.x3_nodes)
+        samples = (radial @ axial)[:, None, :] * np.exp(1j * m * ANGLES)[None, :, None]
+        assert np.max(np.abs(samples - tensor)) <= 1e-14 * np.max(np.abs(tensor))
+        expected = oracle_reduction(field, r, modes, p, grid)
         peak = np.max(np.abs(expected))
         assert peak > 0.1
-        assert np.max(np.abs(got - expected)) <= 1e-15 * peak
-        per_r = np.abs(tensor) ** 2 @ grid.x3_weights
-        norm = float(np.sum(wr * r * np.sum(per_r, axis=1))) * 2 * math.pi / n
+        for (i, mode), (j, pj) in itertools.product(enumerate(modes), enumerate(p)):
+            got = radial_reduce(field, ChannelIndex(mode, pj), r, grid).values / np.sqrt(r)
+            if mode == m:
+                assert np.max(np.abs(got - expected[:, i, j])) <= 1e-15 * peak
+            else:
+                assert np.all(got == 0.0)
+                assert np.max(np.abs(expected[:, i, j])) <= 1e-15 * peak
+        norm = oracle_norm_sq(field, (r, wr), grid)
         assert abs(field_norm_sq(field, (r, wr), grid) - norm) <= 1e-15 * norm
-
-    def test_samples_are_broadcast_to_the_block(self):
-        """A plain callable whose values do not vary with r or the angle is
-        sampled at every node: its forward and norm have the bits of the same
-        field written out at every (r, angle, x3)."""
-        def flat(r, angle, x3):
-            return np.exp(-np.square(x3 - 0.3))
-
-        def full(r, angle, x3):
-            return flat(r, angle, x3) + 0.0 * (r + angle)
-
-        spec, grid, reduction, r_rule = small_setup()
-        norms = [field_norm_sq(f, r_rule, reduction) for f in (flat, full)]
-        assert norms[0] == norms[1] > 0.0
-        forwards = [full_forward(spec, f, grid, r_rule, reduction, 10.0) for f in (flat, full)]
-        for blk_flat, blk_full in zip(*(c.blocks for c in forwards)):
-            assert blk_flat.values.tobytes() == blk_full.values.tobytes()
-
-    def test_an_empty_r_grid_is_one_empty_block(self):
-        field = CountingField(make_field(m=0))
-        reduction = ReductionGrid.build(CHI.support)
-        assert field_norm_sq(field, (np.zeros(0), np.zeros(0)), reduction) == 0.0
-        assert field.calls == 1
 
 
 class CountingField:
-    """A field that counts the calls made to it.  It has no mode factors, so
-    the reduction samples it; its H image is sampled too."""
+    """A plain callable field that counts the calls made to it.  It has no
+    factors, so the reduction refuses it; its H image is another one."""
 
     def __init__(self, field):
         self.field = field
@@ -460,12 +326,52 @@ class CountingField:
         return CountingField(self.field.hamiltonian_image(phi))
 
 
-def whole_tensor(field, r, grid):
-    """Phi(r_i, angle_j, x3_k) sampled at once, shape (n_r, n_phi, n_x3)."""
-    return np.asarray(
-        field(r[:, None, None], grid.angles[None, :, None], grid.x3_nodes[None, None, :]),
-        dtype=complex,
-    )
+class TestFieldProtocol:
+    """A 3D field hands its exact factors (m, R, X); one without them, a
+    plain callable or a TransformedField of one, is refused."""
+
+    @staticmethod
+    def misses():
+        caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
+        return [cache.cache_info().misses for cache in caches]
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["callable", "moved-callable"])
+    def test_a_field_without_factors_is_refused_before_any_build(self, moved):
+        """full_forward, field_norm_sq, radial_reduce, hamiltonian_defect and
+        symmetry_defect raise ConfigurationError before any kernel, Bessel pair
+        or channel plan is built, and without calling the field."""
+        spec, grid, reduction, r_rule = small_setup()
+        base = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
+        counted = CountingField(make_field(m=0))
+        fields = [counted, lambda r, angle, x3: make_field(m=0)(r, angle, x3)]
+        if moved:
+            fields = [TransformedField(f, 0.7, 0.2) for f in fields]
+        for cache in (transform._build_kernel, transform._cached_pair, ab3d._cached_plan):
+            cache.cache_clear()  # so that anything built now is a miss
+        before = self.misses()
+        args = (grid, r_rule, reduction, 10.0)
+        for field in fields:
+            for call in (
+                lambda: full_forward(spec, field, *args),
+                lambda: field_norm_sq(field, r_rule, reduction),
+                lambda: radial_reduce(field, ChannelIndex(0, 0.4), r_rule[0], reduction),
+                lambda: hamiltonian_defect(spec, field, *args, base=base),
+                lambda: symmetry_defect(spec, field, 0.7, 1.3, *args, base=base),
+            ):
+                with pytest.raises(ConfigurationError, match="factors|hamiltonian_image"):
+                    call()
+        assert self.misses() == before
+        assert counted.calls == 0
+
+    def test_a_transformed_field_has_the_exact_phase(self):
+        """TransformedField's factors are the field's at x3 - beta, X times
+        e^{-i m alpha}: bit for bit that product."""
+        field = make_field(m=3).hamiltonian_image(PHI)
+        r, x3 = gauss_legendre(PSI.a, PSI.b, 9)[0], X3_RULE[0]
+        m, radial, axial = TransformedField(field, 0.7, 0.2).factors(r, x3)
+        m0, radial0, axial0 = field.factors(r, x3 - 0.2)
+        assert m == m0 == 3 and radial.tobytes() == radial0.tobytes()
+        assert axial.tobytes() == (axial0 * np.exp(-3j * 0.7)).tobytes()
 
 
 class TestThetaGroups:
@@ -513,7 +419,7 @@ class TestThetaGroups:
 def small_setup(theta=1.0):
     spec = ThetaSpec.constant(PHI, theta)
     grid = ModeGrid.build(1, 5.0, 16)
-    reduction = ReductionGrid.build(CHI.support, n_x3=64, n_phi=64)
+    reduction = ReductionGrid.build(CHI.support, n_x3=64)
     r_rule = gauss_legendre(PSI.a, PSI.b, 48)
     return spec, grid, reduction, r_rule
 
@@ -536,7 +442,7 @@ class TestFullForward:
         # leaves a ~5e-4 truncation deficit in the |chi_hat|^2 integral
         spec = ThetaSpec.constant(PHI, 1.0)
         grid = ModeGrid.build(1, 8.0, 64)
-        reduction = ReductionGrid.build(CHI.support, n_x3=96, n_phi=64)
+        reduction = ReductionGrid.build(CHI.support, n_x3=96)
         r_rule = gauss_legendre(PSI.a, PSI.b, 48)
         field = make_field(m=0)
         coeffs = full_forward(spec, field, grid, r_rule, reduction, 250.0, 32)
@@ -665,7 +571,9 @@ R_RULE = gauss_legendre(PSI.a, PSI.b, 16)
 
 class TestRadialRule:
     """full_forward, field_norm_sq and radial_reduce take one radial rule:
-    1-D nodes and weights of one length, all finite, with r > 0 and w > 0."""
+    1-D nodes and weights of one length, all finite, with r > 0 and w > 0.
+    The rule is checked first: a plain callable, which the reduction would
+    refuse for its missing factors, is told of the rule, as a library field is."""
 
     @pytest.mark.parametrize(
         "rule",
@@ -700,24 +608,16 @@ class TestRadialRule:
 
 
 def dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max):
-    """full_forward's block values through the whole reduced array: the field's
-    (r, x3) profile through the axial phases, times each mode's folded
-    phase-row sum, weighted by sqrt(r) w_r, and each block its dense kernel
-    matrix times the group's (n_r, n_group) columns."""
-    base, alpha, beta = field, 0.0, 0.0
-    if isinstance(field, TransformedField):
-        base, alpha, beta = field.field, field.alpha, field.beta
+    """full_forward's block values through the whole reduced array of the
+    sample oracle (oracle_reduction), weighted by sqrt(r) w_r: each block its
+    dense kernel matrix times the group's (n_r, n_group) columns."""
     r, wr = r_rule
     plan = _channel_plan(spec, grid, reduction, e_max, 16)
-    maps = plan.reduction
-    phase = np.exp(1j * base.m * (reduction.angles - alpha))
-    folded = (maps.rows @ np.stack((phase.real, phase.imag), axis=1)).view(complex)
-    profile = base._profile(r[:, None], (reduction.x3_nodes - beta)[None, :])
-    weighted = (profile @ maps.axial.T)[:, None, :] * ab3d._per_mode(folded[None], maps)
+    weighted = oracle_reduction(field, r, list(grid.modes), grid.p_nodes, reduction)
     weighted *= (np.sqrt(r) * wr)[:, None, None]
     return [
         (transform.kernel_matrix(ch.params, ch.quad, r).matrix
-         @ weighted[:, ch.mode, ch.p_indices]).T
+         @ weighted[:, ch.m + grid.M_max, ch.p_indices]).T
         for ch in plan.channels
     ]
 
@@ -726,11 +626,14 @@ class TestFactoredForward:
     @pytest.mark.parametrize("M_max", [3, 30])
     @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6])
     def test_the_factored_forward_is_the_dense_one(self, phi, M_max):
-        """Every block of a library field's forward, one kernel matvec with its
-        radial factors, equals the dense kernel product with the whole reduced
-        array within 2e-15 of the coefficient set's peak: field modes -1, 0
-        and 2, the base field, its H image and a moved copy, theta piecewise
-        in p on m = 0, and a complex psi."""
+        """Every block of a library field's mode, one kernel matvec with its
+        radial factors, equals the dense kernel product with the sample
+        oracle's whole reduced array within 2e-15 of the coefficient set's
+        peak, and a block of any other mode is exactly 0 (the oracle's FFT
+        leaks about 1e-17 of the peak there, which the kappa = -0.999999
+        kernel at phi = 1e-6 raises to 1e-10): field modes -1, 0 and 2, their
+        H images and moved copies of all six, theta piecewise in p on m = 0,
+        and a complex psi."""
         spec = ThetaSpec(phi, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
         grid = ModeGrid.build(M_max, 8.0, 64)
         reduction = ReductionGrid.build(CHI.support)
@@ -738,7 +641,7 @@ class TestFactoredForward:
         e_max = 2500.0 / PSI.b**2
         fields = [make_field(m=m) for m in (-1, 0, 2)]
         fields += [f.hamiltonian_image(phi) for f in fields]
-        fields += [TransformedField(f, 0.7, 1.3) for f in fields[:3]]
+        fields += [TransformedField(f, 0.7, 1.3) for f in fields]
         fields.append(SeparableField(
             lambda r: PSI(r) * np.exp(0.8j * r), CHI, 2, (PSI.a, PSI.b), CHI.support
         ))
@@ -748,9 +651,13 @@ class TestFactoredForward:
             peak = max(np.max(np.abs(values)) for values in expected)
             assert peak > 1e-3
             assert len(got.blocks) == len(expected)
+            m = field.factors(r_rule[0], reduction.x3_nodes)[0]
             for blk, values in zip(got.blocks, expected):
                 assert blk.values.shape == values.shape
-                assert np.max(np.abs(blk.values - values)) <= 2e-15 * peak
+                if blk.m == m:
+                    assert np.max(np.abs(blk.values - values)) <= 2e-15 * peak
+                else:
+                    assert not blk.values.any()
 
 
 def piecewise_setup(theta_above=1.3):
@@ -768,7 +675,7 @@ class TestChannelPlan:
     def test_a_warm_forward_builds_no_spectral_grid(self, monkeypatch):
         spec, grid, reduction, r_rule = piecewise_setup()
         built, original = [], ab3d.discretize
-        matrices, original_matrices = [], ab3d._reduction
+        matrices, original_matrices = [], ab3d._axial
 
         def discretize(*args):
             built.append(args)
@@ -779,7 +686,7 @@ class TestChannelPlan:
             return original_matrices(*args)
 
         monkeypatch.setattr(ab3d, "discretize", discretize)
-        monkeypatch.setattr(ab3d, "_reduction", reduction_matrices)
+        monkeypatch.setattr(ab3d, "_axial", reduction_matrices)
         ab3d._cached_plan.cache_clear()
         cold = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
         assert len(built) == len(cold.blocks) == 4  # m = -1, two pieces of m = 0, m = 1
@@ -799,13 +706,8 @@ class TestChannelPlan:
             "node_budget": (spec, grid, red, 10.0, 17),
             "p grid": (spec, ModeGrid.build(1, 5.0 * (1 + 2**-52), 16), red, 10.0, 16),
             "phi": (ThetaSpec(0.25, spec.entries), grid, red, 10.0, 16),
-            "n_phi": (spec, grid, ReductionGrid(red.n_phi + 1, x3, w3), 10.0, 16),
-            "x3 nodes": (
-                spec, grid, ReductionGrid(red.n_phi, np.nextafter(x3, np.inf), w3), 10.0, 16
-            ),
-            "x3 weights": (
-                spec, grid, ReductionGrid(red.n_phi, x3, np.nextafter(w3, np.inf)), 10.0, 16
-            ),
+            "x3 nodes": (spec, grid, ReductionGrid(np.nextafter(x3, np.inf), w3), 10.0, 16),
+            "x3 weights": (spec, grid, ReductionGrid(x3, np.nextafter(w3, np.inf)), 10.0, 16),
         }
         _channel_plan(*base)
         for name, args in variants.items():
@@ -836,10 +738,8 @@ class TestChannelPlan:
         assert [(ch.m, ch.params.theta) for ch in plan.channels] == [
             (-1, 1.0), (0, 1.0), (0, 1.3), (1, 0.0)
         ]
-        maps = plan.reduction
-        assert maps.rows.shape == (3, red.n_phi)  # cos rows of 0 and 1, a sin row of 1
-        assert maps.axial.shape == (len(grid.p_nodes), len(red.x3_nodes))
-        parts = [maps.rows, maps.cos_rows, maps.axial]
+        assert plan.axial.shape == (len(grid.p_nodes), len(red.x3_nodes))
+        parts = [plan.axial]
         for ch in plan.channels:
             quad = ch.quad
             parts += [ch.p_indices, quad.e_nodes, quad.e_weights, quad.nodes, quad.weights]
@@ -862,9 +762,9 @@ class TestChannelPlan:
 class TestFieldSum:
     def test_equals_the_sum_of_its_terms(self):
         image = make_field(m=2).hamiltonian_image(PHI)
-        grid = ReductionGrid.build(CHI.support, n_x3=24, n_phi=16)
+        grid = ReductionGrid.build(CHI.support, n_x3=24)
         r = np.linspace(0.6, 2.9, 5)[:, None, None]
-        angle, x3 = grid.angles[None, :, None], grid.x3_nodes[None, None, :]
+        angle, x3 = ANGLES[None, ::8, None], grid.x3_nodes[None, None, :]
         got = image(r, angle, x3)
         want = image.terms[0](r, angle, x3) + image.terms[1](r, angle, x3)
         assert got.shape == want.shape == (5, 16, 24)
@@ -894,9 +794,9 @@ class TestModeSamples:
     profile * e^{i m a}, on every shape of its arguments."""
 
     def layout(self):
-        grid = ReductionGrid.build(CHI.support, n_x3=40, n_phi=32)
+        grid = ReductionGrid.build(CHI.support, n_x3=40)
         r = gauss_legendre(PSI.a, PSI.b, 5)[0]
-        return r[:, None, None], grid.angles[None, :, None], grid.x3_nodes[None, None, :]
+        return r[:, None, None], ANGLES[None, ::4, None], grid.x3_nodes[None, None, :]
 
     @staticmethod
     def assert_same_floats(got, want):
@@ -1051,13 +951,15 @@ class TestStreamedDefects:
         spec = ThetaSpec(phi, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
         return spec, ModeGrid.build(3, 8.0, 32), reduction, r_rule
 
-    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("off_critical", [False, True])
     @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6])
-    def test_the_streamed_defects_are_the_whole_set_ones(self, phi, sampled):
+    def test_the_streamed_defects_are_the_whole_set_ones(self, phi, off_critical):
         """Within rounding of the distance between whole coefficient sets,
-        for the field's own base and for a base 0.1 % off it."""
+        for the field's own base and for a base 0.1 % off it: a field in the
+        critical mode 0 and one in mode 1, whose blocks take the |kappa| >= 1
+        kernel and leave the critical blocks exactly 0."""
         spec, grid, reduction, r_rule = self.setup(phi)
-        field = CountingField(make_field(m=0)) if sampled else make_field(m=0)
+        field = make_field(m=1 if off_critical else 0)
         args = (grid, r_rule, reduction, 100.0)
         base = full_forward(spec, field, *args)
         image = full_forward(spec, field.hamiltonian_image(phi), *args)
@@ -1082,12 +984,13 @@ class TestStreamedDefects:
         assert hamiltonian_defect(spec, field, *args, base=base) < 1e-6
         assert hamiltonian_defect(spec, field, *args, base=off) > 1e-4
 
-    @pytest.mark.parametrize("sampled", [False, True])
-    def test_the_multiplier_of_h_is_in_the_blocks_order(self, monkeypatch, sampled):
+    @pytest.mark.parametrize("off_critical", [False, True])
+    def test_the_multiplier_of_h_is_in_the_blocks_order(self, monkeypatch, off_critical):
         """_energy is p**2 + E to the bit, in each forward block's memory order,
-        and hamiltonian_defect reads the bits it read with a C-ordered one."""
+        and hamiltonian_defect reads the bits it read with a C-ordered one, for
+        a field in mode 0 and one in mode 1."""
         spec, grid, reduction, r_rule = self.setup(PHI)
-        field = CountingField(make_field(m=0)) if sampled else make_field(m=0)
+        field = make_field(m=1 if off_critical else 0)
         args = (grid, r_rule, reduction, 100.0)
         base = full_forward(spec, field, *args)
         for blk in base.blocks:
@@ -1125,8 +1028,7 @@ class TestStreamedDefects:
     def test_a_warm_call_holds_less_than_one_coefficient_set(self):
         """At the acceptance grid (7 blocks of 64 p nodes), a warm call's
         traced peak stays below the bytes of one coefficient set: no whole
-        set is formed.  A library field is not sampled; a sampled field
-        holds its SAMPLE_BLOCK_BYTES sample block by design."""
+        set is formed, and the field is never sampled."""
         spec = ThetaSpec.constant(PHI, 1.0)
         args = (
             ModeGrid.build(3, 8.0, 64), gauss_legendre(PSI.a, PSI.b, 64),

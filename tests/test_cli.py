@@ -396,12 +396,12 @@ class TestTransformCommand:
         assert not out.exists()
         assert f"bad [run] {key} " in capsys.readouterr().err
 
-    def test_3d_modes_past_the_angle_grid_are_a_usage_error(self, tmp_path, capsys):
-        # the default 128 reduction angles resolve |m| < 64 only
-        code, out = self._transform_3d(tmp_path, "m_max = 64")
-        assert code == EXIT_USAGE
-        assert not out.exists()
-        assert "|m| < n_phi/2 = 64" in capsys.readouterr().err
+    def test_3d_modes_past_64_are_transformed(self, tmp_path, capsys):
+        # the reduction samples no angle, so no angle grid bounds the modes
+        code, out = self._transform_3d(tmp_path, "m_max = 64\nfield_m = -64\nn_p = 2")
+        assert code == EXIT_OK
+        assert {line.split(",")[0] for line in out.read_text().split("\n")[1:] if line} == {"-64"}
+        assert "parseval_defect=" in capsys.readouterr().out
 
     def test_3d_csv_header(self, tmp_path, capsys):
         # at theta = pi/2 each critical mode has one atom per p node; the

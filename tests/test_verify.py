@@ -223,6 +223,22 @@ def test_near_integer_flux_passes_the_3d_checks(phi):
     assert parseval < 1e-7
 
 
+def test_selectivity_is_exactly_zero_at_both_default_rows():
+    """A library field hands its exact mode, so every block of another mode
+    is exactly 0: threed_selectivity is a regression check that reads 0.0 at
+    phi = 1/2 and 1e-6, not a measurement of rounding."""
+    results = [
+        result
+        for job in verify._build_jobs(SuiteConfig())
+        if job.checks[0][0].startswith("threed_")
+        for result in verify._run_job(job)
+        if result.check_id == "threed_selectivity"
+    ]
+    assert [(r.params, r.measured) for r in results] == [
+        ({"phi": 0.5}, 0.0), ({"phi": 1e-6}, 0.0)
+    ]
+
+
 class TestUnitarityJob:
     def test_the_chosen_cutoff_is_read_from_its_probe(self, monkeypatch):
         """The doubling rule starts at the cap, so it probes one spectral grid;
