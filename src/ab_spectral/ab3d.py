@@ -19,14 +19,17 @@ R (n_r, k) and axial factors X (k, n_x3), so that the field is
 sum_k R_k(r) X_k(x3) e^{i m a} on the r and x3 nodes (k = 2 for H Phi).
 SeparableField, FieldSum and a TransformedField of either have factors; a
 field without them is a ConfigurationError.  A field of mode m lives in mode
-m alone, so the angle integral is exact and no angle is sampled: one x3
-matmul takes X to X_hat = X @ (e^{-i p x3} w3).T (k, n_p), and each block of
-the forward is [m == block's mode] X_hat[:, group].T @ (K @ R_w).T: its
-extension's cached dense kernel K meets only the k weighted radial factors
-R_w = sqrt(r) w_r R, and the (n_r, n_modes, n_p) reduced array is never
-formed.  The blocks' modes, theta pieces, extensions and spectral grids,
-and the axial phases, form the forward's channel plan, built once per (phi,
-theta tables, M_max, p nodes, x3 rule, E_max, node_budget) and cached.
+m alone, so the angle integral is exact and no angle is sampled, and every
+other mode's coefficients are exactly 0: a coefficient set stores the
+blocks of mode m only, and a mode with no block is exactly 0.  One x3
+matmul takes X to X_hat = X @ (e^{-i p x3} w3).T (k, n_p), and each block
+of mode m is X_hat[:, group].T @ (K @ R_w).T: its extension's cached dense
+kernel K meets only the k weighted radial factors R_w = sqrt(r) w_r R, and
+the (n_r, n_modes, n_p) reduced array is never formed.  The channels of
+every mode (modes, theta pieces, extensions and spectral grids) and the
+axial phases form the forward's channel plan, built once per (phi, theta
+tables, M_max, p nodes, x3 rule, E_max, node_budget) and cached; a forward
+reads its field's mode's channels from it.
 Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
@@ -513,24 +516,27 @@ class ChannelBlock:
 
 @dataclass
 class Coefficients3D:
-    """Full forward transform of a field: blocks over (mode, theta-piece)."""
+    """Full forward transform of a field: blocks over (mode, theta-piece).
+
+    A forward stores the blocks of its field's mode alone; a mode of the
+    grid with no block is exactly 0 (its norm is 0.0)."""
 
     phi: float
     grid: ModeGrid
     blocks: list[ChannelBlock]
 
     def norm_sq(self, m: int | None = None) -> float:
-        """Squared norm of every block, or of mode m's blocks only;
-        ConfigurationError for an m outside grid.modes, whose channel the
-        truncation dropped: its norm is unknown, not 0."""
+        """Squared norm of every block, or of mode m's blocks only, a float
+        (0.0 for a mode with no block); ConfigurationError for an m outside
+        grid.modes, whose channel the truncation dropped: its norm is
+        unknown, not 0."""
         if m is not None and m not in self.grid.modes:
             raise ConfigurationError(
                 f"mode {m} is outside the truncation |m| <= M_max = {self.grid.M_max}"
             )
         return sum(
-            blk.norm_sq(self.grid.p_weights)
-            for blk in self.blocks
-            if m is None or blk.m == m
+            (blk.norm_sq(self.grid.p_weights) for blk in self.blocks if m is None or blk.m == m),
+            0.0,
         )
 
     def channel_norm_sq(self, m: int) -> float:
@@ -562,6 +568,12 @@ class _Plan(NamedTuple):
     axial: np.ndarray
 
 
+def _own(plan: _Plan, m) -> list[_Channel]:
+    """plan's channels of mode m, in plan order: the blocks a field of mode m
+    has; its coefficients in every other channel are exactly 0."""
+    return [ch for ch in plan.channels if ch.m == m]
+
+
 def _channel_plan(
     spec: ThetaSpec,
     grid: ModeGrid,
@@ -586,13 +598,16 @@ def _channel_plan(
 @functools.lru_cache(maxsize=4)
 def _cached_plan(key: _CacheKey) -> _Plan:
     """One plan per forward signature, its quadrature arrays, p indices and
-    axial matrix read-only; errors are never stored.  A forward reads the
-    axial matrix once, to take its k axial factors to X_hat.  Working sets
-    measured in plans: 1 for each of expansion_3d, its trimmed verify suite
-    and transform --mode 3d, 2 for the default verify suite (phi = 1/2 and
-    1e-6).  A plan's blocks hold about 110 KB at M_max = 3 (8 blocks) and
-    860 KB at M_max = 30 (62 blocks), and its axial matrix 98 KB (64 p
-    nodes by 96 x3 nodes), so about 210 KB and 960 KB: 4 kept."""
+    axial matrix read-only; errors are never stored.  A plan holds the
+    channels of every mode, so that one plan serves a field of any mode;
+    a forward and the grid check of its base read the field's mode's
+    channels alone.  A forward reads the axial matrix once, to take its k
+    axial factors to X_hat.  Working sets measured in plans: 1 for each of expansion_3d, its
+    trimmed verify suite and transform --mode 3d, 4 for the default verify
+    suite (phi = 1/2, 1e-6, 0.3 and 2), which fill the 4 slots.  A plan's
+    channels hold about 110 KB at M_max = 3 (8 channels) and 860 KB at
+    M_max = 30 (62 channels), and its axial matrix 98 KB (64 p nodes by 96
+    x3 nodes), so about 210 KB and 960 KB: 4 kept."""
     spec, grid, reduction, E_max, node_budget = key.inputs
     channels = []
     for m in grid.modes:
@@ -608,29 +623,30 @@ def _cached_plan(key: _CacheKey) -> _Plan:
 
 
 def _forward_blocks(plan: _Plan, factors, r, wr):
-    """The ChannelBlocks of a forward over plan's channels of a field with
-    factors (m, R, X) = field.factors(r, x3 nodes), one at a time: each block
-    is computed when the next one is asked for, so a caller that reduces a
-    block before asking for the next one holds one block.
+    """The ChannelBlocks of a forward of a field with factors (m, R, X) =
+    field.factors(r, x3 nodes), over plan's channels of mode m (_own) and no
+    other, whose coefficients are exactly 0 and are not stored; one at a
+    time: each block is computed when the next one is asked for, so a
+    caller that reduces a block before asking for the next one holds one
+    block.
 
     r and wr are a checked radial rule (_radial_rule).  Each block is
-    ([m == block's mode] X_hat[:, group]).T @ (K @ R_w).T, with X_hat = X @
-    plan.axial.T and R_w = sqrt(r) w_r R: one real product with its
-    extension's cached dense kernel K (transform.Kernel), called through this
-    module's kernel_matrix binding, in k real columns (a complex R as its
-    real and imaginary parts, 2k columns), and the k-term sum one real
-    product with the coefficients as interleaved re/im floats.  A block of
-    another mode than m is exactly 0.  Block values are fresh writable
-    arrays."""
+    X_hat[:, group].T @ (K @ R_w).T, with X_hat = X @ plan.axial.T and R_w =
+    sqrt(r) w_r R: one real product with its extension's cached dense kernel
+    K (transform.Kernel), called through this module's kernel_matrix
+    binding, in k real columns (a complex R as its real and imaginary parts,
+    2k columns), and the k-term sum one real product with the coefficients
+    as interleaved re/im floats.  So a forward looks up and builds the
+    kernels of mode m alone.  Block values are fresh writable arrays."""
     m, radial, axial = factors
     axial = axial @ plan.axial.T
     if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
         radial, axial = np.hstack((radial.real, radial.imag)), np.vstack((axial, 1j * axial))
     radial = radial * (np.sqrt(r) * wr)[:, None]
-    for ch in plan.channels:
+    for ch in _own(plan, m):
         kernel = kernel_matrix(ch.params, ch.quad, r)
         # np.dot, not @: matmul skips BLAS for an inner dimension of 1
-        coefs = _interleaved(float(ch.m == m) * axial[:, ch.p_indices])
+        coefs = _interleaved(axial[:, ch.p_indices])
         values = np.dot(kernel.matrix @ radial, coefs).view(complex).T
         yield ChannelBlock(ch.m, ch.p_indices, ch.quad, values)
 
@@ -650,8 +666,9 @@ def full_forward(
     (ConfigurationError unless it is a radial rule, _radial_rule); E_max
     applies to every channel (special.energy_cap(b) caps it for support right
     edge b).  ConfigurationError for a field without factors, raised before
-    any plan or kernel is built.  The blocks, one per (mode, theta group),
-    and the axial matrix come from the cached channel plan, so a repeated
+    any plan or kernel is built.  The blocks, one per theta group of the
+    field's mode (every other mode is exactly 0 and holds no block), and
+    the axial matrix come from the cached channel plan, so a repeated
     signature builds no spectral grid and no phase matrix; blocks of two
     forwards with one signature share their quad and p_indices objects.  The
     blocks are those of _forward_blocks, the one forward path, all kept:
@@ -719,15 +736,24 @@ def _check_one_grid(caller: str, a: tuple, b: tuple) -> None:
 
 
 def coefficient_distance(a: Coefficients3D, b: Coefficients3D) -> float:
-    """Measure-weighted L2 distance between two coefficient sets on one grid
-    (ConfigurationError otherwise, by _check_one_grid)."""
-    _check_one_grid("coefficient_distance", (a.phi, a.grid, a.blocks), (b.phi, b.grid, b.blocks))
-    return math.sqrt(
-        sum(
-            blk_a.norm_sq(a.grid.p_weights, blk_a.values - blk_b.values)
-            for blk_a, blk_b in zip(a.blocks, b.blocks)
-        )
-    )
+    """Measure-weighted L2 distance between two coefficient sets on one grid:
+    the same phi, M_max and p nodes, and the same blocks in each mode both
+    hold (ConfigurationError otherwise, by _check_one_grid).  A mode one set
+    holds no block of is exactly 0 there, so it adds the other's norm; the
+    sum runs over the modes in order, as over dense sets."""
+    shared = {blk.m for blk in a.blocks} & {blk.m for blk in b.blocks}
+    _check_one_grid("coefficient_distance", *(
+        (c.phi, c.grid, [blk for blk in c.blocks if blk.m in shared]) for c in (a, b)
+    ))
+
+    def gaps(m: int):
+        own_a, own_b = ([blk for blk in c.blocks if blk.m == m] for c in (a, b))
+        if not (own_a and own_b):  # an absent mode is exactly 0
+            return [blk.norm_sq(a.grid.p_weights) for blk in own_a or own_b]
+        return [x.norm_sq(a.grid.p_weights, x.values - y.values) for x, y in zip(own_a, own_b)]
+
+    modes = sorted({blk.m for c in (a, b) for blk in c.blocks})
+    return math.sqrt(sum((gap for m in modes for gap in gaps(m)), 0.0))
 
 
 def symmetry_phase(coeffs: Coefficients3D, alpha: float, beta: float) -> Coefficients3D:
@@ -742,9 +768,11 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
 
     A field without factors is a ConfigurationError, raised before any plan
     or kernel is built; then base's grid is checked against the forward's
-    channel plan (ConfigurationError naming caller, _check_one_grid), before
-    any block is computed.  Each gap is formed in place in the forward's block, and the
-    block is measured and dropped before the next one is computed.  A real
+    channel plan, base's blocks against the plan's channels of the field's
+    mode (ConfigurationError naming caller, _check_one_grid: a base of
+    another mode is refused), before any block is computed.  Each gap is
+    formed in place in the forward's block, and the block is measured and
+    dropped before the next one is computed.  A real
     factor (H's p**2 + E) scales the real and imaginary parts of the base
     block apart, with the bits of the complex product: cast to complex, it
     took numpy's cast buffers and raised hamiltonian_defect's traced peak
@@ -755,7 +783,8 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
     r, wr = _radial_rule(r_rule)
     factors = _factors(field, r, reduction.x3_nodes)
     plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
-    _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, plan.channels))
+    own = _own(plan, factors[0])
+    _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, own))
 
     def gap(blk: ChannelBlock, ref: ChannelBlock):
         scale = factor(ref, grid.p_nodes[ref.p_indices])
@@ -784,12 +813,12 @@ def hamiltonian_defect(
     H Phi = field.hamiltonian_image(spec.phi), formed without either set.
 
     base is full_forward of field on the same grids; a base on any other
-    spectral grid is a ConfigurationError, raised before any block of H Phi
-    is computed.  The forward of H Phi runs one block at a time: (p**2 + E)
-    times base's block is subtracted from it in place, and the block is
-    reduced to sum p_w w |gap|**2 before the next one is computed.  A NaN in
-    any block gives NaN.  ConfigurationError for a field without
-    hamiltonian_image.
+    spectral grid, or of another mode, is a ConfigurationError, raised
+    before any block of H Phi is computed.  The forward of H Phi runs one
+    block at a time: (p**2 + E) times base's block is subtracted from it in
+    place, and the block is reduced to sum p_w w |gap|**2 before the next
+    one is computed.  A NaN in any block gives NaN.  ConfigurationError for
+    a field without hamiltonian_image.
     """
     image = getattr(field, "hamiltonian_image", None)
     if image is None:
@@ -818,11 +847,12 @@ def symmetry_defect(
 
     base is full_forward of the untransformed field on the same grids, so
     callers share it over several (alpha, beta) pairs; a base on any other
-    spectral grid is a ConfigurationError, raised before any block of the
-    moved field is computed.  The forward of the moved field runs one block
-    at a time: symmetry_phase's multiple of base's block is subtracted from
-    it in place, and the block is reduced to max |gap|**2 before the next
-    one is computed.  A NaN in any block gives NaN.
+    spectral grid, or of another mode, is a ConfigurationError, raised
+    before any block of the moved field is computed.  The forward of the
+    moved field runs one block at a time: symmetry_phase's multiple of
+    base's block is subtracted from it in place, and the block is reduced
+    to max |gap|**2 before the next one is computed.  A NaN in any block
+    gives NaN.
     """
     gaps = _gaps(
         "symmetry_defect", base, _phase(alpha, beta),

@@ -192,9 +192,10 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> 
 @functools.lru_cache(maxsize=64)
 def _build_kernel(key: _CacheKey) -> Kernel:
     """One extension's dense kernel, 213 KB at 417 nodes x 64 r nodes.  Working
-    sets measured in extensions: 11 (the radial_sweep benchmark), 6
-    (expansion_3d), 14 (its trimmed verify suite), 27 (the default suite) and
-    32 (a full_forward at M_max = 30): 64 kept, at most about 13.7 MB."""
+    sets measured in extensions: 11 (the radial_sweep benchmark), 2
+    (expansion_3d), 10 (its trimmed verify suite) and 19 (the default suite);
+    a full_forward builds its field's mode's alone (1 per theta piece at
+    any M_max): 64 kept, at most about 13.7 MB."""
     params, quad, r = key.inputs
     n = len(quad.e_nodes)
     F, G = _bessel_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
@@ -217,9 +218,9 @@ def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
 @functools.lru_cache(maxsize=32)
 def _cached_pair(key: _CacheKey) -> tuple:
     """The one store of Bessel values, 213 KB per array at 416 x 64.  Working
-    sets measured in pairs: 5 (radial_sweep), 4 (expansion_3d), 9 (the
-    trimmed suite), 17 (the default suite) and 31 (a full_forward at M_max =
-    30): 32 kept, at most 13.6 MB."""
+    sets measured in pairs: 5 (radial_sweep), 1 (expansion_3d), 6 (the
+    trimmed suite) and 10 (the default suite); a full_forward reads its
+    field's mode's one pair: 32 kept, at most 13.6 MB."""
     return _read_only(special._jy_pair(*key.inputs))
 
 

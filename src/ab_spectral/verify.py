@@ -135,11 +135,15 @@ _P_MAX = 8.0
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Parameter grids for the property suite."""
+    """Parameter grids for the property suite.
+
+    phis holds one 3D job per flux: half-odd orders (1/2), a near-integer
+    flux (1e-6, kappa = 1e-6 and -0.999999), a generic one (0.3) and an
+    integer one (2, with kappa = 0 critical)."""
 
     kappas: tuple = (0.0, 0.3, -0.7, 1.5, 3.0)
     thetas: tuple = (0.0, 1.0, math.pi / 2)
-    phis: tuple = (0.5, 1e-6)
+    phis: tuple = (0.5, 1e-6, 0.3, 2.0)
     support: tuple = (0.5, 3.0)
 
     def __post_init__(self):
@@ -353,8 +357,9 @@ def _3d_defects(config: SuiteConfig, phi: float):
     are streamed against it block by block (hamiltonian_defect,
     symmetry_defect).  The maxima are taken by np.max, which keeps a NaN
     where Python's max would drop it.  A library field hands its exact mode,
-    so every block of another mode is exactly 0 and the selectivity reads
-    0.0: a regression check of that exactness."""
+    so its forward stores no block of another mode, each such mode's norm
+    is exactly 0.0 and the selectivity reads 0.0: a regression check of
+    that exactness."""
     spec, fld, grid, red, r_rule = _3d_setup(config, phi)
     e_max = config.e_cap
     base = ab3d.full_forward(spec, fld, grid, r_rule, red, e_max)

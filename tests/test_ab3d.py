@@ -468,6 +468,27 @@ class TestFullForward:
         full_forward(*args)
         assert misses() == before
 
+    @pytest.mark.parametrize("m, kernels", [(0, 2), (2, 1)], ids=["critical-m=0", "m=2"])
+    def test_a_cold_forward_builds_only_its_own_modes_kernels(self, m, kernels):
+        """phi = 0.3, M_max = 30, theta piecewise in p on m = 0: the plan
+        discretizes all 61 modes (62 channels), but a cold forward builds the
+        kernels of the field's mode alone, over its one Bessel pair (mode 0:
+        one kernel per theta piece; mode 2, kappa = 2.3: one), and a warm
+        forward misses none of the three caches."""
+        spec = ThetaSpec(0.3, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
+        grid, reduction = ModeGrid.build(30, 8.0, 64), ReductionGrid.build(CHI.support)
+        e_max = ZETA_BOUND / PSI.b**2
+        args = (spec, make_field(m=m), grid, gauss_legendre(PSI.a, PSI.b, 64), reduction, e_max)
+        caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
+        for cache in caches:
+            cache.cache_clear()
+        coeffs = full_forward(*args)
+        assert [cache.cache_info().misses for cache in caches] == [kernels, 1, 1]
+        assert len(_channel_plan(spec, grid, reduction, e_max, 16).channels) == 62
+        assert [blk.m for blk in coeffs.blocks] == [m] * kernels
+        full_forward(*args)
+        assert [cache.cache_info().misses for cache in caches] == [kernels, 1, 1]
+
     def test_diagonalization(self):
         # apply_H on coefficients matches transforming H Phi directly
         spec, grid, reduction, r_rule = small_setup(theta=math.pi / 2)
@@ -608,16 +629,17 @@ class TestRadialRule:
 
 
 def dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max):
-    """full_forward's block values through the whole reduced array of the
-    sample oracle (oracle_reduction), weighted by sqrt(r) w_r: each block its
-    dense kernel matrix times the group's (n_r, n_group) columns."""
+    """(channel, values) for every channel of the plan, every mode's: the
+    values through the whole reduced array of the sample oracle
+    (oracle_reduction), weighted by sqrt(r) w_r, each its dense kernel
+    matrix times the group's (n_r, n_group) columns."""
     r, wr = r_rule
     plan = _channel_plan(spec, grid, reduction, e_max, 16)
     weighted = oracle_reduction(field, r, list(grid.modes), grid.p_nodes, reduction)
     weighted *= (np.sqrt(r) * wr)[:, None, None]
     return [
-        (transform.kernel_matrix(ch.params, ch.quad, r).matrix
-         @ weighted[:, ch.m + grid.M_max, ch.p_indices]).T
+        (ch, (transform.kernel_matrix(ch.params, ch.quad, r).matrix
+              @ weighted[:, ch.m + grid.M_max, ch.p_indices]).T)
         for ch in plan.channels
     ]
 
@@ -626,14 +648,14 @@ class TestFactoredForward:
     @pytest.mark.parametrize("M_max", [3, 30])
     @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6])
     def test_the_factored_forward_is_the_dense_one(self, phi, M_max):
-        """Every block of a library field's mode, one kernel matvec with its
-        radial factors, equals the dense kernel product with the sample
-        oracle's whole reduced array within 2e-15 of the coefficient set's
-        peak, and a block of any other mode is exactly 0 (the oracle's FFT
-        leaks about 1e-17 of the peak there, which the kappa = -0.999999
-        kernel at phi = 1e-6 raises to 1e-10): field modes -1, 0 and 2, their
-        H images and moved copies of all six, theta piecewise in p on m = 0,
-        and a complex psi."""
+        """The forward holds the plan's channels of the field's mode and no
+        other: each block, one kernel matvec with the radial factors, equals
+        the dense kernel product with the sample oracle's whole reduced array
+        within 2e-15 of the dense set's peak, and every other mode's channel
+        norm is exactly 0.0 (the oracle's FFT leaks about 1e-17 of the peak
+        there, which the kappa = -0.999999 kernel at phi = 1e-6 raises to
+        1e-10): field modes -1, 0 and 2, their H images and moved copies of
+        all six, theta piecewise in p on m = 0, and a complex psi."""
         spec = ThetaSpec(phi, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
         grid = ModeGrid.build(M_max, 8.0, 64)
         reduction = ReductionGrid.build(CHI.support)
@@ -648,16 +670,19 @@ class TestFactoredForward:
         for field in fields:
             got = full_forward(spec, field, grid, r_rule, reduction, e_max)
             expected = dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max)
-            peak = max(np.max(np.abs(values)) for values in expected)
+            peak = max(np.max(np.abs(values)) for _, values in expected)
             assert peak > 1e-3
-            assert len(got.blocks) == len(expected)
             m = field.factors(r_rule[0], reduction.x3_nodes)[0]
-            for blk, values in zip(got.blocks, expected):
+            own = [(ch, values) for ch, values in expected if ch.m == m]
+            assert len(got.blocks) == len(own) == (2 if m == 0 else 1)
+            for blk, (ch, values) in zip(got.blocks, own):
+                assert blk.m == m and blk.quad is ch.quad and blk.p_indices is ch.p_indices
                 assert blk.values.shape == values.shape
-                if blk.m == m:
-                    assert np.max(np.abs(blk.values - values)) <= 2e-15 * peak
-                else:
-                    assert not blk.values.any()
+                assert np.max(np.abs(blk.values - values)) <= 2e-15 * peak
+            for mode in grid.modes:
+                if mode != m:
+                    norm = got.channel_norm_sq(mode)
+                    assert type(norm) is float and norm == 0.0
 
 
 def piecewise_setup(theta_above=1.3):
@@ -689,7 +714,8 @@ class TestChannelPlan:
         monkeypatch.setattr(ab3d, "_axial", reduction_matrices)
         ab3d._cached_plan.cache_clear()
         cold = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
-        assert len(built) == len(cold.blocks) == 4  # m = -1, two pieces of m = 0, m = 1
+        assert len(built) == 4  # the plan: m = -1, two pieces of m = 0, m = 1
+        assert [blk.m for blk in cold.blocks] == [0, 0]  # the field's own mode only
         assert len(matrices) == 1
         warm = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
         assert len(built) == 4 and len(matrices) == 1  # no spectral grid, no phases
@@ -860,10 +886,47 @@ class TestModeSamples:
 
 
 class TestCoefficientDistance:
-    def forward(self, theta=1.0, M_max=1, E_max=10.0, node_budget=16):
+    def forward(self, theta=1.0, M_max=1, E_max=10.0, node_budget=16, m=0):
         spec, _, reduction, r_rule = small_setup(theta)
         grid = ModeGrid.build(M_max, 5.0, 16)
-        return full_forward(spec, make_field(m=0), grid, r_rule, reduction, E_max, node_budget)
+        return full_forward(spec, make_field(m=m), grid, r_rule, reduction, E_max, node_budget)
+
+    def test_an_empty_selection_has_the_float_norm_0(self):
+        a = self.forward()
+        assert [blk.m for blk in a.blocks] == [0]
+        for norm in (Coefficients3D(a.phi, a.grid, []).norm_sq(), a.norm_sq(1), a.norm_sq(-1)):
+            assert type(norm) is float and norm == 0.0
+
+    @pytest.mark.parametrize("m_a, m_b", [(0, 1), (1, 0), (-1, 1)])
+    def test_an_absent_mode_counts_as_exactly_0(self, m_a, m_b):
+        """Two sets of other modes are sqrt(||a||^2 + ||b||^2) apart, the
+        sum taken over the modes in order, as over whole sets whose other
+        blocks are 0; a set is its norm away from the empty set."""
+        a, b = self.forward(M_max=3, m=m_a), self.forward(M_max=3, m=m_b)
+        norms = sorted([(m_a, a.norm_sq()), (m_b, b.norm_sq())])
+        expected = math.sqrt(0.0 + norms[0][1] + norms[1][1])
+        assert coefficient_distance(a, b) == coefficient_distance(b, a) == expected
+        empty = Coefficients3D(a.phi, a.grid, [])
+        assert coefficient_distance(a, empty) == math.sqrt(a.norm_sq())
+        assert coefficient_distance(empty, empty) == 0.0
+        with pytest.raises(ConfigurationError, match="coefficient_distance"):
+            coefficient_distance(a, self.forward(M_max=2, m=m_b))
+
+    def test_a_base_of_another_mode_is_refused_before_any_block(self, monkeypatch):
+        """base must hold the plan's channels of the field's mode: a base of
+        another mode, or with no blocks, is another grid."""
+        spec, grid, reduction, r_rule = small_setup()
+        field = make_field(m=0)
+        others = [full_forward(spec, make_field(m=1), grid, r_rule, reduction, 10.0)]
+        others.append(Coefficients3D(PHI, grid, []))
+        kernels = []
+        monkeypatch.setattr(ab3d, "kernel_matrix", lambda *args: kernels.append(args))
+        for base in others:
+            with pytest.raises(ConfigurationError, match="hamiltonian_defect"):
+                hamiltonian_defect(spec, field, grid, r_rule, reduction, 10.0, base=base)
+            with pytest.raises(ConfigurationError, match="symmetry_defect"):
+                symmetry_defect(spec, field, 0.7, 1.3, grid, r_rule, reduction, 10.0, base=base)
+        assert kernels == []
 
     @pytest.mark.parametrize(
         "other",
@@ -1008,15 +1071,22 @@ class TestStreamedDefects:
 
     @pytest.mark.parametrize("block", range(8))
     def test_a_nan_in_any_block_of_base_gives_nan(self, block):
-        """Python's max keeps its first value against a NaN, so a NaN past
-        the first block used to be dropped from the symmetry defect."""
+        """A NaN in any stored block of base gives NaN, for each of the plan's
+        8 channels: a field of the channel's mode, its base poisoned in that
+        channel's block (the second one of mode 0's two).  Python's max
+        keeps its first value against a NaN, so a NaN past the first block
+        used to be dropped from the symmetry defect."""
         spec, grid, reduction, r_rule = self.setup(PHI)
         args = (grid, r_rule, reduction, 100.0)
-        base = full_forward(spec, make_field(m=0), *args)
-        assert len(base.blocks) == 8
-        base.blocks[block].values[-1, -1] = np.nan
-        assert math.isnan(hamiltonian_defect(spec, make_field(m=0), *args, base=base))
-        assert math.isnan(symmetry_defect(spec, make_field(m=0), 0.7, 1.3, *args, base=base))
+        channels = _channel_plan(spec, grid, reduction, 100.0, 16).channels
+        assert len(channels) == 8
+        ch = channels[block]
+        field = make_field(m=ch.m)
+        base = full_forward(spec, field, *args)
+        [poisoned] = [blk for blk in base.blocks if blk.p_indices is ch.p_indices]
+        poisoned.values[-1, -1] = np.nan
+        assert math.isnan(hamiltonian_defect(spec, field, *args, base=base))
+        assert math.isnan(symmetry_defect(spec, field, 0.7, 1.3, *args, base=base))
 
     def test_a_field_without_a_hamiltonian_image_is_refused(self):
         spec, grid, reduction, r_rule = self.setup(PHI)
@@ -1026,9 +1096,10 @@ class TestStreamedDefects:
             hamiltonian_defect(spec, lambda r, a, x3: make_field(m=0)(r, a, x3), *args, base=base)
 
     def test_a_warm_call_holds_less_than_one_coefficient_set(self):
-        """At the acceptance grid (7 blocks of 64 p nodes), a warm call's
-        traced peak stays below the bytes of one coefficient set: no whole
-        set is formed, and the field is never sampled."""
+        """At the acceptance grid (7 channels of 64 p nodes), a warm call's
+        traced peak stays below the bytes of one dense coefficient set, a
+        block for each of the plan's channels: no whole set is formed, and
+        the field is never sampled."""
         spec = ThetaSpec.constant(PHI, 1.0)
         args = (
             ModeGrid.build(3, 8.0, 64), gauss_legendre(PSI.a, PSI.b, 64),
@@ -1036,7 +1107,9 @@ class TestStreamedDefects:
         )
         field = make_field(m=0)
         base = full_forward(spec, field, *args)
-        whole_set = sum(blk.values.nbytes for blk in base.blocks)
+        plan = _channel_plan(spec, args[0], args[2], args[3], 16)
+        whole_set = sum(16 * len(ch.p_indices) * len(ch.quad.nodes) for ch in plan.channels)
+        assert whole_set == 1_492_992
         calls = [
             lambda: hamiltonian_defect(spec, field, *args, base=base),
             lambda: symmetry_defect(spec, field, 0.7, 1.3, *args, base=base),

@@ -75,7 +75,7 @@ class TestSuiteMechanics:
             check_id for check_id, _, _ in declared if not check_id.startswith("unitarity_")
         )
         results = run_suite(SuiteConfig(kappas=()))
-        assert len(results) == 71
+        assert len(results) == 79
         assert sorted(r.check_id for r in results) == expected
         assert suite_exit_status(results) == 0
 
@@ -187,10 +187,10 @@ class TestJobTable:
         "theta_periodicity_measure": 6,
         "theta_periodicity_coefficients": 3,
         "measure_continuity_kappa_to_zero": 3,
-        "threed_selectivity": 2,
-        "threed_parseval": 2,
-        "threed_apply_h": 2,
-        "threed_symmetry": 2,
+        "threed_selectivity": 4,
+        "threed_parseval": 4,
+        "threed_apply_h": 4,
+        "threed_symmetry": 4,
         "unitarity_parseval": 11,
         "unitarity_roundtrip": 11,
         "unitarity_diagonalization": 11,
@@ -198,12 +198,12 @@ class TestJobTable:
         "negative_control_deficit_matches_atom": 1,
     }
 
-    def test_default_suite_declares_104_checks(self):
+    def test_default_suite_declares_112_checks(self):
         checks = [check for job in verify._build_jobs(SuiteConfig()) for check in job.checks]
-        assert len(checks) == 104
+        assert len(checks) == 112
         assert collections.Counter(check_id for check_id, _, _ in checks) == self.EXPECTED
         keys = {(check_id, json.dumps(params, sort_keys=True)) for check_id, params, _ in checks}
-        assert len(keys) == 104
+        assert len(keys) == 112
 
 
 @pytest.mark.parametrize("phi", [1e-6, 1e-7])
@@ -223,10 +223,11 @@ def test_near_integer_flux_passes_the_3d_checks(phi):
     assert parseval < 1e-7
 
 
-def test_selectivity_is_exactly_zero_at_both_default_rows():
-    """A library field hands its exact mode, so every block of another mode
-    is exactly 0: threed_selectivity is a regression check that reads 0.0 at
-    phi = 1/2 and 1e-6, not a measurement of rounding."""
+def test_selectivity_is_exactly_zero_at_every_default_row():
+    """A library field hands its exact mode, so its forward stores no block
+    of another mode and each such mode's norm is exactly 0.0:
+    threed_selectivity is a regression check that reads 0.0 at phi = 1/2,
+    1e-6, 0.3 and 2, not a measurement of rounding."""
     results = [
         result
         for job in verify._build_jobs(SuiteConfig())
@@ -235,7 +236,7 @@ def test_selectivity_is_exactly_zero_at_both_default_rows():
         if result.check_id == "threed_selectivity"
     ]
     assert [(r.params, r.measured) for r in results] == [
-        ({"phi": 0.5}, 0.0), ({"phi": 1e-6}, 0.0)
+        ({"phi": 0.5}, 0.0), ({"phi": 1e-6}, 0.0), ({"phi": 0.3}, 0.0), ({"phi": 2.0}, 0.0)
     ]
 
 
@@ -306,9 +307,10 @@ class TestThreeDimensionalJob:
         assert all(r.error == "ConfigurationError('boom')" for r in results)
 
     def test_a_nan_in_any_block_fails_symmetry_and_selectivity(self, monkeypatch):
-        """A NaN in any of the 7 blocks of the field's coefficients fails both
-        checks: Python's max used to drop a NaN past the first block of a
-        symmetry defect, and past the first mode of the selectivity maximum."""
+        """A NaN in any stored block of the field's coefficients (its mode's
+        one block) fails both checks: Python's max used to drop a NaN past
+        the first block of a symmetry defect, and past the first mode of the
+        selectivity maximum."""
         jobs = verify._build_jobs(self.CONFIG)
         [job] = [j for j in jobs if j.checks[0][0] == "threed_selectivity"]
         original = verify.ab3d.full_forward
@@ -320,7 +322,10 @@ class TestThreeDimensionalJob:
             return coeffs
 
         monkeypatch.setattr(verify.ab3d, "full_forward", forward)
-        for block in range(7):
+        spec, fld, grid, red, r_rule = verify._3d_setup(self.CONFIG, 0.5)
+        stored = len(original(spec, fld, grid, r_rule, red, self.CONFIG.e_cap).blocks)
+        assert stored == 1
+        for block in range(stored):
             poisoned.append(block)
             results = {r.check_id: r for r in verify._run_job(job)}
             for check_id in ("threed_selectivity", "threed_symmetry"):
@@ -373,18 +378,21 @@ def _suite_cache_misses():
 
 def test_cold_default_suite_builds_one_grid_per_extension():
     """Every extension is discretized once, at the cap, and each periodicity
-    check reuses the unitarity job's kernel at theta = 1: a cold default suite
-    builds 27 extensions' kernels over 17 Bessel pairs, and two channel plans."""
+    check reuses the unitarity job's kernel at theta = 1, and a 3D job
+    builds the one kernel of its field's mode, over one Bessel pair: a cold
+    default suite builds 15 + 4 extensions' kernels over 6 + 4 Bessel pairs,
+    and four channel plans (phi = 1/2, 1e-6, 0.3 and 2)."""
     for cache in _SUITE_CACHES:
         cache.cache_clear()
     run_suite()
-    assert _suite_cache_misses() == [27, 17, 2]
+    assert _suite_cache_misses() == [19, 10, 4]
 
 
 def test_second_default_suite_misses_no_cache():
-    """The default suite needs 17 Bessel pairs, 27 extensions' kernels and
-    two channel plans (phi = 1/2 and 1e-6); a second run in one process finds
-    every one of them in the caches."""
+    """The default suite needs 10 Bessel pairs, 19 extensions' kernels and
+    four channel plans (phi = 1/2, 1e-6, 0.3 and 2), which fill the plan
+    cache's four slots; a second run in one process finds every one of them
+    in the caches."""
     run_suite()
     before = _suite_cache_misses()
     run_suite()
