@@ -26,10 +26,11 @@ matmul takes X to X_hat = X @ (e^{-i p x3} w3).T (k, n_p), and each block
 of mode m is X_hat[:, group].T @ (K @ R_w).T: its extension's cached dense
 kernel K meets only the k weighted radial factors R_w = sqrt(r) w_r R, and
 the (n_r, n_modes, n_p) reduced array is never formed.  The channels of
-every mode (modes, theta pieces, extensions and spectral grids) and the
-axial phases form the forward's channel plan, built once per (phi, theta
-tables, M_max, p nodes, x3 rule, E_max, node_budget) and cached; a forward
-reads its field's mode's channels from it.
+mode m (its theta pieces, their extensions and spectral grids) and the
+axial phases form the forward's channel plan, built once per (phi, m, m's
+theta table, p nodes, x3 rule, E_max, node_budget) and cached; no other
+mode is discretized, and a field of a mode outside |m| <= M_max is a
+ConfigurationError.
 Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
@@ -227,6 +228,15 @@ class ModeGrid:
         return range(-self.M_max, self.M_max + 1)
 
 
+def _check_truncated(grid: ModeGrid, m: int) -> None:
+    """ConfigurationError for an m outside grid.modes, whose channel the
+    truncation dropped: its coefficients are unknown, not 0."""
+    if m not in grid.modes:
+        raise ConfigurationError(
+            f"mode {m} is outside the truncation |m| <= M_max = {grid.M_max}"
+        )
+
+
 @dataclass(frozen=True)
 class ReductionGrid:
     """Quadrature for the axial reduction integral: a Gauss-Legendre rule over
@@ -336,9 +346,8 @@ class SeparableField(_OneMode):
 class FieldSum(_OneMode):
     """Pointwise sum of SeparableFields of one mode m and the same supports.
 
-    Its profile sums the terms' psi_k(r) chi_k(x3) and divides by sqrt(r)
-    once, so a call makes one array of the call's shape, as a one-term field
-    does.  Its factors hold one term per column of R and row of X.
+    Its profile is the sum of its terms' profiles, and its factors hold one
+    term per column of R and row of X.
     """
 
     terms: tuple
@@ -355,11 +364,7 @@ class FieldSum(_OneMode):
             )
 
     def _profile(self, r, x3):
-        r = np.asarray(r, dtype=float)
-        profile = self.terms[0].psi(r) * np.asarray(self.terms[0].chi(x3))
-        for t in self.terms[1:]:
-            profile = profile + t.psi(r) * np.asarray(t.chi(x3))
-        return profile / np.sqrt(r)
+        return sum(t._profile(r, x3) for t in self.terms)
 
     def factors(self, r, x3):
         _, radial, axial = zip(*(t.factors(r, x3) for t in self.terms))
@@ -528,12 +533,9 @@ class Coefficients3D:
     def norm_sq(self, m: int | None = None) -> float:
         """Squared norm of every block, or of mode m's blocks only, a float
         (0.0 for a mode with no block); ConfigurationError for an m outside
-        grid.modes, whose channel the truncation dropped: its norm is
-        unknown, not 0."""
-        if m is not None and m not in self.grid.modes:
-            raise ConfigurationError(
-                f"mode {m} is outside the truncation |m| <= M_max = {self.grid.M_max}"
-            )
+        grid.modes (_check_truncated): its norm is unknown, not 0."""
+        if m is not None:
+            _check_truncated(self.grid, m)
         return sum(
             (blk.norm_sq(self.grid.p_weights) for blk in self.blocks if m is None or blk.m == m),
             0.0,
@@ -568,55 +570,53 @@ class _Plan(NamedTuple):
     axial: np.ndarray
 
 
-def _own(plan: _Plan, m) -> list[_Channel]:
-    """plan's channels of mode m, in plan order: the blocks a field of mode m
-    has; its coefficients in every other channel are exactly 0."""
-    return [ch for ch in plan.channels if ch.m == m]
-
-
 def _channel_plan(
     spec: ThetaSpec,
+    m: int,
     grid: ModeGrid,
     reduction: ReductionGrid,
     E_max: float,
     node_budget: int,
 ) -> _Plan:
-    """The blocks and axial matrix of full_forward, keyed bit for bit by what
-    they read: phi, each critical table's (breaks, values), M_max, the p
-    nodes, the x3 nodes and weights, E_max and node_budget.  Nothing in a
-    plan depends on the field or on r."""
-    tables = [spec.entries[m] for m in sorted(spec.entries)]
-    pieces = [part for table in tables for part in (table.breaks, table.values)]
+    """The blocks of mode m and the axial matrix of full_forward, keyed bit
+    for bit by what they read: phi, m, mode m's theta table (breaks, values)
+    if m is critical, the p nodes, the x3 nodes and weights, E_max and
+    node_budget.  Nothing in a plan depends on the field, on r, on M_max or
+    on another mode.  ConfigurationError for an m outside the truncation
+    (_check_truncated), raised before any plan is built."""
+    _check_truncated(grid, m)
+    table = spec.entries.get(m)
+    pieces = () if table is None else (table.breaks, table.values)
     read = (
-        spec.phi, *pieces, grid.M_max, grid.p_nodes,
+        spec.phi, m, *pieces, grid.p_nodes,
         reduction.x3_nodes, reduction.x3_weights, E_max, node_budget,
     )
-    inputs = (spec, grid, reduction, E_max, node_budget)
+    inputs = (spec, int(m), grid, reduction, E_max, node_budget)  # an int, as in grid.modes
     return _cached_plan(_CacheKey(_bits(*read), inputs))
 
 
 @functools.lru_cache(maxsize=4)
 def _cached_plan(key: _CacheKey) -> _Plan:
-    """One plan per forward signature, its quadrature arrays, p indices and
-    axial matrix read-only; errors are never stored.  A plan holds the
-    channels of every mode, so that one plan serves a field of any mode;
-    a forward and the grid check of its base read the field's mode's
-    channels alone.  A forward reads the axial matrix once, to take its k
-    axial factors to X_hat.  Working sets measured in plans: 1 for each of expansion_3d, its
-    trimmed verify suite and transform --mode 3d, 4 for the default verify
-    suite (phi = 1/2, 1e-6, 0.3 and 2), which fill the 4 slots.  A plan's
-    channels hold about 110 KB at M_max = 3 (8 channels) and 860 KB at
-    M_max = 30 (62 channels), and its axial matrix 98 KB (64 p nodes by 96
-    x3 nodes), so about 210 KB and 960 KB: 4 kept."""
-    spec, grid, reduction, E_max, node_budget = key.inputs
+    """One plan per forward signature and mode, its quadrature arrays, p
+    indices and axial matrix read-only; errors are never stored.  A plan
+    holds the channels of its mode alone, one per theta piece (one
+    off-critical).  A forward reads the axial matrix once, to take its k
+    axial factors to X_hat.  Working sets measured in plans: 1 for each of
+    expansion_3d, its trimmed verify suite and transform --mode 3d, 4 for
+    the default verify suite (phi = 1/2, 1e-6, 0.3 and 2), which fill the 4
+    slots.  At 64 p nodes and node_budget 16 a plan's channels hold about
+    7 KB per theta piece and its axial matrix 98 KB (by 96 x3 nodes), at
+    any M_max, so 105-112 KB: 4 kept.  A cold plan took 0.32 ms at phi =
+    0.3, M_max = 30, theta piecewise on m = 0 (1.96 ms for all 62 channels
+    of that grid)."""
+    spec, m, grid, reduction, E_max, node_budget = key.inputs
+    kappa = channel_kappa(spec.phi, m)
     channels = []
-    for m in grid.modes:
-        kappa = channel_kappa(spec.phi, m)
-        for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
-            params = ExtensionParams(kappa, theta if theta is not None else 0.0)
-            quad = discretize(spectral_measure(params), E_max, node_budget)
-            _read_only((quad.e_nodes, quad.e_weights, p_idx))
-            channels.append(_Channel(m, p_idx, params, quad))
+    for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
+        params = ExtensionParams(kappa, theta if theta is not None else 0.0)
+        quad = discretize(spectral_measure(params), E_max, node_budget)
+        _read_only((quad.e_nodes, quad.e_weights, p_idx))
+        channels.append(_Channel(m, p_idx, params, quad))
     axial = _axial(grid.p_nodes, reduction)
     axial.setflags(write=False)
     return _Plan(tuple(channels), axial)
@@ -624,9 +624,9 @@ def _cached_plan(key: _CacheKey) -> _Plan:
 
 def _forward_blocks(plan: _Plan, factors, r, wr):
     """The ChannelBlocks of a forward of a field with factors (m, R, X) =
-    field.factors(r, x3 nodes), over plan's channels of mode m (_own) and no
-    other, whose coefficients are exactly 0 and are not stored; one at a
-    time: each block is computed when the next one is asked for, so a
+    field.factors(r, x3 nodes), over the channels of plan, mode m's plan;
+    every other mode's coefficients are exactly 0 and are not stored.  One
+    at a time: each block is computed when the next one is asked for, so a
     caller that reduces a block before asking for the next one holds one
     block.
 
@@ -638,12 +638,12 @@ def _forward_blocks(plan: _Plan, factors, r, wr):
     2k columns), and the k-term sum one real product with the coefficients
     as interleaved re/im floats.  So a forward looks up and builds the
     kernels of mode m alone.  Block values are fresh writable arrays."""
-    m, radial, axial = factors
+    _, radial, axial = factors
     axial = axial @ plan.axial.T
     if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
         radial, axial = np.hstack((radial.real, radial.imag)), np.vstack((axial, 1j * axial))
     radial = radial * (np.sqrt(r) * wr)[:, None]
-    for ch in _own(plan, m):
+    for ch in plan.channels:
         kernel = kernel_matrix(ch.params, ch.quad, r)
         # np.dot, not @: matmul skips BLAS for an inner dimension of 1
         coefs = _interleaved(axial[:, ch.p_indices])
@@ -665,10 +665,11 @@ def full_forward(
     r_rule is a (nodes, weights) Gauss rule on the field's radial support
     (ConfigurationError unless it is a radial rule, _radial_rule); E_max
     applies to every channel (special.energy_cap(b) caps it for support right
-    edge b).  ConfigurationError for a field without factors, raised before
-    any plan or kernel is built.  The blocks, one per theta group of the
-    field's mode (every other mode is exactly 0 and holds no block), and
-    the axial matrix come from the cached channel plan, so a repeated
+    edge b).  ConfigurationError for a field without factors, or of a mode
+    outside the truncation |m| <= M_max, raised before any plan or kernel
+    is built.  The blocks, one per theta group of the field's mode (every
+    other mode is exactly 0 and holds no block), and the axial matrix come
+    from that mode's cached channel plan, so a repeated
     signature builds no spectral grid and no phase matrix; blocks of two
     forwards with one signature share their quad and p_indices objects.  The
     blocks are those of _forward_blocks, the one forward path, all kept:
@@ -677,7 +678,7 @@ def full_forward(
     """
     r, wr = _radial_rule(r_rule)
     factors = _factors(field, r, reduction.x3_nodes)
-    plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
+    plan = _channel_plan(spec, factors[0], grid, reduction, E_max, node_budget)
     return Coefficients3D(spec.phi, grid, list(_forward_blocks(plan, factors, r, wr)))
 
 
@@ -766,11 +767,11 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
     """measure(gap) for each block of field's forward, gap = the block minus
     factor(base block, its p nodes) * base block, one block at a time.
 
-    A field without factors is a ConfigurationError, raised before any plan
-    or kernel is built; then base's grid is checked against the forward's
-    channel plan, base's blocks against the plan's channels of the field's
-    mode (ConfigurationError naming caller, _check_one_grid: a base of
-    another mode is refused), before any block is computed.  Each gap is
+    A field without factors, or of a mode outside the truncation, is a
+    ConfigurationError, raised before any plan or kernel is built; then
+    base's grid and blocks are checked against the channels of the field's
+    mode's plan (ConfigurationError naming caller, _check_one_grid: a base
+    of another mode is refused), before any block is computed.  Each gap is
     formed in place in the forward's block, and the block is measured and
     dropped before the next one is computed.  A real
     factor (H's p**2 + E) scales the real and imaginary parts of the base
@@ -782,9 +783,8 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
     against a C-ordered one each step took 229 us, not 57 us, a block."""
     r, wr = _radial_rule(r_rule)
     factors = _factors(field, r, reduction.x3_nodes)
-    plan = _channel_plan(spec, grid, reduction, E_max, node_budget)
-    own = _own(plan, factors[0])
-    _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, own))
+    plan = _channel_plan(spec, factors[0], grid, reduction, E_max, node_budget)
+    _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, plan.channels))
 
     def gap(blk: ChannelBlock, ref: ChannelBlock):
         scale = factor(ref, grid.p_nodes[ref.p_indices])
@@ -818,7 +818,7 @@ def hamiltonian_defect(
     block at a time: (p**2 + E) times base's block is subtracted from it in
     place, and the block is reduced to sum p_w w |gap|**2 before the next
     one is computed.  A NaN in any block gives NaN.  ConfigurationError for
-    a field without hamiltonian_image.
+    a field without hamiltonian_image, or of a mode outside the truncation.
     """
     image = getattr(field, "hamiltonian_image", None)
     if image is None:
@@ -852,7 +852,8 @@ def symmetry_defect(
     moved field runs one block at a time: symmetry_phase's multiple of
     base's block is subtracted from it in place, and the block is reduced
     to max |gap|**2 before the next one is computed.  A NaN in any block
-    gives NaN.
+    gives NaN.  ConfigurationError for a field of a mode outside the
+    truncation.
     """
     gaps = _gaps(
         "symmetry_defect", base, _phase(alpha, beta),

@@ -281,8 +281,6 @@ def _cmd_transform_3d(args) -> int:
     total = coeffs.norm_sq()
     atoms, rows = [], []
     for blk in coeffs.blocks:
-        if not coeffs.channel_norm_sq(blk.m) > 1e-20 * total:
-            continue  # inactive channels are omitted from the dump entirely
         for p, atom_values, continuum in zip(
             grid.p_nodes[blk.p_indices], blk.atom_values, blk.continuum
         ):

@@ -19,9 +19,10 @@ and c @ K are one real product each, a complex operand entering as
 interleaved re/im floats.  Two caches: the pairs (the 32 most recent; 213 KB
 per array at 416 E nodes x 64 r nodes, so at most 13.6 MB), the one store of
 Bessel values, and per extension the dense K (the 64 most recent; 213 KB at
-417 x 64, so at most about 13.7 MB).  Each is sized to the largest working
-set measured in its docstring, a full_forward at M_max = 30 (31 pairs, 32
-kernels); a default verify suite needs 17 pairs and 27 kernels.
+417 x 64, so at most about 13.7 MB).  Each is sized above the largest
+working set measured in its docstring, the default verify suite's 10
+pairs and 19 kernels; a full_forward needs its field's mode's one pair and
+one kernel per theta piece, at any M_max.
 """
 
 from __future__ import annotations

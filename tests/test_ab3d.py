@@ -452,8 +452,9 @@ class TestFullForward:
 
     def test_warm_forward_at_m_max_30_misses_no_cache(self):
         """The acceptance field at M_max = 30 (node_budget 32): one forward
-        needs 31 Bessel pairs, 32 extensions' kernels and one channel
-        plan; a second forward finds every one of them in the caches."""
+        needs its mode's one Bessel pair, one extension's kernel and one
+        channel plan; a second forward finds every one of them in the
+        caches."""
         grid = ModeGrid.build(30, 8.0, 64)
         r_rule = gauss_legendre(PSI.a, PSI.b, 64)
         args = (ThetaSpec.constant(PHI, 1.0), make_field(m=0), grid, r_rule,
@@ -470,11 +471,11 @@ class TestFullForward:
 
     @pytest.mark.parametrize("m, kernels", [(0, 2), (2, 1)], ids=["critical-m=0", "m=2"])
     def test_a_cold_forward_builds_only_its_own_modes_kernels(self, m, kernels):
-        """phi = 0.3, M_max = 30, theta piecewise in p on m = 0: the plan
-        discretizes all 61 modes (62 channels), but a cold forward builds the
-        kernels of the field's mode alone, over its one Bessel pair (mode 0:
-        one kernel per theta piece; mode 2, kappa = 2.3: one), and a warm
-        forward misses none of the three caches."""
+        """phi = 0.3, M_max = 30, theta piecewise in p on m = 0: a cold
+        forward builds the plan and the kernels of the field's mode alone,
+        over its one Bessel pair (mode 0: one channel and kernel per theta
+        piece; mode 2, kappa = 2.3: one), and a warm forward misses none of
+        the three caches."""
         spec = ThetaSpec(0.3, {-1: 1.0, 0: PiecewiseTheta((0.0,), (1.0, 1.3))})
         grid, reduction = ModeGrid.build(30, 8.0, 64), ReductionGrid.build(CHI.support)
         e_max = ZETA_BOUND / PSI.b**2
@@ -484,7 +485,7 @@ class TestFullForward:
             cache.cache_clear()
         coeffs = full_forward(*args)
         assert [cache.cache_info().misses for cache in caches] == [kernels, 1, 1]
-        assert len(_channel_plan(spec, grid, reduction, e_max, 16).channels) == 62
+        assert len(_channel_plan(spec, m, grid, reduction, e_max, 16).channels) == kernels
         assert [blk.m for blk in coeffs.blocks] == [m] * kernels
         full_forward(*args)
         assert [cache.cache_info().misses for cache in caches] == [kernels, 1, 1]
@@ -566,6 +567,28 @@ class TestFullForward:
                 coeffs.norm_sq(m)
         assert sum(coeffs.norm_sq(m) for m in grid.modes) == pytest.approx(coeffs.norm_sq())
 
+    @pytest.mark.parametrize("m", [5, -4])
+    def test_a_field_outside_the_truncation_is_refused_before_any_build(self, m):
+        """A field of a mode outside |m| <= M_max has no kept channel: its
+        forward and both defects raise ConfigurationError before any kernel,
+        Bessel pair or channel plan is built.  They used to return a forward
+        of no blocks, and defects of exactly 0.0 against it."""
+        _, _, reduction, r_rule = small_setup()
+        spec, grid = ThetaSpec.constant(PHI, 1.0), ModeGrid.build(3, 8.0, 64)
+        field, args = make_field(m=m), (grid, r_rule, reduction, 10.0)
+        base = Coefficients3D(PHI, grid, [])
+        caches = (transform._build_kernel, transform._cached_pair, ab3d._cached_plan)
+        for cache in caches:
+            cache.cache_clear()
+        for call in (
+            lambda: full_forward(spec, field, *args),
+            lambda: hamiltonian_defect(spec, field, *args, base=base),
+            lambda: symmetry_defect(spec, field, 0.7, 1.3, *args, base=base),
+        ):
+            with pytest.raises(ConfigurationError, match="outside the truncation"):
+                call()
+        assert [cache.cache_info().misses for cache in caches] == [0, 0, 0]
+
     @pytest.mark.parametrize("both", [False, True], ids=["chi", "psi-and-chi"])
     def test_a_constant_factor_is_broadcast_to_its_grid(self, both):
         """A factor that returns a scalar gives the bits of one that returns
@@ -629,18 +652,18 @@ class TestRadialRule:
 
 
 def dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max):
-    """(channel, values) for every channel of the plan, every mode's: the
-    values through the whole reduced array of the sample oracle
+    """(channel, values) for every channel of every mode's plan, in mode
+    order: the values through the whole reduced array of the sample oracle
     (oracle_reduction), weighted by sqrt(r) w_r, each its dense kernel
     matrix times the group's (n_r, n_group) columns."""
     r, wr = r_rule
-    plan = _channel_plan(spec, grid, reduction, e_max, 16)
     weighted = oracle_reduction(field, r, list(grid.modes), grid.p_nodes, reduction)
     weighted *= (np.sqrt(r) * wr)[:, None, None]
     return [
         (ch, (transform.kernel_matrix(ch.params, ch.quad, r).matrix
               @ weighted[:, ch.m + grid.M_max, ch.p_indices]).T)
-        for ch in plan.channels
+        for m in grid.modes
+        for ch in _channel_plan(spec, m, grid, reduction, e_max, 16).channels
     ]
 
 
@@ -648,7 +671,7 @@ class TestFactoredForward:
     @pytest.mark.parametrize("M_max", [3, 30])
     @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6])
     def test_the_factored_forward_is_the_dense_one(self, phi, M_max):
-        """The forward holds the plan's channels of the field's mode and no
+        """The forward holds the channels of its field's mode's plan and no
         other: each block, one kernel matvec with the radial factors, equals
         the dense kernel product with the sample oracle's whole reduced array
         within 2e-15 of the dense set's peak, and every other mode's channel
@@ -668,14 +691,15 @@ class TestFactoredForward:
             lambda r: PSI(r) * np.exp(0.8j * r), CHI, 2, (PSI.a, PSI.b), CHI.support
         ))
         for field in fields:
-            got = full_forward(spec, field, grid, r_rule, reduction, e_max)
             expected = dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max)
+            got = full_forward(spec, field, grid, r_rule, reduction, e_max)
             peak = max(np.max(np.abs(values)) for _, values in expected)
             assert peak > 1e-3
             m = field.factors(r_rule[0], reduction.x3_nodes)[0]
-            own = [(ch, values) for ch, values in expected if ch.m == m]
-            assert len(got.blocks) == len(own) == (2 if m == 0 else 1)
-            for blk, (ch, values) in zip(got.blocks, own):
+            plan = _channel_plan(spec, m, grid, reduction, e_max, 16)  # the forward's, cached
+            own = [values for ch, values in expected if ch.m == m]
+            assert len(got.blocks) == len(plan.channels) == len(own) == (2 if m == 0 else 1)
+            for blk, ch, values in zip(got.blocks, plan.channels, own):
                 assert blk.m == m and blk.quad is ch.quad and blk.p_indices is ch.p_indices
                 assert blk.values.shape == values.shape
                 assert np.max(np.abs(blk.values - values)) <= 2e-15 * peak
@@ -714,28 +738,42 @@ class TestChannelPlan:
         monkeypatch.setattr(ab3d, "_axial", reduction_matrices)
         ab3d._cached_plan.cache_clear()
         cold = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
-        assert len(built) == 4  # the plan: m = -1, two pieces of m = 0, m = 1
+        assert len(built) == 2  # the plan of mode 0: its two theta pieces
         assert [blk.m for blk in cold.blocks] == [0, 0]  # the field's own mode only
         assert len(matrices) == 1
         warm = full_forward(spec, make_field(m=0), grid, r_rule, reduction, 10.0)
-        assert len(built) == 4 and len(matrices) == 1  # no spectral grid, no phases
+        assert len(built) == 2 and len(matrices) == 1  # no spectral grid, no phases
         for blk_c, blk_w in zip(cold.blocks, warm.blocks):
             assert blk_c.quad is blk_w.quad and blk_c.p_indices is blk_w.p_indices
 
     def test_each_input_it_reads_is_in_the_key(self):
+        """Each input the plan of mode 0 reads is a miss; another mode's
+        theta table and M_max, which it does not read, are hits."""
         spec, grid, red, _ = piecewise_setup()
         x3, w3 = red.x3_nodes, red.x3_weights
-        base = (spec, grid, red, 10.0, 16)
+        base = (spec, 0, grid, red, 10.0, 16)
+        table = spec.entries[0]
         variants = {
-            "one piece's theta": (piecewise_setup(1.4)[0], grid, red, 10.0, 16),
-            "E_max": (spec, grid, red, 10.0 * (1 + 2**-52), 16),
-            "node_budget": (spec, grid, red, 10.0, 17),
-            "p grid": (spec, ModeGrid.build(1, 5.0 * (1 + 2**-52), 16), red, 10.0, 16),
-            "phi": (ThetaSpec(0.25, spec.entries), grid, red, 10.0, 16),
-            "x3 nodes": (spec, grid, ReductionGrid(np.nextafter(x3, np.inf), w3), 10.0, 16),
-            "x3 weights": (spec, grid, ReductionGrid(x3, np.nextafter(w3, np.inf)), 10.0, 16),
+            "one piece's theta": (piecewise_setup(1.4)[0], 0, grid, red, 10.0, 16),
+            "E_max": (spec, 0, grid, red, 10.0 * (1 + 2**-52), 16),
+            "node_budget": (spec, 0, grid, red, 10.0, 17),
+            "p grid": (spec, 0, ModeGrid.build(1, 5.0 * (1 + 2**-52), 16), red, 10.0, 16),
+            "phi": (ThetaSpec(0.25, spec.entries), 0, grid, red, 10.0, 16),
+            "x3 nodes": (spec, 0, grid, ReductionGrid(np.nextafter(x3, np.inf), w3), 10.0, 16),
+            "x3 weights": (spec, 0, grid, ReductionGrid(x3, np.nextafter(w3, np.inf)), 10.0, 16),
+            # mode -1 under mode 0's table: the mode alone differs
+            "mode": (ThetaSpec(PHI, {-1: table, 0: table}), -1, grid, red, 10.0, 16),
         }
-        _channel_plan(*base)
+        hits = {
+            "another mode's theta table": (ThetaSpec(PHI, {-1: 0.4, 0: table}), 0, grid, red,
+                                           10.0, 16),
+            "M_max": (spec, 0, ModeGrid(3, grid.p_nodes, grid.p_weights), red, 10.0, 16),
+        }
+        plan = _channel_plan(*base)
+        for name, args in hits.items():
+            before = self.misses()
+            assert _channel_plan(*args) is plan, name
+            assert self.misses() == before, name
         for name, args in variants.items():
             before = self.misses()
             plan = _channel_plan(*args)
@@ -760,15 +798,17 @@ class TestChannelPlan:
 
     def test_plan_arrays_are_read_only(self):
         spec, grid, red, _ = piecewise_setup()
-        plan = _channel_plan(spec, grid, red, 10.0, 16)
-        assert [(ch.m, ch.params.theta) for ch in plan.channels] == [
-            (-1, 1.0), (0, 1.0), (0, 1.3), (1, 0.0)
+        plans = [_channel_plan(spec, m, grid, red, 10.0, 16) for m in grid.modes]
+        assert [[(ch.m, ch.params.theta) for ch in plan.channels] for plan in plans] == [
+            [(-1, 1.0)], [(0, 1.0), (0, 1.3)], [(1, 0.0)]
         ]
-        assert plan.axial.shape == (len(grid.p_nodes), len(red.x3_nodes))
-        parts = [plan.axial]
-        for ch in plan.channels:
-            quad = ch.quad
-            parts += [ch.p_indices, quad.e_nodes, quad.e_weights, quad.nodes, quad.weights]
+        parts = []
+        for plan in plans:
+            assert plan.axial.shape == (len(grid.p_nodes), len(red.x3_nodes))
+            parts.append(plan.axial)
+            for ch in plan.channels:
+                quad = ch.quad
+                parts += [ch.p_indices, quad.e_nodes, quad.e_weights, quad.nodes, quad.weights]
         for part in parts:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
@@ -779,7 +819,7 @@ class TestChannelPlan:
         before = ab3d._cached_plan.cache_info()
         for _ in range(2):
             with pytest.raises(DomainError):
-                _channel_plan(spec, grid, red, math.inf, 16)
+                _channel_plan(spec, 0, grid, red, math.inf, 16)
         after = ab3d._cached_plan.cache_info()
         assert after.misses == before.misses + 2
         assert after.currsize == before.currsize
@@ -842,8 +882,9 @@ class TestModeSamples:
         r, angle, x3 = self.layout()
         image = make_field(m=2).hamiltonian_image(PHI)
         first, second = image.terms
-        profile = first.psi(r) * first.chi(x3) + second.psi(r) * second.chi(x3)
-        want = profile / np.sqrt(r) * np.exp(2j * angle)
+        profile = first.psi(r) / np.sqrt(r) * first.chi(x3)
+        profile = profile + second.psi(r) / np.sqrt(r) * second.chi(x3)
+        want = profile * np.exp(2j * angle)
         self.assert_same_floats(image(r, angle, x3), want)
 
     def test_a_transformed_field_is_the_broadcast_product(self):
@@ -1071,20 +1112,22 @@ class TestStreamedDefects:
 
     @pytest.mark.parametrize("block", range(8))
     def test_a_nan_in_any_block_of_base_gives_nan(self, block):
-        """A NaN in any stored block of base gives NaN, for each of the plan's
-        8 channels: a field of the channel's mode, its base poisoned in that
-        channel's block (the second one of mode 0's two).  Python's max
-        keeps its first value against a NaN, so a NaN past the first block
-        used to be dropped from the symmetry defect."""
+        """A NaN in any stored block of base gives NaN, for each of the 8
+        channels of the modes' plans: a field of the channel's mode, its
+        base poisoned in that channel's block (the second one of mode 0's
+        two).  Python's max keeps its first value against a NaN, so a NaN
+        past the first block used to be dropped from the symmetry defect."""
         spec, grid, reduction, r_rule = self.setup(PHI)
         args = (grid, r_rule, reduction, 100.0)
-        channels = _channel_plan(spec, grid, reduction, 100.0, 16).channels
+        channels = [
+            (m, j) for m in grid.modes
+            for j, _ in enumerate(_channel_plan(spec, m, grid, reduction, 100.0, 16).channels)
+        ]
         assert len(channels) == 8
-        ch = channels[block]
-        field = make_field(m=ch.m)
+        m, j = channels[block]
+        field = make_field(m=m)
         base = full_forward(spec, field, *args)
-        [poisoned] = [blk for blk in base.blocks if blk.p_indices is ch.p_indices]
-        poisoned.values[-1, -1] = np.nan
+        base.blocks[j].values[-1, -1] = np.nan
         assert math.isnan(hamiltonian_defect(spec, field, *args, base=base))
         assert math.isnan(symmetry_defect(spec, field, 0.7, 1.3, *args, base=base))
 
@@ -1096,10 +1139,10 @@ class TestStreamedDefects:
             hamiltonian_defect(spec, lambda r, a, x3: make_field(m=0)(r, a, x3), *args, base=base)
 
     def test_a_warm_call_holds_less_than_one_coefficient_set(self):
-        """At the acceptance grid (7 channels of 64 p nodes), a warm call's
+        """At the acceptance grid (7 modes of 64 p nodes), a warm call's
         traced peak stays below the bytes of one dense coefficient set, a
-        block for each of the plan's channels: no whole set is formed, and
-        the field is never sampled."""
+        block for each channel of every mode's plan: no whole set is
+        formed, and the field is never sampled."""
         spec = ThetaSpec.constant(PHI, 1.0)
         args = (
             ModeGrid.build(3, 8.0, 64), gauss_legendre(PSI.a, PSI.b, 64),
@@ -1107,8 +1150,10 @@ class TestStreamedDefects:
         )
         field = make_field(m=0)
         base = full_forward(spec, field, *args)
-        plan = _channel_plan(spec, args[0], args[2], args[3], 16)
-        whole_set = sum(16 * len(ch.p_indices) * len(ch.quad.nodes) for ch in plan.channels)
+        plans = [_channel_plan(spec, m, args[0], args[2], args[3], 16) for m in args[0].modes]
+        whole_set = sum(
+            16 * len(ch.p_indices) * len(ch.quad.nodes) for plan in plans for ch in plan.channels
+        )
         assert whole_set == 1_492_992
         calls = [
             lambda: hamiltonian_defect(spec, field, *args, base=base),
