@@ -30,7 +30,9 @@ mode m (its theta pieces, their extensions and spectral grids) and the
 axial phases form the forward's channel plan, built once per (phi, m, m's
 theta table, p nodes, x3 rule, E_max, node_budget) and cached; no other
 mode is discretized, and a field of a mode outside |m| <= M_max is a
-ConfigurationError.
+ConfigurationError.  The r rule is a transform.RadialRule, or a (nodes,
+weights) pair checked as one (DomainError otherwise) before the field is
+read; every kernel lookup of a forward reads the rule's own key.
 Norms satisfy
 
     ||Phi||^2_{L2(R^3)} = sum_m int dp ||reduced(m, p)||^2_{L2(0, inf)}
@@ -66,6 +68,7 @@ from .measures import (
 from .special import radial_kernel
 from .transform import (
     RadialFunction,
+    RadialRule,
     _interleaved,
     kernel_matrix,
 )
@@ -180,25 +183,15 @@ class ThetaSpec:
         })
 
 
-def _check_rule(rule: str, nodes, weights, positive_nodes: bool = False) -> None:
+def _check_rule(rule: str, nodes, weights) -> None:
     """ConfigurationError unless nodes and weights are 1-D arrays of one
-    length, all finite, with positive weights (and positive nodes if asked)."""
+    length, all finite, with positive weights."""
     x, w = np.asarray(nodes), np.asarray(weights)
-    if x.ndim != 1 or x.shape != w.shape or not np.all(
-        np.isfinite(x) & np.isfinite(w) & (w > 0) & ((x > 0) | (not positive_nodes))
-    ):
+    if x.ndim != 1 or x.shape != w.shape or not np.all(np.isfinite(x) & np.isfinite(w) & (w > 0)):
         raise ConfigurationError(
             f"the {rule} rule needs 1-D nodes and weights of one length, all finite, "
-            f"with positive weights{' and nodes' if positive_nodes else ''}"
+            "with positive weights"
         )
-
-
-def _radial_rule(r_rule) -> tuple[np.ndarray, np.ndarray]:
-    """The r nodes and weights of r_rule = (nodes, weights) as float arrays;
-    ConfigurationError unless they pass _check_rule with r > 0."""
-    r, w = (np.asarray(a, dtype=float) for a in r_rule)
-    _check_rule("r", r, w, positive_nodes=True)
-    return r, w
 
 
 @dataclass(frozen=True)
@@ -454,25 +447,23 @@ def radial_reduce(
 ) -> RadialFunction:
     """Channel reduction of a field at a single (m, p), sampled at r_nodes:
     sqrt(r) R @ (X @ e^{-i p x3} w3) for the field's own mode, 0 for any
-    other.  ConfigurationError for a field without factors, or unless the r
-    nodes and weights (all 1 by default) are a radial rule: 1-D, of one
-    length, finite and positive."""
-    r = np.asarray(r_nodes, dtype=float)
-    r, wr = _radial_rule((r, np.ones_like(r) if quad_weights is None else quad_weights))
-    m, radial, axial = _factors(field, r, grid.x3_nodes)
+    other.  DomainError unless the r nodes and weights (all 1 by default)
+    are a RadialRule; ConfigurationError for a field without factors."""
+    rule = RadialRule(r_nodes, np.ones(np.shape(r_nodes)) if quad_weights is None else quad_weights)
+    m, radial, axial = _factors(field, rule.nodes, grid.x3_nodes)
     reduced = radial @ (axial @ _axial([channel.p], grid)[0])
-    return RadialFunction(r, wr, float(channel.m == m) * np.sqrt(r) * reduced)
+    return RadialFunction(rule, None, float(channel.m == m) * np.sqrt(rule.nodes) * reduced)
 
 
 def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
     """||Phi||^2 over R^3 by quadrature from its factors:
     2 pi sum_i w_r r_i (|R @ X|^2 @ w3)_i, the angle integral exact.
-    ConfigurationError for a field without factors, or unless r_rule is a
-    radial rule (_radial_rule)."""
-    r, wr = _radial_rule(r_rule)
-    _, radial, axial = _factors(field, r, grid.x3_nodes)
+    r_rule is a RadialRule or a (nodes, weights) pair checked as one
+    (DomainError otherwise); ConfigurationError for a field without factors."""
+    rule = RadialRule.of(r_rule)
+    _, radial, axial = _factors(field, rule.nodes, grid.x3_nodes)
     per_r = (_abs_sq(radial @ axial) @ grid.x3_weights) * (2.0 * math.pi)
-    return float(np.sum(wr * r * per_r))
+    return float(np.sum(rule.weights * rule.nodes * per_r))
 
 
 # --------------------------------------------------------------------------
@@ -621,7 +612,7 @@ def _cached_plan(key: _CacheKey) -> _Plan:
     return _Plan(tuple(channels), axial)
 
 
-def _forward_blocks(plan: _Plan, factors, r, wr):
+def _forward_blocks(plan: _Plan, factors, rule: RadialRule):
     """The ChannelBlocks of a forward of a field with factors (m, R, X) =
     field.factors(r, x3 nodes), over the channels of plan, mode m's plan;
     every other mode's coefficients are exactly 0 and are not stored.  One
@@ -629,7 +620,7 @@ def _forward_blocks(plan: _Plan, factors, r, wr):
     caller that reduces a block before asking for the next one holds one
     block.
 
-    r and wr are a checked radial rule (_radial_rule).  Each block is
+    rule is the r rule the factors were sampled on.  Each block is
     X_hat[:, group].T @ (K @ R_w).T, with X_hat = X @ plan.axial.T and R_w =
     sqrt(r) w_r R: one real product with its extension's cached dense kernel
     K (transform.Kernel), called through this module's kernel_matrix
@@ -641,9 +632,9 @@ def _forward_blocks(plan: _Plan, factors, r, wr):
     axial = axial @ plan.axial.T
     if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
         radial, axial = np.hstack((radial.real, radial.imag)), np.vstack((axial, 1j * axial))
-    radial = radial * (np.sqrt(r) * wr)[:, None]
+    radial = radial * (np.sqrt(rule.nodes) * rule.weights)[:, None]
     for ch in plan.channels:
-        kernel = kernel_matrix(ch.params, ch.quad, r)
+        kernel = kernel_matrix(ch.params, ch.quad, rule)
         # np.dot, not @: matmul skips BLAS for an inner dimension of 1
         coefs = _interleaved(axial[:, ch.p_indices])
         values = np.dot(kernel.matrix @ radial, coefs).view(complex).T
@@ -661,8 +652,8 @@ def full_forward(
 ) -> Coefficients3D:
     """Channel-decompose a field and forward-transform every channel.
 
-    r_rule is a (nodes, weights) Gauss rule on the field's radial support
-    (ConfigurationError unless it is a radial rule, _radial_rule); E_max
+    r_rule is a Gauss rule on the field's radial support, a RadialRule or a
+    (nodes, weights) pair checked as one (DomainError otherwise); E_max
     applies to every channel (special.energy_cap(b) caps it for support right
     edge b).  ConfigurationError for a field without factors, or of a mode
     outside the truncation |m| <= M_max, raised before any plan or kernel
@@ -675,10 +666,10 @@ def full_forward(
     each meets its extension's kernel in k real columns.  hamiltonian_defect
     and symmetry_defect run the same blocks and keep none of them.
     """
-    r, wr = _radial_rule(r_rule)
-    factors = _factors(field, r, reduction.x3_nodes)
+    rule = RadialRule.of(r_rule)
+    factors = _factors(field, rule.nodes, reduction.x3_nodes)
     plan = _channel_plan(spec, factors[0], grid, reduction, E_max, node_budget)
-    return Coefficients3D(spec.phi, grid, list(_forward_blocks(plan, factors, r, wr)))
+    return Coefficients3D(spec.phi, grid, list(_forward_blocks(plan, factors, rule)))
 
 
 def _scaled(coeffs: Coefficients3D, factor) -> Coefficients3D:
@@ -780,8 +771,8 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
     threshold in some processes, which then faulted about 1,100 pages back
     in per call.  The factor comes in the block's memory order (F, _energy):
     against a C-ordered one each step took 229 us, not 57 us, a block."""
-    r, wr = _radial_rule(r_rule)
-    factors = _factors(field, r, reduction.x3_nodes)
+    rule = RadialRule.of(r_rule)
+    factors = _factors(field, rule.nodes, reduction.x3_nodes)
     plan = _channel_plan(spec, factors[0], grid, reduction, E_max, node_budget)
     _check_one_grid(caller, (base.phi, base.grid, base.blocks), (spec.phi, grid, plan.channels))
 
@@ -794,7 +785,7 @@ def _gaps(caller: str, base: Coefficients3D, factor, measure, spec: ThetaSpec, f
             blk.values -= scale * ref.values
         return measure(blk)
 
-    return map(gap, _forward_blocks(plan, factors, r, wr), base.blocks)
+    return map(gap, _forward_blocks(plan, factors, rule), base.blocks)
 
 
 def hamiltonian_defect(
@@ -897,14 +888,9 @@ def bound_state_table(spec: ThetaSpec) -> list[tuple[int, float, float, float, f
     """
     rows = []
     for m in critical_channels(spec.phi):
-        seen = set()
-        for theta in spec.entries[m].values:
-            params = ExtensionParams(channel_kappa(spec.phi, m), theta)
-            canonical = params.theta_mod_pi
-            if canonical in seen:
-                continue
-            seen.add(canonical)
-            for energy, weight in spectral_measure(params).atoms:
-                rows.append((m, params.kappa, energy, weight, canonical))
+        kappa, thetas = channel_kappa(spec.phi, m), spec.entries[m].values
+        for t in dict.fromkeys(ExtensionParams(kappa, theta).theta_mod_pi for theta in thetas):
+            for energy, weight in spectral_measure(ExtensionParams(kappa, t)).atoms:
+                rows.append((m, kappa, energy, weight, t))
     return rows
 

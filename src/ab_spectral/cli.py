@@ -36,7 +36,7 @@ from .measures import (
     spectral_measure,
 )
 from .special import energy_cap, u_eigen, u_theta_eigen
-from .transform import RadialFunction, forward, parseval_defect, roundtrip_defect
+from .transform import RadialFunction, RadialRule, forward, parseval_defect, roundtrip_defect
 from .verify import SuiteConfig, _atomic_write, run_suite, suite_exit_status, write_report
 
 EXIT_OK = 0
@@ -203,8 +203,6 @@ def _read_profile_csv(path: str) -> RadialFunction:
                     f"r={rows[-1][0]!r}; the r grid must be strictly increasing"
                 )
             rows.append((r_i, complex(re_i, im_i)))
-    if len(rows) < 8:
-        raise UsageError(f"{path}: need at least 8 samples")
     r = np.array([row[0] for row in rows])
     values = np.array([row[1] for row in rows])
     half_steps = 0.5 * np.diff(r)
@@ -274,7 +272,10 @@ def _cmd_transform_3d(args) -> int:
         _run_value(run, "n_p", 64, above=0),
     )
     red = ab3d.ReductionGrid.build(chi.support)
-    r_rule = gauss_legendre(a, b, _run_value(run, "r_nodes", 64, above=0))
+    try:
+        r_rule = RadialRule(*gauss_legendre(a, b, _run_value(run, "r_nodes", 64, above=0)))
+    except DomainError as exc:  # the r rule's own check, reported against its [run] key
+        raise UsageError(f"bad [run] r_nodes ({exc})") from None
     coeffs = ab3d.full_forward(
         spec, fld, grid, r_rule, red, energy_cap(b), args.node_budget
     )

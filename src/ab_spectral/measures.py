@@ -23,15 +23,18 @@ range; bound_state_energy then raises DomainError rather than returning an
 infinite or zero energy.
 
 A measure, and so its grid, reads only the extension class: nu = |kappa|
-and, for nu < 1, t = theta mod pi.  spectral_measure records that class in
-the SpectralMeasure, and discretize caches one read-only grid per (nu, t,
-E_max, node_budget), keyed by their bits: kappa and -kappa, and theta and
-theta + pi, share one grid, built once.
+and, for nu < 1, t = theta mod pi.  ExtensionParams forms that class once,
+when it is built (theta_mod_pi, theta_sign and the kernel branch's key are
+fields), spectral_measure records it in the SpectralMeasure, and discretize
+caches one read-only grid per (nu, t, E_max, node_budget), keyed by their
+bits: kappa and -kappa, and theta and theta + pi, share one grid, built
+once.
 
 theta is reduced modulo the double math.pi exactly (special.reduce_theta);
 the physics depends only on the class theta + pi*Z, with eigenfunctions
 flipping sign between classes.  |theta| past special.THETA_BOUND raises
-DomainError, since the parity of its multiple of pi is no longer known.
+DomainError when the ExtensionParams is built (for |kappa| < 1), since the
+parity of its multiple of pi is no longer known.
 """
 
 from __future__ import annotations
@@ -59,27 +62,31 @@ class ExtensionParams:
     """One radial problem: order kappa and extension angle theta.
 
     theta is ignored whenever |kappa| >= 1 (no boundary condition to choose).
+    The extension class is worked out once, at construction: nu = |kappa|,
+    needs_theta = nu < 1 and, for nu < 1, theta_mod_pi = t and theta_sign =
+    (-1)**n for theta = t + n*pi (special.reduce_theta: |theta| past
+    special.THETA_BOUND raises DomainError here); t = 0 and the sign is 1
+    for nu >= 1.  key holds the bits of what a kernel of the extension
+    reads: nu for nu >= 1, else (kappa, t, n mod 2).
     """
 
     kappa: float
     theta: float = 0.0
+    nu: float = field(init=False, repr=False, compare=False)
+    needs_theta: bool = field(init=False, repr=False, compare=False)
+    theta_mod_pi: float = field(init=False, repr=False, compare=False)
+    theta_sign: int = field(init=False, repr=False, compare=False)
+    key: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and math.isfinite(self.theta)):
             raise DomainError("kappa and theta must be finite")
-
-    @property
-    def theta_mod_pi(self) -> float:
-        return reduce_theta(self.theta)[0]
-
-    @property
-    def theta_sign(self) -> int:
-        """(-1)**n for theta = theta_mod_pi + n*pi; sign of the eigenfunctions."""
-        return -1 if reduce_theta(self.theta)[1] % 2 else 1
-
-    @property
-    def needs_theta(self) -> bool:
-        return abs(self.kappa) < 1.0
+        nu = abs(self.kappa)
+        t, n = reduce_theta(self.theta) if nu < 1.0 else (0.0, 0)
+        key = _bits((nu,) if nu >= 1.0 else (self.kappa, t, n % 2))
+        # frozen: the derived fields are written once, past __setattr__
+        self.__dict__.update(nu=nu, needs_theta=nu < 1.0, theta_mod_pi=t,
+                             theta_sign=-1 if n % 2 else 1, key=key)
 
 
 @dataclass(frozen=True)
@@ -106,11 +113,45 @@ class SpectralMeasure:
     atoms: tuple[tuple[float, float], ...] = ()  # (energy, weight), energy < 0
 
     def density(self, E) -> float | np.ndarray:
-        """ac_density of the class at energy E."""
-        return ac_density(ExtensionParams(self.nu, self.t), E)
+        """Density of the absolutely continuous part at energy E (0 for E < 0).
+
+        (1/2) E**nu for nu = |kappa| >= 1.  For nu < 1 it is (1/2) sin(pi nu)**2 / D,
+        D = E**-nu A**2 - 2 cos(pi nu) A B + E**nu B**2, with A = sin(t + pi nu/2)
+        and B = sin(t - pi nu/2); it is even in kappa, so it is computed on nu.
+        With u = E**(nu/2) and R = (u - 1/u) / sin(pi nu) (special._sinh_ratio,
+        ln(E)/pi at nu = 0), D / sin(pi nu)**2 is |u e^{it} - A R e^{i pi nu/2}|**2
+        and also |e^{it}/u - B R e^{-i pi nu/2}|**2.  Rotated by e^{-it}, the first
+        serves E < 1 and the second E >= 1, as X**2 + Y**2 with Y = A B R and
+        X = u - A R cos(t - pi nu/2), or X = 1/u - B R cos(t + pi nu/2).  Nothing
+        cancels as nu -> 0 or 1, nor where E**-nu A**2 or E**nu B**2 dominates D,
+        and at E = 1 the density is exactly 1/2.  At E = 0 it is 0, except for the
+        one extension with A = 0 exactly (nu = t = 0), whose density is 1/2
+        everywhere.  A NaN or infinite energy raises DomainError.
+        """
+        nu = self.nu
+        scalar = np.ndim(E) == 0
+        E = np.atleast_1d(np.asarray(E, dtype=float))
+        if not np.isfinite(E).all():
+            raise DomainError("ac_density: the energy must be finite (not NaN or infinite)")
+        out = np.zeros_like(E)
+        pos = E > 0.0
+        if nu >= 1.0:
+            out[pos] = 0.5 * E[pos] ** nu
+        else:
+            t, half = self.t, theta_kappa(nu)
+            A, B = math.sin(t + half), math.sin(t - half)
+            ell = np.log(E[pos])
+            R = _sinh_ratio(nu, 0.5 * ell)
+            X = np.exp(-0.5 * nu * np.abs(ell))
+            X -= R * np.where(ell >= 0.0, B * math.cos(t + half), A * math.cos(t - half))
+            Y = R * (A * B)
+            out[pos] = 0.5 / (X * X + Y * Y)
+            if A == 0.0:
+                out[E == 0.0] = 0.5
+        return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureQuadrature:
     """Discretization of a SpectralMeasure: the spectral grid.
 
@@ -119,14 +160,15 @@ class MeasureQuadrature:
     join them into one grid, the E nodes first, then the atom energies.  The
     arrays are read-only copies of those given (e_nodes and e_weights are views
     of nodes and weights), and key holds the bits of the E nodes and atom
-    energies, what a kernel over the grid reads, formed once per grid."""
+    energies, what a kernel over the grid reads, formed once per grid.  Two
+    grids compare, and hash, by identity."""
 
     e_nodes: np.ndarray
     e_weights: np.ndarray
     atoms: tuple[tuple[float, float], ...] = ()
-    nodes: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-    key: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    nodes: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    key: tuple[bytes, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         atoms = np.reshape(np.asarray(self.atoms, dtype=float), (-1, 2))
@@ -180,7 +222,7 @@ def atom_weight(params: ExtensionParams) -> float | None:
     energy = bound_state_energy(params)
     if energy is None:
         return None
-    nu, t = abs(params.kappa), params.theta_mod_pi
+    nu, t = params.nu, params.theta_mod_pi
     half = theta_kappa(nu)
     sinc = _pi_factors(nu)[3]
     weight = math.pi**2 * sinc * abs(energy) / (2.0 * math.sin(t + half) * math.sin(t - half))
@@ -190,52 +232,16 @@ def atom_weight(params: ExtensionParams) -> float | None:
 
 
 def ac_density(params: ExtensionParams, E) -> float | np.ndarray:
-    """Density of the absolutely continuous part at energy E (0 for E < 0).
-
-    (1/2) E**nu for nu = |kappa| >= 1.  For nu < 1 it is (1/2) sin(pi nu)**2 / D,
-    D = E**-nu A**2 - 2 cos(pi nu) A B + E**nu B**2, with A = sin(t + pi nu/2)
-    and B = sin(t - pi nu/2); it is even in kappa, so it is computed on nu.
-    With u = E**(nu/2) and R = (u - 1/u) / sin(pi nu) (special._sinh_ratio,
-    ln(E)/pi at nu = 0), D / sin(pi nu)**2 is |u e^{it} - A R e^{i pi nu/2}|**2
-    and also |e^{it}/u - B R e^{-i pi nu/2}|**2.  Rotated by e^{-it}, the first
-    serves E < 1 and the second E >= 1, as X**2 + Y**2 with Y = A B R and
-    X = u - A R cos(t - pi nu/2), or X = 1/u - B R cos(t + pi nu/2).  Nothing
-    cancels as nu -> 0 or 1, nor where E**-nu A**2 or E**nu B**2 dominates D,
-    and at E = 1 the density is exactly 1/2.  At E = 0 it is 0, except for the
-    one extension with A = 0 exactly (nu = t = 0), whose density is 1/2
-    everywhere.  A NaN or infinite energy raises DomainError.
-    """
-    nu = abs(params.kappa)
-    scalar = np.ndim(E) == 0
-    E = np.atleast_1d(np.asarray(E, dtype=float))
-    if not np.isfinite(E).all():
-        raise DomainError("ac_density: the energy must be finite (not NaN or infinite)")
-    out = np.zeros_like(E)
-    pos = E > 0.0
-    if nu >= 1.0:
-        out[pos] = 0.5 * E[pos] ** nu
-    else:
-        t, half = params.theta_mod_pi, theta_kappa(nu)
-        A, B = math.sin(t + half), math.sin(t - half)
-        ell = np.log(E[pos])
-        R = _sinh_ratio(nu, 0.5 * ell)
-        X = np.exp(-0.5 * nu * np.abs(ell))
-        X -= R * np.where(ell >= 0.0, B * math.cos(t + half), A * math.cos(t - half))
-        Y = R * (A * B)
-        out[pos] = 0.5 / (X * X + Y * Y)
-        if A == 0.0:
-            out[E == 0.0] = 0.5
-    return float(out[0]) if scalar else out
+    """Density of the absolutely continuous part at energy E: the density of
+    the extension's class (SpectralMeasure.density)."""
+    return SpectralMeasure(params.nu, params.theta_mod_pi).density(E)
 
 
 def spectral_measure(params: ExtensionParams) -> SpectralMeasure:
     """Assemble density plus bound-state atom for the given extension."""
-    nu = abs(params.kappa)
-    if nu >= 1.0:
-        return SpectralMeasure(nu, 0.0)
-    energy = bound_state_energy(params)
+    energy = bound_state_energy(params) if params.needs_theta else None
     atoms = () if energy is None else ((energy, atom_weight(params)),)
-    return SpectralMeasure(nu, params.theta_mod_pi, atoms)
+    return SpectralMeasure(params.nu, params.theta_mod_pi, atoms)
 
 
 @functools.lru_cache(maxsize=32)

@@ -23,9 +23,15 @@ Bessel values, and per extension the dense K (the 64 most recent; 213 KB at
 working set measured in its docstring, the default verify suite's 10
 pairs and 19 kernels; a full_forward needs its field's mode's one pair and
 one kernel per theta piece, at any M_max.  The grids themselves come from
-measures.discretize, which caches one per extension class; a kernel's key
-reads the grid's key (MeasureQuadrature.key), formed once per grid, so a
-warm lookup copies no E nodes.
+measures.discretize, which caches one per extension class.  A kernel's key
+joins three keys, each formed once by the object that holds it: the
+extension's (ExtensionParams.key), the grid's (MeasureQuadrature.key) and
+the r rule's (RadialRule.key), so a warm lookup with a rule reduces no
+theta and hashes no array.
+
+A radial function lives on a RadialRule, the one check of an r rule; the
+transforms and ab3d's reduction take the rule they are handed and do not
+check it again.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,7 +47,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 from .measures import ExtensionParams, MeasureQuadrature, _bits, _CacheKey, gauss_legendre
 from . import special
-from .special import radial_kernel, reduce_theta, u_theta_eigen, wronskian
+from .special import radial_kernel, u_theta_eigen, wronskian
 
 
 class Endpoint(enum.Enum):
@@ -64,31 +70,61 @@ def classify(kappa: float) -> ProblemClass:
     return ProblemClass(endpoint_0=at_zero, endpoint_inf=Endpoint.LIMIT_POINT)
 
 
-@dataclass
-class RadialFunction:
-    """A complex function sampled on a Gauss rule over a compact [a,b] in (0,inf)."""
+@dataclass(frozen=True, eq=False)
+class RadialRule:
+    """A quadrature rule in r on (0, inf), checked once, where it is made:
+    DomainError unless nodes and weights are 1-D, of one length, at least 8
+    nodes, all finite, with 0 < r < inf and weights > 0.  The arrays are
+    read-only copies of those given, and key holds the bits of the nodes,
+    what a kernel over the rule reads, formed once per rule.  np.asarray of
+    a rule is its nodes.  Two rules compare, and hash, by identity."""
 
-    r_nodes: np.ndarray
-    quad_weights: np.ndarray
-    values: np.ndarray
-    second_derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    nodes: np.ndarray
+    weights: np.ndarray
+    key: tuple[bytes, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.r_nodes = np.asarray(self.r_nodes, dtype=float)
-        self.quad_weights = np.asarray(self.quad_weights, dtype=float)
+        r, w = np.asarray(self.nodes, dtype=float), np.asarray(self.weights, dtype=float)
+        both = np.array((r, w)) if r.ndim == 1 and r.shape == w.shape and len(r) >= 8 else None
+        if both is None or not 0.0 < both.min() <= both.max() < math.inf:  # a NaN fails, too
+            raise DomainError(
+                "the r rule needs 1-D nodes and weights of one length, at least 8 nodes, "
+                "all finite, with nodes strictly inside (0, inf) and weights > 0"
+            )
+        both.setflags(write=False)  # one read-only copy of both
+        # frozen: the fields are written once, past __setattr__
+        self.__dict__.update(nodes=both[0], weights=both[1], key=_bits(both[0]))
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.nodes, dtype=dtype, copy=copy)
+
+    @classmethod
+    def of(cls, r_rule) -> "RadialRule":
+        """r_rule itself if it is a RadialRule, else the rule of a (nodes,
+        weights) pair."""
+        return r_rule if isinstance(r_rule, cls) else cls(*r_rule)
+
+
+@dataclass
+class RadialFunction:
+    """A complex function sampled on a RadialRule: finite values, one per
+    node.  r_nodes and quad_weights are given as arrays, checked as a new
+    rule, or r_nodes is a RadialRule and quad_weights None, and the rule is
+    not checked again; either way they end as the rule's read-only arrays."""
+
+    r_nodes: np.ndarray
+    quad_weights: np.ndarray | None
+    values: np.ndarray
+    second_derivative: Callable[[np.ndarray], np.ndarray] | None = None
+    rule: RadialRule = field(init=False, repr=False)
+
+    def __post_init__(self):
+        nodes, weights = self.r_nodes, self.quad_weights
+        self.rule = rule = RadialRule.of(nodes if weights is None else (nodes, weights))
+        self.r_nodes, self.quad_weights = rule.nodes, rule.weights
         self.values = np.asarray(self.values, dtype=complex)
-        if not (len(self.r_nodes) == len(self.quad_weights) == len(self.values)):
-            raise DomainError("nodes, weights, values must have equal length")
-        if len(self.r_nodes) < 8:
-            raise DomainError("need at least 8 quadrature nodes")
-        # ufunc reductions, cheaper per call than ndarray.min; a NaN fails each check
-        r, w = self.r_nodes, self.quad_weights
-        if not (np.minimum.reduce(r) > 0.0 and np.maximum.reduce(r) < math.inf):
-            raise DomainError("radial nodes must be finite and lie strictly inside (0, inf)")
-        if not (np.minimum.reduce(w) >= 0.0 and np.maximum.reduce(w) < math.inf):
-            raise DomainError("quadrature weights must be finite and >= 0")
-        if not np.isfinite(self.values).all():
-            raise DomainError("radial values must be finite")
+        if self.values.shape != rule.nodes.shape or not np.isfinite(self.values).all():
+            raise DomainError("radial values must be finite, one per r node")
 
     @classmethod
     def from_callable(cls, f, a: float, b: float, n: int = 64, second_derivative=None):
@@ -163,25 +199,26 @@ def _interleaved(v: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(v).view(float) if np.iscomplexobj(v) else v
 
 
-def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r_nodes) -> Kernel:
-    """The kernel over the spectral grid quad.nodes and r_nodes as a Kernel:
-    the continuum rows over the Bessel pair of order |kappa|, the atom rows
-    radial_kernel at the atom energies (at E_b the bound eigenfunction).
+def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r) -> Kernel:
+    """The kernel over the spectral grid quad.nodes and the r nodes of r, a
+    RadialRule or bare nodes, as a Kernel: the continuum rows over the Bessel
+    pair of order |kappa|, the atom rows radial_kernel at the atom energies
+    (at E_b the bound eigenfunction).
 
-    Cached per extension, keyed bit for bit by what the matrix reads: |kappa|
-    or (kappa, theta mod pi, the parity of theta's multiple of pi), the grid's
-    key (quad.key: its E nodes and atom energies, not the weights, formed
-    once per grid) and the r nodes.  A hit returns the same Kernel and builds
-    nothing; a miss reads the Bessel pair from its own cache, keyed by (nu,
-    E nodes, r nodes), so every theta and both signs of kappa of one order
-    share one pair.  The grid is checked when its pair is built; errors are
-    never stored, and both caches are safe to share between threads."""
-    r = np.asarray(r_nodes, dtype=float)
-    branch = (abs(params.kappa),)
-    if params.needs_theta:
-        t, n = reduce_theta(params.theta)
-        branch = (params.kappa, t, n % 2)
-    return _build_kernel(_CacheKey(_bits(branch, r) + quad.key, (params, quad, r)))
+    Cached per extension, keyed bit for bit by what the matrix reads: the
+    extension's key (params.key: |kappa|, or (kappa, theta mod pi, the parity
+    of theta's multiple of pi)), the grid's key (quad.key: its E nodes and
+    atom energies, not the weights) and the rule's key (RadialRule.key: its
+    nodes), each formed once per object, so a warm lookup with a rule hashes
+    no array; the bits of bare nodes are formed per call.  A hit returns the
+    same Kernel and builds nothing; a miss reads the Bessel pair from its own
+    cache, keyed by (nu, E nodes, r nodes), so every theta and both signs of
+    kappa of one order share one pair.  The grid is checked when its pair is
+    built; errors are never stored, and both caches are safe to share
+    between threads."""
+    nodes = r.nodes if isinstance(r, RadialRule) else np.asarray(r, dtype=float)
+    key = params.key + quad.key + (r.key if isinstance(r, RadialRule) else _bits(nodes))
+    return _build_kernel(_CacheKey(key, (params, quad, nodes)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,7 +230,7 @@ def _build_kernel(key: _CacheKey) -> Kernel:
     any M_max): 64 kept, at most about 13.7 MB."""
     params, quad, r = key.inputs
     n = len(quad.e_nodes)
-    F, G = _bessel_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
+    F, G = _bessel_pair(params.nu, quad.e_nodes[:, None], r[None, :])
     a, b = special._kernel_coefficients(params.kappa, params.theta, quad.e_nodes)
     K = np.empty((len(quad.nodes), len(r)))
     np.multiply(a[:, None], F, out=K[:n])
@@ -237,7 +274,7 @@ def forward(
     include_atoms=False zeroes the bound-state coefficients; the resulting
     Parseval deficit is the expected negative control.
     """
-    values = kernel_matrix(params, quad, psi.r_nodes) @ (psi.quad_weights * psi.values)
+    values = kernel_matrix(params, quad, psi.rule) @ (psi.quad_weights * psi.values)
     if not include_atoms:
         values[len(quad.e_nodes) :] = 0.0
     return TransformCoefficients(quad, values)
@@ -249,11 +286,14 @@ def inverse(
     r_nodes,
     quad_weights=None,
 ) -> RadialFunction:
-    """Synthesis (the adjoint): psi(r) = int kernel(E|r) c(E) dV(E), atom included."""
-    r_nodes = np.asarray(r_nodes, dtype=float)
-    values = (coeffs.quad.weights * coeffs.values) @ kernel_matrix(params, coeffs.quad, r_nodes)
-    weights = np.ones_like(r_nodes) if quad_weights is None else quad_weights
-    return RadialFunction(r_nodes, np.asarray(weights, dtype=float), values)
+    """Synthesis (the adjoint): psi(r) = int kernel(E|r) c(E) dV(E), atom
+    included, on a RadialRule r_nodes (quad_weights None), or on r_nodes and
+    quad_weights (all 1 by default) checked as a new rule."""
+    if quad_weights is None and not isinstance(r_nodes, RadialRule):
+        quad_weights = np.ones(np.shape(r_nodes))
+    rule = RadialRule.of(r_nodes if quad_weights is None else (r_nodes, quad_weights))
+    values = (coeffs.quad.weights * coeffs.values) @ kernel_matrix(params, coeffs.quad, rule)
+    return RadialFunction(rule, None, values)
 
 
 def apply_l_q(kappa: float, psi: RadialFunction) -> RadialFunction:
@@ -271,7 +311,7 @@ def apply_l_q(kappa: float, psi: RadialFunction) -> RadialFunction:
     r = psi.r_nodes
     q = (kappa * kappa - 0.25) / (r * r)
     values = -np.asarray(psi.second_derivative(r), dtype=complex) + q * psi.values
-    return RadialFunction(r, psi.quad_weights, values)
+    return RadialFunction(psi.rule, None, values)
 
 
 def boundary_defect(params: ExtensionParams, E: float, r_probe: Sequence[float]):
@@ -299,6 +339,6 @@ def parseval_defect(psi: RadialFunction, coeffs: TransformCoefficients) -> float
 
 def roundtrip_defect(params: ExtensionParams, psi: RadialFunction, quad) -> float:
     """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid."""
-    back = inverse(params, forward(params, psi, quad), psi.r_nodes, psi.quad_weights)
+    back = inverse(params, forward(params, psi, quad), psi.rule)
     diff = float(np.sum(psi.quad_weights * np.abs(back.values - psi.values) ** 2))
     return math.sqrt(diff / psi.norm_sq())

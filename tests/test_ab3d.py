@@ -247,7 +247,8 @@ class TestReduction:
         chi_norm = float(np.sum(w * CHI(x) ** 2))
         expected = 2.0 * math.pi * psi_norm * chi_norm
         assert field_norm_sq(field, r_rule, grid) == pytest.approx(expected, rel=1e-10)
-        assert field_norm_sq(field, (np.zeros(0), np.zeros(0)), grid) == 0.0
+        with pytest.raises(DomainError, match="at least 8"):  # an empty rule has no norm
+            field_norm_sq(field, (np.zeros(0), np.zeros(0)), grid)
 
     def test_an_empty_r_grid_has_no_radial_function(self):
         grid = ReductionGrid.build(CHI.support, n_x3=16)
@@ -614,10 +615,11 @@ R_RULE = gauss_legendre(PSI.a, PSI.b, 16)
 
 
 class TestRadialRule:
-    """full_forward, field_norm_sq and radial_reduce take one radial rule:
-    1-D nodes and weights of one length, all finite, with r > 0 and w > 0.
-    The rule is checked first: a plain callable, which the reduction would
-    refuse for its missing factors, is told of the rule, as a library field is."""
+    """full_forward, field_norm_sq and radial_reduce take one radial rule,
+    transform.RadialRule: 1-D nodes and weights of one length, at least 8
+    nodes, all finite, with r > 0 and w > 0, else DomainError.  The rule is
+    checked first: a plain callable, which the reduction would refuse for
+    its missing factors, is told of the rule, as a library field is."""
 
     @pytest.mark.parametrize(
         "rule",
@@ -637,17 +639,17 @@ class TestRadialRule:
                              ids=["factored", "sampled"])
     def test_a_malformed_rule_raises_configuration_error(self, rule, field):
         spec, grid, reduction, _ = small_setup()
-        with pytest.raises(ConfigurationError, match="the r rule"):
+        with pytest.raises(DomainError, match="the r rule"):
             full_forward(spec, field, grid, rule, reduction, 10.0)
-        with pytest.raises(ConfigurationError, match="the r rule"):
+        with pytest.raises(DomainError, match="the r rule"):
             field_norm_sq(field, rule, reduction)
-        with pytest.raises(ConfigurationError, match="the r rule"):
+        with pytest.raises(DomainError, match="the r rule"):
             radial_reduce(field, ChannelIndex(1, 0.4), rule[0], reduction, rule[1])
 
     def test_radial_reduce_checks_its_nodes_without_weights(self):
         _, _, reduction, _ = small_setup()
         nodes = R_RULE[0] - R_RULE[0][0]  # the first node at r = 0
-        with pytest.raises(ConfigurationError, match="the r rule"):
+        with pytest.raises(DomainError, match="the r rule"):
             radial_reduce(make_field(m=1), ChannelIndex(1, 0.4), nodes, reduction)
 
 

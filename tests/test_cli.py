@@ -398,6 +398,7 @@ class TestTransformCommand:
             ("m_max = -1", "m_max"),
             ("n_p = 0", "n_p"),
             ("r_nodes = 2.5", "r_nodes"),
+            ("r_nodes = 3", "r_nodes"),  # the r rule needs at least 8 nodes
             ("field_m = 1.5", "field_m"),
             ("field_m = 4", "field_m"),  # outside the default m_max = 3: no channel holds it
             ("m_max = 1\nfield_m = -2", "field_m"),

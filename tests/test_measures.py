@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ab_spectral import measures
+from ab_spectral import ab3d, cli, measures, special, transform, verify
 from ab_spectral.errors import DomainError
 from ab_spectral.measures import (
     GRADING_LEVELS,
@@ -26,6 +26,7 @@ from ab_spectral.measures import (
     spectral_measure,
 )
 from ab_spectral.special import THETA_BOUND, theta_kappa
+from ab_spectral.transform import kernel_matrix
 
 
 class TestReduceTheta:
@@ -85,6 +86,32 @@ class TestReduceTheta:
         if math.isfinite(theta):
             with pytest.raises(DomainError):
                 spectral_measure(ExtensionParams(0.3, theta))
+
+    def test_the_class_is_formed_at_construction(self):
+        """theta is reduced when the params are built, so past the bound they
+        are refused there; for |kappa| >= 1, which ignores theta, never."""
+        with pytest.raises(DomainError, match="theta"):
+            ExtensionParams(0.3, 1e16 + 2.0)
+        ignored = ExtensionParams(1.5, 1e300)
+        assert (ignored.nu, ignored.theta_mod_pi, ignored.theta_sign) == (1.5, 0.0, 1)
+
+    def test_built_params_are_never_reduced_again(self, monkeypatch):
+        """spectral_measure, a cold discretize and a warm kernel_matrix read the
+        class the params formed: no call of reduce_theta through the binding of
+        any module that imports it."""
+        params = ExtensionParams(0.3, 1.0 + 7.0 * math.pi)
+        r = np.linspace(0.5, 3.0, 12)
+        kernel_matrix(params, discretize(spectral_measure(params), 40.0), r)
+        calls = []
+        for module in (special, measures, transform, ab3d, verify, cli):
+            if hasattr(module, "reduce_theta"):
+                original = module.reduce_theta
+                monkeypatch.setattr(module, "reduce_theta",
+                                    lambda theta, f=original: calls.append(theta) or f(theta))
+        measure = spectral_measure(params)
+        discretize(measure, 40.0 + 1.0 / 3.0)  # a grid no other test builds
+        kernel_matrix(params, discretize(measure, 40.0), r)
+        assert calls == []
 
     def test_theta_sign(self):
         assert ExtensionParams(0.3, 0.5).theta_sign == 1
@@ -469,6 +496,9 @@ class TestGridCache:
         again = discretize(spectral_measure(self.PARAMS), 40.0, 32)
         assert again is first
         assert grid_counts() == (hits + 1, misses)
+        # grids compare and hash by identity, never by their arrays
+        assert again == first and hash(again) == hash(first)
+        assert again != discretize(measure, 40.0, 16)
         assert_panel_by_panel(again, measure, 40.0, 32)
 
     @pytest.mark.parametrize(

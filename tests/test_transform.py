@@ -68,6 +68,10 @@ class TestRadialFunction:
         r = np.linspace(0.5, 1.0, 16)
         with pytest.raises(DomainError):
             RadialFunction(r, np.ones(16), np.ones(15))
+        with pytest.raises(DomainError, match="one per r node"):  # values of shape (8, 3)
+            RadialFunction(r[:8], np.ones(8), np.ones((8, 3)))
+        with pytest.raises(DomainError, match="the r rule"):  # 2-D nodes and weights
+            RadialFunction(np.tile(r[:8, None], 2), np.ones((8, 2)), np.ones(8))
 
     def test_rejects_tiny_grids(self):
         r = np.linspace(0.5, 1.0, 4)
@@ -93,7 +97,8 @@ class TestRadialFunction:
         w[5] = -1e-300
         with pytest.raises(DomainError, match="weights"):
             RadialFunction(np.linspace(0.5, 1.0, 16), w, np.ones(16))
-        assert RadialFunction(np.linspace(0.5, 1.0, 16), np.zeros(16), np.ones(16)).norm_sq() == 0.0
+        with pytest.raises(DomainError, match="weights"):  # a zero weight, too
+            RadialFunction(np.linspace(0.5, 1.0, 16), np.zeros(16), np.ones(16))
 
     @pytest.mark.parametrize("node", [0.0, -0.25])
     def test_rejects_an_interior_node_off_the_half_line(self, node):
@@ -101,6 +106,21 @@ class TestRadialFunction:
         r[7] = node  # unsorted: the first node is still > 0
         with pytest.raises(DomainError, match="strictly inside"):
             RadialFunction(r, np.ones(16), np.ones(16))
+
+    def test_functions_on_one_rule_share_it(self):
+        """The rule is checked once, where it is made: apply_l_q and inverse
+        hand it on, read-only, and it compares by identity."""
+        psi = make_psi()
+        params = ExtensionParams(0.3, 1.0)
+        back = inverse(params, forward(params, psi, discretize(spectral_measure(params), 10.0)),
+                       psi.rule)
+        for other in (apply_l_q(0.3, psi), back):
+            assert other.rule is psi.rule and other.r_nodes is psi.r_nodes
+        assert not psi.r_nodes.flags.writeable and not psi.quad_weights.flags.writeable
+        assert np.asarray(psi.rule, dtype=float) is psi.r_nodes
+        copy = transform.RadialRule(psi.r_nodes, psi.quad_weights)
+        assert psi.rule == psi.rule and psi.rule != copy and hash(copy) != hash(psi.rule)
+        assert copy.key == psi.rule.key
 
     def test_norm_of_unit_constant(self):
         psi = RadialFunction.from_callable(lambda r: np.ones_like(r), 1.0, 3.0, 32)
@@ -196,6 +216,20 @@ class TestKernelCache:
         assert cache_counts() == ((hits + 1, misses), pair)  # the pair cache is not consulted
         assert np.array_equal(again.matrix, fresh_kernel(self.PARAMS, quad, self.R))
         assert_products_match(again, fresh_build(self.PARAMS, quad, self.R))
+
+    def test_a_warm_lookup_with_a_rule_hashes_no_array(self, monkeypatch):
+        """A rule's key is formed when the rule is made, the bits of its nodes:
+        bare nodes share its kernel, and a warm lookup with the rule forms no
+        bits at all."""
+        quad = self.quad()
+        rule = transform.RadialRule(self.R, np.ones(len(self.R)))
+        K = kernel_matrix(self.PARAMS, quad, rule)
+        assert kernel_matrix(self.PARAMS, quad, self.R) is K
+        formed = []
+        bits = transform._bits
+        monkeypatch.setattr(transform, "_bits", lambda *v: formed.append(v) or bits(*v))
+        assert kernel_matrix(self.PARAMS, quad, rule) is K
+        assert formed == []
 
     def test_weights_are_not_part_of_the_key(self):
         quad = self.quad()
