@@ -470,7 +470,7 @@ def field_norm_sq(field, r_rule, grid: ReductionGrid) -> float:
 # Coefficients
 
 
-@dataclass
+@dataclass(eq=False)
 class ChannelBlock:
     """Coefficients of one angular mode over a set of p nodes sharing one theta.
 
@@ -478,7 +478,8 @@ class ChannelBlock:
     the spectral grid of the shared measure.  continuum and atom_values are
     its E-node and atom columns, and assigning either writes into values.
     p_indices and quad come from the forward's cached channel plan: read-only,
-    and shared by every forward of the same signature.
+    and shared by every forward of the same signature.  Two blocks compare,
+    and hash, by identity.
     """
 
     m: int

@@ -23,24 +23,27 @@ range; bound_state_energy then raises DomainError rather than returning an
 infinite or zero energy.
 
 A measure, and so its grid, reads only the extension class: nu = |kappa|
-and, for nu < 1, t = theta mod pi.  ExtensionParams forms that class once,
-when it is built (theta_mod_pi, theta_sign and the kernel branch's key are
-fields), spectral_measure records it in the SpectralMeasure, and discretize
-caches one read-only grid per (nu, t, E_max, node_budget), keyed by their
-bits: kappa and -kappa, and theta and theta + pi, share one grid, built
-once.
+and, for nu < 1, t = theta mod pi.  ExtensionParams takes that class and
+its kernel from special._kernel_terms once, when it is built (theta_mod_pi,
+theta_sign, the kernel's (cu, cw) and its key, the bits of (nu, t, parity),
+are fields), spectral_measure records it in the SpectralMeasure, and
+discretize caches one read-only grid per (nu, t, E_max, node_budget), keyed
+by their bits: kappa and -kappa, and theta and theta + pi, share one grid,
+built once, and kappa and -kappa one kernel.
 
-theta is reduced modulo the double math.pi exactly (special.reduce_theta);
-the physics depends only on the class theta + pi*Z, with eigenfunctions
-flipping sign between classes.  |theta| past special.THETA_BOUND raises
-DomainError when the ExtensionParams is built (for |kappa| < 1), since the
-parity of its multiple of pi is no longer known.
+theta is reduced modulo the double math.pi exactly (special.reduce_theta,
+inside special._kernel_terms); the physics depends only on the class
+theta + pi*Z, with eigenfunctions flipping sign between classes.  |theta|
+past special.THETA_BOUND raises DomainError when the ExtensionParams is
+built (for |kappa| < 1), since the parity of its multiple of pi is no
+longer known.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +52,10 @@ from .errors import DomainError
 from .special import (
     _LOG_HUGE,
     _LOG_TINY,
+    _kernel_terms,
     _pi_factors,
     _sinh_ratio,
     bound_state_exponent,
-    reduce_theta,
     theta_kappa,
 )
 
@@ -62,12 +65,13 @@ class ExtensionParams:
     """One radial problem: order kappa and extension angle theta.
 
     theta is ignored whenever |kappa| >= 1 (no boundary condition to choose).
-    The extension class is worked out once, at construction: nu = |kappa|,
-    needs_theta = nu < 1 and, for nu < 1, theta_mod_pi = t and theta_sign =
-    (-1)**n for theta = t + n*pi (special.reduce_theta: |theta| past
-    special.THETA_BOUND raises DomainError here); t = 0 and the sign is 1
-    for nu >= 1.  key holds the bits of what a kernel of the extension
-    reads: nu for nu >= 1, else (kappa, t, n mod 2).
+    The extension class and its kernel are formed once, at construction, by
+    special._kernel_terms: nu = |kappa|, needs_theta = nu < 1 and, for
+    nu < 1, theta_mod_pi = t and theta_sign = (-1)**n for theta = t + n*pi
+    (|theta| past special.THETA_BOUND raises DomainError here), with the
+    kernel cu u(nu) + cw w(nu); t = 0, the sign 1 and the kernel u(nu) for
+    nu >= 1.  key holds the bits of what a kernel of the extension reads,
+    (nu, t, n mod 2): kappa and -kappa share it.
     """
 
     kappa: float
@@ -76,17 +80,18 @@ class ExtensionParams:
     needs_theta: bool = field(init=False, repr=False, compare=False)
     theta_mod_pi: float = field(init=False, repr=False, compare=False)
     theta_sign: int = field(init=False, repr=False, compare=False)
+    cu: float = field(init=False, repr=False, compare=False)
+    cw: float = field(init=False, repr=False, compare=False)
     key: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.kappa) and math.isfinite(self.theta)):
             raise DomainError("kappa and theta must be finite")
-        nu = abs(self.kappa)
-        t, n = reduce_theta(self.theta) if nu < 1.0 else (0.0, 0)
-        key = _bits((nu,) if nu >= 1.0 else (self.kappa, t, n % 2))
+        nu, t, parity, cu, cw = _kernel_terms(self.kappa, self.theta)
         # frozen: the derived fields are written once, past __setattr__
         self.__dict__.update(nu=nu, needs_theta=nu < 1.0, theta_mod_pi=t,
-                             theta_sign=-1 if n % 2 else 1, key=key)
+                             theta_sign=-1 if parity else 1, cu=cu, cw=cw,
+                             key=(struct.pack("3d", nu, t, parity),))
 
 
 @dataclass(frozen=True)
@@ -219,16 +224,8 @@ def atom_weight(params: ExtensionParams) -> float | None:
     pi**2 sinc(nu) |E_b| / (2 A B), with nu = |kappa|, A = sin(t + pi nu/2) and
     B = sin(t - pi nu/2), even in kappa; pi**2 |E_b| / (2 sin(t)**2) at nu = 0."""
     _require_extension_family(params.kappa, "atom_weight")
-    energy = bound_state_energy(params)
-    if energy is None:
-        return None
-    nu, t = params.nu, params.theta_mod_pi
-    half = theta_kappa(nu)
-    sinc = _pi_factors(nu)[3]
-    weight = math.pi**2 * sinc * abs(energy) / (2.0 * math.sin(t + half) * math.sin(t - half))
-    if not math.isfinite(weight):
-        raise DomainError(f"atom weight of kappa={params.kappa}, theta={params.theta} overflows")
-    return weight
+    atoms = spectral_measure(params).atoms
+    return atoms[0][1] if atoms else None
 
 
 def ac_density(params: ExtensionParams, E) -> float | np.ndarray:
@@ -238,10 +235,18 @@ def ac_density(params: ExtensionParams, E) -> float | np.ndarray:
 
 
 def spectral_measure(params: ExtensionParams) -> SpectralMeasure:
-    """Assemble density plus bound-state atom for the given extension."""
+    """Assemble density plus bound-state atom (E_b, atom_weight) for the given
+    extension, from one evaluation of E_b."""
+    nu, t = params.nu, params.theta_mod_pi
     energy = bound_state_energy(params) if params.needs_theta else None
-    atoms = () if energy is None else ((energy, atom_weight(params)),)
-    return SpectralMeasure(params.nu, params.theta_mod_pi, atoms)
+    if energy is None:
+        return SpectralMeasure(nu, t)
+    half = theta_kappa(nu)
+    sinc = _pi_factors(nu)[3]
+    weight = math.pi**2 * sinc * abs(energy) / (2.0 * math.sin(t + half) * math.sin(t - half))
+    if not math.isfinite(weight):
+        raise DomainError(f"atom weight of kappa={params.kappa}, theta={params.theta} overflows")
+    return SpectralMeasure(nu, t, ((energy, weight),))
 
 
 @functools.lru_cache(maxsize=32)

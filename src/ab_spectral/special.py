@@ -21,21 +21,29 @@ from 1 - nu, which is exact there while pi nu is not: so no rule switches
 form as nu -> 0 or nu -> 1, where one critical channel of a flux next to an
 integer sits.
 
-One rule turns (kappa, theta, E) into the kernel u_theta, in radial_kernel and
-u_theta_eigen alike: theta is taken modulo pi, t = theta - n pi in [0, pi),
-and the parity sign (-1)**n multiplies (cu, cw), so theta -> theta + pi flips
-every value exactly whenever theta + pi rounds to the same t.  Where E equals
-the extension's bound-state energy E_b, -exp(bound_state_exponent), a normal
-double, a = 0 exactly (the I term vanishes, DLMF 10.40.1-2): the
-cancellation-free -(2/pi) sin(theta - pi kappa/2) |E|**(kappa/2) sqrt(r) K_nu(x).
-An E_b outside the double range is met by no energy, so it raises nothing here.
+The extension family is even in kappa: u_theta does not change under
+kappa -> -kappa at fixed theta.  So one function, _kernel_terms, forms the
+extension class of (kappa, theta) -- nu = |kappa|, t = theta - n pi in
+[0, pi) (reduce_theta, called there alone) and the parity n mod 2 -- and its
+kernel cu u(nu) + cw w(nu), with delta = t - pi nu/2 and the parity sign
+(-1)**n in (cu, cw).  radial_kernel, u_theta_eigen and measures.ExtensionParams
+all read it, so kappa and -kappa give the same bits, and theta -> theta + pi
+flips every value exactly whenever theta + pi rounds to the same t.  Where E
+equals the class's bound-state energy E_b, -exp(bound_state_exponent), a
+normal double, a = 0 exactly (the I term vanishes, DLMF 10.40.1-2): the
+cancellation-free -(2/pi) cw |E|**(nu/2) sqrt(r) K_nu(x).  An E_b outside
+the double range is met by no energy, so it raises nothing here.  A
+negative order remains in the public u_eigen, w_eigen and chi_kappa: u(-nu)
+over the pair of order nu by DLMF 10.4.7 and 10.27.2, and
+w(-nu) = sin(pi nu) u(nu) + cos(pi nu) w(nu).
 
 The pair comes from scipy (AMOS, Amos 1986, ACM TOMS Alg. 644; Cephes at
 orders 0 and 1; spherical Bessel functions at half-odd orders, every critical
 channel at flux 1/2, where jv(1/2, x) loses ulps).  radial_kernel returns
 values only; the transforms take the pair from _jy_pair (one per order) and
-(a, b) from _kernel_coefficients.  u_eigen, w_eigen and u_theta_eigen add d/dr
-from the pair at orders nu + 1 and nu - 1 (DLMF 10.6.2, 10.29.2).
+(a, b) from _pair_coefficients over the class's (nu, cu, cw).  u_eigen,
+w_eigen and u_theta_eigen add d/dr from the pair at orders nu + 1 and
+nu - 1 (DLMF 10.6.2, 10.29.2).
 Where a = 0 (a bound state) F and F_{nu+1} are not evaluated.
 
 Against mpmath (tests/test_special.py): chi_kappa and its zeta-derivative to
@@ -236,17 +244,17 @@ def _bessel_where(kind: tuple, order: float, x: np.ndarray, live: np.ndarray) ->
 
 
 def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
-    """(value, d/dr) of cu u + cw w at E = 0.  With m = ln(r/2) + _log_gamma_odd(nu),
-    u(+-nu) = sqrt(r sinc(nu)) exp(+-nu m), and so w = sqrt(r sinc(nu)) times
-    2 sinh(nu m) / sin(pi nu) - sign(kappa) tan(pi nu / 2) exp(kappa m)."""
+    """(value, d/dr) of cu u + cw w at E = 0, where cw != 0 only at kappa = nu >= 0.
+    With m = ln(r/2) + _log_gamma_odd(nu), u(+-nu) = sqrt(r sinc(nu)) exp(+-nu m),
+    and so w = sqrt(r sinc(nu)) times 2 sinh(nu m) / sin(pi nu) - tan(pi nu / 2) exp(nu m)."""
     u = cu * r ** (0.5 + kappa) * (2.0 ** -kappa / gamma_fn(kappa + 1.0))
     value, d_dr = u, (0.5 + kappa) * u / r
     if cw != 0.0:
         nu = abs(kappa)
         _, _, tan_half, sinc = _pi_factors(nu)
         m = np.log(0.5 * r) + _log_gamma_odd(nu)
-        grow = tan_half * np.exp(kappa * m)
-        f = _sinh_ratio(nu, m) - math.copysign(1.0, kappa) * grow
+        grow = tan_half * np.exp(nu * m)
+        f = _sinh_ratio(nu, m) - grow
         df = (2.0 / math.pi) * np.cosh(nu * m) / sinc - nu * grow  # nu df/dbeta
         scale = cw * math.sqrt(sinc) * np.sqrt(r)
         value = value + scale * f
@@ -268,26 +276,21 @@ def _checked_grid(kappa: float, E, r) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_coefficients(kappa: float, cu: float, cw: float, E) -> tuple:
     """(a, b) with cu u + cw w = sqrt(r) [a F + b G] at each energy E != 0, over
-    the pair (F, G) of order |kappa|; b is None where G is not read (kappa >= 0
-    with no w term)."""
+    the pair (F, G) of order nu = |kappa|; cw != 0 only at kappa = nu >= 0, and
+    b is None where G is not read (kappa >= 0 with no w term).  A negative
+    order is u alone (u_eigen, chi_kappa): u(-nu) by DLMF 10.4.7 and 10.27.2."""
     nu = abs(kappa)
     c, s, tan_half, _ = _pi_factors(nu)
     neg = E < 0.0
     M = np.where(E == 0.0, 1.0, np.abs(E))
     p = M ** (0.5 * nu)
-    if kappa >= 0.0:
-        a, b = cu / p, 0.0
-    else:
-        a = cu * np.where(neg, 1.0, c) * p
-        b = cu * np.where(neg, 2.0 / math.pi, -1.0) * s * p
-    if cw != 0.0:
-        R = _sinh_ratio(nu, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
-        if kappa >= 0.0:
-            a = a - cw * (c * R + np.where(neg, tan_half, 0.0) * p)
-        else:
-            a = a + cw * (np.where(neg, tan_half, s) * p - R)
-        b = b + cw * np.where(neg, -2.0 / math.pi, 1.0) * (1.0 if kappa >= 0.0 else c) * p
-    return a, (b if kappa < 0.0 or cw != 0.0 else None)
+    if kappa < 0.0:
+        return cu * np.where(neg, 1.0, c) * p, cu * np.where(neg, 2.0 / math.pi, -1.0) * s * p
+    if cw == 0.0:
+        return cu / p, None
+    R = _sinh_ratio(nu, 0.5 * np.log(M))  # (p - 1/p) / sin(pi nu)
+    a = cu / p - cw * (c * R + np.where(neg, tan_half, 0.0) * p)
+    return a, cw * np.where(neg, -2.0 / math.pi, 1.0) * p
 
 
 def _assemble(kappa: float, cu: float, cw: float, E, r, derivative=False, bound=False):
@@ -339,43 +342,40 @@ def chi_kappa(kappa: float, zeta):
     return float(val) if np.ndim(zeta) == 0 else val
 
 
-def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, float, float]:
-    """(order, t, cu, cw) with the transform kernel cu u + cw w of that order and
-    t = theta mod pi; the parity sign (-1)**n of theta = t + n pi is in (cu, cw),
-    so theta -> theta + pi flips the kernel exactly."""
-    if abs(kappa) >= 1.0:
-        return abs(kappa), 0.0, 1.0, 0.0
-    if not math.isfinite(theta):
-        raise DomainError(f"the extension angle must be finite (theta={theta})")
-    t, n = reduce_theta(theta)
-    delta, sign = t - theta_kappa(kappa), (-1.0 if n % 2 else 1.0)
-    return kappa, t, sign * math.cos(delta), sign * math.sin(delta)
+def _kernel_terms(kappa: float, theta: float) -> tuple[float, float, int, float, float]:
+    """The extension class of (kappa, theta) and its kernel, formed here alone:
+    (nu, t, parity, cu, cw) with nu = |kappa|, theta = t + n pi, t in [0, pi)
+    (reduce_theta), parity = n mod 2 and the kernel cu u(nu) + cw w(nu) =
+    (-1)**n [u(nu) cos(delta) + w(nu) sin(delta)], delta = t - pi nu/2.  u_theta
+    does not change under kappa -> -kappa at fixed theta, so both signs give
+    the same five values, and theta -> theta + pi flips the kernel exactly.
+    For nu >= 1 the kernel is u(nu) and theta is not read: (nu, 0.0, 0, 1.0, 0.0)."""
+    nu = abs(kappa)
+    if nu >= 1.0:
+        return nu, 0.0, 0, 1.0, 0.0
+    t, n = reduce_theta(theta)  # DomainError for a non-finite theta, too
+    delta, parity = t - theta_kappa(nu), n % 2
+    sign = -1.0 if parity else 1.0
+    return nu, t, parity, sign * math.cos(delta), sign * math.sin(delta)
 
 
-def _at_bound_state(kappa: float, t: float, E) -> np.ndarray | bool:
-    """Where E is the bound-state energy E_b of the extension (kappa, t), a
+def _at_bound_state(nu: float, t: float, E) -> np.ndarray | bool:
+    """Where E is the bound-state energy E_b of the extension class (nu, t), a
     normal double: there the kernel is the decaying K form (its I term vanishes,
     DLMF 10.40.1-2), so _assemble sets a = 0.  Off the branch, or where E_b
     leaves the double range, no E is E_b."""
-    exponent = bound_state_exponent(kappa, t)
+    exponent = bound_state_exponent(nu, t)
     if exponent is None or not _LOG_TINY <= exponent <= _LOG_HUGE:
         return False
     return np.asarray(E, dtype=float) == -math.exp(exponent)
 
 
-def _kernel_coefficients(kappa: float, theta: float, E) -> tuple[np.ndarray, np.ndarray | None]:
-    """(a, b) with radial_kernel(kappa, theta, E, r) = sqrt(r) [a F + b G] over
-    (F, G) = _jy_pair(|kappa|, E, r) at energies E > 1e-200 other than E_b; b is
-    None where the kernel reads no G (always for |kappa| >= 1)."""
-    order, _, cu, cw = _kernel_terms(kappa, theta)
-    return _pair_coefficients(order, cu, cw, E)
-
-
 def radial_kernel(kappa: float, theta: float, E, r) -> np.ndarray:
     """Transform kernel values, no derivatives: u(|kappa|, E | r) for |kappa| >= 1
-    (theta unused), else u_theta(kappa, theta, E | r), the decaying K form at E_b."""
-    order, t, cu, cw = _kernel_terms(kappa, theta)
-    return _assemble(order, cu, cw, E, r, bound=_at_bound_state(kappa, t, E))[0]
+    (theta unused), else u_theta(kappa, theta, E | r), the decaying K form at E_b;
+    computed on nu = |kappa|, so kappa and -kappa give the same bits."""
+    nu, t, _, cu, cw = _kernel_terms(kappa, theta)
+    return _assemble(nu, cu, cw, E, r, bound=_at_bound_state(nu, t, E))[0]
 
 
 def _jy_pair(nu: float, E, r) -> tuple[np.ndarray, np.ndarray | None]:
@@ -405,22 +405,26 @@ def u_eigen(kappa: float, E, r) -> ValueWithDerivative:
 def w_eigen(kappa: float, E, r) -> ValueWithDerivative:
     """Second real solution w(kappa, E); the reference partner of u in the
     extension family.  Only defined for |kappa| < 1."""
-    if abs(kappa) >= 1.0:
+    nu = abs(kappa)
+    if nu >= 1.0:
         raise DomainError(f"w_eigen requires |kappa| < 1, got kappa={kappa}")
-    return _eigen(E, r, *_assemble(kappa, 0.0, 1.0, E, r, derivative=True))
+    cu, cw = 0.0, 1.0
+    if kappa < 0.0:  # on order nu: w(-nu) = sin(pi nu) u(nu) + cos(pi nu) w(nu)
+        cw, cu, _, _ = _pi_factors(nu)
+    return _eigen(E, r, *_assemble(nu, cu, cw, E, r, derivative=True))
 
 
 def u_theta_eigen(kappa: float, theta: float, E, r) -> ValueWithDerivative:
     """Extension-family eigenfunction u_theta = u cos(d) + w sin(d), d = theta - pi*kappa/2.
 
     Stable for all |kappa| < 1, kappa -> 0 included; the decaying K form at exactly E_b.
-    Its value is radial_kernel's.
+    Its value is radial_kernel's, computed on nu = |kappa| like it.
     """
     if abs(kappa) >= 1.0:
         raise DomainError(f"u_theta_eigen requires |kappa| < 1, got kappa={kappa}")
-    _, t, cu, cw = _kernel_terms(kappa, theta)
-    bound = _at_bound_state(kappa, t, E)
-    return _eigen(E, r, *_assemble(kappa, cu, cw, E, r, derivative=True, bound=bound))
+    nu, t, _, cu, cw = _kernel_terms(kappa, theta)
+    bound = _at_bound_state(nu, t, E)
+    return _eigen(E, r, *_assemble(nu, cu, cw, E, r, derivative=True, bound=bound))
 
 
 def wronskian(f: ValueWithDerivative, g: ValueWithDerivative):

@@ -13,8 +13,10 @@ happens anywhere, so the discrete pair is a matrix and its adjoint.
 
 On the E nodes K is sqrt(r) (a F + b G) over the Bessel pair (F, G) = (J_nu,
 Y_nu) of order nu = |kappa| at x = r sqrt(E), and only the per-energy
-coefficients (a, b) depend on theta and on the sign of kappa.  kernel_matrix
-forms K once per extension as one read-only dense matrix (Kernel), so K @ v
+coefficients (a, b) depend on theta: special._pair_coefficients over the
+extension's (nu, cu, cw), which ExtensionParams holds.  The family is even
+in kappa, so kappa and -kappa at one theta share one kernel.  kernel_matrix
+forms K once per extension class as one read-only dense matrix (Kernel), so K @ v
 and c @ K are one real product each, a complex operand entering as
 interleaved re/im floats.  Two caches: the pairs (the 32 most recent; 213 KB
 per array at 416 E nodes x 64 r nodes, so at most 13.6 MB), the one store of
@@ -105,12 +107,13 @@ class RadialRule:
         return r_rule if isinstance(r_rule, cls) else cls(*r_rule)
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialFunction:
     """A complex function sampled on a RadialRule: finite values, one per
     node.  r_nodes and quad_weights are given as arrays, checked as a new
     rule, or r_nodes is a RadialRule and quad_weights None, and the rule is
-    not checked again; either way they end as the rule's read-only arrays."""
+    not checked again; either way they end as the rule's read-only arrays.
+    Two functions compare, and hash, by identity."""
 
     r_nodes: np.ndarray
     quad_weights: np.ndarray | None
@@ -135,10 +138,11 @@ class RadialFunction:
         return float(np.sum(self.quad_weights * np.abs(self.values) ** 2))
 
 
-@dataclass
+@dataclass(eq=False)
 class TransformCoefficients:
     """Coefficients on the spectral grid quad.nodes: one per E node, then one
-    per atom.  continuum_values and atom_values are views of the two parts."""
+    per atom.  continuum_values and atom_values are views of the two parts.
+    Two coefficient sets compare, and hash, by identity."""
 
     quad: MeasureQuadrature
     values: np.ndarray
@@ -160,13 +164,14 @@ class TransformCoefficients:
         return float(np.sum(self.quad.weights * np.abs(self.values) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Kernel:
     """K[i, j] = kernel(node_i | r_j) over a spectral grid as one read-only
     dense matrix: sqrt(r_j) (a_i F_ij + b_i G_ij) on the E nodes, over the
     Bessel pair (F, G) of the channel's order, then one row per atom, the
     bound eigenfunction.  K @ v and c @ K are one real product each, a complex
-    operand entering as interleaved re/im floats, so K is never cast to complex."""
+    operand entering as interleaved re/im floats, so K is never cast to complex.
+    Two kernels compare, and hash, by identity."""
 
     matrix: np.ndarray
 
@@ -202,12 +207,14 @@ def _interleaved(v: np.ndarray) -> np.ndarray:
 def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r) -> Kernel:
     """The kernel over the spectral grid quad.nodes and the r nodes of r, a
     RadialRule or bare nodes, as a Kernel: the continuum rows over the Bessel
-    pair of order |kappa|, the atom rows radial_kernel at the atom energies
-    (at E_b the bound eigenfunction).
+    pair of order nu = |kappa| with the coefficients of params' (cu, cw), the
+    atom rows radial_kernel at the atom energies (at E_b the bound
+    eigenfunction).
 
-    Cached per extension, keyed bit for bit by what the matrix reads: the
-    extension's key (params.key: |kappa|, or (kappa, theta mod pi, the parity
-    of theta's multiple of pi)), the grid's key (quad.key: its E nodes and
+    Cached per extension class, keyed bit for bit by what the matrix reads:
+    the extension's key (params.key: nu, theta mod pi and the parity of
+    theta's multiple of pi, so kappa and -kappa share a kernel; for
+    |kappa| >= 1 theta is not read), the grid's key (quad.key: its E nodes and
     atom energies, not the weights) and the rule's key (RadialRule.key: its
     nodes), each formed once per object, so a warm lookup with a rule hashes
     no array; the bits of bare nodes are formed per call.  A hit returns the
@@ -231,7 +238,7 @@ def _build_kernel(key: _CacheKey) -> Kernel:
     params, quad, r = key.inputs
     n = len(quad.e_nodes)
     F, G = _bessel_pair(params.nu, quad.e_nodes[:, None], r[None, :])
-    a, b = special._kernel_coefficients(params.kappa, params.theta, quad.e_nodes)
+    a, b = special._pair_coefficients(params.nu, params.cu, params.cw, quad.e_nodes)
     K = np.empty((len(quad.nodes), len(r)))
     np.multiply(a[:, None], F, out=K[:n])
     if b is not None:

@@ -711,6 +711,56 @@ class TestFactoredForward:
                     assert type(norm) is float and norm == 0.0
 
 
+class TestFluxSymmetries:
+    """Two symmetries of the AB Hamiltonian that relate two fluxes (Aharonov
+    and Bohm 1959), on the forward blocks of mode m's theta table, theta
+    piecewise in p on one critical mode."""
+
+    GRID = ModeGrid.build(3, 8.0, 32)
+    REDUCTION = ReductionGrid.build(CHI.support, n_x3=64)
+    R_RULE = gauss_legendre(PSI.a, PSI.b, 48)
+
+    @staticmethod
+    def table(phi):
+        return dict(zip(critical_channels(phi), (PiecewiseTheta((0.0,), (1.0, 1.3)), 1.0)))
+
+    def forward(self, phi, entries, m):
+        return full_forward(ThetaSpec(phi, entries), make_field(m), self.GRID, self.R_RULE,
+                            self.REDUCTION, ZETA_BOUND / PSI.b**2)
+
+    @pytest.mark.parametrize("m", [-1, 0, 2])
+    @pytest.mark.parametrize("phi", [0.3, 0.5, 1e-6, 2.0, -0.4, 1.7])
+    def test_reflection_is_exact(self, phi, m):
+        """x2 -> -x2 takes (phi, m) to (-phi, -m), with the theta table on the
+        mirrored modes: kappa -> -kappa exactly, and the kernel path, computed
+        on nu = |kappa|, gives the blocks to the bit, on the same grids."""
+        coeffs = self.forward(phi, self.table(phi), m)
+        mirrored = self.forward(-phi, {-k: v for k, v in self.table(phi).items()}, -m)
+        assert len(mirrored.blocks) == len(coeffs.blocks) >= 1
+        for blk, image in zip(coeffs.blocks, mirrored.blocks):
+            assert image.m == -blk.m and image.quad is blk.quad
+            assert np.array_equal(image.p_indices, blk.p_indices)
+            assert image.values.tobytes() == blk.values.tobytes()
+
+    @pytest.mark.parametrize("m", [-1, 0, 2])
+    @pytest.mark.parametrize("phi", [0.3, 0.5, 2.0, 1.7])
+    def test_gauge_shift(self, phi, m):
+        """phi -> phi + 1 with the field times e^{-i alpha} (mode m - 1) and the
+        table moved from m to m - 1: kappa = (m - 1) + (phi + 1) is m + phi up
+        to the rounding of phi + 1.  Where it is m + phi the blocks agree to
+        the bit, elsewhere within 4e-15 of the peak (7.7e-16 measured).  Next
+        to an integer flux the rounding moves 1 - |kappa| itself: at phi = 1e-6
+        and m = -1 an ulp of kappa = -0.999999 moves the blocks by 1.1e-10."""
+        coeffs = self.forward(phi, self.table(phi), m)
+        shifted = self.forward(phi + 1.0, {k - 1: v for k, v in self.table(phi).items()}, m - 1)
+        exact = channel_kappa(phi + 1.0, m - 1) == channel_kappa(phi, m)
+        peak = max(np.max(np.abs(blk.values)) for blk in coeffs.blocks)
+        assert len(shifted.blocks) == len(coeffs.blocks) >= 1
+        for blk, image in zip(coeffs.blocks, shifted.blocks):
+            assert image.m == blk.m - 1 and np.array_equal(image.p_indices, blk.p_indices)
+            assert np.max(np.abs(image.values - blk.values)) <= (0.0 if exact else 4e-15 * peak)
+
+
 def piecewise_setup(theta_above=1.3):
     """small_setup with theta piecewise in p on m = 0, so that mode has two blocks."""
     _, grid, reduction, r_rule = small_setup()

@@ -22,10 +22,9 @@ from ab_spectral.measures import (
     discretize,
     gauss_legendre,
     has_bound_state,
-    reduce_theta,
     spectral_measure,
 )
-from ab_spectral.special import THETA_BOUND, theta_kappa
+from ab_spectral.special import THETA_BOUND, reduce_theta, theta_kappa
 from ab_spectral.transform import kernel_matrix
 
 
@@ -192,6 +191,18 @@ class TestBoundStates:
         assert math.isfinite(bound_state_energy(params))
         with pytest.raises(DomainError):
             atom_weight(params)
+
+    def test_the_measure_evaluates_the_energy_once(self, monkeypatch):
+        """spectral_measure's atom is (bound_state_energy, atom_weight) to the
+        bit, from one evaluation of E_b."""
+        params = ExtensionParams(0.3, 1.0)
+        expected = ((bound_state_energy(params), atom_weight(params)),)
+        calls = []
+        original = measures.bound_state_exponent
+        monkeypatch.setattr(measures, "bound_state_exponent",
+                            lambda *args: calls.append(args) or original(*args))
+        assert spectral_measure(params).atoms == expected
+        assert len(calls) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(kappa=st.floats(-0.99, 0.99), theta=st.floats(0.0, math.pi))

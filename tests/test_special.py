@@ -555,6 +555,29 @@ class TestBoundStateEigenfunction:
         ):
             assert (-evaluate(theta + math.pi)).tobytes() == evaluate(theta).tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa=st.floats(0.0, 1.0, exclude_max=True),
+        theta=st.floats(-20.0, 20.0),
+        E=st.floats(0.01, 100.0),
+    )
+    def test_minus_kappa_is_the_same_kernel(self, kappa, theta, E):
+        """u_theta = u cos(theta - pi kappa/2) + w sin(theta - pi kappa/2) does
+        not change under kappa -> -kappa at fixed theta, and both signs are
+        computed on nu = |kappa|: the kernel and u_theta with d/dr agree bit
+        for bit at E of either sign, at E = 0 and at the bound-state energy."""
+        energies = [E, -E, 0.0]
+        exponent = special.bound_state_exponent(kappa, special.reduce_theta(theta)[0])
+        if exponent is not None and exponent <= math.log(ZETA_BOUND / 16.0):
+            energies.append(-math.exp(exponent))  # E_b, within the bound out to r = 4
+        E, r = np.array(energies)[:, None], np.linspace(0.5, 4.0, 5)
+        for evaluate in (
+            lambda k: special.radial_kernel(k, theta, E, r),
+            lambda k: u_theta_eigen(k, theta, E, r).value,
+            lambda k: u_theta_eigen(k, theta, E, r).d_dr,
+        ):
+            assert evaluate(-kappa).tobytes() == evaluate(kappa).tobytes()
+
     @pytest.mark.parametrize("theta", [0.7, 0.7 + math.pi])
     def test_eigenfunction_3d_at_bound_state(self, theta):
         """phi = 0.3, channel m = 0 (kappa = 0.3) at its own E_b, off the support."""

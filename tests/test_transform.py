@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ab_spectral import special, transform
+from ab_spectral import ab3d, special, transform
 from ab_spectral.bumps import GaussianBump
 from ab_spectral.errors import ContractError, DomainError, SeriesDomainError
 from ab_spectral.measures import (
@@ -109,18 +109,31 @@ class TestRadialFunction:
 
     def test_functions_on_one_rule_share_it(self):
         """The rule is checked once, where it is made: apply_l_q and inverse
-        hand it on, read-only, and it compares by identity."""
+        hand it on, read-only, and it compares by identity, as do the
+        function, its coefficients, the kernel and a 3D block, each against
+        an equal twin: comparing their arrays by value would raise
+        ValueError, and hashing them TypeError."""
         psi = make_psi()
         params = ExtensionParams(0.3, 1.0)
-        back = inverse(params, forward(params, psi, discretize(spectral_measure(params), 10.0)),
-                       psi.rule)
+        quad = discretize(spectral_measure(params), 10.0)
+        coeffs = forward(params, psi, quad)
+        back = inverse(params, coeffs, psi.rule)
         for other in (apply_l_q(0.3, psi), back):
             assert other.rule is psi.rule and other.r_nodes is psi.r_nodes
         assert not psi.r_nodes.flags.writeable and not psi.quad_weights.flags.writeable
         assert np.asarray(psi.rule, dtype=float) is psi.r_nodes
         copy = transform.RadialRule(psi.r_nodes, psi.quad_weights)
-        assert psi.rule == psi.rule and psi.rule != copy and hash(copy) != hash(psi.rule)
         assert copy.key == psi.rule.key
+        K = kernel_matrix(params, quad, psi.rule)
+        block = ab3d.ChannelBlock(0, np.arange(1), quad, coeffs.values[None, :])
+        for one, twin in (
+            (psi.rule, copy),
+            (psi, RadialFunction(psi.rule, None, psi.values)),
+            (coeffs, TransformCoefficients(quad, coeffs.values)),
+            (K, transform.Kernel(K.matrix)),
+            (block, dataclasses.replace(block)),
+        ):
+            assert one == one and one != twin and hash(one) == hash(one) != hash(twin)
 
     def test_norm_of_unit_constant(self):
         psi = RadialFunction.from_callable(lambda r: np.ones_like(r), 1.0, 3.0, 32)
@@ -156,8 +169,8 @@ def fresh_build(params, quad, r):
     and coefficients, bypassing the caches."""
     n = len(quad.e_nodes)
     dense = fresh_kernel(params, quad, r)
-    F, G = special._jy_pair(abs(params.kappa), quad.e_nodes[:, None], r[None, :])
-    a, b = special._kernel_coefficients(params.kappa, params.theta_mod_pi, quad.e_nodes)
+    F, G = special._jy_pair(params.nu, quad.e_nodes[:, None], r[None, :])
+    a, b = special._pair_coefficients(params.nu, params.cu, params.cw, quad.e_nodes)
     terms = [(a, F)] + ([(b, G)] if b is not None else [])
     parts = [np.vstack([np.sqrt(r) * x[:, None] * P, np.zeros_like(dense[n:])]) for x, P in terms]
     parts.append(np.vstack([np.zeros_like(dense[:n]), dense[n:]]))
@@ -278,6 +291,21 @@ class TestKernelCache:
         assert np.array_equal(K_flipped @ v, -(K @ v))
         assert np.array_equal(K_flipped @ V, -(K @ V))
         assert np.array_equal(c @ K_flipped, -(c @ K))
+
+    @pytest.mark.parametrize("kappa, theta", [(0.3, 1.0), (0.7, 0.0), (0.5, 2.0), (1e-3, 2.9),
+                                              (0.999999, 1.0), (1.5, 0.0)])
+    def test_minus_kappa_is_the_same_kernel(self, kappa, theta):
+        """The extension family is even in kappa, and the key is (nu, t,
+        parity): after one build, -kappa at the same theta is a hit on the
+        same Kernel, which is -kappa's fresh build to the bit."""
+        plus, minus = ExtensionParams(kappa, theta), ExtensionParams(-kappa, theta)
+        quad = self.quad(plus)
+        assert self.quad(minus) is quad and minus.key == plus.key
+        K = kernel_matrix(plus, quad, self.R)
+        (hits, misses), pair = cache_counts()
+        assert kernel_matrix(minus, quad, self.R) is K
+        assert cache_counts() == ((hits + 1, misses), pair)
+        assert np.array_equal(K.matrix, fresh_kernel(minus, quad, self.R))
 
     def test_r_grid_one_ulp_apart_misses(self):
         quad = self.quad()
