@@ -24,8 +24,9 @@ other mode's coefficients are exactly 0: a coefficient set stores the
 blocks of mode m only, and a mode with no block is exactly 0.  One x3
 matmul takes X to X_hat = X @ (e^{-i p x3} w3).T (k, n_p), and each block
 of mode m is X_hat[:, group].T @ (K @ R_w).T: its extension's cached dense
-kernel K meets only the k weighted radial factors R_w = sqrt(r) w_r R, and
-the (n_r, n_modes, n_p) reduced array is never formed.  The channels of
+kernel K meets only the k weighted radial factors R_w = sqrt(r) w_r R, the
+k-term sum is transform's one real product (_real_product), and the
+(n_r, n_modes, n_p) reduced array is never formed.  The channels of
 mode m (its theta pieces, their extensions and spectral grids) and the
 axial phases form the forward's channel plan, built once per (phi, m, m's
 theta table, p nodes, x3 rule, E_max, node_budget) and cached; no other
@@ -66,12 +67,7 @@ from .measures import (
     spectral_measure,
 )
 from .special import radial_kernel
-from .transform import (
-    RadialFunction,
-    RadialRule,
-    _interleaved,
-    kernel_matrix,
-)
+from .transform import RadialFunction, RadialRule, _real_product, kernel_matrix
 
 
 def critical_channels(phi: float) -> tuple[int, ...]:
@@ -194,12 +190,13 @@ def _check_rule(rule: str, nodes, weights) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeGrid:
     """Truncation of the channel sum/integral: |m| <= M_max, Gauss rule in p.
 
     ConfigurationError unless M_max is an integer >= 0 and the p rule is 1-D,
-    finite and of positive weights."""
+    finite and of positive weights.  Two grids compare, and hash, by
+    identity."""
 
     M_max: int
     p_nodes: np.ndarray
@@ -229,12 +226,12 @@ def _check_truncated(grid: ModeGrid, m: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionGrid:
     """Quadrature for the axial reduction integral: a Gauss-Legendre rule over
     the x3 support.  The angle integral needs none, as a field hands its
     exact mode.  ConfigurationError unless the x3 rule is 1-D, finite and of
-    positive weights.
+    positive weights.  Two grids compare, and hash, by identity.
     """
 
     x3_nodes: np.ndarray
@@ -510,12 +507,13 @@ class ChannelBlock:
         return float(p_weights[self.p_indices] @ (_abs_sq(values) @ self.quad.weights))
 
 
-@dataclass
+@dataclass(eq=False)
 class Coefficients3D:
     """Full forward transform of a field: blocks over (mode, theta-piece).
 
     A forward stores the blocks of its field's mode alone; a mode of the
-    grid with no block is exactly 0 (its norm is 0.0)."""
+    grid with no block is exactly 0 (its norm is 0.0).  Two coefficient sets
+    compare, and hash, by identity."""
 
     phi: float
     grid: ModeGrid
@@ -622,13 +620,13 @@ def _forward_blocks(plan: _Plan, factors, rule: RadialRule):
     block.
 
     rule is the r rule the factors were sampled on.  Each block is
-    X_hat[:, group].T @ (K @ R_w).T, with X_hat = X @ plan.axial.T and R_w =
-    sqrt(r) w_r R: one real product with its extension's cached dense kernel
-    K (transform.Kernel), called through this module's kernel_matrix
-    binding, in k real columns (a complex R as its real and imaginary parts,
-    2k columns), and the k-term sum one real product with the coefficients
-    as interleaved re/im floats.  So a forward looks up and builds the
-    kernels of mode m alone.  Block values are fresh writable arrays."""
+    _real_product(K @ R_w, X_hat[:, group]).T, with X_hat = X @ plan.axial.T
+    and R_w = sqrt(r) w_r R: one real product with its extension's cached
+    dense kernel K, called through this module's kernel_matrix binding, in k
+    real columns (a complex R as its real and imaginary parts, 2k columns),
+    and the k-term sum transform's one product of a real matrix with complex
+    data.  So a forward looks up and builds the kernels of mode m alone.
+    Block values are fresh writable arrays."""
     _, radial, axial = factors
     axial = axial @ plan.axial.T
     if np.iscomplexobj(radial):  # R X_hat = R.real X_hat + R.imag (i X_hat)
@@ -636,9 +634,7 @@ def _forward_blocks(plan: _Plan, factors, rule: RadialRule):
     radial = radial * (np.sqrt(rule.nodes) * rule.weights)[:, None]
     for ch in plan.channels:
         kernel = kernel_matrix(ch.params, ch.quad, rule)
-        # np.dot, not @: matmul skips BLAS for an inner dimension of 1
-        coefs = _interleaved(axial[:, ch.p_indices])
-        values = np.dot(kernel.matrix @ radial, coefs).view(complex).T
+        values = _real_product(kernel @ radial, axial[:, ch.p_indices]).T
         yield ChannelBlock(ch.m, ch.p_indices, ch.quad, values)
 
 

@@ -5,11 +5,12 @@ whose second derivatives are exact; everything here is a Gaussian times a
 polynomial edge factor vanishing to high order at the support boundary, so
 truncation at [a, b] costs nothing measurable.
 
-The default edge order (3) and width (0.2 of the support length) balance the
-two competing spectral tails of the profile -- the Gaussian tail, which grows
-as the bump narrows, and the boundary-derivative-jump tail, which grows as it
-widens -- so that roundtrip synthesis truncated at the largest representable
-energy stays below 1e-6 on supports like [0.5, 3].
+The edge order (_EDGE_POWER, 3) and the default width (0.2 of the support
+length) balance the two competing spectral tails of the profile -- the
+Gaussian tail, which grows as the bump narrows, and the
+boundary-derivative-jump tail, which grows as it widens -- so that roundtrip
+synthesis truncated at the largest representable energy stays below 1e-6 on
+supports like [0.5, 3].
 """
 
 from __future__ import annotations
@@ -19,16 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_EDGE_POWER = 3  # the order to which a GaussianBump vanishes at a and b
+_CUTOFF = 6.5  # a GaussianProfile's support half-width, in widths
+
 
 @dataclass(frozen=True)
 class GaussianBump:
-    """((r-a)(b-r))**edge_power * exp(-((r-center)/width)**2) on [a, b], 0 outside."""
+    """((r-a)(b-r))**3 * exp(-((r-center)/width)**2) on [a, b], 0 outside."""
 
     a: float
     b: float
     center: float | None = None
     width: float | None = None
-    edge_power: int = 3
 
     def _params(self):
         c = self.center if self.center is not None else 0.5 * (self.a + self.b)
@@ -38,7 +41,7 @@ class GaussianBump:
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
         c, w = self._params()
-        k = self.edge_power
+        k = _EDGE_POWER
         inside = (r >= self.a) & (r <= self.b)
         poly = (r - self.a) ** k * (self.b - r) ** k
         return np.where(inside, poly * np.exp(-(((r - c) / w) ** 2)), 0.0)
@@ -47,7 +50,7 @@ class GaussianBump:
         """Exact second derivative (product rule on polynomial * Gaussian)."""
         r = np.asarray(r, dtype=float)
         c, w = self._params()
-        k = self.edge_power
+        k = _EDGE_POWER
         inside = (r >= self.a) & (r <= self.b)
         g = np.exp(-(((r - c) / w) ** 2))
         dg = g * (-2.0 * (r - c) / w**2)
@@ -66,11 +69,10 @@ class GaussianBump:
 @dataclass(frozen=True)
 class GaussianProfile:
     """Plain Gaussian exp(-((x-center)/width)**2); effectively supported on
-    [center - cutoff*width, center + cutoff*width]."""
+    [center - 6.5 width, center + 6.5 width]."""
 
     center: float = 0.0
     width: float = 0.7
-    cutoff: float = 6.5
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -94,4 +96,4 @@ class GaussianProfile:
 
     @property
     def support(self):
-        return (self.center - self.cutoff * self.width, self.center + self.cutoff * self.width)
+        return (self.center - _CUTOFF * self.width, self.center + _CUTOFF * self.width)

@@ -246,7 +246,10 @@ def _bessel_where(kind: tuple, order: float, x: np.ndarray, live: np.ndarray) ->
 def _zero_energy(kappa: float, cu: float, cw: float, r: np.ndarray):
     """(value, d/dr) of cu u + cw w at E = 0, where cw != 0 only at kappa = nu >= 0.
     With m = ln(r/2) + _log_gamma_odd(nu), u(+-nu) = sqrt(r sinc(nu)) exp(+-nu m),
-    and so w = sqrt(r sinc(nu)) times 2 sinh(nu m) / sin(pi nu) - tan(pi nu / 2) exp(nu m)."""
+    and so w = sqrt(r sinc(nu)) times 2 sinh(nu m) / sin(pi nu) - tan(pi nu / 2) exp(nu m).
+    At a negative integer kappa, a pole of gamma_fn(kappa + 1), u is exactly 0."""
+    if kappa <= -1.0 and kappa == math.floor(kappa):
+        return np.zeros_like(r), np.zeros_like(r)
     u = cu * r ** (0.5 + kappa) * (2.0 ** -kappa / gamma_fn(kappa + 1.0))
     value, d_dr = u, (0.5 + kappa) * u / r
     if cw != 0.0:

@@ -16,8 +16,10 @@ Y_nu) of order nu = |kappa| at x = r sqrt(E), and only the per-energy
 coefficients (a, b) depend on theta: special._pair_coefficients over the
 extension's (nu, cu, cw), which ExtensionParams holds.  The family is even
 in kappa, so kappa and -kappa at one theta share one kernel.  kernel_matrix
-forms K once per extension class as one read-only dense matrix (Kernel), so K @ v
-and c @ K are one real product each, a complex operand entering as
+forms K once per extension class as one read-only real array, and
+_real_product is the one product of a real kernel with data: forward is
+_real_product(K, w_r psi), inverse _real_product(K.T, w c), and ab3d's
+blocks use it too, each one np.dot with a complex operand entering as
 interleaved re/im floats.  Two caches: the pairs (the 32 most recent; 213 KB
 per array at 416 E nodes x 64 r nodes, so at most 13.6 MB), the one store of
 Bessel values, and per extension the dense K (the 64 most recent; 213 KB at
@@ -164,52 +166,24 @@ class TransformCoefficients:
         return float(np.sum(self.quad.weights * np.abs(self.values) ** 2))
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel:
-    """K[i, j] = kernel(node_i | r_j) over a spectral grid as one read-only
-    dense matrix: sqrt(r_j) (a_i F_ij + b_i G_ij) on the E nodes, over the
-    Bessel pair (F, G) of the channel's order, then one row per atom, the
-    bound eigenfunction.  K @ v and c @ K are one real product each, a complex
-    operand entering as interleaved re/im floats, so K is never cast to complex.
-    Two kernels compare, and hash, by identity."""
-
-    matrix: np.ndarray
-
-    __array_ufunc__ = None  # ndarray @ Kernel defers to __rmatmul__
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def __matmul__(self, v) -> np.ndarray:
-        """K @ v for v of shape (n_r,) or (n_r, k)."""
-        v = np.asarray(v)
-        out = self.matrix @ _interleaved(v.reshape(self.shape[1], -1))
-        if np.iscomplexobj(v):
-            out = out.view(complex)
-        return out.reshape(out.shape[:1] + v.shape[1:])
-
-    def __rmatmul__(self, c) -> np.ndarray:
-        """c @ K for c of shape (n_nodes,) or (k, n_nodes), as K.T @ c.T."""
-        c = np.asarray(c)
-        out = self.matrix.T @ _interleaved(c.reshape(-1, self.shape[0]).T)
-        if np.iscomplexobj(c):
-            out = out.view(complex)
-        return out.T.reshape(c.shape[:-1] + out.shape[:1])
+def _real_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A @ v for a real 2-D A and a real or complex v of shape (n,) or (n, k),
+    the one product of a real kernel with data: one np.dot, a complex v
+    entering as interleaved re/im floats, so A is never cast to complex.
+    np.dot, not @: numpy's matmul skips BLAS for an inner dimension of 1."""
+    if not np.iscomplexobj(v):
+        return np.dot(A, v)
+    out = np.dot(A, np.ascontiguousarray(v).view(float).reshape(len(v), -1)).view(complex)
+    return out if v.ndim == 2 else out[:, 0]
 
 
-def _interleaved(v: np.ndarray) -> np.ndarray:
-    """A 2-D v as real columns, a complex v as interleaved re/im floats, so a
-    real matrix times it is never cast to complex."""
-    return np.ascontiguousarray(v).view(float) if np.iscomplexobj(v) else v
-
-
-def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r) -> Kernel:
-    """The kernel over the spectral grid quad.nodes and the r nodes of r, a
-    RadialRule or bare nodes, as a Kernel: the continuum rows over the Bessel
-    pair of order nu = |kappa| with the coefficients of params' (cu, cw), the
-    atom rows radial_kernel at the atom energies (at E_b the bound
-    eigenfunction).
+def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r) -> np.ndarray:
+    """K[i, j] = kernel(node_i | r_j) over the spectral grid quad.nodes and the
+    r nodes of r, a RadialRule or bare nodes, as one read-only real array of
+    shape (len(quad.nodes), len(r)): the continuum rows sqrt(r) (a F + b G)
+    over the Bessel pair (F, G) of order nu = |kappa| with the coefficients of
+    params' (cu, cw), the atom rows radial_kernel at the atom energies (at
+    E_b the bound eigenfunction).  Products with it go through _real_product.
 
     Cached per extension class, keyed bit for bit by what the matrix reads:
     the extension's key (params.key: nu, theta mod pi and the parity of
@@ -218,7 +192,7 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r) -> Kernel
     atom energies, not the weights) and the rule's key (RadialRule.key: its
     nodes), each formed once per object, so a warm lookup with a rule hashes
     no array; the bits of bare nodes are formed per call.  A hit returns the
-    same Kernel and builds nothing; a miss reads the Bessel pair from its own
+    same array and builds nothing; a miss reads the Bessel pair from its own
     cache, keyed by (nu, E nodes, r nodes), so every theta and both signs of
     kappa of one order share one pair.  The grid is checked when its pair is
     built; errors are never stored, and both caches are safe to share
@@ -229,7 +203,7 @@ def kernel_matrix(params: ExtensionParams, quad: MeasureQuadrature, r) -> Kernel
 
 
 @functools.lru_cache(maxsize=64)
-def _build_kernel(key: _CacheKey) -> Kernel:
+def _build_kernel(key: _CacheKey) -> np.ndarray:
     """One extension's dense kernel, 213 KB at 417 nodes x 64 r nodes.  Working
     sets measured in extensions: 11 (the radial_sweep benchmark), 2
     (expansion_3d), 10 (its trimmed verify suite) and 19 (the default suite);
@@ -246,7 +220,7 @@ def _build_kernel(key: _CacheKey) -> Kernel:
     K[:n] *= np.sqrt(r)
     K[n:] = radial_kernel(params.kappa, params.theta, quad.nodes[n:, None], r[None, :])
     K.setflags(write=False)
-    return Kernel(K)
+    return K
 
 
 def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
@@ -281,7 +255,7 @@ def forward(
     include_atoms=False zeroes the bound-state coefficients; the resulting
     Parseval deficit is the expected negative control.
     """
-    values = kernel_matrix(params, quad, psi.rule) @ (psi.quad_weights * psi.values)
+    values = _real_product(kernel_matrix(params, quad, psi.rule), psi.quad_weights * psi.values)
     if not include_atoms:
         values[len(quad.e_nodes) :] = 0.0
     return TransformCoefficients(quad, values)
@@ -299,7 +273,8 @@ def inverse(
     if quad_weights is None and not isinstance(r_nodes, RadialRule):
         quad_weights = np.ones(np.shape(r_nodes))
     rule = RadialRule.of(r_nodes if quad_weights is None else (r_nodes, quad_weights))
-    values = (coeffs.quad.weights * coeffs.values) @ kernel_matrix(params, coeffs.quad, rule)
+    K = kernel_matrix(params, coeffs.quad, rule)
+    values = _real_product(K.T, coeffs.quad.weights * coeffs.values)
     return RadialFunction(rule, None, values)
 
 

@@ -662,7 +662,7 @@ def dense_forward_blocks(spec, field, grid, r_rule, reduction, e_max):
     weighted = oracle_reduction(field, r, list(grid.modes), grid.p_nodes, reduction)
     weighted *= (np.sqrt(r) * wr)[:, None, None]
     return [
-        (ch, (transform.kernel_matrix(ch.params, ch.quad, r).matrix
+        (ch, (transform.kernel_matrix(ch.params, ch.quad, r)
               @ weighted[:, ch.m + grid.M_max, ch.p_indices]).T)
         for m in grid.modes
         for ch in _channel_plan(spec, m, grid, reduction, e_max, 16).channels

@@ -65,10 +65,12 @@ class TestChiKappa:
         assert np.max(np.abs(chi_kappa(0.5, zeta) - exact)) < 1e-14
 
     def test_at_zero(self):
-        # chi_kappa(0) = 2**-kappa / Gamma(kappa + 1)
+        # chi_kappa(0) = 2**-kappa / Gamma(kappa + 1), exactly 0 at a pole of Gamma
         for kappa in (0.0, 0.5, 2.0):
             expected = 2.0**-kappa / gamma_fn(kappa + 1.0)
             assert chi_kappa(kappa, 0.0) == pytest.approx(expected, rel=1e-15)
+        for kappa in (-1.0, -2.0):
+            assert chi_kappa(kappa, 0.0) == 0.0
 
     def test_domain_bound_enforced(self):
         with pytest.raises(SeriesDomainError):
@@ -105,10 +107,11 @@ class TestEigenfunctions:
         exact = math.sqrt(2 / math.pi) * np.sin(r * math.sqrt(E)) / math.sqrt(E)
         assert np.max(np.abs(u_eigen(0.5, E, r).value - exact)) < 1e-15
 
-    @pytest.mark.parametrize("E", [-2.0, 3.0])
+    @pytest.mark.parametrize("E", [-2.0, 0.0, 3.0])
     def test_negative_integer_order_is_the_positive_one(self, E):
         # J_{-2} = J_2 and I_{-2} = I_2, so u(-2) = E**2 u(2): cos and sin of
-        # 2 pi are exactly 1 and 0, and no Y_2 or K_2 term enters as r -> 0
+        # 2 pi are exactly 1 and 0, and no Y_2 or K_2 term enters as r -> 0;
+        # at E = 0 both sides are exactly 0, as 1/Gamma(-1) = 0
         r = np.geomspace(1e-3, 3.0, 9)
         got, expected = u_eigen(-2.0, E, r).value, E**2 * u_eigen(2.0, E, r).value
         assert np.all(np.abs(got - expected) <= 1e-15 * np.abs(expected))
@@ -347,7 +350,7 @@ class TestBesselKernelSweep:
         sign = -1.0 if abs(kappa) < 1.0 else 1.0
         quad = discretize(spectral_measure(params), 100.0)
         r = KERNEL_R[(KERNEL_R >= 0.1) & (KERNEL_R <= 2.0)]
-        K = np.eye(len(quad.nodes)) @ kernel_matrix(params, quad, r)  # every row, as c @ K
+        K = kernel_matrix(params, quad, r)
         n = len(quad.e_nodes)
         for i in range(0, n, 29):
             E = quad.e_nodes[i]
@@ -369,7 +372,7 @@ class TestBesselKernelSweep:
             quad = discretize(spectral_measure(params), 0.0)  # the atom alone
             (energy, _), = quad.atoms
             r = np.sqrt(ZETA_BOUND / abs(energy)) * np.geomspace(0.01, 0.999, 9)
-            (row,) = np.eye(1) @ kernel_matrix(params, quad, r)
+            (row,) = kernel_matrix(params, quad, r)
             expected = bound_state_oracle(kappa, tk + gap, energy, r)
             assert np.all(np.abs(row - expected) <= 1e-13 * np.abs(expected))
         delta = tk + gap - theta_kappa(kappa)

@@ -110,9 +110,10 @@ class TestRadialFunction:
     def test_functions_on_one_rule_share_it(self):
         """The rule is checked once, where it is made: apply_l_q and inverse
         hand it on, read-only, and it compares by identity, as do the
-        function, its coefficients, the kernel and a 3D block, each against
-        an equal twin: comparing their arrays by value would raise
-        ValueError, and hashing them TypeError."""
+        function, its coefficients, a 3D block, the 3D mode and reduction
+        grids and a 3D coefficient set, each against an equal twin: comparing
+        their arrays by value would raise ValueError, and hashing them
+        TypeError."""
         psi = make_psi()
         params = ExtensionParams(0.3, 1.0)
         quad = discretize(spectral_measure(params), 10.0)
@@ -124,14 +125,18 @@ class TestRadialFunction:
         assert np.asarray(psi.rule, dtype=float) is psi.r_nodes
         copy = transform.RadialRule(psi.r_nodes, psi.quad_weights)
         assert copy.key == psi.rule.key
-        K = kernel_matrix(params, quad, psi.rule)
         block = ab3d.ChannelBlock(0, np.arange(1), quad, coeffs.values[None, :])
+        grid = ab3d.ModeGrid.build(1, 5.0, 16)
+        reduction = ab3d.ReductionGrid.build((-1.0, 1.0))
+        coeffs_3d = ab3d.Coefficients3D(0.5, grid, [block])
         for one, twin in (
             (psi.rule, copy),
             (psi, RadialFunction(psi.rule, None, psi.values)),
             (coeffs, TransformCoefficients(quad, coeffs.values)),
-            (K, transform.Kernel(K.matrix)),
             (block, dataclasses.replace(block)),
+            (grid, ab3d.ModeGrid.build(1, 5.0, 16)),
+            (reduction, ab3d.ReductionGrid.build((-1.0, 1.0))),
+            (coeffs_3d, dataclasses.replace(coeffs_3d)),
         ):
             assert one == one and one != twin and hash(one) == hash(one) != hash(twin)
 
@@ -178,8 +183,10 @@ def fresh_build(params, quad, r):
 
 
 def assert_products_match(K, fresh):
-    """K @ v (complex), K @ V (real, 2-D), c @ K (complex) and C @ K (complex,
-    2-D) of the cached kernel against the same products of the fresh dense
+    """The products of the cached kernel through _real_product, K v (complex),
+    K V (real, 2-D), K.T c (complex, c @ K), K.T C.T (complex, 2-D, (C @
+    K).T) and a 3D block's (K R) X (a real n_nodes x 1 matrix against a
+    complex 1 x n_p operand), against the complex matmuls of the fresh dense
     matrix, each within 1e-14 of the peak of its parts' magnitudes: the a F
     rows, the b G rows and the atom rows applied on their own, |.| summed.
     Where nothing cancels that is about the product's own peak; where a F and
@@ -193,10 +200,16 @@ def assert_products_match(K, fresh):
     V = rng.standard_normal((dense.shape[1], 3))
     c = rng.standard_normal(dense.shape[0]) + 1j * rng.standard_normal(dense.shape[0])
     C = rng.standard_normal((2, dense.shape[0])) + 1j * rng.standard_normal((2, dense.shape[0]))
-    for product in (lambda M: M @ v, lambda M: M @ V, lambda M: c @ M, lambda M: C @ M):
-        got, expected = product(K), product(dense)
-        assert got.shape == expected.shape
-        scale = sum(np.abs(product(part)) for part in parts)
+    R = rng.standard_normal((dense.shape[1], 1))
+    X = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
+    for operands in (
+        lambda M: (M, v), lambda M: (M, V), lambda M: (M.T, c), lambda M: (M.T, C.T),
+        lambda M: (M @ R, X),
+    ):
+        got = transform._real_product(*operands(K))
+        expected = np.matmul(*operands(dense))
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        scale = sum(np.abs(np.matmul(*operands(part))) for part in parts)
         assert np.max(np.abs(got - expected), initial=0.0) <= 1e-14 * np.max(scale, initial=0.0)
 
 
@@ -224,10 +237,10 @@ class TestKernelCache:
         first = kernel_matrix(self.PARAMS, quad, self.R)
         counts = cache_counts()
         again = kernel_matrix(self.PARAMS, quad, self.R.copy())
-        assert again is first and again.matrix is first.matrix
+        assert again is first
         (hits, misses), pair = counts
         assert cache_counts() == ((hits + 1, misses), pair)  # the pair cache is not consulted
-        assert np.array_equal(again.matrix, fresh_kernel(self.PARAMS, quad, self.R))
+        assert np.array_equal(again, fresh_kernel(self.PARAMS, quad, self.R))
         assert_products_match(again, fresh_build(self.PARAMS, quad, self.R))
 
     def test_a_warm_lookup_with_a_rule_hashes_no_array(self, monkeypatch):
@@ -247,9 +260,9 @@ class TestKernelCache:
     def test_weights_are_not_part_of_the_key(self):
         quad = self.quad()
         reweighted = MeasureQuadrature(quad.e_nodes.copy(), 2.0 * quad.e_weights, quad.atoms)
-        assert kernel_matrix(self.PARAMS, reweighted, self.R).matrix is kernel_matrix(
+        assert kernel_matrix(self.PARAMS, reweighted, self.R) is kernel_matrix(
             self.PARAMS, quad, self.R
-        ).matrix
+        )
 
     def test_a_grid_holds_its_own_copy(self):
         """MeasureQuadrature copies what it is given and leaves the caller's
@@ -266,38 +279,38 @@ class TestKernelCache:
         assert own.e_nodes.tobytes() == quad.e_nodes.tobytes()
         assert own.e_weights.tobytes() == quad.e_weights.tobytes()
         assert kernel_matrix(self.PARAMS, own, self.R) is K
-        assert np.array_equal(K.matrix, fresh_kernel(self.PARAMS, quad, self.R))
+        assert np.array_equal(K, fresh_kernel(self.PARAMS, quad, self.R))
 
     def test_results_are_read_only(self):
         quad = self.quad()
         K = kernel_matrix(self.PARAMS, quad, self.R)
-        assert K.shape == K.matrix.shape == (len(quad.e_nodes) + 1, len(self.R))  # one atom row
-        assert not K.matrix.flags.writeable
+        assert type(K) is np.ndarray and K.dtype == float
+        assert K.shape == (len(quad.e_nodes) + 1, len(self.R))  # one atom row
+        assert not K.flags.writeable
         with pytest.raises(ValueError):
-            K.matrix[0] = 1.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            K.matrix = np.zeros(K.shape)
+            K[0] = 1.0
 
     def test_theta_plus_pi_negates(self):
         quad = self.quad()
         flipped = ExtensionParams(0.3, 1.0 + math.pi)
         assert flipped.theta_mod_pi == self.PARAMS.theta_mod_pi
         K, K_flipped = (kernel_matrix(p, quad, self.R) for p in (self.PARAMS, flipped))
-        assert np.array_equal(K_flipped.matrix, -K.matrix)
+        assert np.array_equal(K_flipped, -K)
         rng = np.random.default_rng(5)
         v = rng.standard_normal(len(self.R)) + 1j * rng.standard_normal(len(self.R))
         V = rng.standard_normal((len(self.R), 3))
         c = rng.standard_normal(K.shape[0]) + 1j * rng.standard_normal(K.shape[0])
-        assert np.array_equal(K_flipped @ v, -(K @ v))
-        assert np.array_equal(K_flipped @ V, -(K @ V))
-        assert np.array_equal(c @ K_flipped, -(c @ K))
+        product = transform._real_product
+        assert np.array_equal(product(K_flipped, v), -product(K, v))
+        assert np.array_equal(product(K_flipped, V), -product(K, V))
+        assert np.array_equal(product(K_flipped.T, c), -product(K.T, c))
 
     @pytest.mark.parametrize("kappa, theta", [(0.3, 1.0), (0.7, 0.0), (0.5, 2.0), (1e-3, 2.9),
                                               (0.999999, 1.0), (1.5, 0.0)])
     def test_minus_kappa_is_the_same_kernel(self, kappa, theta):
         """The extension family is even in kappa, and the key is (nu, t,
         parity): after one build, -kappa at the same theta is a hit on the
-        same Kernel, which is -kappa's fresh build to the bit."""
+        same array, which is -kappa's fresh build to the bit."""
         plus, minus = ExtensionParams(kappa, theta), ExtensionParams(-kappa, theta)
         quad = self.quad(plus)
         assert self.quad(minus) is quad and minus.key == plus.key
@@ -305,7 +318,7 @@ class TestKernelCache:
         (hits, misses), pair = cache_counts()
         assert kernel_matrix(minus, quad, self.R) is K
         assert cache_counts() == ((hits + 1, misses), pair)
-        assert np.array_equal(K.matrix, fresh_kernel(minus, quad, self.R))
+        assert np.array_equal(K, fresh_kernel(minus, quad, self.R))
 
     def test_r_grid_one_ulp_apart_misses(self):
         quad = self.quad()
@@ -317,7 +330,7 @@ class TestKernelCache:
         (_, kernel_misses), (_, pair_misses) = cache_counts()
         K = kernel_matrix(self.PARAMS, quad, shifted)
         assert [misses for _, misses in cache_counts()] == [kernel_misses + 1, pair_misses + 1]
-        assert np.array_equal(K.matrix, expected)
+        assert np.array_equal(K, expected)
         assert_products_match(K, fresh_build(self.PARAMS, quad, shifted))
 
     def test_atom_energy_is_part_of_the_key(self):
@@ -455,7 +468,7 @@ class TestBesselPairCache:
                 quad = self.quad(params, E_max)
                 dense, parts = fresh_build(params, quad, r)
                 K = kernel_matrix(params, quad, r)
-                assert np.array_equal(K.matrix, dense), (kappa, theta)
+                assert np.array_equal(K, dense), (kappa, theta)
                 assert_products_match(K, (dense, parts))
         assert ExtensionParams(0.3, theta_kappa(0.3)).theta_mod_pi == theta_kappa(0.3)
         reference = ExtensionParams(0.3, theta_kappa(0.3))
