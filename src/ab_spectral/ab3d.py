@@ -62,6 +62,7 @@ from .measures import (
     MeasureQuadrature,
     _bits,
     _CacheKey,
+    _read_only,
     discretize,
     gauss_legendre,
     spectral_measure,
@@ -604,11 +605,8 @@ def _cached_plan(key: _CacheKey) -> _Plan:
     for theta, p_idx in _theta_groups(spec, m, grid.p_nodes):
         params = ExtensionParams(kappa, theta if theta is not None else 0.0)
         quad = discretize(spectral_measure(params), E_max, node_budget)
-        p_idx.setflags(write=False)
-        channels.append(_Channel(m, p_idx, params, quad))
-    axial = _axial(grid.p_nodes, reduction)
-    axial.setflags(write=False)
-    return _Plan(tuple(channels), axial)
+        channels.append(_Channel(m, _read_only(p_idx), params, quad))
+    return _Plan(tuple(channels), _read_only(_axial(grid.p_nodes, reduction)))
 
 
 def _forward_blocks(plan: _Plan, factors, rule: RadialRule):

@@ -104,6 +104,15 @@ def _bits(*values) -> tuple[bytes, ...]:
     return tuple(np.asarray(v, dtype=float).tobytes() for v in values)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of a locked owner of array's values (array itself if
+    it owns its data, else a copy): a view cannot be unlocked while its
+    owner is locked, so what a cache hands out stays what it stored."""
+    owner = array if array.base is None else array.copy()
+    owner.setflags(write=False)
+    return owner.view()
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """The spectral measure of one extension class: an absolutely continuous
@@ -179,8 +188,7 @@ class MeasureQuadrature:
         atoms = np.reshape(np.asarray(self.atoms, dtype=float), (-1, 2))
         for name, column in (("nodes", 0), ("weights", 1)):
             continuum = np.asarray(getattr(self, "e_" + name), dtype=float)
-            joined = np.concatenate((continuum, atoms[:, column]))  # a copy
-            joined.setflags(write=False)
+            joined = _read_only(np.concatenate((continuum, atoms[:, column])))
             object.__setattr__(self, name, joined)
             object.__setattr__(self, "e_" + name, joined[: len(continuum)])
         object.__setattr__(self, "key", _bits(self.e_nodes, atoms[:, 0]))
@@ -253,8 +261,7 @@ def spectral_measure(params: ExtensionParams) -> SpectralMeasure:
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The order-n rule on [-1, 1], computed once per n and read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return _read_only(x), _read_only(w)
 
 
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

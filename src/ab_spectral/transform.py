@@ -49,7 +49,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .measures import ExtensionParams, MeasureQuadrature, _bits, _CacheKey, gauss_legendre
+from .measures import ExtensionParams, MeasureQuadrature, gauss_legendre
+from .measures import _bits, _CacheKey, _read_only
 from . import special
 from .special import radial_kernel, u_theta_eigen, wronskian
 
@@ -219,8 +220,7 @@ def _build_kernel(key: _CacheKey) -> np.ndarray:
         K[:n] += b[:, None] * G
     K[:n] *= np.sqrt(r)
     K[n:] = radial_kernel(params.kappa, params.theta, quad.nodes[n:, None], r[None, :])
-    K.setflags(write=False)
-    return K
+    return _read_only(K)
 
 
 def _bessel_pair(nu: float, E: np.ndarray, r: np.ndarray) -> tuple:
@@ -234,14 +234,8 @@ def _cached_pair(key: _CacheKey) -> tuple:
     sets measured in pairs: 5 (radial_sweep), 1 (expansion_3d), 6 (the
     trimmed suite) and 10 (the default suite); a full_forward reads its
     field's mode's one pair: 32 kept, at most 13.6 MB."""
-    return _read_only(special._jy_pair(*key.inputs))
-
-
-def _read_only(parts: tuple) -> tuple:
-    for part in parts:
-        if part is not None:
-            part.setflags(write=False)
-    return parts
+    pair = special._jy_pair(*key.inputs)
+    return tuple(None if part is None else _read_only(part) for part in pair)
 
 
 def forward(
@@ -313,14 +307,25 @@ def boundary_defect(params: ExtensionParams, E: float, r_probe: Sequence[float])
     return np.asarray(out)
 
 
-def parseval_defect(psi: RadialFunction, coeffs: TransformCoefficients) -> float:
-    """| ||psi||**2 - ||c||**2 | / ||psi||**2, the numerical unitarity witness."""
+def _nonzero_norm_sq(psi: RadialFunction) -> float:
+    """||psi||**2, the scale of a relative defect; DomainError when it is 0."""
     n = psi.norm_sq()
+    if n == 0.0:
+        raise DomainError("psi has zero norm, and a relative defect divides by ||psi||**2")
+    return n
+
+
+def parseval_defect(psi: RadialFunction, coeffs: TransformCoefficients) -> float:
+    """| ||psi||**2 - ||c||**2 | / ||psi||**2, the numerical unitarity witness;
+    DomainError for psi of zero norm."""
+    n = _nonzero_norm_sq(psi)
     return abs(n - coeffs.norm_sq()) / n
 
 
 def roundtrip_defect(params: ExtensionParams, psi: RadialFunction, quad) -> float:
-    """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid."""
+    """||inverse(forward(psi)) - psi|| / ||psi|| on psi's own grid; DomainError
+    for psi of zero norm."""
+    n = _nonzero_norm_sq(psi)
     back = inverse(params, forward(params, psi, quad), psi.rule)
     diff = float(np.sum(psi.quad_weights * np.abs(back.values - psi.values) ** 2))
-    return math.sqrt(diff / psi.norm_sq())
+    return math.sqrt(diff / n)

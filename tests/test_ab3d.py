@@ -866,6 +866,22 @@ class TestChannelPlan:
             with pytest.raises(ValueError):
                 part[:1] = 0
 
+    def test_plan_arrays_cannot_be_unlocked(self):
+        """A forward's blocks hold its plan's p indices; neither they nor the
+        axial matrix can be turned writable, and the next forward with that
+        signature gets the same plan and the same arrays."""
+        spec, grid, red, r_rule = piecewise_setup()
+        coeffs = full_forward(spec, make_field(0), grid, r_rule, red, 10.0)
+        plan = _channel_plan(spec, 0, grid, red, 10.0, 16)
+        indices = [blk.p_indices for blk in coeffs.blocks]
+        assert indices == [ch.p_indices for ch in plan.channels] and len(indices) == 2
+        for part in (*indices, plan.axial):
+            with pytest.raises(ValueError):
+                part.setflags(write=True)
+        again = full_forward(spec, make_field(0), grid, r_rule, red, 10.0)
+        assert _channel_plan(spec, 0, grid, red, 10.0, 16) is plan
+        assert all(blk.p_indices is idx for blk, idx in zip(again.blocks, indices))
+
     def test_errors_are_not_stored(self):
         spec, grid, red, _ = piecewise_setup()
         before = ab3d._cached_plan.cache_info()

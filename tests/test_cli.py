@@ -367,6 +367,21 @@ class TestTransformCommand:
         assert "parseval_defect" not in captured.out and "finite" in captured.err
         assert not out.exists()
 
+    def test_zero_profile_exits_2(self, tmp_path, capsys):
+        """An all-zero profile has no relative defect: a usage error naming
+        the zero norm, exit 2, and no CSV."""
+        profile = tmp_path / "zero.csv"
+        rows = ["r,re,im"] + [f"{0.5 + 0.1 * i!r},0.0,0.0" for i in range(12)]
+        profile.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "coeffs.csv"
+        argv = ["transform", "--kappa", "0.3", "--theta", "1.0", "--input", str(profile),
+                "--output", str(out)]
+        assert main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "zero norm" in captured.err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path):
         code = main(
             ["transform", "--kappa", "1.5", "--input", str(tmp_path / "nope.csv")]

@@ -575,6 +575,22 @@ class TestGridCache:
             with pytest.raises(ValueError):
                 part[:1] = 0.0
 
+    def test_arrays_cannot_be_unlocked(self):
+        """No array of a cached grid, nor of the cached reference rule, can
+        be turned writable, so a hit reads what was built; a hit is still
+        the same grid with the same arrays."""
+        measure = spectral_measure(self.PARAMS)
+        quad = discretize(measure, 40.0, 32)
+        nodes = quad.nodes.copy()
+        parts = (quad.e_nodes, quad.e_weights, quad.nodes, quad.weights, *measures._leggauss(32))
+        for part in parts:
+            with pytest.raises(ValueError):
+                part.setflags(write=True)
+        again = discretize(measure, 40.0, 32)
+        assert again is quad and again.nodes is quad.nodes
+        assert again.nodes.tobytes() == nodes.tobytes()
+        assert measures._leggauss(32)[0] is parts[4]
+
     def test_concurrent_builds_past_capacity(self):
         """4 threads over 96 distinct grids (past the 64 kept), each thread in
         its own order; every answer must be the panel-by-panel grid."""

@@ -290,6 +290,17 @@ class TestKernelCache:
         with pytest.raises(ValueError):
             K[0] = 1.0
 
+    def test_results_cannot_be_unlocked(self):
+        """A caller cannot turn the cached kernel writable, and so cannot
+        change what the next lookup reads; a hit is still the same array."""
+        quad = self.quad()
+        K = kernel_matrix(self.PARAMS, quad, self.R)
+        row = K[0].copy()
+        with pytest.raises(ValueError):
+            K.setflags(write=True)
+        again = kernel_matrix(self.PARAMS, quad, self.R)
+        assert again is K and again[0].tobytes() == row.tobytes()
+
     def test_theta_plus_pi_negates(self):
         quad = self.quad()
         flipped = ExtensionParams(0.3, 1.0 + math.pi)
@@ -482,6 +493,9 @@ class TestBesselPairCache:
             assert not part.flags.writeable
             with pytest.raises(ValueError):
                 part[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                part.setflags(write=True)
+        assert transform._bessel_pair(0.3, E, r)[0] is F
         F, G = transform._bessel_pair(1.5, E, r)
         assert not F.flags.writeable and G is None
 
@@ -567,6 +581,19 @@ class TestUnitarity:
         coeffs = forward(params, psi, quad)
         assert parseval_defect(psi, coeffs) < 1e-8
         assert roundtrip_defect(params, psi, quad) < 2e-6
+
+    def test_zero_function_has_no_relative_defect(self):
+        """Both defects are relative to ||psi||**2, which is 0 for psi = 0:
+        a typed DomainError naming the zero norm, not a ZeroDivisionError."""
+        params = ExtensionParams(0.3, 1.0)
+        zero = RadialFunction(make_psi().rule, None, np.zeros(64))
+        quad = discretize(spectral_measure(params), E_MAX, node_budget=32)
+        coeffs = forward(params, zero, quad)
+        assert coeffs.norm_sq() == 0.0
+        with pytest.raises(DomainError, match="zero"):
+            parseval_defect(zero, coeffs)
+        with pytest.raises(DomainError, match="zero"):
+            roundtrip_defect(params, zero, quad)
 
     @pytest.mark.parametrize("kappa,theta", [(1e-6, 1.0), (2e-8, 2.0), (-1e-8, 1.0)])
     def test_parseval_next_to_kappa_zero(self, kappa, theta):

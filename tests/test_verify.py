@@ -8,7 +8,7 @@ import os
 import pytest
 
 import ab_spectral.verify as verify
-from ab_spectral import ab3d, measures, transform
+from ab_spectral import ab3d, bumps, measures, transform
 from ab_spectral.errors import ConfigurationError
 from ab_spectral.verify import (
     CheckResult,
@@ -370,7 +370,11 @@ class TestReport:
 
 
 _SUITE_CACHES = (
-    transform._build_kernel, transform._cached_pair, ab3d._cached_plan, measures._grid
+    transform._build_kernel,
+    transform._cached_pair,
+    ab3d._cached_plan,
+    measures._grid,
+    bumps._sampled,
 )
 
 
@@ -386,18 +390,22 @@ def test_cold_default_suite_builds_one_grid_per_extension():
     and four channel plans (phi = 1/2, 1e-6, 0.3 and 2).  The kernels read
     16 spectral grids, kappa and -kappa, and theta and theta + pi, sharing
     one, and the kappa -> 0 continuity check reads 12 more (4 kappas x 3
-    thetas at E_max = 40): 28 grids."""
+    thetas at E_max = 40): 28 grids.  The profiles are sampled once per
+    grid: the bump and its second derivative on the 64-node r rule, the
+    continuity profile on 6 of its grids (one of 416 E nodes, five with
+    different atoms) and chi on the x3 rule and on it shifted by a
+    symmetry: 9 samples."""
     for cache in _SUITE_CACHES:
         cache.cache_clear()
     run_suite()
-    assert _suite_cache_misses() == [19, 10, 4, 28]
+    assert _suite_cache_misses() == [19, 10, 4, 28, 9]
 
 
 def test_second_default_suite_misses_no_cache():
     """The default suite needs 10 Bessel pairs, 19 extensions' kernels,
     four channel plans (phi = 1/2, 1e-6, 0.3 and 2), which fill the plan
-    cache's four slots, and 28 spectral grids; a second run in one process
-    finds every one of them in the caches."""
+    cache's four slots, 28 spectral grids and 9 profile samples; a second
+    run in one process finds every one of them in the caches."""
     run_suite()
     before = _suite_cache_misses()
     run_suite()
